@@ -21,8 +21,8 @@ from .decoherence import (AxiomReport, Evaluator, ILSOperator, build_M, d_direct
                           verify_axioms)
 from .quadform import (SimpleTensorSum, D_form, identity_element, pi_map,
                        simple_tensor_sum, unboundedness_probe, uniqueness_check)
-from .divergence import (DecoherenceValue, TruncationSchedule, classify_generalized,
-                         default_schedule, q_u, swap_unitary, truncated_d)
+from .divergence import (DecoherenceValue, TruncationSchedule, default_schedule,
+                         q_u, swap_unitary, truncated_d)
 from .consistency import (ConsistencyReport, HistoryFamily, SearchResult,
                           build_family, check_consistent, diag_excess_search)
 
@@ -37,7 +37,7 @@ __all__ = [
     "SimpleTensorSum", "simple_tensor_sum", "identity_element", "pi_map", "D_form",
     "uniqueness_check", "unboundedness_probe",
     "TruncationSchedule", "DecoherenceValue", "default_schedule", "swap_unitary",
-    "q_u", "truncated_d", "classify_generalized",
+    "q_u", "truncated_d",
     "HistoryFamily", "ConsistencyReport", "SearchResult", "build_family",
     "check_consistent", "diag_excess_search",
 ]

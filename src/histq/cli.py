@@ -9,10 +9,9 @@ metadata, so reruns are bit-identical.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -33,34 +32,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _default_threads() -> int:
-    raw = os.environ.get("HISTQ_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        val = int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"HISTQ_THREADS={raw!r} is not an integer") from exc
-    if val < 1:
-        raise ValidationError(f"HISTQ_THREADS must be >= 1, got {val}")
-    return val
-
-
 @dataclass(frozen=True)
 class RunConfig:
     single_dim: int = 2
     order: int = 2
     seed: int = 0
     validation_tol: float = 1e-8
-    arithmetic_tol: float = 1e-10
     consistency_tol: float = 1e-9
     materialize_cap: int = 1024
     history_cap: int = 64
-    output_format: str = "json"
     cutoffs: tuple[int, ...] = (4, 8, 16, 32, 64, 128, 256, 512)
     convergence_threshold: float = 1e-9
     divergence_threshold: float = 1e6
-    threads: int = field(default_factory=_default_threads)
 
     def __post_init__(self):
         object.__setattr__(self, "cutoffs", tuple(int(c) for c in self.cutoffs))
@@ -70,13 +53,9 @@ class RunConfig:
             raise ValidationError("order must be >= 1")
         if self.materialize_cap < 1 or self.history_cap < 1:
             raise ValidationError("size caps must be positive")
-        for name in ("validation_tol", "arithmetic_tol", "consistency_tol"):
+        for name in ("validation_tol", "consistency_tol"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be positive")
-        if self.output_format not in ("json", "csv"):
-            raise ValidationError(f"unknown output format {self.output_format!r}")
-        if self.threads < 1:
-            raise ValidationError("threads must be >= 1")
 
 
 def load_config(path: str | None) -> RunConfig:
@@ -103,7 +82,7 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 
 def _meta(cfg: RunConfig, seed: int | None = None, stream: str | None = None) -> dict:
-    meta = {"version": __version__, "threads": cfg.threads}
+    meta = {"version": __version__}
     if seed is not None and stream is not None:
         meta["prng"] = stream_metadata(seed, stream)
     return meta
@@ -413,13 +392,16 @@ def _cmd_bench(args) -> int:
         start = time.perf_counter()
         evaluator = decoherence.make_evaluator(method, rho, d, n,
                                                cap=cfg.materialize_cap)
+        setup = time.perf_counter() - start
+        start = time.perf_counter()
         values = [evaluator.value_history(h, k) for h, k in pairs]
         wall = time.perf_counter() - start
         all_values.append(values)
         dev = max((abs(v - v0) for v, v0 in zip(values, all_values[0])),
                   default=0.0)
-        rows.append((method, wall, float(dev)))
-    _write_csv(("method", "wall_seconds", "max_abs_dev_vs_first"), rows, args.out)
+        rows.append((method, setup, wall, float(dev)))
+    _write_csv(("method", "setup_seconds", "wall_seconds", "max_abs_dev_vs_first"),
+               rows, args.out)
     return 0
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .decoherence import kernel_pair_value
 from .errors import ShapeError, ValidationError
 from .historyspace import (VALIDATION_TOL, HistoryProjection, history_projection,
                            orthogonal, validate_projection)
@@ -160,9 +161,6 @@ class SearchResult:
     restart_index: int
     xi: np.ndarray | None
 
-    def __iter__(self):
-        return iter((self.projection, self.value))
-
 
 def _positive_projector(h: np.ndarray) -> np.ndarray:
     """Projector onto the positive eigenspace of a Hermitian matrix; falls back
@@ -196,7 +194,7 @@ def diag_excess_search(M, budget: int = 200, seed: int = 0,
     m4 = M.matrix.reshape(d_hist, d_hist, d_hist, d_hist)
 
     def diag_value(p):
-        return float(np.einsum("ac,be,ceab->", p, p, m4).real)
+        return kernel_pair_value(m4, p, p).real
 
     best_val = -np.inf
     best_p = None

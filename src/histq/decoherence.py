@@ -1,4 +1,4 @@
-"""Three independent constructions of the standard decoherence functional.
+"""Independent constructions of the standard decoherence functional.
 
 For a state rho with spectral form sum_i w_i |psi_i><psi_i| and homogeneous
 histories h = (h_1, ..., h_n), k = (k_1, ..., k_n) the functional is
@@ -12,14 +12,19 @@ simple tensors on the doubled space assembled from psi_{j_1} and standard
 basis vectors, with inner products conjugate-linear in the first argument.
 `build_M` packs the same rank-one data into a single kernel operator M on
 the doubled space so that d(p, q) = tr((p (x) q) M) for arbitrary history
-projections p, q, including inhomogeneous ones; `d_via_M_streaming` computes
-that trace tuple-by-tuple without materializing M.
+projections p, q, including inhomogeneous ones.
 
 Tuple slot layout (1-based index names, zero-based code): eps places
 psi_{j_1} first, then e_{j_2n}, ..., e_{j_{n+2}} and e_{j_2}, ..., e_{j_{n+1}};
 eps_tilde places e_{j_2n}, ..., e_{j_{n+1}} first, then psi_{j_1} and
-e_{j_2}, ..., e_{j_n}.  Both families are orthonormal, which pins trace(M)=1
-and the singular values of M to the weights of rho.
+e_{j_2}, ..., e_{j_n}.  Both families are orthonormal.  Summed, they give
+M[(a,u,w,v), (u',v',b,w')] = rho[a,b] delta(u,u') delta(v,v') delta(w,w')
+with a, b, v single-time indices and u, w indices of the first n-1 times, so
+M is a row and column permutation of rho (x) 1: trace(M) = 1 and the
+singular values of M are the weights of rho.  The same structure factorizes
+the trace across the tensor cut, d(p, q) = tr(A(p) rho B(q)) with the partial
+traces A(p)[v,t] = sum_u p[(u,v),(t,u)] and B(q)[t,v] = sum_w q[(t,w),(w,v)];
+`d_via_M_streaming` evaluates that closed form without materializing M.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ from itertools import product
 
 import numpy as np
 
-from . import matrixcore
 from .errors import ShapeError, SizeCapError, ValidationError
 from .historyspace import (
     DensityOperator,
@@ -47,21 +51,6 @@ from .historyspace import (
 from .seeding import generator
 
 DEFAULT_MATERIALIZE_CAP = 1024
-
-
-@dataclass(frozen=True)
-class BasisTuple:
-    """One index tuple of the series expansion with its doubled-space vectors.
-
-    ``index`` holds (j_1, ..., j_2n) with 1 <= j_r <= d.  ``eps`` and
-    ``eps_tilde`` are unit vectors of dimension d**(2n).
-    """
-
-    order: int
-    single_dim: int
-    index: tuple[int, ...]
-    eps: np.ndarray
-    eps_tilde: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -136,30 +125,6 @@ def _check_pair(rho: DensityOperator, p: HistoryProjection, q: HistoryProjection
     return rho.dim, p.order
 
 
-def build_basis_tuples(d: int, n: int, rho: DensityOperator):
-    """Yield all d**(2n) basis tuples in lexicographic index order.
-
-    The spectral basis of rho is completed to a full orthonormal basis with
-    zero weights when rho has fewer than d vectors.
-    """
-    if rho.dim != d:
-        raise ShapeError(f"state dimension {rho.dim} does not match d={d}")
-    full = completed_basis(rho)
-    eye = np.eye(d, dtype=np.complex128)
-    for J in product(range(d), repeat=2 * n):
-        u, v, w = _tuple_parts(J, n)
-        psi = full.vectors[:, J[0]]
-        eps_slots = [psi] + [eye[:, j] for j in u] + [eye[:, j] for j in J[1:n + 1]]
-        til_slots = [eye[:, j] for j in u + (v,)] + [psi] + [eye[:, j] for j in w]
-        yield BasisTuple(
-            order=n,
-            single_dim=d,
-            index=tuple(j + 1 for j in J),
-            eps=reduce(np.kron, eps_slots),
-            eps_tilde=reduce(np.kron, til_slots),
-        )
-
-
 def d_series(rho: DensityOperator, h: HistoryProjection, k: HistoryProjection) -> complex:
     """Series evaluation: fixed-order sum of per-tuple contributions.
 
@@ -184,7 +149,9 @@ def d_series(rho: DensityOperator, h: HistoryProjection, k: HistoryProjection) -
 
 def build_M(rho: DensityOperator, d: int, n: int,
             cap: int = DEFAULT_MATERIALIZE_CAP) -> ILSOperator:
-    """Materialize the kernel operator M = sum_J w_{j_1} |eps_J><eps_tilde_J|.
+    """Materialize the kernel operator M = sum_J w_{j_1} |eps_J><eps_tilde_J|,
+    assembled in one step as the permutation of rho (x) 1 of the module
+    docstring.
 
     Raises
     ------
@@ -198,21 +165,27 @@ def build_M(rho: DensityOperator, d: int, n: int,
             f"doubled dimension {d}**{2 * n}={dd} exceeds materialization cap "
             f"{cap}; evaluate with d_via_M_streaming instead"
         )
-    m = np.zeros((dd, dd), dtype=np.complex128)
-    weights = completed_basis(rho).weights
-    for bt in build_basis_tuples(d, n, rho):
-        wgt = weights[bt.index[0] - 1]
-        if wgt == 0.0:
-            continue
-        m += wgt * np.outer(bt.eps, np.conj(bt.eps_tilde))
+    if rho.dim != d:
+        raise ShapeError(f"state dimension {rho.dim} does not match d={d}")
+    rho_m = density_matrix(rho)
+    r = d ** (n - 1)
+    eye_r = np.eye(r, dtype=np.complex128)
+    m = np.einsum("ab,uU,wW,vV->auwvUVbW", rho_m, eye_r, eye_r,
+                  np.eye(d, dtype=np.complex128)).reshape(dd, dd)
     tr = complex(np.trace(m))
     if abs(tr - 1.0) > 1e-9:
         raise ValidationError(f"kernel trace {tr:.12g} differs from 1 beyond 1e-9")
-    norm = matrixcore.operator_norm(m)
+    # M is a row and column permutation of rho (x) 1, so ||M|| = ||rho||
+    norm = float(np.linalg.norm(rho_m, 2))
     if norm > 1.0 + 1e-8:
         raise ValidationError(f"kernel norm {norm:.12g} exceeds 1 + 1e-8")
     return ILSOperator(matrix=m, order=n, single_dim=d,
                        state_fingerprint=state_fingerprint(rho))
+
+
+def kernel_pair_value(m4: np.ndarray, p: np.ndarray, q: np.ndarray) -> complex:
+    """tr((p (x) q) M) for the kernel reshaped to m4 = M.reshape(D, D, D, D)."""
+    return complex(np.einsum("ac,be,ceab->", p, q, m4))
 
 
 def d_via_M(M: ILSOperator, p: HistoryProjection, q: HistoryProjection) -> complex:
@@ -221,40 +194,19 @@ def d_via_M(M: ILSOperator, p: HistoryProjection, q: HistoryProjection) -> compl
         raise ShapeError("history projections must match the kernel's single-time dimension")
     if p.order != M.order or q.order != M.order:
         raise ShapeError("history projections must match the kernel's order")
-    pq = np.kron(p.matrix, q.matrix)
-    return complex(np.einsum("ij,ji->", pq, M.matrix))
-
-
-def _tree_sum(values: np.ndarray) -> complex:
-    # fixed-shape pairwise reduction; result is independent of any threading
-    arr = np.asarray(values, dtype=np.complex128)
-    while arr.size > 1:
-        if arr.size % 2:
-            arr = np.concatenate([arr, [0j]])
-        arr = arr[0::2] + arr[1::2]
-    return complex(arr[0]) if arr.size else 0j
+    dim = p.dim
+    return kernel_pair_value(M.matrix.reshape(dim, dim, dim, dim), p.matrix, q.matrix)
 
 
 def d_via_M_streaming(rho: DensityOperator, p: HistoryProjection,
                       q: HistoryProjection) -> complex:
-    """Kernel evaluation without materializing M.
-
-    Per-tuple contributions are computed in lexicographic order and combined
-    by a deterministic pairwise tree whose shape depends only on (d, n).
-    """
+    """Kernel evaluation without materializing M: tr(A(p) rho B(q)) with the
+    partial traces A and B of the module docstring."""
     d, n = _check_pair(rho, p, q)
-    full = completed_basis(rho)
-    weights = full.weights
-    vectors = full.vectors
-    pmat = p.matrix
-    qmat = q.matrix
-    terms = np.zeros(d ** (2 * n), dtype=np.complex128)
-    for pos, J in enumerate(product(range(d), repeat=2 * n)):
-        wgt = weights[J[0]]
-        if wgt == 0.0:
-            continue
-        terms[pos] = wgt * _tuple_term(J, n, d, pmat, qmat, vectors[:, J[0]])
-    return _tree_sum(terms)
+    r = d ** (n - 1)
+    a = np.einsum("uvtu->vt", p.matrix.reshape(r, d, d, r))
+    b = np.einsum("twwv->tv", q.matrix.reshape(d, r, r, d))
+    return complex(np.einsum("vt,ts,sv->", a, density_matrix(rho), b))
 
 
 @dataclass(frozen=True)

@@ -262,9 +262,3 @@ def truncated_d(rho: DensityOperator, P, Q,
         sums.append(complex(total))
     return _classify(tuple(schedule.cutoffs), tuple(sums), schedule)
 
-
-def classify_generalized(rho: DensityOperator, P, Q,
-                         schedule: TruncationSchedule | None = None) -> DecoherenceValue:
-    """Total extension of the functional: finite value where the partial sums
-    stabilize, the point at infinity (a Divergent verdict) everywhere else."""
-    return truncated_d(rho, P, Q, schedule)

@@ -31,15 +31,32 @@ def matrix_to_json(m: np.ndarray) -> dict:
     }
 
 
+def _json_int(obj, key: str, what: str) -> int:
+    """obj[key] as an int; bools and non-integral numbers are rejected."""
+    try:
+        val = obj[key]
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(f"malformed {what} JSON: missing {key!r}") from exc
+    if (isinstance(val, bool) or not isinstance(val, (int, float))
+            or (isinstance(val, float) and not val.is_integer())):
+        raise ValidationError(f"{what} JSON {key!r} must be an integer, got {val!r}")
+    return int(val)
+
+
+def _json_float(val, what: str) -> float:
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ValidationError(f"{what} must be a number, got {val!r}")
+    return float(val)
+
+
 def matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict):
         raise ValidationError("matrix JSON must be an object")
-    try:
-        rows = int(obj["rows"])
-        cols = int(obj["cols"])
-        data = obj["data"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed matrix JSON: {exc}") from exc
+    rows = _json_int(obj, "rows", "matrix")
+    cols = _json_int(obj, "cols", "matrix")
+    data = obj.get("data")
+    if not isinstance(data, list):
+        raise ValidationError('matrix JSON needs a "data" list')
     if rows < 1 or cols < 1:
         raise ShapeError(f"matrix dimensions must be positive, got {rows}x{cols}")
     if len(data) != rows * cols:
@@ -50,7 +67,8 @@ def matrix_from_json(obj) -> np.ndarray:
     for i, pair in enumerate(data):
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
             raise ValidationError(f"entry {i} is not an [re, im] pair")
-        out[i] = complex(float(pair[0]), float(pair[1]))
+        out[i] = complex(_json_float(pair[0], f"entry {i}"),
+                         _json_float(pair[1], f"entry {i}"))
     if not np.all(np.isfinite(out)):
         raise ValidationError("matrix JSON contains non-finite entries")
     return out.reshape(rows, cols)
@@ -69,12 +87,11 @@ def history_to_json(h: HomogeneousHistory) -> dict:
 
 
 def history_from_json(obj, tol: float = 1e-8) -> HomogeneousHistory:
-    try:
-        d = int(obj["single_time_dim"])
-        n = int(obj["order"])
-        mats = obj["projections"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed history JSON: {exc}") from exc
+    d = _json_int(obj, "single_time_dim", "history")
+    n = _json_int(obj, "order", "history")
+    mats = obj.get("projections")
+    if not isinstance(mats, list):
+        raise ValidationError('history JSON needs a "projections" list')
     if len(mats) != n:
         raise ValidationError(f"history JSON lists {len(mats)} projections, order is {n}")
     h = homogeneous_history([matrix_from_json(m) for m in mats], tol=tol)
@@ -98,8 +115,10 @@ def density_from_json(obj, tol: float = 1e-8) -> DensityOperator:
     if "matrix" in obj:
         return density_from_matrix(matrix_from_json(obj["matrix"]), tol=tol)
     if "weights" in obj and "vectors" in obj:
+        if not isinstance(obj["weights"], list):
+            raise ValidationError('density JSON "weights" must be a list')
         return density_from_spectral(
-            [float(w) for w in obj["weights"]],
+            [_json_float(w, "density weight") for w in obj["weights"]],
             matrix_from_json(obj["vectors"]),
             tol=tol,
         )
@@ -117,12 +136,11 @@ def tensor_sum_to_json(z) -> dict:
 def tensor_sum_from_json(obj):
     from .quadform import simple_tensor_sum
 
-    try:
-        n = int(obj["order"])
-        d = int(obj["dim"])
-        terms = obj["terms"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed tensor-sum JSON: {exc}") from exc
+    n = _json_int(obj, "order", "tensor-sum")
+    d = _json_int(obj, "dim", "tensor-sum")
+    terms = obj.get("terms")
+    if not isinstance(terms, list):
+        raise ValidationError('tensor-sum JSON needs a "terms" list')
     parsed = []
     for term in terms:
         if len(term) != n:
@@ -140,14 +158,15 @@ def family_from_json(obj, cap: int = 64, tol: float = 1e-8):
     """
     from .historyspace import embed_homogeneous
 
-    try:
-        d = int(obj["single_time_dim"])
-        n = int(obj["order"])
-        raw = obj["members"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed family JSON: {exc}") from exc
+    d = _json_int(obj, "single_time_dim", "family")
+    n = _json_int(obj, "order", "family")
+    raw = obj.get("members")
+    if not isinstance(raw, list):
+        raise ValidationError('family JSON needs a "members" list')
     members: list[HistoryProjection] = []
     for item in raw:
+        if not isinstance(item, dict):
+            raise ValidationError("family member must be an object")
         if "projections" in item:
             inner = dict(item)
             inner.setdefault("single_time_dim", d)
@@ -160,7 +179,7 @@ def family_from_json(obj, cap: int = 64, tol: float = 1e-8):
     labels = obj.get("labels")
     if labels is None:
         labels = [f"g{i}" for i in range(len(members))]
-    if len(labels) != len(members):
+    if not isinstance(labels, list) or len(labels) != len(members):
         raise ValidationError("labels do not match the number of members")
     return members, [str(x) for x in labels]
 

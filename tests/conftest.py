@@ -39,6 +39,12 @@ def pure_e1(dim):
     return pure_state(v)
 
 
+def near_degenerate_states():
+    # top weights this close once stalled a power-iteration norm gate
+    return [density_from_spectral(w, np.eye(2, dtype=np.complex128))
+            for w in ([0.50001, 0.49999], [0.5000001, 0.4999999])]
+
+
 def kron_chain(mats):
     out = np.array([[1]], dtype=np.complex128)
     for m in mats:

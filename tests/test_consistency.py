@@ -197,13 +197,6 @@ def test_search_deterministic():
     assert r1.projection.matrix.tobytes() == r2.projection.matrix.tobytes()
 
 
-def test_search_tuple_unpacking():
-    M = build_M(pure_e1(2), 2, 2)
-    hist, value = cs.diag_excess_search(M, budget=5, seed=0)
-    assert value >= 1.0
-    assert hist.order == 2 and hist.single_dim == 2
-
-
 def test_search_rejects_bad_budget():
     M = build_M(pure_e1(2), 2, 2)
     with pytest.raises(ValidationError, match="budget"):

@@ -2,14 +2,17 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from histq import decoherence as dec
 from histq.errors import ShapeError, SizeCapError, ValidationError
-from histq.historyspace import (homogeneous_history, history_projection,
+from histq.historyspace import (completed_basis, density_from_spectral,
+                                homogeneous_history, history_projection,
                                 identity_history_projection,
                                 zero_history_projection)
 
-from conftest import (P0, P1, PMINUS, PPLUS, kron_chain, pure_e1,
+from conftest import (P0, P1, PMINUS, PPLUS, haar_unitary, kron_chain,
+                      near_degenerate_states, pure_e1, pure_state,
                       random_density, random_proj)
 
 
@@ -108,23 +111,38 @@ def test_resolution_of_identity_sums_to_one(rng):
     assert abs(total - 1.0) <= 1e-10
 
 
-def test_basis_tuples_structure():
-    rho = pure_e1(2)
-    tuples = list(dec.build_basis_tuples(2, 2, rho))
-    assert len(tuples) == 16
-    assert tuples[0].index == (1, 1, 1, 1)
-    eps = np.column_stack([bt.eps for bt in tuples])
-    til = np.column_stack([bt.eps_tilde for bt in tuples])
-    assert np.allclose(eps.conj().T @ eps, np.eye(16), atol=1e-12)
-    assert np.allclose(til.conj().T @ til, np.eye(16), atol=1e-12)
-    e0000 = np.zeros(16)
-    e0000[0] = 1.0
-    assert np.allclose(tuples[0].eps, e0000, atol=1e-12)
+def _rank_one_kernel(rho, d, n):
+    # the literal definition M = sum_J w_{j_1} |eps_J><eps_tilde_J|, with the
+    # slot layout of the decoherence module docstring
+    full = completed_basis(rho)
+    eye = np.eye(d, dtype=complex)
+    eps, til, wts = [], [], []
+    for J in itertools.product(range(d), repeat=2 * n):
+        u = [J[pos] for pos in range(2 * n - 1, n, -1)]
+        v, w = J[n], list(J[1:n])
+        psi = full.vectors[:, J[0]]
+        eps.append(kron_chain([psi[:, None]] + [eye[:, [j]] for j in u + list(J[1:n + 1])]))
+        til.append(kron_chain([eye[:, [j]] for j in u + [v]] + [psi[:, None]]
+                              + [eye[:, [j]] for j in w]))
+        wts.append(full.weights[J[0]])
+    eps = np.hstack(eps)
+    til = np.hstack(til)
+    return eps, til, (eps * np.array(wts)) @ til.conj().T
+
+
+def test_basis_tuples_structure(rng):
+    for d, n in ((2, 1), (2, 2), (3, 2)):
+        for rho in (pure_e1(d), random_density(d, rng)):
+            eps, til, m = _rank_one_kernel(rho, d, n)
+            dd = d ** (2 * n)
+            assert np.allclose(eps.conj().T @ eps, np.eye(dd), atol=1e-12)
+            assert np.allclose(til.conj().T @ til, np.eye(dd), atol=1e-12)
+            assert np.max(np.abs(dec.build_M(rho, d, n).matrix - m)) <= 1e-15
 
 
 def test_basis_tuples_dimension_check():
     with pytest.raises(ShapeError):
-        list(dec.build_basis_tuples(3, 2, pure_e1(2)))
+        dec.build_M(pure_e1(2), 3, 2)
 
 
 def test_build_m_contracts(rng):
@@ -137,11 +155,17 @@ def test_build_m_contracts(rng):
 
 
 def test_build_m_singular_values_are_weights(rng):
-    rho = random_density(2, rng)
-    M = dec.build_M(rho, 2, 1)
-    svals = np.sort(np.linalg.svd(M.matrix, compute_uv=False))[::-1]
-    expected = np.sort(np.concatenate([rho.weights] * 2))[::-1]
-    assert np.allclose(svals, expected, atol=1e-10)
+    for d, n in ((2, 1), (2, 2), (3, 2), (2, 3)):
+        states = [random_density(d, rng), pure_state(haar_unitary(d, rng)[:, 0])]
+        if d == 2:
+            states += near_degenerate_states()
+        for rho in states:
+            M = dec.build_M(rho, d, n)
+            svals = np.sort(np.linalg.svd(M.matrix, compute_uv=False))[::-1]
+            weights = np.zeros(d)
+            weights[:len(rho.weights)] = rho.weights
+            expected = np.sort(np.repeat(weights, d ** (2 * n - 1)))[::-1]
+            assert np.allclose(svals, expected, rtol=0.0, atol=1e-12), (d, n)
 
 
 def test_build_m_order_one_hand_case():
@@ -233,3 +257,25 @@ def test_d_direct_rejects_dim_mismatch(rng):
     h3 = homogeneous_history([np.eye(3)])
     with pytest.raises(ShapeError):
         dec.d_direct(rho, h3, h3)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)]),
+       st.sampled_from(["full", "rank-one", "rank-deficient", "near-degenerate"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_kernel_evaluators_agree_differential(dn, spectrum, seed):
+    # stream, ils and series on arbitrary (non-factorized) projections
+    d, n = dn
+    rng = np.random.default_rng(seed)
+    basis = haar_unitary(d, rng)
+    weights = {"full": rng.dirichlet(np.ones(d)),
+               "rank-one": [1.0],
+               "rank-deficient": rng.dirichlet(np.ones(d - 1)),
+               "near-degenerate": [0.5000001, 0.4999999]}[spectrum]
+    rho = density_from_spectral(weights, basis[:, :len(weights)])
+    dim = d ** n
+    p = history_projection(random_proj(dim, rng, int(rng.integers(0, dim + 1))), n, d)
+    q = history_projection(random_proj(dim, rng, int(rng.integers(0, dim + 1))), n, d)
+    series = dec.d_series(rho, p, q)
+    assert abs(dec.d_via_M_streaming(rho, p, q) - series) <= 1e-9
+    assert abs(dec.d_via_M(dec.build_M(rho, d, n), p, q) - series) <= 1e-9

@@ -189,12 +189,12 @@ def test_verdict_stable_across_schedules():
     assert long.partial_sums[:len(short.partial_sums)] == short.partial_sums
 
 
-def test_classify_generalized_is_total(rng):
+def test_truncated_d_is_total(rng):
+    # every pair gets a verdict: a finite value or the point at infinity
     rho = random_density(2, rng)
-    a = dv.classify_generalized(rho, dv.IdentityPair(), dv.SymmetricSubspacePair())
-    b = dv.truncated_d(rho, dv.IdentityPair(), dv.SymmetricSubspacePair())
-    assert a == b
-    c = dv.classify_generalized(rho, dv.IdentityPair(), dv.IdentityPair())
+    a = dv.truncated_d(rho, dv.IdentityPair(), dv.SymmetricSubspacePair())
+    assert a.kind == "Divergent" and a.value is None
+    c = dv.truncated_d(rho, dv.IdentityPair(), dv.IdentityPair())
     assert c.finite and abs(c.value - 1.0) <= 1e-12
 
 

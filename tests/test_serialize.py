@@ -34,6 +34,33 @@ def test_matrix_from_json_rejections():
         sz.matrix_from_json([1, 2, 3])
 
 
+def test_matrix_from_json_rejects_non_integral_dims():
+    for rows in (1.9, True, "1"):
+        with pytest.raises(ValidationError, match="rows"):
+            sz.matrix_from_json({"rows": rows, "cols": 1, "data": [[1.0, 0.0]]})
+    assert sz.matrix_from_json({"rows": 1.0, "cols": 1, "data": [[1, 0]]}).shape == (1, 1)
+
+
+def test_matrix_from_json_rejects_non_numeric_entries():
+    for entry in ([True, False], [1.0, None], ["1.5", 0.0]):
+        with pytest.raises(ValidationError, match="number"):
+            sz.matrix_from_json({"rows": 1, "cols": 1, "data": [entry]})
+
+
+def test_history_from_json_rejects_coerced_dim():
+    h = sz.history_to_json(homogeneous_history([P0]))
+    for dim in (2.5, True, "2"):
+        with pytest.raises(ValidationError, match="single_time_dim"):
+            sz.history_from_json(dict(h, single_time_dim=dim))
+
+
+def test_history_from_json_rejects_coerced_order():
+    h = sz.history_to_json(homogeneous_history([P0]))
+    for order in (1.5, True, "1"):
+        with pytest.raises(ValidationError, match="order"):
+            sz.history_from_json(dict(h, order=order))
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64),
                 min_size=8, max_size=8))
@@ -85,6 +112,10 @@ def test_density_from_matrix_form():
     assert np.allclose(rho.weights, [0.5, 0.5], atol=1e-12)
     with pytest.raises(ValidationError):
         sz.density_from_json({"nope": 1})
+    vectors = sz.matrix_to_json(np.eye(2)[:, :1])
+    for weights in ([True], 5):
+        with pytest.raises(ValidationError, match="weight"):
+            sz.density_from_json({"weights": weights, "vectors": vectors})
 
 
 def test_tensor_sum_round_trip():
@@ -95,6 +126,8 @@ def test_tensor_sum_round_trip():
     with pytest.raises(ValidationError):
         sz.tensor_sum_from_json({"order": 2, "dim": 2,
                                  "terms": [[sz.matrix_to_json(np.eye(2))]]})
+    with pytest.raises(ValidationError, match="order"):
+        sz.tensor_sum_from_json(dict(sz.tensor_sum_to_json(z), order=2.5))
 
 
 def test_family_from_json_both_member_forms():
@@ -112,6 +145,12 @@ def test_family_from_json_both_member_forms():
     with pytest.raises(ValidationError):
         sz.family_from_json({"single_time_dim": 2, "order": 2,
                              "members": [{"bogus": 1}]})
+    with pytest.raises(ValidationError, match="single_time_dim"):
+        sz.family_from_json(dict(obj, single_time_dim="2"))
+    with pytest.raises(ValidationError, match="object"):
+        sz.family_from_json(dict(obj, members=[1]))
+    with pytest.raises(ValidationError, match="labels"):
+        sz.family_from_json(dict(obj, labels=5))
 
 
 def test_load_json_missing_file(tmp_path):
