@@ -81,7 +81,7 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-def _meta(cfg: RunConfig, seed: int | None = None, stream: str | None = None) -> dict:
+def _meta(seed: int | None = None, stream: str | None = None) -> dict:
     meta = {"version": __version__}
     if seed is not None and stream is not None:
         meta["prng"] = stream_metadata(seed, stream)
@@ -185,30 +185,26 @@ def _cmd_eval(args) -> int:
     residuals = {"rho_trace": abs(float(np.sum(rho.weights)) - 1.0)}
     residuals["h_hermitian"], residuals["h_idempotent"] = _factor_residuals(kind_h, h)
     residuals["k_hermitian"], residuals["k_idempotent"] = _factor_residuals(kind_k, k)
+    n = max(h.order, k.order)
     if args.method == "direct":
         if kind_h != "homogeneous" or kind_k != "homogeneous":
             raise ValidationError("the direct method needs factorized histories")
-        value = decoherence.d_direct(rho, h, k)
+        value = decoherence.make_evaluator("direct", rho, d, n).value_history(h, k)
     else:
-        n = max(h.order, k.order)
         if kind_h == "homogeneous":
             h = embed_homogeneous(pad_history(h, n), cap=cfg.history_cap,
                                   tol=cfg.validation_tol)
         if kind_k == "homogeneous":
             k = embed_homogeneous(pad_history(k, n), cap=cfg.history_cap,
                                   tol=cfg.validation_tol)
-        if args.method == "series":
-            value = decoherence.d_series(rho, h, k)
-        elif args.method == "ils":
-            M = decoherence.build_M(rho, d, h.order, cap=cfg.materialize_cap)
-            value = decoherence.d_via_M(M, h, k)
-        else:
-            value = decoherence.d_via_M_streaming(rho, h, k)
+        evaluator = decoherence.make_evaluator(args.method, rho, d, n,
+                                               cap=cfg.materialize_cap)
+        value = evaluator.value(h, k)
     out = {
         "value": [value.real, value.imag],
         "method": args.method,
         "residuals": residuals,
-        "meta": _meta(cfg),
+        "meta": _meta(),
     }
     _write_json(out, args.out)
     return 0
@@ -230,7 +226,7 @@ def _cmd_build_m(args) -> int:
         "order": n,
         "trace": [np.trace(M.matrix).real, np.trace(M.matrix).imag],
         "state_fingerprint": M.state_fingerprint,
-        "meta": _meta(cfg),
+        "meta": _meta(),
     }
     _write_json(summary, None)
     return 0
@@ -250,7 +246,7 @@ def _cmd_verify(args) -> int:
     report = decoherence.verify_axioms(evaluator, samples=args.samples,
                                        seed=seed, tol=tol)
     out = report.as_dict()
-    out["meta"] = _meta(cfg, seed=seed, stream="verify")
+    out["meta"] = _meta(seed=seed, stream="verify")
     _write_json(out, args.out)
     if args.csv is not None:
         rows = [("hermitian", report.max_hermitian),
@@ -267,7 +263,7 @@ def _cmd_quadform(args) -> int:
     z = serialize.tensor_sum_from_json(serialize.load_json(args.z))
     w = serialize.tensor_sum_from_json(serialize.load_json(args.w))
     value = quadform.D_form(rho, z, w)
-    out = {"value": [value.real, value.imag], "meta": _meta(cfg)}
+    out = {"value": [value.real, value.imag], "meta": _meta()}
     _write_json(out, args.out)
     return 0
 
@@ -339,7 +335,7 @@ def _cmd_consistency(args) -> int:
     tol = args.tol if args.tol is not None else cfg.consistency_tol
     report = consistency.check_consistent(evaluator, fam, tol=tol)
     out = report.as_dict()
-    out["meta"] = _meta(cfg)
+    out["meta"] = _meta()
     _write_json(out, args.out)
     return 0
 
@@ -367,7 +363,7 @@ def _cmd_search_excess(args) -> int:
         "restart_index": res.restart_index,
         "xi": None if res.xi is None else serialize.vector_to_json(res.xi.reshape(-1, 1)),
         "projection": serialize.matrix_to_json(res.projection.matrix),
-        "meta": _meta(cfg, seed=seed, stream="search"),
+        "meta": _meta(seed=seed, stream="search"),
     }
     _write_json(out, args.out)
     return 0

@@ -100,10 +100,13 @@ def _power_start(dim: int) -> np.ndarray:
 
 def operator_norm_matvec(matvec, rmatvec, dim: int, tol: float = ARITH_TOL,
                          max_iter: int = _POWER_ITER_CAP) -> float:
-    """Largest singular value of a linear map given by matvec/rmatvec callables.
+    """Lower estimate of the largest singular value of a linear map given by
+    matvec/rmatvec callables.
 
     Power iteration on the normal operator x -> A*(A x) with a fixed,
-    deterministic start vector.  The estimate never exceeds the true value.
+    deterministic start vector.  The estimate never exceeds the true value,
+    so it is no upper bound; when the top singular values are close the
+    iteration may stop short or raise NumericalError at max_iter.
     """
     v = _power_start(dim)
     lam_prev = -np.inf
@@ -124,7 +127,8 @@ def operator_norm_matvec(matvec, rmatvec, dim: int, tol: float = ARITH_TOL,
 
 def operator_norm(a: np.ndarray, tol: float = ARITH_TOL,
                   max_iter: int = _POWER_ITER_CAP) -> float:
-    """Largest singular value within relative tol via power iteration on a*a."""
+    """Lower estimate of the largest singular value by power iteration on
+    a*a; see operator_norm_matvec."""
     a = as_complex_matrix(a)
     adj = a.conj().T
     return operator_norm_matvec(lambda v: a @ v, lambda v: adj @ v,

@@ -14,7 +14,6 @@ from histq import consistency, decoherence, divergence, quadform, serialize
 from histq.cli import main
 from histq.historyspace import (density_from_spectral, history_projection,
                                 homogeneous_history)
-from histq.matrixcore import operator_norm
 from histq.seeding import generator
 
 from conftest import (P0, P1, PMINUS, PPLUS, kron_chain, pure_e1, pure_state,
@@ -57,7 +56,7 @@ def test_criterion_2_kernel_contracts(capsys):
             rho = random_density(d, rng)
             M = decoherence.build_M(rho, d, n)
             tr_dev = abs(np.trace(M.matrix) - 1.0)
-            norm = operator_norm(M.matrix)
+            norm = float(np.linalg.norm(M.matrix, 2))
             worst_tr = max(worst_tr, tr_dev)
             worst_norm = max(worst_norm, norm)
             assert tr_dev <= 1e-9

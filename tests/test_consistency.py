@@ -134,22 +134,82 @@ def test_atom_cap():
     assert len(cs.build_family(members[:11]).atoms) == 12
 
 
-def test_bare_callable_evaluator_and_crafted_gram():
-    family = cs.build_family([embed([P0, P0]), embed([P0, P1])])
+def crafted_gram_evaluator(family, gram):
     atoms = family.atoms
 
     def fake(p, q):
         i = next(n for n, a in enumerate(atoms) if a is p)
         j = next(n for n, a in enumerate(atoms) if a is q)
-        if i == j:
-            return 2.0 if i == 0 else -0.2 if i == 1 else 0.1
-        return 0.0
+        return gram[i, j]
 
-    report = cs.check_consistent(fake, family)
+    return fake
+
+
+def test_bare_callable_evaluator_and_crafted_gram():
+    family = cs.build_family([embed([P0, P0]), embed([P0, P1])])
+    gram = np.diag([2.0, -0.2, 0.1])
+    report = cs.check_consistent(crafted_gram_evaluator(family, gram), family)
     assert not report.consistent
     assert report.probabilities["g1"] == -0.2
     assert "g0" in report.unphysical
     assert report.max_re_offdiag == 0.0
+
+
+def diagonal_family(k):
+    # k atoms on the 8-dimensional history space of (d, n) = (2, 3): k - 1
+    # coordinate projectors and the projector onto the remaining coordinates
+    members = []
+    for i in range(k):
+        m = np.zeros((8, 8), dtype=np.complex128)
+        if i < k - 1:
+            m[i, i] = 1.0
+        else:
+            m[np.arange(i, 8), np.arange(i, 8)] = 1.0
+        members.append(history_projection(m, 3, 2))
+    return cs.build_family(members)
+
+
+def brute_force_report(gram, atom_labels, tol):
+    # walk every ordered pair (s, t) of non-empty disjoint closure elements
+    k = gram.shape[0]
+    re_gram = gram.real
+    ind = [np.array([m >> i & 1 for i in range(k)], dtype=float)
+           for m in range(1 << k)]
+    max_re = 0.0
+    for s in range(1, 1 << k):
+        for t in range(1, 1 << k):
+            if s & t == 0:
+                max_re = max(max_re, abs(float(ind[s] @ re_gram @ ind[t])))
+    unphysical = {frozenset(atom_labels[i] for i in range(k) if m >> i & 1)
+                  for m in range(1, 1 << k)
+                  if ind[m] @ re_gram @ ind[m] > 1.0 + tol}
+    return max_re, unphysical
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_max_re_offdiag_matches_ordered_pair_walk(k):
+    family = diagonal_family(k)
+    assert len(family.atoms) == k
+    gen = generator(4000 + k, "samples")
+    for hermitian in (True, False):
+        g = gen.standard_normal((k, k)) + 1j * gen.standard_normal((k, k))
+        gram = (g + g.conj().T) / 2.0 if hermitian else g
+        report = cs.check_consistent(crafted_gram_evaluator(family, gram),
+                                     family, tol=1e-9)
+        max_re, unphysical = brute_force_report(gram, family.atom_labels, 1e-9)
+        assert abs(report.max_re_offdiag - max_re) <= 1e-12
+        assert type(report.max_re_offdiag) is float
+        assert unphysical_sets(family, report) == unphysical
+
+
+def test_both_orientations_of_a_disjoint_pair_are_checked():
+    eye = np.eye(2)
+    family = cs.build_family([embed([P0, eye]), embed([P1, eye])])
+    gram = np.array([[0.5, 0.0], [0.4, 0.5]], dtype=np.complex128)
+    report = cs.check_consistent(crafted_gram_evaluator(family, gram), family)
+    assert report.max_re_offdiag == pytest.approx(0.4, abs=1e-15)
+    assert not report.consistent
+    assert report.probabilities == {"g0": 0.5, "g1": 0.5}
 
 
 def test_bare_callable_matches_bound_evaluator(rng):
