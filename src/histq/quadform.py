@@ -6,6 +6,13 @@ x_n x_{n-1} ... x_1, and the form is D(z, w) = tr(Pi(w)^dagger Pi(z) rho).
 On projection tensors D agrees with the time-ordered evaluator, and on unit
 vectors of the doubled space it exhibits linear growth, the finite shadow of
 unboundedness.
+
+With rho = S S^dagger for the d x r matrix S of weighted eigenvectors, the
+form is the inner product <Pi(w) S, Pi(z) S>.  D_form applies each term's
+factors to S in time order and never forms Pi as a d x d product, so one
+evaluation costs O(terms * n * d^2 * rank rho).  The unboundedness probe
+sums D(t_j, 1) over the terms t_j of z_N by linearity in z, holding one
+term's factors at a time.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import numpy as np
 
 from . import matrixcore
 from .errors import ShapeError, ValidationError
-from .historyspace import DensityOperator, density_from_spectral, density_matrix
+from .historyspace import DensityOperator, density_from_spectral
 from .seeding import generator
 
 
@@ -63,40 +70,53 @@ def identity_element(single_dim: int, order: int) -> SimpleTensorSum:
     return simple_tensor_sum([tuple(eye for _ in range(order))])
 
 
-def pi_map(z: SimpleTensorSum) -> np.ndarray:
-    """Linear product map: each term contributes x_n x_{n-1} ... x_1."""
-    acc = np.zeros((z.single_dim, z.single_dim), dtype=np.complex128)
+def _apply_pi(z: SimpleTensorSum, cols: np.ndarray) -> np.ndarray:
+    """Pi(z) @ cols, applying each term's factors to cols in time order."""
+    acc = np.zeros((z.single_dim, cols.shape[1]), dtype=np.complex128)
     for term in z.terms:
-        acc += reduce(np.matmul, reversed(term))
+        out = cols
+        for factor in term:
+            out = factor @ out
+        acc += out
     return acc
 
 
-def D_form(rho: DensityOperator, z: SimpleTensorSum, w: SimpleTensorSum) -> complex:
-    """D(z, w) = tr(Pi(w)^dagger Pi(z) rho)."""
-    if z.single_dim != rho.dim or w.single_dim != rho.dim:
+def pi_map(z: SimpleTensorSum) -> np.ndarray:
+    """Linear product map: each term contributes x_n x_{n-1} ... x_1."""
+    return _apply_pi(z, np.eye(z.single_dim, dtype=np.complex128))
+
+
+def _state_image(rho: DensityOperator, z: SimpleTensorSum) -> np.ndarray:
+    """Pi(z) S for the weighted eigenvectors S = V sqrt(w), so rho = S S^dagger."""
+    if z.single_dim != rho.dim:
         raise ShapeError("tensor sums must match the state dimension")
+    return _apply_pi(z, rho.vectors * np.sqrt(rho.weights))
+
+
+def D_form(rho: DensityOperator, z: SimpleTensorSum, w: SimpleTensorSum) -> complex:
+    """D(z, w) = tr(Pi(w)^dagger Pi(z) rho) = <Pi(w) S, Pi(z) S>."""
     if z.order != w.order:
         raise ShapeError(f"order mismatch {z.order} vs {w.order}")
-    pz = pi_map(z)
-    pw = pi_map(w)
-    return complex(np.trace(pw.conj().T @ pz @ density_matrix(rho)))
+    return complex(np.vdot(_state_image(rho, w), _state_image(rho, z)))
 
 
 def gns_gram(rho: DensityOperator, basis) -> np.ndarray:
-    """Gram matrix G[i, j] = D(z_i, z_j); positive semidefinite.
+    """Gram matrix G[i, j] = D(z_i, z_j); Hermitian positive semidefinite.
 
     Null vectors of G span the degenerate directions of the semi-inner
-    product within the span of the basis.
+    product within the span of the basis.  Pi(z_i) S is formed once per
+    basis element and G is one product of those images.
     """
     basis = list(basis)
-    g = np.zeros((len(basis), len(basis)), dtype=np.complex128)
-    for i, zi in enumerate(basis):
-        for j, zj in enumerate(basis):
-            if j < i:
-                g[i, j] = np.conj(g[j, i])
-            else:
-                g[i, j] = D_form(rho, zi, zj)
-    return g
+    orders = {z.order for z in basis}
+    if len(orders) > 1:
+        raise ShapeError(f"basis has mixed orders {sorted(orders)}")
+    images = np.empty((len(basis), rho.vectors.size), dtype=np.complex128)
+    for i, z in enumerate(basis):
+        images[i] = _state_image(rho, z).reshape(-1)
+    g = images @ images.conj().T
+    upper = np.triu(g, 1)
+    return upper + upper.conj().T + np.diag(np.diag(g).real)
 
 
 def assemble(z: SimpleTensorSum, cap: int = 4096) -> np.ndarray:
@@ -183,16 +203,19 @@ class ProbeRow:
     value: float
 
 
-def _ladder_element(n_dim: int) -> SimpleTensorSum:
-    """z_N = sum_j |e_j><e_1| (x) |e_1><e_j| inside a dim-N single-time space."""
-    terms = []
+def _ladder_terms(n_dim: int):
+    """The terms |e_j><e_1| (x) |e_1><e_j| of z_N, produced one at a time."""
     for j in range(n_dim):
         x = np.zeros((n_dim, n_dim), dtype=np.complex128)
         x[j, 0] = 1.0
         y = np.zeros((n_dim, n_dim), dtype=np.complex128)
         y[0, j] = 1.0
-        terms.append((x, y))
-    return simple_tensor_sum(terms, order=2, single_dim=n_dim)
+        yield x, y
+
+
+def _ladder_element(n_dim: int) -> SimpleTensorSum:
+    """z_N = sum_j |e_j><e_1| (x) |e_1><e_j| inside a dim-N single-time space."""
+    return simple_tensor_sum(_ladder_terms(n_dim), order=2, single_dim=n_dim)
 
 
 def _ladder_norm(n_dim: int) -> float:
@@ -217,7 +240,8 @@ def unboundedness_probe(sizes) -> list[ProbeRow]:
     """Growth table: for each N report the norm of z_N and delta(z_N) = D(z_N, 1).
 
     The value grows like N while the element norm stays 1, witnessing that
-    no uniform bound C with |D(z, w)| <= C ||z|| ||w|| exists.
+    no uniform bound C with |D(z, w)| <= C ||z|| ||w|| exists.  The terms of
+    z_N are built and evaluated one at a time, so memory stays O(N^2).
     """
     rows = []
     for n_dim in sizes:
@@ -227,7 +251,10 @@ def unboundedness_probe(sizes) -> list[ProbeRow]:
         xi = np.zeros((n_dim, 1), dtype=np.complex128)
         xi[0, 0] = 1.0
         rho = density_from_spectral([1.0], xi)
-        value = D_form(rho, _ladder_element(n_dim), identity_element(n_dim, 2))
+        one = identity_element(n_dim, 2)
+        # D is linear in z, so delta(z_N) is the sum over the terms of z_N
+        value = sum((D_form(rho, simple_tensor_sum([term], order=2, single_dim=n_dim), one)
+                     for term in _ladder_terms(n_dim)), 0j)
         if abs(value.imag) > 1e-9:
             raise ValidationError(f"probe value has imaginary part {value.imag:.3e}")
         rows.append(ProbeRow(size=n_dim, norm=_ladder_norm(n_dim), value=float(value.real)))

@@ -27,7 +27,7 @@ def matrix_to_json(m: np.ndarray) -> dict:
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
-        "data": [[float(z.real), float(z.imag)] for z in flat],
+        "data": np.stack([flat.real, flat.imag], 1).tolist(),
     }
 
 

@@ -1,12 +1,15 @@
+import tracemalloc
+from functools import reduce
+
 import numpy as np
 import pytest
 
 from histq import quadform as qf
 from histq.decoherence import d_direct
 from histq.errors import ShapeError
-from histq.historyspace import homogeneous_history
+from histq.historyspace import density_from_spectral, density_matrix, homogeneous_history
 
-from conftest import P0, P1, pure_e1, random_density, random_proj
+from conftest import P0, P1, haar_unitary, pure_e1, random_density, random_proj
 
 X1 = np.array([[1, 2], [3, 4]], dtype=np.complex128)
 X2 = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -78,6 +81,52 @@ def test_d_form_shape_errors(rng):
         qf.D_form(rho, qf.identity_element(2, 2), qf.identity_element(2, 3))
     with pytest.raises(ShapeError, match="dimension"):
         qf.D_form(rho, qf.identity_element(3, 2), qf.identity_element(3, 2))
+
+
+def _spectrum_state(d, spectrum, rng):
+    if spectrum == "full":
+        return random_density(d, rng)
+    u = haar_unitary(d, rng)
+    if spectrum == "rank-deficient":
+        return density_from_spectral([0.7, 0.3] + [0.0] * (d - 2), u)
+    return density_from_spectral([0.50001, 0.49999], u[:, :2])
+
+
+@pytest.mark.parametrize("spectrum", ["full", "rank-deficient", "near-degenerate"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("d", [2, 3])
+def test_d_form_matches_dense_oracle(d, n, spectrum):
+    rng = np.random.default_rng([d, n, len(spectrum)])
+    rho = _spectrum_state(d, spectrum, rng)
+    dense_rho = density_matrix(rho)
+    for _ in range(5):
+        z = qf.random_tensor_sum(d, n, rng)
+        w = qf.random_tensor_sum(d, n, rng)
+        for x in (z, w):
+            # the reversed products x_n ... x_1 summed over terms
+            product = sum(reduce(np.matmul, reversed(term)) for term in x.terms)
+            assert np.max(np.abs(qf.pi_map(x) - product)) <= 1e-12
+        want = np.trace(qf.pi_map(w).conj().T @ qf.pi_map(z) @ dense_rho)
+        assert abs(qf.D_form(rho, z, w) - want) <= 1e-12
+
+
+def test_gram_matches_d_form_and_is_exactly_hermitian(rng):
+    rho = random_density(3, rng)
+    basis = [qf.random_tensor_sum(3, 2, rng) for _ in range(5)]
+    g = qf.gns_gram(rho, basis)
+    assert np.array_equal(g, g.conj().T)
+    for i, zi in enumerate(basis):
+        for j, zj in enumerate(basis):
+            assert abs(g[i, j] - qf.D_form(rho, zi, zj)) <= 1e-12
+
+
+def test_gram_shape_errors(rng):
+    rho = random_density(2, rng)
+    with pytest.raises(ShapeError, match="orders"):
+        qf.gns_gram(rho, [qf.identity_element(2, 2), qf.identity_element(2, 3)])
+    with pytest.raises(ShapeError, match="dimension"):
+        qf.gns_gram(rho, [qf.identity_element(3, 2)])
+    assert qf.gns_gram(rho, []).shape == (0, 0)
 
 
 def test_gram_of_identity():
@@ -169,3 +218,16 @@ def test_probe_rejects_bad_size():
         qf.unboundedness_probe([0])
     with pytest.raises(ShapeError, match="positive"):
         qf.unboundedness_probe([4, -1])
+
+
+def test_probe_memory_stays_quadratic():
+    # z_256 held whole is 512 dense 256 x 256 factors, copied once more on
+    # validation: about 1 GB; one term at a time needs a few MB
+    tracemalloc.start()
+    try:
+        rows = qf.unboundedness_probe([256])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rows[0].value == 256.0
+    assert peak < 64 * 2**20

@@ -23,6 +23,19 @@ def test_matrix_json_shape():
     assert obj == {"rows": 1, "cols": 2, "data": [[1.0, 2.0], [3.0, 0.0]]}
 
 
+def test_matrix_json_data_matches_per_entry_floats(rng):
+    # the per-entry loop the vectorized layout replaced, signed zeros included
+    m = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    m[0, 0] = complex(-0.0, 0.0)
+    m[1, 2] = complex(0.0, -0.0)
+    m[3, 1] = complex(-0.0, -0.0)
+    data = sz.matrix_to_json(m)["data"]
+    want = [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
+    assert repr(data) == repr(want)
+    assert all(type(x) is float for pair in data for x in pair)
+    assert repr(data[0]) == "[-0.0, 0.0]" and repr(data[5]) == "[0.0, -0.0]"
+
+
 def test_matrix_from_json_rejections():
     with pytest.raises(ValidationError):
         sz.matrix_from_json({"rows": 2, "cols": 2})
