@@ -16,13 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoherence import kernel_pair_value
 from .errors import ShapeError, ValidationError
 from .historyspace import (VALIDATION_TOL, HistoryProjection, history_projection,
                            orthogonal, validate_projection)
 from .seeding import generator
 
 MAX_ATOMS = 12
+# a search restart must beat the best value by more than this to replace it
+TIE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -179,7 +180,11 @@ def diag_excess_search(M, budget: int = 200, seed: int = 0,
     slot-linear objective over all projections regardless of rank.  Since
     the kernel is positive semidefinite, Re d(p, q) <= max(d(p,p), d(q,q)),
     so the better diagonal at a fixed point certifies the ascent value.
-    Deterministic given seed; ties break to the lowest restart index.
+    Both induced forms and the diagonal are products with the realigned
+    kernel K = ``M.pair_matrix``, tr((p (x) q) M) = vec(p) @ K @ vec(q).
+    Deterministic given seed; a restart replaces the best only when its
+    value is larger by more than 1e-12, so ties within 1e-12 break to the
+    lowest restart index.
     """
     if budget < 1:
         raise ValidationError(f"budget must be >= 1, got {budget}")
@@ -187,10 +192,10 @@ def diag_excess_search(M, budget: int = 200, seed: int = 0,
     d_hist = int(round(dim ** 0.5))
     if d_hist * d_hist != dim:
         raise ShapeError(f"operator dimension {dim} is not a perfect square")
-    m4 = M.matrix.reshape(d_hist, d_hist, d_hist, d_hist)
+    kernel = M.pair_matrix
 
     def diag_value(p):
-        return kernel_pair_value(m4, p, p).real
+        return float((p.reshape(-1) @ (kernel @ p.reshape(-1))).real)
 
     best_val = -np.inf
     best_p = None
@@ -202,9 +207,9 @@ def diag_excess_search(M, budget: int = 200, seed: int = 0,
         q = np.outer(xi, np.conj(xi))
         p = np.eye(d_hist, dtype=np.complex128)
         for _ in range(sweeps):
-            w = np.einsum("be,ceab->ca", q, m4)
+            w = (kernel @ q.reshape(-1)).reshape(d_hist, d_hist).T
             p_new = _positive_projector((w + w.conj().T) / 2.0)
-            t = np.einsum("ac,ceab->eb", p_new, m4)
+            t = (p_new.reshape(-1) @ kernel).reshape(d_hist, d_hist).T
             q_new = _positive_projector((t + t.conj().T) / 2.0)
             if (np.max(np.abs(p_new - p)) <= 1e-13 and
                     np.max(np.abs(q_new - q)) <= 1e-13):
@@ -213,7 +218,7 @@ def diag_excess_search(M, budget: int = 200, seed: int = 0,
             p, q = p_new, q_new
         for cand in (p, q):
             val = diag_value(cand)
-            if val > best_val:
+            if val > best_val + TIE_TOL:
                 best_val = val
                 best_p = cand
                 best_restart = restart

@@ -25,14 +25,22 @@ singular values of M are the weights of rho.  The same structure factorizes
 the trace across the tensor cut, d(p, q) = tr(A(p) rho B(q)) with the partial
 traces A(p)[v,t] = sum_u p[(u,v),(t,u)] and B(q)[t,v] = sum_w q[(t,w),(w,v)];
 `d_via_M_streaming` evaluates that closed form without materializing M.
+
+`d_series` builds the table of all tuples at once and gathers from h and k
+the entries each tuple needs.  Accumulation is still lexicographic and left
+to right.  Complex products are formed on real and imaginary parts because
+numpy's SIMD loops for complex-array multiply may fuse multiply-adds (FMA),
+while its scalar complex multiply does not; this way the value is
+bit-identical to the per-tuple scalar expansion.  `d_via_M` contracts the
+materialized kernel through its realignment K[(a,c),(b,e)] = M[(c,e),(a,b)],
+so tr((p (x) q) M) = vec(p) @ K @ vec(q) is one matrix-vector product.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import reduce
-from itertools import product
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -67,6 +75,15 @@ class ILSOperator:
     single_dim: int
     state_fingerprint: str
 
+    @cached_property
+    def pair_matrix(self) -> np.ndarray:
+        """Realignment K[(a,c),(b,e)] = M[(c,e),(a,b)] of the kernel, so that
+        tr((p (x) q) M) = vec(p) @ K @ vec(q) for row-major vec.  A (D^2, D^2)
+        copy of M made on first use; build_M does not make it."""
+        dim = self.single_dim ** self.order
+        m4 = self.matrix.reshape(dim, dim, dim, dim)
+        return np.ascontiguousarray(m4.transpose(2, 0, 3, 1)).reshape(dim * dim, dim * dim)
+
 
 def state_fingerprint(rho: DensityOperator) -> str:
     h = hashlib.sha256()
@@ -89,34 +106,6 @@ def d_direct(rho: DensityOperator, h: HomogeneousHistory, k: HomogeneousHistory)
     return complex(np.trace(left @ density_matrix(rho) @ right))
 
 
-def _be_index(indices, d: int) -> int:
-    # big-endian composite index, leftmost factor most significant
-    out = 0
-    for j in indices:
-        out = out * d + j
-    return out
-
-
-def _tuple_parts(J: tuple[int, ...], n: int):
-    # J is zero-based (j_1, ..., j_2n); see the module docstring for the layout
-    u = tuple(J[pos] for pos in range(2 * n - 1, n, -1))
-    v = J[n]
-    w = tuple(J[1:n])
-    return u, v, w
-
-
-def _tuple_term(J, n, d, hmat, kmat, psi) -> complex:
-    u, v, w = _tuple_parts(J, n)
-    row_a = _be_index(u + (v,), d)
-    col_b = _be_index(w + (v,), d)
-    a = 0j
-    b = 0j
-    for t in range(d):
-        a += psi[t] * hmat[row_a, _be_index((t,) + u, d)]
-        b += np.conj(psi[t]) * kmat[_be_index((t,) + w, d), col_b]
-    return a * b
-
-
 def _check_pair(rho: DensityOperator, p: HistoryProjection, q: HistoryProjection):
     if p.single_dim != rho.dim or q.single_dim != rho.dim:
         raise ShapeError("history projections and state must share the single-time dimension")
@@ -125,26 +114,56 @@ def _check_pair(rho: DensityOperator, p: HistoryProjection, q: HistoryProjection
     return rho.dim, p.order
 
 
+def _place_value(digits, d: int):
+    # big-endian composite index of an index sequence, leftmost most significant
+    out = 0
+    for j in digits:
+        out = out * d + j
+    return out
+
+
+def _real_product(xr, xi, yr, yi):
+    # complex product on real and imaginary parts, rounded as numpy's scalar
+    # complex multiply rounds; array complex multiply may fuse into FMAs
+    return xr * yr - xi * yi, xr * yi + xi * yr
+
+
 def d_series(rho: DensityOperator, h: HistoryProjection, k: HistoryProjection) -> complex:
     """Series evaluation: fixed-order sum of per-tuple contributions.
 
-    Tuples are visited in lexicographic order and accumulated left to right.
-    Each contribution splits across the doubled-space tensor cut, so only
-    entries of h and k are touched.
+    Tuples are visited in lexicographic order and accumulated left to right,
+    skipping those of zero weight.  Each contribution splits across the
+    doubled-space tensor cut, so only entries of h and k are touched: the
+    tuple table is built once per call and the entries each tuple needs are
+    gathered from h and k.  Products are formed on real and imaginary parts,
+    never by complex-array multiply, so every step rounds as the scalar
+    per-tuple expansion does and the value is bit-identical to it.
     """
     d, n = _check_pair(rho, h, k)
     full = completed_basis(rho)
-    weights = full.weights
-    vectors = full.vectors
-    hmat = h.matrix
-    kmat = k.matrix
-    total = 0j
-    for J in product(range(d), repeat=2 * n):
-        wgt = weights[J[0]]
-        if wgt == 0.0:
-            continue
-        total += wgt * _tuple_term(J, n, d, hmat, kmat, vectors[:, J[0]])
-    return complex(total)
+    J = np.indices((d,) * (2 * n)).reshape(2 * n, -1)
+    J = J[:, full.weights[J[0]] != 0.0]
+    # tuple slots: u = (j_2n, ..., j_{n+2}), v = j_{n+1}, w = (j_2, ..., j_n)
+    u = _place_value(J[2 * n - 1:n:-1], d)
+    w = _place_value(J[1:n], d)
+    row_a = u * d + J[n]
+    col_b = w * d + J[n]
+    r = d ** (n - 1)
+    psi = full.vectors[:, J[0]]
+    ar = ai = br = bi = 0.0
+    for t in range(d):
+        hv = h.matrix[row_a, t * r + u]
+        kv = k.matrix[t * r + w, col_b]
+        pr, pi = _real_product(psi[t].real, psi[t].imag, hv.real, hv.imag)
+        ar, ai = ar + pr, ai + pi
+        pr, pi = _real_product(psi[t].real, -psi[t].imag, kv.real, kv.imag)
+        br, bi = br + pr, bi + pi
+    xr, xi = _real_product(ar, ai, br, bi)
+    # a real weight times a complex term multiplies as complex (w + 0j)
+    xr, xi = _real_product(full.weights[J[0]], 0.0, xr, xi)
+    total_r = np.add.accumulate(np.concatenate(([0.0], xr)))[-1]
+    total_i = np.add.accumulate(np.concatenate(([0.0], xi)))[-1]
+    return complex(total_r, total_i)
 
 
 def build_M(rho: DensityOperator, d: int, n: int,
@@ -183,19 +202,14 @@ def build_M(rho: DensityOperator, d: int, n: int,
                        state_fingerprint=state_fingerprint(rho))
 
 
-def kernel_pair_value(m4: np.ndarray, p: np.ndarray, q: np.ndarray) -> complex:
-    """tr((p (x) q) M) for the kernel reshaped to m4 = M.reshape(D, D, D, D)."""
-    return complex(np.einsum("ac,be,ceab->", p, q, m4))
-
-
 def d_via_M(M: ILSOperator, p: HistoryProjection, q: HistoryProjection) -> complex:
-    """Kernel evaluation tr((p (x) q) M)."""
+    """Kernel evaluation tr((p (x) q) M) = vec(p) @ K @ vec(q) with K the
+    realigned kernel ``M.pair_matrix``."""
     if p.single_dim != M.single_dim or q.single_dim != M.single_dim:
         raise ShapeError("history projections must match the kernel's single-time dimension")
     if p.order != M.order or q.order != M.order:
         raise ShapeError("history projections must match the kernel's order")
-    dim = p.dim
-    return kernel_pair_value(M.matrix.reshape(dim, dim, dim, dim), p.matrix, q.matrix)
+    return complex(p.matrix.reshape(-1) @ (M.pair_matrix @ q.matrix.reshape(-1)))
 
 
 def d_via_M_streaming(rho: DensityOperator, p: HistoryProjection,

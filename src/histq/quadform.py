@@ -219,21 +219,15 @@ def _ladder_element(n_dim: int) -> SimpleTensorSum:
 
 
 def _ladder_norm(n_dim: int) -> float:
-    # the assembled doubled-space operator acts by (Z x)[j, 0] = x[0, j];
-    # evaluated lazily so large sizes never materialize the matrix
-    def matvec(vec):
-        x = vec.reshape(n_dim, n_dim)
-        out = np.zeros_like(x)
-        out[:, 0] = x[0, :]
-        return out.reshape(-1)
+    """Exact norm of the assembled z_N, from the positions of its entries.
 
-    def rmatvec(vec):
-        x = vec.reshape(n_dim, n_dim)
-        out = np.zeros_like(x)
-        out[0, :] = x[:, 0]
-        return out.reshape(-1)
-
-    return matrixcore.operator_norm_matvec(matvec, rmatvec, n_dim * n_dim)
+    Term j assembles to one unit entry at row (j, 1) and column (1, j) of
+    the doubled space, composite indices j * N and j.  No two entries share
+    a row, so Z^dagger Z is diagonal with the entry count of each column on
+    its diagonal, and the norm is the square root of the largest count.
+    """
+    cols = np.arange(n_dim)
+    return float(np.sqrt(np.bincount(cols).max()))
 
 
 def unboundedness_probe(sizes) -> list[ProbeRow]:

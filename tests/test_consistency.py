@@ -285,3 +285,52 @@ def test_homogeneous_diagonals_never_exceed_one(rng):
         h = random_homogeneous(2, 2, gen)
         v = ev.value_history(h, h)
         assert v.real <= 1.0 + 1e-9
+
+
+def _einsum_ascent(M, budget, seed, sweeps=50):
+    # the ascent contracted against M4 = M.reshape(D, D, D, D) directly,
+    # with the same restarts, sweeps and tie rule as diag_excess_search
+    dim = M.single_dim ** M.order
+    m4 = M.matrix.reshape(dim, dim, dim, dim)
+
+    def diag_value(p):
+        return complex(np.einsum("ac,be,ceab->", p, p, m4)).real
+
+    best = (-np.inf, None, -1)
+    for restart in range(budget):
+        rng = generator(seed, "search", restart)
+        xi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        xi /= np.linalg.norm(xi)
+        q = np.outer(xi, np.conj(xi))
+        p = np.eye(dim, dtype=np.complex128)
+        for _ in range(sweeps):
+            w = np.einsum("be,ceab->ca", q, m4)
+            p_new = cs._positive_projector((w + w.conj().T) / 2.0)
+            t = np.einsum("ac,ceab->eb", p_new, m4)
+            q_new = cs._positive_projector((t + t.conj().T) / 2.0)
+            done = (np.max(np.abs(p_new - p)) <= 1e-13
+                    and np.max(np.abs(q_new - q)) <= 1e-13)
+            p, q = p_new, q_new
+            if done:
+                break
+        for cand in (p, q):
+            val = diag_value(cand)
+            if val > best[0] + 1e-12:
+                best = (val, cand, restart)
+    return best
+
+
+@pytest.mark.parametrize("state", ["pure", "mixed"])
+@pytest.mark.parametrize("dn", [(2, 2), (3, 2), (2, 3)])
+def test_search_matches_einsum_ascent(dn, state):
+    d, n = dn
+    rng = np.random.default_rng([d, n])
+    rho = pure_state(rng.standard_normal(d) + 1j * rng.standard_normal(d)) \
+        if state == "pure" else random_density(d, rng)
+    M = build_M(rho, d, n)
+    for seed in range(10):
+        res = cs.diag_excess_search(M, budget=3, seed=seed)
+        value, proj, restart = _einsum_ascent(M, budget=3, seed=seed)
+        assert res.restart_index == restart, seed
+        assert abs(res.value - value) <= 1e-12, seed
+        assert np.max(np.abs(res.projection.matrix - proj)) <= 1e-10, seed

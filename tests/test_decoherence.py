@@ -33,6 +33,18 @@ def all_methods_value(rho, mats_h, mats_k, d, n):
     }
 
 
+def _spectrum_state(spectrum, d, rng):
+    basis = haar_unitary(d, rng)
+    weights = {"full": rng.dirichlet(np.ones(d)),
+               "rank-one": [1.0],
+               "rank-deficient": [*rng.dirichlet(np.ones(d - 1)), 0.0],
+               "near-degenerate": [0.50001, 0.49999]}[spectrum]
+    return density_from_spectral(weights, basis[:, :len(weights)])
+
+
+SPECTRA = ["full", "rank-one", "rank-deficient", "near-degenerate"]
+
+
 def test_hand_oracle_quarter():
     rho = pure_e1(2)
     values = all_methods_value(rho, [PPLUS, P0], [PMINUS, P0], 2, 2)
@@ -193,13 +205,14 @@ def test_via_m_additive_in_each_slot(rng):
 
 
 def test_streaming_matches_materialized(rng):
-    for d, n in ((2, 2), (3, 2)):
-        rho = random_density(d, rng)
+    for (d, n), spectrum in itertools.product(((2, 1), (3, 1), (2, 2), (3, 2), (2, 3)),
+                                              SPECTRA):
+        rho = _spectrum_state(spectrum, d, rng)
         M = dec.build_M(rho, d, n)
-        for _ in range(5):
-            p = history_projection(random_proj(d ** n, rng), n, d)
-            q = history_projection(random_proj(d ** n, rng), n, d)
-            assert abs(dec.d_via_M(M, p, q) - dec.d_via_M_streaming(rho, p, q)) <= 1e-10
+        for _ in range(4):
+            p = history_projection(random_proj(d ** n, rng, int(rng.integers(0, d ** n + 1))), n, d)
+            q = history_projection(random_proj(d ** n, rng, int(rng.integers(0, d ** n + 1))), n, d)
+            assert abs(dec.d_via_M(M, p, q) - dec.d_via_M_streaming(rho, p, q)) <= 1e-12
 
 
 def test_state_fingerprint_distinguishes_states(rng):
@@ -279,3 +292,67 @@ def test_kernel_evaluators_agree_differential(dn, spectrum, seed):
     series = dec.d_series(rho, p, q)
     assert abs(dec.d_via_M_streaming(rho, p, q) - series) <= 1e-9
     assert abs(dec.d_via_M(dec.build_M(rho, d, n), p, q) - series) <= 1e-9
+
+
+def _series_loop(rho, h, k):
+    # the per-tuple scalar expansion d_series vectorizes; see the module
+    # docstring of histq.decoherence for the tuple slot layout
+    d, n = rho.dim, h.order
+    full = completed_basis(rho)
+
+    def be(indices):
+        out = 0
+        for j in indices:
+            out = out * d + j
+        return out
+
+    total = 0j
+    for J in itertools.product(range(d), repeat=2 * n):
+        wgt = full.weights[J[0]]
+        if wgt == 0.0:
+            continue
+        psi = full.vectors[:, J[0]]
+        u = tuple(J[pos] for pos in range(2 * n - 1, n, -1))
+        v, w = J[n], tuple(J[1:n])
+        row_a, col_b = be(u + (v,)), be(w + (v,))
+        a = 0j
+        b = 0j
+        for t in range(d):
+            a += psi[t] * h.matrix[row_a, be((t,) + u)]
+            b += np.conj(psi[t]) * k.matrix[be((t,) + w), col_b]
+        total += wgt * (a * b)
+    return complex(total)
+
+
+@pytest.mark.parametrize("spectrum", SPECTRA)
+@pytest.mark.parametrize("dn", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (3, 3),
+                                (2, 5), (4, 2)])
+def test_series_is_bit_identical_to_tuple_loop(dn, spectrum):
+    d, n = dn
+    rng = np.random.default_rng([d, n, SPECTRA.index(spectrum)])
+    rho = _spectrum_state(spectrum, d, rng)
+    dim = d ** n
+    pairs = [(random_proj(dim, rng, int(rng.integers(1, dim + 1))),
+              random_proj(dim, rng, int(rng.integers(0, dim + 1)))),
+             # 0/1 diagonals put exact zeros into the gathered entries
+             (np.diag(rng.integers(0, 2, dim)).astype(np.complex128),
+              np.diag(rng.integers(0, 2, dim)).astype(np.complex128))]
+    for pm, qm in pairs:
+        p, q = history_projection(pm, n, d), history_projection(qm, n, d)
+        got, want = dec.d_series(rho, p, q), _series_loop(rho, p, q)
+        assert got == want
+        assert (np.float64(got.real).tobytes(), np.float64(got.imag).tobytes()) == \
+            (np.float64(want.real).tobytes(), np.float64(want.imag).tobytes())
+
+
+def test_pair_matrix_is_a_lazy_cached_realignment(rng):
+    d, n = 2, 2
+    dim = d ** n
+    M = dec.build_M(random_density(d, rng), d, n)
+    assert "pair_matrix" not in vars(M)
+    K = M.pair_matrix
+    assert M.pair_matrix is K
+    m4 = M.matrix.reshape(dim, dim, dim, dim)
+    k4 = K.reshape(dim, dim, dim, dim)
+    for a, c, b, e in itertools.product(range(dim), repeat=4):
+        assert k4[a, c, b, e] == m4[c, e, a, b]

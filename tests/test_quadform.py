@@ -199,11 +199,14 @@ def test_ladder_element_structure():
 
 
 def test_probe_norm_matches_dense_oracle():
-    for n_dim in (1, 2, 3, 4, 6):
+    for n_dim in range(1, 17):
         dense = qf.assemble(qf._ladder_element(n_dim))
-        top = float(np.linalg.svd(dense, compute_uv=False)[0])
+        # the entry positions the exact norm is read from
+        rows, cols = np.nonzero(dense)
+        assert sorted(zip(rows.tolist(), cols.tolist())) == [(j * n_dim, j) for j in range(n_dim)]
         row = qf.unboundedness_probe([n_dim])[0]
-        assert abs(row.norm - top) <= 1e-9
+        assert row.norm == 1.0
+        assert abs(row.norm - np.linalg.norm(dense, 2)) <= 1e-12
 
 
 def test_probe_linear_growth():
@@ -231,3 +234,4 @@ def test_probe_memory_stays_quadratic():
         tracemalloc.stop()
     assert rows[0].value == 256.0
     assert peak < 64 * 2**20
+
