@@ -1,25 +1,34 @@
 """histq command line: JSON/CSV front end over the evaluators and probes.
 
 stdout carries data, stderr carries diagnostics.  Exit codes: 0 success,
-1 usage, 2 validation, 3 size cap, 4 numerical non-convergence.  All
-randomness flows from --seed through named PRNG streams recorded in output
-metadata, so reruns are bit-identical.
+1 usage, 2 validation, 3 size cap, 4 numerical non-convergence.  A run's
+settings come from one place: ``main`` reads the ``--config`` file once,
+lays the flags that were given over its values and builds one
+``RunConfig``, whose ``__post_init__`` is the only place a setting is
+checked; every subcommand reads its settings from that object.  All
+randomness flows from the seed through named PRNG streams recorded in
+output metadata, so reruns are bit-identical.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import __version__, consistency, decoherence, divergence, quadform, serialize
+from .decoherence import DEFAULT_MATERIALIZE_CAP
+from .divergence import (DEFAULT_CONVERGENCE_THRESHOLD, DEFAULT_DIVERGENCE_THRESHOLD,
+                         default_schedule)
 from .errors import (HistqError, NumericalError, ShapeError, SizeCapError,
                      ValidationError)
-from .historyspace import (DensityOperator, density_from_spectral,
-                           history_projection, pad_history, embed_homogeneous)
+from .historyspace import (DEFAULT_HISTORY_CAP, VALIDATION_TOL, DensityOperator,
+                           density_from_spectral, embed_homogeneous,
+                           history_projection, pad_history)
 from .seeding import generator, stream_metadata
 
 
@@ -32,46 +41,57 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+_NUMBER = {"int": serialize.json_int, "float": serialize.json_float}
+
+
 @dataclass(frozen=True)
 class RunConfig:
+    """Every setting of a run, checked with the number rules of the file formats."""
+
     single_dim: int = 2
     order: int = 2
     seed: int = 0
-    validation_tol: float = 1e-8
+    validation_tol: float = VALIDATION_TOL
     consistency_tol: float = 1e-9
-    materialize_cap: int = 1024
-    history_cap: int = 64
-    cutoffs: tuple[int, ...] = (4, 8, 16, 32, 64, 128, 256, 512)
-    convergence_threshold: float = 1e-9
-    divergence_threshold: float = 1e6
+    materialize_cap: int = DEFAULT_MATERIALIZE_CAP
+    history_cap: int = DEFAULT_HISTORY_CAP
+    cutoffs: tuple[int, ...] = default_schedule().cutoffs
+    convergence_threshold: float = DEFAULT_CONVERGENCE_THRESHOLD
+    divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD
 
     def __post_init__(self):
-        object.__setattr__(self, "cutoffs", tuple(int(c) for c in self.cutoffs))
-        if self.single_dim < 2:
-            raise ValidationError("single_dim must be >= 2")
-        if self.order < 1:
-            raise ValidationError("order must be >= 1")
-        if self.materialize_cap < 1 or self.history_cap < 1:
-            raise ValidationError("size caps must be positive")
+        for f in fields(self):
+            val, what = getattr(self, f.name), f"setting {f.name!r}"
+            if f.name == "cutoffs":
+                if not isinstance(val, (list, tuple)):
+                    raise ValidationError(f"{what} must be a list of integers, got {val!r}")
+                val = tuple(serialize.json_int(c, f"{what} entry") for c in val)
+            else:
+                val = _NUMBER[f.type](val, what)
+            object.__setattr__(self, f.name, val)
+        for name, low in (("single_dim", 2), ("order", 1), ("seed", 0),
+                          ("materialize_cap", 1), ("history_cap", 1)):
+            if getattr(self, name) < low:
+                raise ValidationError(f"{name} must be >= {low}")
         for name in ("validation_tol", "consistency_tol"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValidationError(f"{name} must be positive and finite")
+        self.schedule()  # checks the cutoffs and both thresholds
+
+    def schedule(self) -> divergence.TruncationSchedule:
+        return divergence.TruncationSchedule(self.cutoffs, self.convergence_threshold,
+                                             self.divergence_threshold)
 
 
-def load_config(path: str | None) -> RunConfig:
-    if path is None:
-        return RunConfig()
-    obj = serialize.load_json(path)
+def load_config(path: str | None, flags: dict) -> RunConfig:
+    """The config file's values with ``flags`` laid over them."""
+    obj = {} if path is None else serialize.load_json(path)
     if not isinstance(obj, dict):
         raise ValidationError("config file must hold a JSON object")
-    known = {f.name for f in fields(RunConfig)}
-    unknown = set(obj) - known
+    unknown = set(obj) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-    try:
-        return RunConfig(**obj)
-    except TypeError as exc:
-        raise ValidationError(f"malformed config: {exc}") from exc
+    return RunConfig(**{**obj, **flags})
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -174,10 +194,7 @@ def _factor_residuals(kind, obj) -> tuple[float, float]:
     return _projection_residuals(obj.matrix)
 
 
-def _cmd_eval(args) -> int:
-    cfg = load_config(args.config)
-    if args.tol is not None:
-        cfg = replace(cfg, validation_tol=args.tol)
+def _cmd_eval(args, cfg: RunConfig) -> int:
     rho = _load_density(args.rho, cfg)
     d = rho.dim
     kind_h, h = _load_history_like(args.h, d, cfg)
@@ -210,13 +227,13 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_build_m(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_build_m(args, cfg: RunConfig) -> int:
     rho = _load_density(args.rho, cfg)
-    d = args.dim if args.dim is not None else rho.dim
-    if d != rho.dim:
-        raise ValidationError(f"-d {d} does not match the state dimension {rho.dim}")
-    n = args.order if args.order is not None else cfg.order
+    # here -d defaults to the state's dimension, not to single_dim
+    d = rho.dim
+    if args.single_dim is not None and cfg.single_dim != d:
+        raise ValidationError(f"-d {cfg.single_dim} does not match the state dimension {d}")
+    n = cfg.order
     M = decoherence.build_M(rho, d, n, cap=cfg.materialize_cap)
     serialize.dump_json(serialize.matrix_to_json(M.matrix), args.out)
     summary = {
@@ -232,19 +249,15 @@ def _cmd_build_m(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    cfg = load_config(args.config)
-    d = args.dim if args.dim is not None else cfg.single_dim
-    n = args.order if args.order is not None else cfg.order
+def _cmd_verify(args, cfg: RunConfig) -> int:
+    d, n, seed = cfg.single_dim, cfg.order, cfg.seed
     rho = _load_density(args.rho, cfg, default=_mixed_state(d, cfg))
     if rho.dim != d:
         raise ValidationError(f"-d {d} does not match the state dimension {rho.dim}")
-    seed = args.seed if args.seed is not None else cfg.seed
-    tol = args.tol if args.tol is not None else cfg.consistency_tol
     evaluator = decoherence.make_evaluator(args.method, rho, d, n,
                                            cap=cfg.materialize_cap)
     report = decoherence.verify_axioms(evaluator, samples=args.samples,
-                                       seed=seed, tol=tol)
+                                       seed=seed, tol=cfg.consistency_tol)
     out = report.as_dict()
     out["meta"] = _meta(seed=seed, stream="verify")
     _write_json(out, args.out)
@@ -257,8 +270,7 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _cmd_quadform(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_quadform(args, cfg: RunConfig) -> int:
     rho = _load_density(args.rho, cfg)
     z = serialize.tensor_sum_from_json(serialize.load_json(args.z))
     w = serialize.tensor_sum_from_json(serialize.load_json(args.w))
@@ -268,8 +280,7 @@ def _cmd_quadform(args) -> int:
     return 0
 
 
-def _cmd_unbounded_probe(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_unbounded_probe(args, cfg: RunConfig) -> int:
     rows = quadform.unboundedness_probe(args.sizes)
     _write_csv(("N", "norm", "value"),
                [(r.size, r.norm, r.value) for r in rows], args.out)
@@ -301,27 +312,18 @@ def _load_pair_operator(spec_text: str, cfg: RunConfig):
     raise ValidationError(f"{spec_text}: expected builtin:NAME, history, or matrix JSON")
 
 
-def _cmd_diverge(args) -> int:
-    cfg = load_config(args.config)
-    d = args.dim if args.dim is not None else cfg.single_dim
-    rho = _load_density(args.rho, cfg, default=_pure_e1(d, cfg))
+def _cmd_diverge(args, cfg: RunConfig) -> int:
+    rho = _load_density(args.rho, cfg, default=_pure_e1(cfg.single_dim, cfg))
     p = _load_pair_operator(args.p, cfg)
     q = _load_pair_operator(args.q, cfg)
-    cutoffs = args.cutoffs if args.cutoffs is not None else cfg.cutoffs
-    schedule = divergence.TruncationSchedule(
-        cutoffs=cutoffs,
-        convergence_threshold=cfg.convergence_threshold,
-        divergence_threshold=cfg.divergence_threshold,
-    )
-    result = divergence.truncated_d(rho, p, q, schedule)
+    result = divergence.truncated_d(rho, p, q, cfg.schedule())
     rows = [(cut, s.real, s.imag, result.kind)
             for cut, s in zip(result.cutoffs, result.partial_sums)]
     _write_csv(("cutoff", "re", "im", "verdict"), rows, args.out)
     return 0
 
 
-def _cmd_consistency(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_consistency(args, cfg: RunConfig) -> int:
     rho = _load_density(args.rho, cfg)
     obj = serialize.load_json(args.family)
     members, labels = serialize.family_from_json(obj, cap=cfg.history_cap,
@@ -332,19 +334,15 @@ def _cmd_consistency(args) -> int:
             f"family dimension {fam.single_dim} does not match state dimension {rho.dim}")
     evaluator = decoherence.make_evaluator(args.method, rho, fam.single_dim,
                                            fam.order, cap=cfg.materialize_cap)
-    tol = args.tol if args.tol is not None else cfg.consistency_tol
-    report = consistency.check_consistent(evaluator, fam, tol=tol)
+    report = consistency.check_consistent(evaluator, fam, tol=cfg.consistency_tol)
     out = report.as_dict()
     out["meta"] = _meta()
     _write_json(out, args.out)
     return 0
 
 
-def _cmd_search_excess(args) -> int:
-    cfg = load_config(args.config)
-    d = args.dim if args.dim is not None else cfg.single_dim
-    n = args.order if args.order is not None else cfg.order
-    seed = args.seed if args.seed is not None else cfg.seed
+def _cmd_search_excess(args, cfg: RunConfig) -> int:
+    d, n, seed = cfg.single_dim, cfg.order, cfg.seed
     if args.rho is not None:
         rho = _load_density(args.rho, cfg)
     else:
@@ -369,11 +367,8 @@ def _cmd_search_excess(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    cfg = load_config(args.config)
-    d = args.dim if args.dim is not None else cfg.single_dim
-    n = args.order if args.order is not None else cfg.order
-    seed = args.seed if args.seed is not None else cfg.seed
+def _cmd_bench(args, cfg: RunConfig) -> int:
+    d, n, seed = cfg.single_dim, cfg.order, cfg.seed
     rho = _load_density(args.rho, cfg, default=_mixed_state(d, cfg))
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
@@ -407,86 +402,73 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"histq {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, rho_required=False):
-        p.add_argument("--config", default=None, metavar="FILE")
-        p.add_argument("--out", default=None, metavar="FILE")
-        p.add_argument("--rho", default=None, required=rho_required, metavar="FILE")
+    def shared(*flags, **kwargs):
+        p = argparse.ArgumentParser(add_help=False)
+        p.add_argument(*flags, **kwargs)
+        return p
 
-    p = sub.add_parser("eval", help="evaluate d(h, k) by one method")
-    common(p, rho_required=True)
+    # settings flags use the RunConfig field name as their dest
+    config = shared("--config", default=None, metavar="FILE")
+    out = shared("--out", default=None, metavar="FILE")
+    rho = shared("--rho", default=None, metavar="FILE")
+    rho_required = shared("--rho", required=True, metavar="FILE")
+    dim = shared("-d", "--dim", dest="single_dim", type=int, default=None, metavar="DIM")
+    order = shared("-n", "--order", type=int, default=None)
+    seed = shared("--seed", type=int, default=None)
+    tol = shared("--tol", dest="consistency_tol", type=float, default=None, metavar="TOL")
+
+    def command(name, func, summary, *parents):
+        p = sub.add_parser(name, help=summary, parents=[config, *parents])
+        p.set_defaults(func=func)
+        return p
+
+    methods = ("direct", "series", "ils", "stream")
+
+    p = command("eval", _cmd_eval, "evaluate d(h, k) by one method", out, rho_required)
     p.add_argument("--h", required=True, metavar="FILE")
     p.add_argument("--k", required=True, metavar="FILE")
-    p.add_argument("--method", default="direct",
-                   choices=("direct", "series", "ils", "stream"))
-    p.add_argument("--tol", type=float, default=None)
-    p.set_defaults(func=_cmd_eval)
+    p.add_argument("--method", default="direct", choices=methods)
+    p.add_argument("--tol", dest="validation_tol", type=float, default=None, metavar="TOL")
 
-    p = sub.add_parser("build-m", help="materialize the kernel operator")
-    p.add_argument("--config", default=None, metavar="FILE")
-    p.add_argument("--rho", required=True, metavar="FILE")
-    p.add_argument("-d", "--dim", type=int, default=None)
-    p.add_argument("-n", "--order", type=int, default=None)
+    p = command("build-m", _cmd_build_m, "materialize the kernel operator",
+                rho_required, dim, order)
     p.add_argument("--out", required=True, metavar="FILE")
-    p.set_defaults(func=_cmd_build_m)
 
-    p = sub.add_parser("verify", help="axiom violation report")
-    common(p)
-    p.add_argument("-d", "--dim", type=int, default=None)
-    p.add_argument("-n", "--order", type=int, default=None)
+    p = command("verify", _cmd_verify, "axiom violation report",
+                out, rho, dim, order, seed, tol)
     p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--method", default="direct",
-                   choices=("direct", "series", "ils", "stream"))
+    p.add_argument("--method", default="direct", choices=methods)
     p.add_argument("--csv", default=None, metavar="FILE")
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("quadform", help="evaluate the quadratic form D(z, w)")
-    common(p, rho_required=True)
+    p = command("quadform", _cmd_quadform, "evaluate the quadratic form D(z, w)",
+                out, rho_required)
     p.add_argument("--z", required=True, metavar="FILE")
     p.add_argument("--w", required=True, metavar="FILE")
-    p.set_defaults(func=_cmd_quadform)
 
-    p = sub.add_parser("unbounded-probe", help="norm/value growth table")
-    p.add_argument("--config", default=None, metavar="FILE")
+    p = command("unbounded-probe", _cmd_unbounded_probe, "norm/value growth table", out)
     p.add_argument("--sizes", type=_int_list,
                    default=(1, 2, 4, 8, 16, 32, 64, 128, 256))
-    p.add_argument("--out", default=None, metavar="FILE")
-    p.set_defaults(func=_cmd_unbounded_probe)
 
-    p = sub.add_parser("diverge", help="truncated series partial sums and verdict")
-    common(p)
+    p = command("diverge", _cmd_diverge, "truncated series partial sums and verdict",
+                out, rho, dim)
     p.add_argument("--p", required=True, metavar="FILE|builtin:NAME")
     p.add_argument("--q", required=True, metavar="FILE|builtin:NAME")
-    p.add_argument("-d", "--dim", type=int, default=None)
     p.add_argument("--cutoffs", type=_int_list, default=None)
-    p.set_defaults(func=_cmd_diverge)
 
-    p = sub.add_parser("consistency", help="consistent-set report for a family")
-    common(p, rho_required=True)
+    p = command("consistency", _cmd_consistency, "consistent-set report for a family",
+                out, rho_required, tol)
     p.add_argument("--family", required=True, metavar="FILE")
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--method", default="series",
-                   choices=("series", "ils", "stream"))
-    p.set_defaults(func=_cmd_consistency)
+    p.add_argument("--method", default="series", choices=methods[1:])
 
-    p = sub.add_parser("search-excess", help="search for diagonal values above one")
-    common(p)
-    p.add_argument("-d", "--dim", type=int, default=None)
-    p.add_argument("-n", "--order", type=int, default=None)
+    p = command("search-excess", _cmd_search_excess,
+                "search for diagonal values above one", out, rho, dim, order, seed)
     p.add_argument("--budget", type=int, default=200)
     p.add_argument("--sweeps", type=int, default=50)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=_cmd_search_excess)
 
-    p = sub.add_parser("bench", help="compare evaluation methods")
-    common(p)
-    p.add_argument("-d", "--dim", type=int, default=None)
-    p.add_argument("-n", "--order", type=int, default=None)
+    p = command("bench", _cmd_bench, "compare evaluation methods",
+                out, rho, dim, order, seed)
     p.add_argument("--methods", default="direct,series,ils,stream")
     p.add_argument("--pairs", type=int, default=20)
-    p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 
@@ -495,7 +477,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        flags = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+                 if getattr(args, f.name, None) is not None}
+        return args.func(args, load_config(args.config, flags))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -244,6 +244,8 @@ class Evaluator:
         return self._fn(p, q)
 
     def value_history(self, h: HomogeneousHistory, k: HomogeneousHistory) -> complex:
+        """d(h, k) with both histories padded by identities to the evaluator's order."""
+        h, k = pad_history(h, self.order), pad_history(k, self.order)
         if self.kind == "homogeneous":
             return self._fn(h, k)
         cap = max(self.single_dim ** self.order, 1)

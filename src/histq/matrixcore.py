@@ -28,15 +28,6 @@ def as_complex_matrix(obj) -> np.ndarray:
     return m
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product."""
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
 def kron(a: np.ndarray, b: np.ndarray, cap: int | None = None) -> np.ndarray:
     """Kronecker product, big-endian: composite index = i_left * dim_right + i_right."""
     a = as_complex_matrix(a)
@@ -46,19 +37,6 @@ def kron(a: np.ndarray, b: np.ndarray, cap: int | None = None) -> np.ndarray:
     if cap is not None and max(rows, cols) > cap:
         raise SizeCapError(f"kron result {rows}x{cols} exceeds cap {cap}")
     return np.kron(a, b)
-
-
-def adjoint(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_complex_matrix(a).conj().T.copy()
-
-
-def trace(a: np.ndarray) -> complex:
-    """Sum of diagonal entries of a square matrix."""
-    a = as_complex_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"trace requires a square matrix, got {a.shape}")
-    return complex(np.trace(a))
 
 
 def hermitian_eig(a: np.ndarray, tol: float = ARITH_TOL) -> tuple[np.ndarray, np.ndarray]:

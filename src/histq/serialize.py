@@ -31,22 +31,27 @@ def matrix_to_json(m: np.ndarray) -> dict:
     }
 
 
+def json_int(val, what: str) -> int:
+    """val as an int; bools, strings and non-integral numbers are rejected."""
+    if (isinstance(val, bool) or not isinstance(val, (int, float))
+            or (isinstance(val, float) and not val.is_integer())):
+        raise ValidationError(f"{what} must be an integer, got {val!r}")
+    return int(val)
+
+
+def json_float(val, what: str) -> float:
+    """val as a float; bools and strings are rejected."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ValidationError(f"{what} must be a number, got {val!r}")
+    return float(val)
+
+
 def _json_int(obj, key: str, what: str) -> int:
-    """obj[key] as an int; bools and non-integral numbers are rejected."""
     try:
         val = obj[key]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed {what} JSON: missing {key!r}") from exc
-    if (isinstance(val, bool) or not isinstance(val, (int, float))
-            or (isinstance(val, float) and not val.is_integer())):
-        raise ValidationError(f"{what} JSON {key!r} must be an integer, got {val!r}")
-    return int(val)
-
-
-def _json_float(val, what: str) -> float:
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ValidationError(f"{what} must be a number, got {val!r}")
-    return float(val)
+    return json_int(val, f"{what} JSON {key!r}")
 
 
 def matrix_from_json(obj) -> np.ndarray:
@@ -67,8 +72,8 @@ def matrix_from_json(obj) -> np.ndarray:
     for i, pair in enumerate(data):
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
             raise ValidationError(f"entry {i} is not an [re, im] pair")
-        out[i] = complex(_json_float(pair[0], f"entry {i}"),
-                         _json_float(pair[1], f"entry {i}"))
+        out[i] = complex(json_float(pair[0], f"entry {i}"),
+                         json_float(pair[1], f"entry {i}"))
     if not np.all(np.isfinite(out)):
         raise ValidationError("matrix JSON contains non-finite entries")
     return out.reshape(rows, cols)
@@ -118,7 +123,7 @@ def density_from_json(obj, tol: float = 1e-8) -> DensityOperator:
         if not isinstance(obj["weights"], list):
             raise ValidationError('density JSON "weights" must be a list')
         return density_from_spectral(
-            [_json_float(w, "density weight") for w in obj["weights"]],
+            [json_float(w, "density weight") for w in obj["weights"]],
             matrix_from_json(obj["vectors"]),
             tol=tol,
         )
@@ -193,8 +198,10 @@ def load_json(path: str):
 
 
 def dump_json(obj, path: str) -> None:
+    # one json.dumps call without indent runs CPython's C encoder; indent or
+    # the streaming json.dump fall back to the pure-Python one
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write(json.dumps(obj, sort_keys=True))
         fh.write("\n")
 
 

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from histq import quadform, serialize
-from histq.cli import main
-from histq.divergence import q_u
-from histq.historyspace import homogeneous_history
+from histq.cli import RunConfig, main
+from histq.decoherence import DEFAULT_MATERIALIZE_CAP
+from histq.divergence import (DEFAULT_CONVERGENCE_THRESHOLD, DEFAULT_DIVERGENCE_THRESHOLD,
+                              default_schedule, q_u)
+from histq.historyspace import (DEFAULT_HISTORY_CAP, VALIDATION_TOL,
+                                homogeneous_history)
 
 from conftest import (P0, P1, PMINUS, PPLUS, kron_chain, near_degenerate_states,
                       pure_e1, pure_state)
@@ -331,8 +334,59 @@ def test_config_file_cutoffs_and_rejection(tmp_path, capsys):
     assert main(["diverge", "--config", bad, "--p", "builtin:identity",
                  "--q", "builtin:qu", "--dim", "2"]) == 2
     assert "unknown config keys" in capsys.readouterr().err
-    worse = jwrite(tmp_path, "worse.json", {"materialize_cap": 0})
-    assert main(["diverge", "--config", worse, "--p", "builtin:identity",
-                 "--q", "builtin:qu", "--dim", "2"]) == 2
-    capsys.readouterr()
+    rejected = [{"materialize_cap": 0}, {"single_dim": 2.5}, {"seed": 1.5},
+                {"seed": -1}, {"validation_tol": True}, {"materialize_cap": True},
+                {"cutoffs": "123"}, {"convergence_threshold": "x"}]
+    for i, obj in enumerate(rejected):
+        worse = jwrite(tmp_path, f"worse{i}.json", obj)
+        assert main(["diverge", "--config", worse, "--p", "builtin:identity",
+                     "--q", "builtin:qu"]) == 2, obj
+        err = capsys.readouterr().err
+        assert err.startswith("validation error:") and "Traceback" not in err, obj
+
+
+def test_flags_replace_config_values_before_validation(tmp_path, capsys):
+    cfg = jwrite(tmp_path, "cfg.json", {"order": 0})
+    argv = ["verify", "--config", cfg, "-d", "2", "--samples", "5"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("validation error:")
+    code, out = run_json(capsys, argv + ["-n", "2"])
+    assert code == 0
+    assert out["all_within_tol"] is True
+
+
+def test_run_config_defaults_are_the_library_constants():
+    cfg = RunConfig()
+    assert cfg.validation_tol == VALIDATION_TOL
+    assert cfg.materialize_cap == DEFAULT_MATERIALIZE_CAP
+    assert cfg.history_cap == DEFAULT_HISTORY_CAP
+    assert cfg.cutoffs == default_schedule().cutoffs
+    assert cfg.convergence_threshold == DEFAULT_CONVERGENCE_THRESHOLD
+    assert cfg.divergence_threshold == DEFAULT_DIVERGENCE_THRESHOLD
+    assert (cfg.single_dim, cfg.order, cfg.seed, cfg.consistency_tol) == (2, 2, 0, 1e-9)
+
+
+DIVERGE = ["diverge", "--p", "builtin:identity", "--q", "builtin:qu"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["build-m", "--rho", "{rho}", "-n", "0", "--out", "{out}"],
+    ["search-excess", "-d", "2", "-n", "0"],
+    ["verify", "-d", "1"],
+    ["verify", "-d", "0"],
+    DIVERGE + ["-d", "0"],
+    DIVERGE + ["-d", "1"],
+    ["verify", "--seed", "-1"],
+    ["search-excess", "--seed", "-1"],
+    ["bench", "--seed", "-1"],
+    ["verify", "--tol", "0"],
+    ["verify", "--tol", "inf"],
+], ids=" ".join)
+def test_invalid_settings_exit_2_without_traceback(tmp_path, capsys, argv):
+    rho = rho_file(tmp_path, pure_e1(2))
+    argv = [a.format(rho=rho, out=tmp_path / "m.json") for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:")
+    assert "Traceback" not in err
 

@@ -8,7 +8,7 @@ from histq import decoherence as dec
 from histq.errors import ShapeError, SizeCapError, ValidationError
 from histq.historyspace import (completed_basis, density_from_spectral,
                                 homogeneous_history, history_projection,
-                                identity_history_projection,
+                                identity_history_projection, pad_history,
                                 zero_history_projection)
 
 from conftest import (P0, P1, PMINUS, PPLUS, haar_unitary, kron_chain,
@@ -238,6 +238,21 @@ def test_evaluator_kinds(rng):
     v1 = direct.value_history(h, h)
     v2 = series.value_history(h, h)
     assert abs(v1 - v2) <= 1e-10
+
+
+def test_value_history_pads_to_the_evaluator_order(rng):
+    rho = random_density(2, rng)
+    a, b = random_proj(2, rng), random_proj(2, rng)
+    pairs = [(homogeneous_history([a]), homogeneous_history([b])),
+             (homogeneous_history([a]), homogeneous_history([b, P0]))]
+    too_long = homogeneous_history([a, b, P0])
+    for method in ("direct", "series", "ils", "stream"):
+        evaluator = dec.make_evaluator(method, rho, 2, 2)
+        for h, k in pairs:
+            want = dec.d_direct(rho, pad_history(h, 2), pad_history(k, 2))
+            assert abs(evaluator.value_history(h, k) - want) <= 1e-12, method
+        with pytest.raises(ShapeError):
+            evaluator.value_history(too_long, too_long)
 
 
 def test_verify_axioms_all_methods(rng):

@@ -1,22 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from histq import matrixcore as mc
 from histq.errors import NumericalError, ShapeError, SizeCapError, ValidationError
 
 from conftest import haar_unitary, random_proj
-
-
-def loop_matmul(a, b):
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.complex128)
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            acc = 0j
-            for k in range(a.shape[1]):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
 
 
 def test_as_complex_matrix_coerces():
@@ -37,17 +25,6 @@ def test_as_complex_matrix_rejects_non_finite():
         mc.as_complex_matrix([[np.nan, 0], [0, 1]])
     with pytest.raises(ValidationError):
         mc.as_complex_matrix([[np.inf, 0], [0, 1]])
-
-
-def test_matmul_matches_triple_loop(rng):
-    a = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-    b = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-    assert np.allclose(mc.matmul(a, b), loop_matmul(a, b), atol=1e-12)
-
-
-def test_matmul_shape_mismatch():
-    with pytest.raises(ShapeError):
-        mc.matmul(np.eye(2), np.eye(3))
 
 
 def test_kron_block_structure():
@@ -99,42 +76,10 @@ def test_kron_cap():
     assert mc.kron(np.eye(8), np.eye(8), cap=64).shape == (64, 64)
 
 
-def test_adjoint_hand_case():
-    a = np.array([[1 + 2j, 3], [5j, 7]], dtype=np.complex128)
-    expected = np.array([[1 - 2j, -5j], [3, 7]], dtype=np.complex128)
-    assert np.array_equal(mc.adjoint(a), expected)
-
-
-def test_trace_requires_square():
-    with pytest.raises(ShapeError):
-        mc.trace(np.zeros((2, 3)))
-
-
-def test_trace_rank_one(rng):
-    u = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    assert np.isclose(mc.trace(np.outer(u, np.conj(v))), np.vdot(v, u), atol=1e-12)
-
-
-def test_trace_cyclic(rng):
-    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    assert np.isclose(mc.trace(a @ b), mc.trace(b @ a), atol=1e-10)
-
-
 def test_trace_multiplicative_under_kron(rng):
     a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    assert np.isclose(mc.trace(mc.kron(a, b)), mc.trace(a) * mc.trace(b), atol=1e-10)
-
-
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(st.lists(st.floats(-10, 10), min_size=8, max_size=8),
-       st.lists(st.floats(-10, 10), min_size=8, max_size=8))
-def test_trace_cyclic_hypothesis(xs, ys):
-    a = np.array(xs, dtype=np.complex128).reshape(2, 4)
-    b = np.array(ys, dtype=np.complex128).reshape(4, 2)
-    assert np.isclose(mc.trace(a @ b), mc.trace(b @ a), atol=1e-9)
+    assert np.isclose(np.trace(mc.kron(a, b)), np.trace(a) * np.trace(b), atol=1e-10)
 
 
 def test_hermitian_eig_diagonal():
@@ -194,7 +139,7 @@ def test_operator_norm_matches_svd_oracle(rng):
 
 def test_operator_norm_adjoint_invariant(rng):
     a = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
-    assert np.isclose(mc.operator_norm(a), mc.operator_norm(mc.adjoint(a)), rtol=1e-8)
+    assert np.isclose(mc.operator_norm(a), mc.operator_norm(a.conj().T), rtol=1e-8)
 
 
 def test_operator_norm_matvec_matches_dense(rng):
