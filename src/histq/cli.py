@@ -288,6 +288,8 @@ def _cmd_unbounded_probe(args, cfg: RunConfig) -> int:
 
 
 def _load_pair_operator(spec_text: str, cfg: RunConfig):
+    """A PairOperator, or the embedded HistoryProjection of a history file,
+    whose order truncated_d checks."""
     if spec_text.startswith("builtin:"):
         name = spec_text.split(":", 1)[1]
         klass = divergence.BUILTIN_PAIRS.get(name)
@@ -298,10 +300,7 @@ def _load_pair_operator(spec_text: str, cfg: RunConfig):
     obj = serialize.load_json(spec_text)
     if isinstance(obj, dict) and "projections" in obj:
         h = serialize.history_from_json(obj, tol=cfg.validation_tol)
-        emb = embed_homogeneous(h, cap=cfg.history_cap, tol=cfg.validation_tol)
-        if emb.order != 2:
-            raise ValidationError("truncation probe arguments must have order 2")
-        return divergence.MatrixPairOperator(emb.matrix, emb.single_dim)
+        return embed_homogeneous(h, cap=cfg.history_cap, tol=cfg.validation_tol)
     if isinstance(obj, dict) and "rows" in obj:
         m = serialize.matrix_from_json(obj)
         s = int(round(m.shape[0] ** 0.5))
@@ -373,6 +372,8 @@ def _cmd_bench(args, cfg: RunConfig) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise UsageError("--methods needs at least one method")
+    if args.pairs < 1:
+        raise ValidationError(f"--pairs must be >= 1, got {args.pairs}")
     rng = generator(seed, "bench")
     pairs = [(decoherence.random_homogeneous(d, n, rng),
               decoherence.random_homogeneous(d, n, rng))

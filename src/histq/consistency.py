@@ -75,7 +75,7 @@ def build_family(members, labels=None, tol: float = VALIDATION_TOL) -> HistoryFa
     atoms = list(members)
     atom_labels = list(labels)
     if comp_proj.rank > 0:
-        atoms.append(history_projection(comp, order, single_dim, tol))
+        atoms.append(history_projection(comp_proj, order, single_dim))
         atom_labels.append("rest")
     if len(atoms) > MAX_ATOMS:
         raise ValidationError(
@@ -188,6 +188,8 @@ def diag_excess_search(M, budget: int = 200, seed: int = 0,
     """
     if budget < 1:
         raise ValidationError(f"budget must be >= 1, got {budget}")
+    if sweeps < 1:
+        raise ValidationError(f"sweeps must be >= 1, got {sweeps}")
     dim = M.matrix.shape[0]
     d_hist = int(round(dim ** 0.5))
     if d_hist * d_hist != dim:
@@ -222,11 +224,11 @@ def diag_excess_search(M, budget: int = 200, seed: int = 0,
                 best_val = val
                 best_p = cand
                 best_restart = restart
-    proj = validate_projection(best_p)
     hist = history_projection(best_p, M.order, M.single_dim)
+    rank = hist.projection.rank
     xi_out = None
-    if proj.rank == 1:
+    if rank == 1:
         vals, vecs = np.linalg.eigh(best_p)
         xi_out = np.ascontiguousarray(vecs[:, -1])
-    return SearchResult(projection=hist, value=best_val, rank=proj.rank,
+    return SearchResult(projection=hist, value=best_val, rank=rank,
                         restart_index=best_restart, xi=xi_out)

@@ -346,6 +346,8 @@ def verify_axioms(evaluator: Evaluator, samples: int = 200, seed: int = 0,
     Violations are data, not errors; the report is bit-identical for
     identical inputs and seed.
     """
+    if samples < 1:
+        raise ValidationError(f"samples must be >= 1, got {samples}")
     rng = generator(seed, "verify")
     d = evaluator.single_dim
     n = evaluator.order

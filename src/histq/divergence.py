@@ -82,8 +82,6 @@ class PairOperator:
     the dense doubled matrix whenever one exists.
     """
 
-    label = "pair"
-
     def a_table(self, psi: np.ndarray, cut: int) -> np.ndarray:
         raise NotImplementedError
 
@@ -98,44 +96,40 @@ def _pad(psi: np.ndarray, cut: int) -> np.ndarray:
     return out
 
 
-class IdentityPair(PairOperator):
-    label = "identity"
+class _ScaledPair(PairOperator):
+    """Scale-free family: both tables are the padded state times scale(cut)."""
+
+    def scale(self, cut: int) -> float:
+        raise NotImplementedError
 
     def a_table(self, psi, cut):
-        return _pad(psi, cut)
+        return self.scale(cut) * _pad(psi, cut)
 
     def b_table(self, psi, cut):
-        return np.conj(_pad(psi, cut))
+        return self.scale(cut) * np.conj(_pad(psi, cut))
 
 
-class SwapPair(PairOperator):
+class IdentityPair(_ScaledPair):
+    def scale(self, cut):
+        return 1.0
+
+
+class SwapPair(_ScaledPair):
     """Slot-swap unitary; its diagonal-in-pairs structure gives a flat factor cut."""
 
-    label = "swap"
-
-    def a_table(self, psi, cut):
-        return float(cut) * _pad(psi, cut)
-
-    def b_table(self, psi, cut):
-        return float(cut) * np.conj(_pad(psi, cut))
+    def scale(self, cut):
+        return float(cut)
 
 
-class SymmetricSubspacePair(PairOperator):
+class SymmetricSubspacePair(_ScaledPair):
     """(swap + identity)/2 at every truncation dimension."""
 
-    label = "qu"
-
-    def a_table(self, psi, cut):
-        return (0.5 * (cut + 1)) * _pad(psi, cut)
-
-    def b_table(self, psi, cut):
-        return (0.5 * (cut + 1)) * np.conj(_pad(psi, cut))
+    def scale(self, cut):
+        return (cut + 1) / 2.0
 
 
 class MatrixPairOperator(PairOperator):
     """Fixed matrix on a finite doubled space; tables vanish beyond its block."""
-
-    label = "matrix"
 
     def __init__(self, matrix: np.ndarray, single_dim: int):
         matrix = np.ascontiguousarray(matrix, dtype=np.complex128)

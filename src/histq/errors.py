@@ -20,4 +20,4 @@ class SizeCapError(HistqError):
 
 
 class NumericalError(HistqError):
-    """An iterative routine failed to converge within its iteration cap."""
+    """The Hermitian eigensolver failed to converge."""

@@ -381,6 +381,12 @@ DIVERGE = ["diverge", "--p", "builtin:identity", "--q", "builtin:qu"]
     ["bench", "--seed", "-1"],
     ["verify", "--tol", "0"],
     ["verify", "--tol", "inf"],
+    ["verify", "--samples", "0"],
+    ["verify", "--samples", "-3"],
+    ["bench", "--pairs", "0"],
+    ["bench", "--pairs", "-2"],
+    ["search-excess", "--sweeps", "0"],
+    ["search-excess", "--sweeps", "-1"],
 ], ids=" ".join)
 def test_invalid_settings_exit_2_without_traceback(tmp_path, capsys, argv):
     rho = rho_file(tmp_path, pure_e1(2))

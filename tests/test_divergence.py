@@ -124,8 +124,6 @@ def test_threshold_reason():
 
 def test_non_convergent_reason():
     class ParityPair(dv.PairOperator):
-        label = "parity"
-
         def a_table(self, psi, cut):
             out = np.zeros(cut, dtype=np.complex128)
             out[0] = 2.0 if cut % 2 == 0 else 1.0

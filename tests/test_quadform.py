@@ -1,15 +1,18 @@
+import itertools
 import tracemalloc
 from functools import reduce
 
 import numpy as np
 import pytest
 
+from histq import matrixcore as mc
 from histq import quadform as qf
 from histq.decoherence import d_direct
 from histq.errors import ShapeError
 from histq.historyspace import density_from_spectral, density_matrix, homogeneous_history
 
-from conftest import P0, P1, haar_unitary, pure_e1, random_density, random_proj
+from conftest import (P0, P1, haar_unitary, pure_e1, pure_state, random_density,
+                      random_proj)
 
 X1 = np.array([[1, 2], [3, 4]], dtype=np.complex128)
 X2 = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -207,6 +210,43 @@ def test_probe_norm_matches_dense_oracle():
         row = qf.unboundedness_probe([n_dim])[0]
         assert row.norm == 1.0
         assert abs(row.norm - np.linalg.norm(dense, 2)) <= 1e-12
+
+
+def _unit(d, left, right):
+    """The simple tensor |i_1><j_1| (x) ... (x) |i_n><j_n| for I = left, J = right."""
+    factors = []
+    for i, j in zip(left, right):
+        x = np.zeros((d, d), dtype=np.complex128)
+        x[i, j] = 1.0
+        factors.append(x)
+    return qf.simple_tensor_sum([tuple(factors)])
+
+
+@pytest.mark.parametrize("state", ["pure", "full-rank"])
+@pytest.mark.parametrize("d, n", [(2, 1), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3)])
+def test_unboundedness_certificate_is_d_to_the_n_minus_1(d, n, state):
+    # z -> D(z, 1) is Z -> tr(Z R) with R[J, I] = D(|I><J|, 1), so its
+    # supremum over ||z|| <= 1 is the trace norm of R, which is d^(n-1)
+    # for every state because R is a permutation of rho (x) 1
+    rng = np.random.default_rng([d, n, len(state)])
+    rho = (pure_state(haar_unitary(d, rng)[:, 0]) if state == "pure"
+           else random_density(d, rng))
+    one = qf.identity_element(d, n)
+    slots = list(itertools.product(range(d), repeat=n))
+    r = np.array([[qf.D_form(rho, _unit(d, left, right), one) for left in slots]
+                  for right in slots])
+    trace_norm = float(np.linalg.svd(r, compute_uv=False).sum())
+    assert abs(trace_norm - d ** (n - 1)) <= 1e-9
+
+
+def test_probe_witness_attains_the_certificate():
+    # at single-time dimension N and order 2 the supremum is N; z_N has
+    # norm 1 and value N, so the probe's witness is extremal
+    for n_dim in range(2, 5):
+        z = qf._ladder_element(n_dim)
+        assert abs(mc.operator_norm(qf.assemble(z)) - 1.0) <= 1e-12
+        value = qf.D_form(pure_e1(n_dim), z, qf.identity_element(n_dim, 2))
+        assert abs(value - n_dim) <= 1e-12
 
 
 def test_probe_linear_growth():
