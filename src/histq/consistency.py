@@ -5,9 +5,11 @@ projections: every orthogonal sum of generators plus the complement of their
 total.  Consistency asks that Re d(h, k) vanish for every ordered disjoint
 pair in the closure; the diagonal then defines a probability assignment on
 the generators.  Bilinearity reduces all closure checks to the Gram matrix
-of the atoms, so the evaluator is called k^2 times for k atoms, and the
-largest |Re d| over disjoint pairs has a closed form per closure element,
-so no pair is enumerated.
+of the atoms, G[i, j] = d(a_i, a_j), which a bound evaluator forms with its
+``gram`` method: ``stream`` and ``ils`` in one contraction, ``series`` by
+k^2 value calls.  A bare callable is called k^2 times.  The largest |Re d|
+over disjoint pairs has a closed form per closure element, so no pair is
+enumerated.
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .decoherence import pairwise_gram
 from .errors import ShapeError, ValidationError
 from .historyspace import (VALIDATION_TOL, HistoryProjection, history_projection,
-                           orthogonal, validate_projection)
+                           validate_projection)
 from .seeding import generator
 
 MAX_ATOMS = 12
@@ -60,15 +63,21 @@ def build_family(members, labels=None, tol: float = VALIDATION_TOL) -> HistoryFa
     for m in members:
         if (m.order, m.single_dim) != (order, single_dim):
             raise ShapeError("generators live on different history spaces")
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            if not orthogonal(members[i], members[j], tol):
-                raise ValidationError(
-                    f"generators {labels[i]!r} and {labels[j]!r} are not orthogonal")
-    dim = members[0].dim
-    total = np.zeros((dim, dim), dtype=np.complex128)
-    for m in members:
-        total = total + m.matrix
+    k, dim = len(members), members[0].dim
+    if k > MAX_ATOMS:
+        raise ValidationError(f"{k} generators exceed cap {MAX_ATOMS}; the closure "
+                              "has 2^k elements")
+    # every product P_i P_j in one stacked matmul, reduced to a k x k table of
+    # max-entry norms; the first failing pair in row-major i < j order is named
+    stack = np.array([m.matrix for m in members])
+    prods = np.abs(stack.reshape(k * dim, dim) @ stack.transpose(1, 0, 2).reshape(dim, k * dim))
+    table = prods.reshape(k, dim, k, dim).max(axis=(1, 3))
+    bad = np.argwhere(np.triu(table > tol, 1))
+    if len(bad):
+        i, j = bad[0]
+        raise ValidationError(
+            f"generators {labels[i]!r} and {labels[j]!r} are not orthogonal")
+    total = stack.sum(axis=0)
     validate_projection(total, tol)
     comp = np.eye(dim, dtype=np.complex128) - total
     comp_proj = validate_projection(comp, tol)
@@ -115,8 +124,9 @@ def check_consistent(evaluator, family: HistoryFamily,
                      tol: float = 1e-9) -> ConsistencyReport:
     """Re d over all ordered disjoint closure pairs, probabilities on generators.
 
-    evaluator is either a bound evaluator object exposing value(p, q) on
-    history projections or a bare callable with that signature.
+    evaluator is either a bound evaluator exposing gram(ps, qs), the matrix
+    of values on two lists of history projections, or a bare callable
+    value(p, q), which is called once per ordered pair of atoms.
 
     For a closure element s with atom indicator row e_s, Re d(s, t) equals
     the sum of r_s = e_s Re G over the atoms of t.  Over non-empty t disjoint
@@ -124,12 +134,12 @@ def check_consistent(evaluator, family: HistoryFamily,
     negative parts of r_s summed outside s, so max_re_offdiag comes from
     O(2^k k) array work without visiting a pair.
     """
-    ev = evaluator.value if hasattr(evaluator, "value") else evaluator
-    k = len(family.atoms)
-    gram = np.zeros((k, k), dtype=np.complex128)
-    for i in range(k):
-        for j in range(k):
-            gram[i, j] = complex(ev(family.atoms[i], family.atoms[j]))
+    atoms = family.atoms
+    if hasattr(evaluator, "gram"):
+        gram = evaluator.gram(atoms, atoms)
+    else:
+        gram = pairwise_gram(evaluator, atoms, atoms)
+    k = len(atoms)
     re_gram = gram.real
     n_masks = 1 << k
     ind = ((np.arange(n_masks)[:, None] >> np.arange(k)) & 1).astype(float)
@@ -142,8 +152,8 @@ def check_consistent(evaluator, family: HistoryFamily,
     probabilities = {family.labels[i]: float(re_gram[i, i])
                      for i in range(member_count)}
     prob_sum = float(sum(probabilities.values()))
-    unphysical = tuple(_mask_label(m, family.atom_labels)
-                       for m in range(1, n_masks) if diag[m] > 1.0 + tol)
+    unphysical = tuple(_mask_label(int(m), family.atom_labels)
+                       for m in np.flatnonzero(diag[1:] > 1.0 + tol) + 1)
     consistent = max_re <= tol and all(p >= -tol for p in probabilities.values())
     return ConsistencyReport(consistent=consistent, max_re_offdiag=max_re,
                              probabilities=probabilities, prob_sum=prob_sum,

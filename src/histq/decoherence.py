@@ -23,8 +23,11 @@ with a, b, v single-time indices and u, w indices of the first n-1 times, so
 M is a row and column permutation of rho (x) 1: trace(M) = 1 and the
 singular values of M are the weights of rho.  The same structure factorizes
 the trace across the tensor cut, d(p, q) = tr(A(p) rho B(q)) with the partial
-traces A(p)[v,t] = sum_u p[(u,v),(t,u)] and B(q)[t,v] = sum_w q[(t,w),(w,v)];
-`d_via_M_streaming` evaluates that closed form without materializing M.
+traces A(p)[v,t] = sum_u p[(u,v),(t,u)] and B(q)[t,v] = sum_w q[(t,w),(w,v)].
+`partial_traces` takes them of a whole stack of projections at once;
+`d_via_M_streaming` is its one-pair case and evaluates the closed form
+without materializing M, and the ``stream`` evaluator's Gram matrix
+G[i, j] = tr(A(p_i) rho B(q_j)) is one contraction of the stacks.
 
 `d_series` builds the table of all tuples at once and gathers from h and k
 the entries each tuple needs.  Accumulation is still lexicographic and left
@@ -106,12 +109,15 @@ def d_direct(rho: DensityOperator, h: HomogeneousHistory, k: HomogeneousHistory)
     return complex(np.trace(left @ density_matrix(rho) @ right))
 
 
-def _check_pair(rho: DensityOperator, p: HistoryProjection, q: HistoryProjection):
-    if p.single_dim != rho.dim or q.single_dim != rho.dim:
+def _check_args(rho: DensityOperator, xs):
+    """(d, n) for history projections that share the state's single-time
+    dimension and one order; the first mismatch raises ShapeError."""
+    if any(x.single_dim != rho.dim for x in xs):
         raise ShapeError("history projections and state must share the single-time dimension")
-    if p.order != q.order:
-        raise ShapeError(f"order mismatch {p.order} vs {q.order}")
-    return rho.dim, p.order
+    for x in xs:
+        if x.order != xs[0].order:
+            raise ShapeError(f"order mismatch {xs[0].order} vs {x.order}")
+    return rho.dim, xs[0].order
 
 
 def _place_value(digits, d: int):
@@ -139,7 +145,7 @@ def d_series(rho: DensityOperator, h: HistoryProjection, k: HistoryProjection) -
     never by complex-array multiply, so every step rounds as the scalar
     per-tuple expansion does and the value is bit-identical to it.
     """
-    d, n = _check_pair(rho, h, k)
+    d, n = _check_args(rho, (h, k))
     full = completed_basis(rho)
     J = np.indices((d,) * (2 * n)).reshape(2 * n, -1)
     J = J[:, full.weights[J[0]] != 0.0]
@@ -202,25 +208,58 @@ def build_M(rho: DensityOperator, d: int, n: int,
                        state_fingerprint=state_fingerprint(rho))
 
 
+def _check_kernel_args(M: ILSOperator, xs) -> None:
+    if any(x.single_dim != M.single_dim for x in xs):
+        raise ShapeError("history projections must match the kernel's single-time dimension")
+    if any(x.order != M.order for x in xs):
+        raise ShapeError("history projections must match the kernel's order")
+
+
 def d_via_M(M: ILSOperator, p: HistoryProjection, q: HistoryProjection) -> complex:
     """Kernel evaluation tr((p (x) q) M) = vec(p) @ K @ vec(q) with K the
     realigned kernel ``M.pair_matrix``."""
-    if p.single_dim != M.single_dim or q.single_dim != M.single_dim:
-        raise ShapeError("history projections must match the kernel's single-time dimension")
-    if p.order != M.order or q.order != M.order:
-        raise ShapeError("history projections must match the kernel's order")
+    _check_kernel_args(M, (p, q))
     return complex(p.matrix.reshape(-1) @ (M.pair_matrix @ q.matrix.reshape(-1)))
+
+
+def _ils_gram(M: ILSOperator, ps, qs) -> np.ndarray:
+    # G = vec(P) @ K @ vec(Q)^T with the rows vec(ps[i]) and vec(qs[j])
+    _check_kernel_args(M, (*ps, *qs))
+    vp = np.array([p.matrix for p in ps]).reshape(len(ps), -1)
+    vq = np.array([q.matrix for q in qs]).reshape(len(qs), -1)
+    return vp @ (M.pair_matrix @ vq.T)
+
+
+def partial_traces(stack: np.ndarray, d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The partial traces of the module docstring for a (k, D, D) stack of
+    history-space matrices: A[i][v,t] = sum_u stack[i][(u,v),(t,u)] and
+    B[i][t,v] = sum_w stack[i][(t,w),(w,v)], each of shape (k, d, d)."""
+    k, r = len(stack), d ** (n - 1)
+    a = np.einsum("iuvtu->ivt", stack.reshape(k, r, d, d, r))
+    b = np.einsum("itwwv->itv", stack.reshape(k, d, r, r, d))
+    return a, b
+
+
+def _stream_gram(rho: DensityOperator, rho_m: np.ndarray, ps, qs) -> np.ndarray:
+    # G[i, j] = tr(A(ps[i]) rho B(qs[j])), one partial-trace pass over both lists
+    d, n = _check_args(rho, (*ps, *qs))
+    a, b = partial_traces(np.array([x.matrix for x in (*ps, *qs)]), d, n)
+    return np.einsum("ivt,ts,jsv->ij", a[:len(ps)], rho_m, b[len(ps):])
 
 
 def d_via_M_streaming(rho: DensityOperator, p: HistoryProjection,
                       q: HistoryProjection) -> complex:
     """Kernel evaluation without materializing M: tr(A(p) rho B(q)) with the
     partial traces A and B of the module docstring."""
-    d, n = _check_pair(rho, p, q)
-    r = d ** (n - 1)
-    a = np.einsum("uvtu->vt", p.matrix.reshape(r, d, d, r))
-    b = np.einsum("twwv->tv", q.matrix.reshape(d, r, r, d))
-    return complex(np.einsum("vt,ts,sv->", a, density_matrix(rho), b))
+    d, n = _check_args(rho, (p, q))
+    a, b = partial_traces(np.array((p.matrix, q.matrix)), d, n)
+    return complex(np.einsum("vt,ts,sv->", a[0], density_matrix(rho), b[1]))
+
+
+def pairwise_gram(fn, ps, qs) -> np.ndarray:
+    """G[i, j] = fn(ps[i], qs[j]) by len(ps) * len(qs) calls, row by row."""
+    return np.array([[complex(fn(p, q)) for q in qs] for p in ps],
+                    dtype=np.complex128).reshape(len(ps), len(qs))
 
 
 @dataclass(frozen=True)
@@ -229,6 +268,10 @@ class Evaluator:
 
     ``kind`` is "projection" when the evaluator accepts arbitrary history
     projections and "homogeneous" when it needs factorized histories.
+    ``gram(ps, qs)`` gives the matrix G[i, j] = d(ps[i], qs[j]): ``stream``
+    forms it in one contraction of the stacked partial traces and ``ils``
+    in one product with the realigned kernel, while ``series`` calls its
+    value once per pair; ``direct`` raises ShapeError, as ``value`` does.
     """
 
     method: str
@@ -237,11 +280,21 @@ class Evaluator:
     order: int
     kind: str
     _fn: object
+    _gram: object
 
     def value(self, p: HistoryProjection, q: HistoryProjection) -> complex:
         if self.kind != "projection":
             raise ShapeError(f"evaluator {self.method} needs homogeneous histories")
         return self._fn(p, q)
+
+    def gram(self, ps, qs) -> np.ndarray:
+        """(len(ps), len(qs)) complex matrix of the values d(ps[i], qs[j])."""
+        if self.kind != "projection":
+            raise ShapeError(f"evaluator {self.method} needs homogeneous histories")
+        ps, qs = tuple(ps), tuple(qs)
+        if not ps or not qs:
+            return np.zeros((len(ps), len(qs)), dtype=np.complex128)
+        return self._gram(ps, qs)
 
     def value_history(self, h: HomogeneousHistory, k: HomogeneousHistory) -> complex:
         """d(h, k) with both histories padded by identities to the evaluator's order."""
@@ -257,17 +310,23 @@ def make_evaluator(method: str, rho: DensityOperator, d: int, n: int,
     """Bind one of the four evaluation strategies to (rho, d, n)."""
     if method == "direct":
         return Evaluator(method, rho, d, n, "homogeneous",
-                         lambda h, k: d_direct(rho, h, k))
+                         lambda h, k: d_direct(rho, h, k), None)
     if method == "series":
-        return Evaluator(method, rho, d, n, "projection",
-                         lambda p, q: d_series(rho, p, q))
+        def value(p, q):
+            return d_series(rho, p, q)
+
+        return Evaluator(method, rho, d, n, "projection", value,
+                         lambda ps, qs: pairwise_gram(value, ps, qs))
     if method == "ils":
         M = build_M(rho, d, n, cap=cap)
         return Evaluator(method, rho, d, n, "projection",
-                         lambda p, q: d_via_M(M, p, q))
+                         lambda p, q: d_via_M(M, p, q),
+                         lambda ps, qs: _ils_gram(M, ps, qs))
     if method == "stream":
+        rho_m = density_matrix(rho)
         return Evaluator(method, rho, d, n, "projection",
-                         lambda p, q: d_via_M_streaming(rho, p, q))
+                         lambda p, q: d_via_M_streaming(rho, p, q),
+                         lambda ps, qs: _stream_gram(rho, rho_m, ps, qs))
     raise ValidationError(f"unknown evaluation method {method!r}")
 
 

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from histq import consistency as cs
-from histq.decoherence import (ILSOperator, build_M, d_series, make_evaluator,
-                               random_homogeneous)
+from histq.decoherence import (ILSOperator, build_M, d_series, d_via_M_streaming,
+                               make_evaluator, pairwise_gram, random_homogeneous)
 from histq.errors import ShapeError, ValidationError
-from histq.historyspace import history_projection, identity_history_projection
+from histq.historyspace import (density_from_spectral, history_projection,
+                                identity_history_projection)
 from histq.seeding import generator
 
-from conftest import (P0, P1, PMINUS, PPLUS, kron_chain, pure_e1, pure_state,
-                      random_density)
+from conftest import (P0, P1, PMINUS, PPLUS, haar_unitary, kron_chain, pure_e1,
+                      pure_state, random_density)
 
 
 def embed(mats):
@@ -120,6 +121,22 @@ def test_build_family_rejections():
         cs.build_family([p00, p01], labels=("a",))
     with pytest.raises(ShapeError, match="different history spaces"):
         cs.build_family([p00, history_projection(np.zeros((2, 2)), 1, 2)])
+
+
+def test_first_non_orthogonal_pair_is_named_in_row_major_order():
+    eye = np.eye(2)
+    p00, p01, p1x = embed([P0, P0]), embed([P0, P1]), embed([P1, eye])
+    # pairs (0, 3) and (1, 4) both fail; row-major order names (0, 3)
+    with pytest.raises(ValidationError, match="'g0' and 'g3' are not orthogonal"):
+        cs.build_family([p00, p01, p1x, p00, p01])
+    with pytest.raises(ValidationError, match="'g2' and 'g3' are not orthogonal"):
+        cs.build_family([p1x, p00, p01, p01])
+
+
+def test_generator_count_is_capped_before_the_pair_check():
+    members = [identity_history_projection(2, 1)] * (cs.MAX_ATOMS + 1)
+    with pytest.raises(ValidationError, match="generators exceed cap"):
+        cs.build_family(members)
 
 
 def test_atom_cap():
@@ -334,3 +351,127 @@ def test_search_matches_einsum_ascent(dn, state):
         assert res.restart_index == restart, seed
         assert abs(res.value - value) <= 1e-12, seed
         assert np.max(np.abs(res.projection.matrix - proj)) <= 1e-10, seed
+
+
+def gram_state(kind, d, rng):
+    if kind == "full":
+        return random_density(d, rng)
+    if kind == "rank-one":
+        return pure_state(rng.standard_normal(d) + 1j * rng.standard_normal(d))
+    if kind == "rank-deficient":
+        w = np.zeros(d)
+        w[:d - 1] = rng.dirichlet(np.ones(d - 1)) if d > 2 else 1.0
+        return density_from_spectral(w, haar_unitary(d, rng))
+    w = np.zeros(d)
+    w[:2] = (0.50001, 0.49999)
+    return density_from_spectral(w, np.eye(d, dtype=np.complex128))
+
+
+def gram_families(rho, d, n, rng):
+    # (family, whether it must be consistent): a random orthogonal split of
+    # the history space, consistent only at one time, and the always
+    # consistent family of the state's eigenprojectors at the first time
+    dim = d ** n
+    basis = haar_unitary(dim, rng)
+    cuts = sorted(rng.choice(np.arange(1, dim), size=min(3, dim - 1), replace=False))
+    members = [basis[:, lo:hi] @ basis[:, lo:hi].conj().T
+               for lo, hi in zip([0, *cuts[:-1]], cuts)]
+    yield cs.build_family([history_projection(m, n, d) for m in members]), n == 1
+    eig = np.linalg.eigh(rho.vectors * rho.weights @ rho.vectors.conj().T)[1]
+    rest = np.eye(d ** (n - 1))
+    yield cs.build_family([history_projection(np.kron(np.outer(v, v.conj()), rest), n, d)
+                           for v in eig.T]), True
+
+
+@pytest.mark.parametrize("state", ["full", "rank-one", "rank-deficient", "near-degenerate"])
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_gram_matches_the_pairwise_loop(n, d, state):
+    rng = np.random.default_rng([n, d, len(state)])
+    rho = gram_state(state, d, rng)
+    evs = {m: make_evaluator(m, rho, d, n) for m in ("series", "stream", "ils")}
+    for family, must_be_consistent in gram_families(rho, d, n, rng):
+        atoms = family.atoms
+        oracle = evs["series"].gram(atoms, atoms)
+        reports = {m: cs.check_consistent(ev, family) for m, ev in evs.items()}
+        for m in ("stream", "ils"):
+            ev = evs[m]
+            g = ev.gram(atoms, atoms)
+            assert g.shape == (len(atoms), len(atoms))
+            assert np.max(np.abs(g - pairwise_gram(ev.value, atoms, atoms))) <= 1e-12
+            assert np.max(np.abs(g - oracle)) <= 1e-9
+            # rectangular, with different lists on the two sides
+            rect = ev.gram(atoms[:1], atoms[::-1])
+            assert np.max(np.abs(rect - pairwise_gram(ev.value, atoms[:1], atoms[::-1]))) <= 1e-12
+            assert reports[m].consistent == reports["series"].consistent
+            assert reports[m].unphysical == reports["series"].unphysical
+        if must_be_consistent:
+            assert reports["series"].consistent
+
+
+@pytest.mark.parametrize("method", ["stream", "ils"])
+def test_golden_families_through_the_batched_gram(method):
+    for rho, family in ((pure_state([1, 1]), double_z_family()),
+                        (pure_e1(2), x_then_z_family())):
+        want = cs.check_consistent(make_evaluator("series", rho, 2, 2), family)
+        got = cs.check_consistent(make_evaluator(method, rho, 2, 2), family)
+        assert (got.consistent, got.unphysical) == (want.consistent, want.unphysical)
+        assert abs(got.max_re_offdiag - want.max_re_offdiag) <= 1e-12
+    assert got.unphysical == ("+0++1+-0", "+0+-0+-1")
+
+
+def test_gram_of_empty_lists_is_empty():
+    ev = make_evaluator("stream", pure_e1(2), 2, 2)
+    assert ev.gram([], double_z_family().atoms).shape == (0, 4)
+    assert ev.gram(double_z_family().atoms, ()).shape == (4, 0)
+
+
+@pytest.mark.parametrize("method", ["series", "stream", "ils"])
+def test_gram_raises_what_the_loop_raises(method):
+    ev = make_evaluator(method, pure_e1(3), 3, 2)
+    family = double_z_family()  # single_dim 2 against the state's 3
+    with pytest.raises(ShapeError) as batched:
+        cs.check_consistent(ev, family)
+    with pytest.raises(ShapeError) as loop:
+        pairwise_gram(ev.value, family.atoms, family.atoms)
+    assert str(batched.value) == str(loop.value)
+    with pytest.raises(ShapeError) as bare:
+        cs.check_consistent(lambda p, q: d_via_M_streaming(pure_e1(3), p, q), family)
+    assert "single-time dimension" in str(bare.value)
+
+
+def test_gram_order_mismatch_raises_as_the_loop_does():
+    rho = pure_e1(2)
+    family = double_z_family()
+    other = embed([P0, P0, P0])
+    for method in ("stream", "ils"):
+        ev = make_evaluator(method, rho, 2, 2)
+        with pytest.raises(ShapeError) as batched:
+            ev.gram(family.atoms, (other,))
+        with pytest.raises(ShapeError) as loop:
+            pairwise_gram(ev.value, family.atoms, (other,))
+        assert str(batched.value) == str(loop.value)
+
+
+def test_direct_evaluator_is_refused_by_check_consistent():
+    ev = make_evaluator("direct", pure_e1(2), 2, 2)
+    with pytest.raises(ShapeError, match="homogeneous"):
+        cs.check_consistent(ev, double_z_family())
+    with pytest.raises(ShapeError, match="homogeneous"):
+        ev.gram([], [])
+
+
+@pytest.mark.parametrize("state", ["pure", "mixed"])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_search_reaches_the_symmetric_subspace_value(d, state):
+    # at order 2 the symmetric-subspace projector q_u has A(q_u) = B(q_u) =
+    # ((d+1)/2) 1, so d(q_u, q_u) = ((d+1)/2)^2 for every state; the ascent
+    # reaches that value with rank-d projections for a pure state and with
+    # projections of q_u's rank d(d+1)/2 for a mixed one
+    rng = np.random.default_rng([d, 2])
+    rho = gram_state("rank-one" if state == "pure" else "full", d, rng)
+    M = build_M(rho, d, 2)
+    for seed in range(3):
+        res = cs.diag_excess_search(M, budget=8, seed=seed)
+        assert abs(res.value - ((d + 1) / 2) ** 2) <= 1e-9, seed
+        assert res.rank == (d if state == "pure" else d * (d + 1) // 2), seed
