@@ -28,7 +28,7 @@ from .errors import (HistqError, NumericalError, ShapeError, SizeCapError,
                      ValidationError)
 from .historyspace import (DEFAULT_HISTORY_CAP, VALIDATION_TOL, DensityOperator,
                            density_from_spectral, embed_homogeneous,
-                           history_projection, pad_history)
+                           history_projection)
 from .seeding import generator, stream_metadata
 
 
@@ -194,6 +194,14 @@ def _factor_residuals(kind, obj) -> tuple[float, float]:
     return _projection_residuals(obj.matrix)
 
 
+def _check_history_cap(method: str, d: int, n: int, cfg: RunConfig) -> None:
+    """Refuse to embed histories of dimension d**n above the history cap;
+    ``direct`` holds only the d x d factors and is not capped."""
+    if method != "direct" and d ** n > cfg.history_cap:
+        raise SizeCapError(
+            f"history dimension {d}**{n}={d ** n} exceeds cap {cfg.history_cap}")
+
+
 def _cmd_eval(args, cfg: RunConfig) -> int:
     rho = _load_density(args.rho, cfg)
     d = rho.dim
@@ -203,20 +211,11 @@ def _cmd_eval(args, cfg: RunConfig) -> int:
     residuals["h_hermitian"], residuals["h_idempotent"] = _factor_residuals(kind_h, h)
     residuals["k_hermitian"], residuals["k_idempotent"] = _factor_residuals(kind_k, k)
     n = max(h.order, k.order)
-    if args.method == "direct":
-        if kind_h != "homogeneous" or kind_k != "homogeneous":
-            raise ValidationError("the direct method needs factorized histories")
-        value = decoherence.make_evaluator("direct", rho, d, n).value_history(h, k)
-    else:
-        if kind_h == "homogeneous":
-            h = embed_homogeneous(pad_history(h, n), cap=cfg.history_cap,
-                                  tol=cfg.validation_tol)
-        if kind_k == "homogeneous":
-            k = embed_homogeneous(pad_history(k, n), cap=cfg.history_cap,
-                                  tol=cfg.validation_tol)
-        evaluator = decoherence.make_evaluator(args.method, rho, d, n,
-                                               cap=cfg.materialize_cap)
-        value = evaluator.value(h, k)
+    if "homogeneous" in (kind_h, kind_k):
+        _check_history_cap(args.method, d, n, cfg)
+    evaluator = decoherence.make_evaluator(args.method, rho, d, n,
+                                           cap=cfg.materialize_cap)
+    value = evaluator.value(h, k)
     out = {
         "value": [value.real, value.imag],
         "method": args.method,
@@ -254,6 +253,7 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
     rho = _load_density(args.rho, cfg, default=_mixed_state(d, cfg))
     if rho.dim != d:
         raise ValidationError(f"-d {d} does not match the state dimension {rho.dim}")
+    _check_history_cap(args.method, d, n, cfg)
     evaluator = decoherence.make_evaluator(args.method, rho, d, n,
                                            cap=cfg.materialize_cap)
     report = decoherence.verify_axioms(evaluator, samples=args.samples,
@@ -300,7 +300,7 @@ def _load_pair_operator(spec_text: str, cfg: RunConfig):
     obj = serialize.load_json(spec_text)
     if isinstance(obj, dict) and "projections" in obj:
         h = serialize.history_from_json(obj, tol=cfg.validation_tol)
-        return embed_homogeneous(h, cap=cfg.history_cap, tol=cfg.validation_tol)
+        return embed_homogeneous(h, cap=cfg.history_cap)
     if isinstance(obj, dict) and "rows" in obj:
         m = serialize.matrix_from_json(obj)
         s = int(round(m.shape[0] ** 0.5))
@@ -374,6 +374,8 @@ def _cmd_bench(args, cfg: RunConfig) -> int:
         raise UsageError("--methods needs at least one method")
     if args.pairs < 1:
         raise ValidationError(f"--pairs must be >= 1, got {args.pairs}")
+    for method in methods:
+        _check_history_cap(method, d, n, cfg)
     rng = generator(seed, "bench")
     pairs = [(decoherence.random_homogeneous(d, n, rng),
               decoherence.random_homogeneous(d, n, rng))
@@ -386,7 +388,7 @@ def _cmd_bench(args, cfg: RunConfig) -> int:
                                                cap=cfg.materialize_cap)
         setup = time.perf_counter() - start
         start = time.perf_counter()
-        values = [evaluator.value_history(h, k) for h, k in pairs]
+        values = [evaluator.value(h, k) for h, k in pairs]
         wall = time.perf_counter() - start
         all_values.append(values)
         dev = max((abs(v - v0) for v, v0 in zip(values, all_values[0])),

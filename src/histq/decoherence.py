@@ -24,10 +24,14 @@ M is a row and column permutation of rho (x) 1: trace(M) = 1 and the
 singular values of M are the weights of rho.  The same structure factorizes
 the trace across the tensor cut, d(p, q) = tr(A(p) rho B(q)) with the partial
 traces A(p)[v,t] = sum_u p[(u,v),(t,u)] and B(q)[t,v] = sum_w q[(t,w),(w,v)].
-`partial_traces` takes them of a whole stack of projections at once;
-`d_via_M_streaming` is its one-pair case and evaluates the closed form
-without materializing M, and the ``stream`` evaluator's Gram matrix
-G[i, j] = tr(A(p_i) rho B(q_j)) is one contraction of the stacks.
+`partial_traces` takes them of a whole stack of projections at once.
+
+``stream`` and ``ils`` each have one contraction, the Gram matrix
+G[i, j] = d(p_i, q_j) of two lists, and a single value is the one-pair
+Gram: ``stream`` contracts the stacked partial traces with rho without
+materializing M, G[i, j] = tr(A(p_i) rho B(q_j)), and `d_via_M_streaming`
+is its [0, 0] entry; ``ils`` forms vec(P) @ K @ vec(Q)^T with the realigned
+kernel K of `d_via_M` below, and `d_via_M` is its [0, 0] entry.
 
 `d_series` builds the table of all tuples at once and gathers from h and k
 the entries each tuple needs.  Accumulation is still lexicographic and left
@@ -36,14 +40,18 @@ numpy's SIMD loops for complex-array multiply may fuse multiply-adds (FMA),
 while its scalar complex multiply does not; this way the value is
 bit-identical to the per-tuple scalar expansion.  `d_via_M` contracts the
 materialized kernel through its realignment K[(a,c),(b,e)] = M[(c,e),(a,b)],
-so tr((p (x) q) M) = vec(p) @ K @ vec(q) is one matrix-vector product.
+so tr((p (x) q) M) = vec(p) @ K @ vec(q).
+
+`make_evaluator` binds a method's Gram to (rho, d, n); its ``value`` and
+``gram`` take history projections and homogeneous histories alike and check
+both against (d, n) for every method.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, partial, reduce
 
 import numpy as np
 
@@ -56,8 +64,10 @@ from .historyspace import (
     density_matrix,
     embed_homogeneous,
     history_projection,
+    homogeneous_history,
     pad_history,
     sum_projection,
+    validate_projection,
 )
 from .seeding import generator
 
@@ -208,26 +218,22 @@ def build_M(rho: DensityOperator, d: int, n: int,
                        state_fingerprint=state_fingerprint(rho))
 
 
-def _check_kernel_args(M: ILSOperator, xs) -> None:
-    if any(x.single_dim != M.single_dim for x in xs):
-        raise ShapeError("history projections must match the kernel's single-time dimension")
-    if any(x.order != M.order for x in xs):
-        raise ShapeError("history projections must match the kernel's order")
+def _ils_gram(M: ILSOperator, ps, qs) -> np.ndarray:
+    # G = vec(P) @ K @ vec(Q)^T with the rows vec(ps[i]) and vec(qs[j]);
+    # the arguments are checked by the caller
+    vp = np.array([p.matrix for p in ps]).reshape(len(ps), -1)
+    vq = np.array([q.matrix for q in qs]).reshape(len(qs), -1)
+    return vp @ (M.pair_matrix @ vq.T)
 
 
 def d_via_M(M: ILSOperator, p: HistoryProjection, q: HistoryProjection) -> complex:
     """Kernel evaluation tr((p (x) q) M) = vec(p) @ K @ vec(q) with K the
-    realigned kernel ``M.pair_matrix``."""
-    _check_kernel_args(M, (p, q))
-    return complex(p.matrix.reshape(-1) @ (M.pair_matrix @ q.matrix.reshape(-1)))
-
-
-def _ils_gram(M: ILSOperator, ps, qs) -> np.ndarray:
-    # G = vec(P) @ K @ vec(Q)^T with the rows vec(ps[i]) and vec(qs[j])
-    _check_kernel_args(M, (*ps, *qs))
-    vp = np.array([p.matrix for p in ps]).reshape(len(ps), -1)
-    vq = np.array([q.matrix for q in qs]).reshape(len(qs), -1)
-    return vp @ (M.pair_matrix @ vq.T)
+    realigned kernel ``M.pair_matrix``: the one-pair ``ils`` Gram."""
+    if p.single_dim != M.single_dim or q.single_dim != M.single_dim:
+        raise ShapeError("history projections must match the kernel's single-time dimension")
+    if p.order != M.order or q.order != M.order:
+        raise ShapeError("history projections must match the kernel's order")
+    return complex(_ils_gram(M, (p,), (q,))[0, 0])
 
 
 def partial_traces(stack: np.ndarray, d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -240,9 +246,9 @@ def partial_traces(stack: np.ndarray, d: int, n: int) -> tuple[np.ndarray, np.nd
     return a, b
 
 
-def _stream_gram(rho: DensityOperator, rho_m: np.ndarray, ps, qs) -> np.ndarray:
-    # G[i, j] = tr(A(ps[i]) rho B(qs[j])), one partial-trace pass over both lists
-    d, n = _check_args(rho, (*ps, *qs))
+def _stream_gram(rho_m: np.ndarray, d: int, n: int, ps, qs) -> np.ndarray:
+    # G[i, j] = tr(A(ps[i]) rho B(qs[j])), one partial-trace pass over both
+    # lists; the arguments are checked by the caller
     a, b = partial_traces(np.array([x.matrix for x in (*ps, *qs)]), d, n)
     return np.einsum("ivt,ts,jsv->ij", a[:len(ps)], rho_m, b[len(ps):])
 
@@ -250,10 +256,10 @@ def _stream_gram(rho: DensityOperator, rho_m: np.ndarray, ps, qs) -> np.ndarray:
 def d_via_M_streaming(rho: DensityOperator, p: HistoryProjection,
                       q: HistoryProjection) -> complex:
     """Kernel evaluation without materializing M: tr(A(p) rho B(q)) with the
-    partial traces A and B of the module docstring."""
+    partial traces A and B of the module docstring, the one-pair ``stream``
+    Gram."""
     d, n = _check_args(rho, (p, q))
-    a, b = partial_traces(np.array((p.matrix, q.matrix)), d, n)
-    return complex(np.einsum("vt,ts,sv->", a[0], density_matrix(rho), b[1]))
+    return complex(_stream_gram(density_matrix(rho), d, n, (p,), (q,))[0, 0])
 
 
 def pairwise_gram(fn, ps, qs) -> np.ndarray:
@@ -264,70 +270,72 @@ def pairwise_gram(fn, ps, qs) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Evaluator:
-    """A decoherence functional bound to a fixed state and geometry.
+    """A decoherence functional bound to a fixed state and geometry (d, n).
 
-    ``kind`` is "projection" when the evaluator accepts arbitrary history
-    projections and "homogeneous" when it needs factorized histories.
-    ``gram(ps, qs)`` gives the matrix G[i, j] = d(ps[i], qs[j]): ``stream``
-    forms it in one contraction of the stacked partial traces and ``ils``
-    in one product with the realigned kernel, while ``series`` calls its
-    value once per pair; ``direct`` raises ShapeError, as ``value`` does.
+    ``value(x, y)`` and ``gram(xs, ys)`` take history projections of order n
+    and homogeneous histories of order at most n, the latter padded with
+    identities to order n; an argument of another single-time dimension or
+    order raises ShapeError.  ``gram`` is the matrix G[i, j] = d(xs[i], ys[j])
+    and ``value`` is its one-pair case.  ``stream`` forms it in one
+    contraction of the stacked partial traces, ``ils`` in one product with
+    the realigned kernel, and ``series`` and ``direct`` by one call per pair.
+    ``series``, ``ils`` and ``stream`` embed homogeneous histories;
+    ``direct`` needs them and raises ShapeError on history projections.
     """
 
     method: str
     rho: DensityOperator
     single_dim: int
     order: int
-    kind: str
-    _fn: object
     _gram: object
 
-    def value(self, p: HistoryProjection, q: HistoryProjection) -> complex:
-        if self.kind != "projection":
-            raise ShapeError(f"evaluator {self.method} needs homogeneous histories")
-        return self._fn(p, q)
+    def _normalize(self, xs) -> tuple:
+        d, n = self.single_dim, self.order
+        out = []
+        for x in xs:
+            homogeneous = isinstance(x, HomogeneousHistory)
+            if x.single_dim != d:
+                raise ShapeError(f"single-time dimension {x.single_dim} does not match "
+                                 f"the evaluator's {d}")
+            if x.order > n or (x.order != n and not homogeneous):
+                raise ShapeError(f"order {x.order} does not fit the evaluator's order {n}")
+            if homogeneous:
+                x = pad_history(x, n)
+                if self.method != "direct":
+                    x = embed_homogeneous(x, cap=d ** n)
+            elif self.method == "direct":
+                raise ShapeError("evaluator direct needs homogeneous histories")
+            out.append(x)
+        return tuple(out)
 
-    def gram(self, ps, qs) -> np.ndarray:
-        """(len(ps), len(qs)) complex matrix of the values d(ps[i], qs[j])."""
-        if self.kind != "projection":
-            raise ShapeError(f"evaluator {self.method} needs homogeneous histories")
-        ps, qs = tuple(ps), tuple(qs)
-        if not ps or not qs:
-            return np.zeros((len(ps), len(qs)), dtype=np.complex128)
-        return self._gram(ps, qs)
+    def gram(self, xs, ys) -> np.ndarray:
+        """(len(xs), len(ys)) complex matrix of the values d(xs[i], ys[j])."""
+        xs, ys = tuple(xs), tuple(ys)
+        args = self._normalize(xs + ys)
+        if not xs or not ys:
+            return np.zeros((len(xs), len(ys)), dtype=np.complex128)
+        return self._gram(args[:len(xs)], args[len(xs):])
 
-    def value_history(self, h: HomogeneousHistory, k: HomogeneousHistory) -> complex:
-        """d(h, k) with both histories padded by identities to the evaluator's order."""
-        h, k = pad_history(h, self.order), pad_history(k, self.order)
-        if self.kind == "homogeneous":
-            return self._fn(h, k)
-        cap = max(self.single_dim ** self.order, 1)
-        return self._fn(embed_homogeneous(h, cap=cap), embed_homogeneous(k, cap=cap))
+    def value(self, x, y) -> complex:
+        return complex(self.gram((x,), (y,))[0, 0])
 
 
 def make_evaluator(method: str, rho: DensityOperator, d: int, n: int,
                    cap: int = DEFAULT_MATERIALIZE_CAP) -> Evaluator:
-    """Bind one of the four evaluation strategies to (rho, d, n)."""
+    """Bind one of the four evaluation strategies to (rho, d, n) by its Gram."""
+    if rho.dim != d:
+        raise ShapeError(f"state dimension {rho.dim} does not match d={d}")
     if method == "direct":
-        return Evaluator(method, rho, d, n, "homogeneous",
-                         lambda h, k: d_direct(rho, h, k), None)
-    if method == "series":
-        def value(p, q):
-            return d_series(rho, p, q)
-
-        return Evaluator(method, rho, d, n, "projection", value,
-                         lambda ps, qs: pairwise_gram(value, ps, qs))
-    if method == "ils":
-        M = build_M(rho, d, n, cap=cap)
-        return Evaluator(method, rho, d, n, "projection",
-                         lambda p, q: d_via_M(M, p, q),
-                         lambda ps, qs: _ils_gram(M, ps, qs))
-    if method == "stream":
-        rho_m = density_matrix(rho)
-        return Evaluator(method, rho, d, n, "projection",
-                         lambda p, q: d_via_M_streaming(rho, p, q),
-                         lambda ps, qs: _stream_gram(rho, rho_m, ps, qs))
-    raise ValidationError(f"unknown evaluation method {method!r}")
+        gram = partial(pairwise_gram, partial(d_direct, rho))
+    elif method == "series":
+        gram = partial(pairwise_gram, partial(d_series, rho))
+    elif method == "ils":
+        gram = partial(_ils_gram, build_M(rho, d, n, cap=cap))
+    elif method == "stream":
+        gram = partial(_stream_gram, density_matrix(rho), d, n)
+    else:
+        raise ValidationError(f"unknown evaluation method {method!r}")
+    return Evaluator(method, rho, d, n, gram)
 
 
 @dataclass(frozen=True)
@@ -388,8 +396,6 @@ def random_projection(dim: int, rng: np.random.Generator,
 
 def random_homogeneous(d: int, n: int, rng: np.random.Generator) -> HomogeneousHistory:
     """Random homogeneous history with independently drawn factors."""
-    from .historyspace import homogeneous_history
-
     mats = []
     for _ in range(n):
         rank = int(rng.integers(1, d + 1))
@@ -397,80 +403,60 @@ def random_homogeneous(d: int, n: int, rng: np.random.Generator) -> HomogeneousH
     return homogeneous_history(mats)
 
 
+def _axiom_draw(homogeneous: bool, d: int, n: int, rng: np.random.Generator):
+    """One sample of verify_axioms: histories x and y and an orthogonal split
+    whole = x1 + x2, homogeneous ones split in their first time step."""
+    if homogeneous:
+        x, y = random_homogeneous(d, n, rng), random_homogeneous(d, n, rng)
+        dim = d
+    else:
+        dim = d ** n
+        x = history_projection(random_projection(dim, rng), n, d)
+        y = history_projection(random_projection(dim, rng), n, d)
+    basis = _random_unitary(dim, rng)
+    r = int(rng.integers(2, dim + 1))
+    s = int(rng.integers(1, r))
+    parts = (_cols_projector(basis, 0, s), _cols_projector(basis, s, r))
+    if not homogeneous:
+        x1, x2 = (history_projection(m, n, d) for m in parts)
+        return x, y, sum_projection([x1, x2]), x1, x2
+    rest = [p.matrix for p in random_homogeneous(d, n, rng).projections[1:]] if n > 1 else []
+    whole = validate_projection(parts[0] + parts[1]).matrix
+    return x, y, *(homogeneous_history([m] + rest) for m in (whole, *parts))
+
+
 def verify_axioms(evaluator: Evaluator, samples: int = 200, seed: int = 0,
                   tol: float = 1e-9) -> AxiomReport:
     """Measure violations of hermitianness, positivity, normalization, and
-    additivity over orthogonal splits, across seeded random draws.
+    additivity over orthogonal splits in either slot, across seeded random
+    draws.
 
-    Violations are data, not errors; the report is bit-identical for
-    identical inputs and seed.
+    Each sample draws two histories and a split from the ``verify`` stream:
+    homogeneous histories split in their first time step for ``direct``,
+    arbitrary history projections for the other methods.  Violations are
+    data, not errors; the report is bit-identical for identical inputs and
+    seed.
     """
     if samples < 1:
         raise ValidationError(f"samples must be >= 1, got {samples}")
     rng = generator(seed, "verify")
-    d = evaluator.single_dim
-    n = evaluator.order
-    dim = d ** n
-    if evaluator.kind == "homogeneous":
-        return _verify_homogeneous(evaluator, samples, seed, tol, rng, d, n)
-
-    eye = history_projection(np.eye(dim, dtype=np.complex128), n, d)
+    d, n = evaluator.single_dim, evaluator.order
+    homogeneous = evaluator.method == "direct"
+    eye = homogeneous_history([np.eye(d, dtype=np.complex128)] * n)
     max_norm = abs(evaluator.value(eye, eye) - 1.0)
     max_herm = 0.0
     max_pos = 0.0
     max_add = 0.0
     for _ in range(samples):
-        p = history_projection(random_projection(dim, rng), n, d)
-        q = history_projection(random_projection(dim, rng), n, d)
-        v_pq = evaluator.value(p, q)
-        v_qp = evaluator.value(q, p)
-        max_herm = max(max_herm, abs(v_pq - np.conj(v_qp)))
-        diag = evaluator.value(p, p)
+        x, y, whole, x1, x2 = _axiom_draw(homogeneous, d, n, rng)
+        v_xy = evaluator.value(x, y)
+        v_yx = evaluator.value(y, x)
+        max_herm = max(max_herm, abs(v_xy - np.conj(v_yx)))
+        diag = evaluator.value(x, x)
         max_pos = max(max_pos, max(-diag.real, 0.0), abs(diag.imag))
-
-        basis = _random_unitary(dim, rng)
-        r = int(rng.integers(2, dim + 1))
-        s = int(rng.integers(1, r))
-        p1 = history_projection(_cols_projector(basis, 0, s), n, d)
-        p2 = history_projection(_cols_projector(basis, s, r), n, d)
-        whole = sum_projection([p1, p2])
-        split_gap = evaluator.value(whole, q) - evaluator.value(p1, q) - evaluator.value(p2, q)
+        split_gap = evaluator.value(whole, y) - evaluator.value(x1, y) - evaluator.value(x2, y)
         max_add = max(max_add, abs(split_gap))
-        split_gap = evaluator.value(q, whole) - evaluator.value(q, p1) - evaluator.value(q, p2)
+        split_gap = evaluator.value(y, whole) - evaluator.value(y, x1) - evaluator.value(y, x2)
         max_add = max(max_add, abs(split_gap))
-    return AxiomReport(evaluator.method, samples, seed, tol,
-                       float(max_herm), float(max_pos), float(max_norm), float(max_add))
-
-
-def _verify_homogeneous(evaluator, samples, seed, tol, rng, d, n) -> AxiomReport:
-    from .historyspace import homogeneous_history, validate_projection
-
-    eye_h = homogeneous_history([np.eye(d, dtype=np.complex128)] * n)
-    max_norm = abs(evaluator.value_history(eye_h, eye_h) - 1.0)
-    max_herm = 0.0
-    max_pos = 0.0
-    max_add = 0.0
-    for _ in range(samples):
-        h = random_homogeneous(d, n, rng)
-        k = random_homogeneous(d, n, rng)
-        v_hk = evaluator.value_history(h, k)
-        v_kh = evaluator.value_history(k, h)
-        max_herm = max(max_herm, abs(v_hk - np.conj(v_kh)))
-        diag = evaluator.value_history(h, h)
-        max_pos = max(max_pos, max(-diag.real, 0.0), abs(diag.imag))
-
-        # additivity in the first time slot over an orthogonal split
-        basis = _random_unitary(d, rng)
-        r = int(rng.integers(2, d + 1))
-        s = int(rng.integers(1, r))
-        rest = [p.matrix for p in random_homogeneous(d, n, rng).projections[1:]] if n > 1 else []
-        part1 = _cols_projector(basis, 0, s)
-        part2 = _cols_projector(basis, s, r)
-        h1 = homogeneous_history([part1] + rest)
-        h2 = homogeneous_history([part2] + rest)
-        hsum = homogeneous_history([validate_projection(part1 + part2).matrix] + rest)
-        gap = (evaluator.value_history(hsum, k) - evaluator.value_history(h1, k)
-               - evaluator.value_history(h2, k))
-        max_add = max(max_add, abs(gap))
     return AxiomReport(evaluator.method, samples, seed, tol,
                        float(max_herm), float(max_pos), float(max_norm), float(max_add))

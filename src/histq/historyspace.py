@@ -8,6 +8,7 @@ with the leftmost Kronecker factor belonging to the earliest time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -268,9 +269,14 @@ def pad_history(h: HomogeneousHistory, order: int) -> HomogeneousHistory:
                               projections=h.projections + (eye,) * (order - h.order))
 
 
-def embed_homogeneous(h: HomogeneousHistory, cap: int = DEFAULT_HISTORY_CAP,
-                      tol: float = VALIDATION_TOL) -> HistoryProjection:
+def embed_homogeneous(h: HomogeneousHistory,
+                      cap: int = DEFAULT_HISTORY_CAP) -> HistoryProjection:
     """Kronecker embedding of a homogeneous history, earliest time leftmost.
+
+    The factors were validated when the history was built, and a Kronecker
+    product of projections is a projection whose rank is the product of
+    theirs, so the product is not validated again: its residuals compound
+    those of the factors and could fail the tolerance the factors met.
 
     Raises
     ------
@@ -283,7 +289,9 @@ def embed_homogeneous(h: HomogeneousHistory, cap: int = DEFAULT_HISTORY_CAP,
             f"history dimension {h.single_dim}**{h.order}={dim} exceeds cap {cap}"
         )
     mat = reduce(np.kron, [p.matrix for p in h.projections])
-    return history_projection(mat, h.order, h.single_dim, tol=tol)
+    rank = math.prod(p.rank for p in h.projections)
+    return HistoryProjection(projection=Projection(matrix=mat, dim=dim, rank=rank),
+                             order=h.order, single_dim=h.single_dim)
 
 
 def orthogonal(p: HistoryProjection, q: HistoryProjection,

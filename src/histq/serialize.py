@@ -176,7 +176,7 @@ def family_from_json(obj, cap: int = 64, tol: float = 1e-8):
             inner = dict(item)
             inner.setdefault("single_time_dim", d)
             inner.setdefault("order", n)
-            members.append(embed_homogeneous(history_from_json(inner, tol=tol), cap=cap, tol=tol))
+            members.append(embed_homogeneous(history_from_json(inner, tol=tol), cap=cap))
         elif "matrix" in item:
             members.append(history_projection(matrix_from_json(item["matrix"]), n, d, tol=tol))
         else:

@@ -36,7 +36,7 @@ def test_criterion_1_oracle_triangle(capsys):
         for _ in range(100):
             h = decoherence.random_homogeneous(d, n, rng)
             k = decoherence.random_homogeneous(d, n, rng)
-            v = {m: ev.value_history(h, k) for m, ev in evs.items()}
+            v = {m: ev.value(h, k) for m, ev in evs.items()}
             for gap in (abs(v["direct"] - v["series"]),
                         abs(v["direct"] - v["ils"]),
                         abs(v["ils"] - v["stream"])):
@@ -180,7 +180,7 @@ def test_criterion_8_diagonal_excess(capsys):
     worst = -np.inf
     for _ in range(1000):
         h = decoherence.random_homogeneous(2, 2, sweep_rng)
-        v = ev.value_history(h, h).real
+        v = ev.value(h, h).real
         worst = max(worst, v)
         assert v <= 1.0 + 1e-9
     _pass(capsys, 8, f"excess {res.value:.6f} in {elapsed:.1f}s, "

@@ -61,6 +61,19 @@ def test_eval_methods_agree(tmp_path, capsys):
         assert abs(v - 0.25) <= 1e-9, method
 
 
+def test_eval_near_tolerance_history_by_every_method(tmp_path, capsys):
+    # each factor passes validation at 1e-8, their Kronecker product would not
+    rho = rho_file(tmp_path, pure_state([1, 1]))
+    h = history_file(tmp_path, [np.diag([1.0, 8e-9])] * 3, "h.json")
+    values = []
+    for method in ("direct", "series", "ils", "stream"):
+        code, out = run_json(capsys, ["eval", "--rho", rho, "--h", h, "--k", h,
+                                      "--method", method])
+        assert code == 0, method
+        values.append(complex(*out["value"]))
+    assert max(abs(v - values[0]) for v in values) <= 1e-9
+
+
 def test_eval_writes_out_file(tmp_path, capsys):
     rho = rho_file(tmp_path, pure_e1(2))
     h = history_file(tmp_path, [P0, P0], "h.json")
@@ -299,6 +312,21 @@ def test_bench_csv(tmp_path):
     assert [r[0] for r in rows] == ["direct", "series"]
     assert float(rows[0][3]) == 0.0
     assert float(rows[1][3]) <= 1e-9
+
+
+@pytest.mark.parametrize("method", ["series", "ils", "stream"])
+def test_verify_and_bench_refuse_histories_above_the_cap(tmp_path, capsys, method):
+    # 2**40 exceeds the history cap of 64; direct holds only 2 x 2 factors
+    out = str(tmp_path / "bench.csv")
+    for argv in (["verify", "-d", "2", "-n", "40", "--method", method],
+                 ["bench", "-d", "2", "-n", "40", "--methods", f"direct,{method}",
+                  "--pairs", "1", "--out", out]):
+        assert main(argv) == 3, argv
+        assert "exceeds cap 64" in capsys.readouterr().err
+    assert main(["verify", "-d", "2", "-n", "40", "--method", "direct",
+                 "--samples", "1"]) == 0
+    assert main(["bench", "-d", "2", "-n", "40", "--methods", "direct",
+                 "--pairs", "1", "--out", out]) == 0
 
 
 def test_bench_rejects_unknown_method(tmp_path, capsys):

@@ -300,7 +300,7 @@ def test_homogeneous_diagonals_never_exceed_one(rng):
     gen = generator(77, "samples")
     for _ in range(200):
         h = random_homogeneous(2, 2, gen)
-        v = ev.value_history(h, h)
+        v = ev.value(h, h)
         assert v.real <= 1.0 + 1e-9
 
 
@@ -458,7 +458,8 @@ def test_direct_evaluator_is_refused_by_check_consistent():
     with pytest.raises(ShapeError, match="homogeneous"):
         cs.check_consistent(ev, double_z_family())
     with pytest.raises(ShapeError, match="homogeneous"):
-        ev.gram([], [])
+        ev.gram(double_z_family().atoms[:1], [])
+    assert ev.gram([], []).shape == (0, 0)
 
 
 @pytest.mark.parametrize("state", ["pure", "mixed"])

@@ -235,8 +235,8 @@ def test_evaluator_kinds(rng):
     h = homogeneous_history([P0, PPLUS])
     with pytest.raises(ShapeError):
         direct.value(embed([P0, PPLUS]), embed([P0, P0]))
-    v1 = direct.value_history(h, h)
-    v2 = series.value_history(h, h)
+    v1 = direct.value(h, h)
+    v2 = series.value(h, h)
     assert abs(v1 - v2) <= 1e-10
 
 
@@ -250,9 +250,44 @@ def test_value_history_pads_to_the_evaluator_order(rng):
         evaluator = dec.make_evaluator(method, rho, 2, 2)
         for h, k in pairs:
             want = dec.d_direct(rho, pad_history(h, 2), pad_history(k, 2))
-            assert abs(evaluator.value_history(h, k) - want) <= 1e-12, method
+            assert abs(evaluator.value(h, k) - want) <= 1e-12, method
         with pytest.raises(ShapeError):
-            evaluator.value_history(too_long, too_long)
+            evaluator.value(too_long, too_long)
+
+
+@pytest.mark.parametrize("method", ["direct", "series", "ils", "stream"])
+def test_evaluator_refuses_histories_outside_its_geometry(method):
+    # every method checks the (d, n) it was bound to, the order-3 identity
+    # against order 2 included
+    with pytest.raises(ShapeError):
+        dec.make_evaluator(method, pure_e1(3), 2, 2)
+    ev = dec.make_evaluator(method, pure_e1(2), 2, 2)
+    fit = homogeneous_history([P0, PPLUS])
+    assert abs(ev.value(fit, fit) - 0.5) <= 1e-12
+    misfits = [identity_history_projection(2, 3), identity_history_projection(2, 1),
+               identity_history_projection(3, 2), homogeneous_history([P0] * 3),
+               homogeneous_history([np.eye(3)])]
+    for bad in misfits:
+        for args in ((bad, fit), (fit, bad), (bad, bad)):
+            with pytest.raises(ShapeError):
+                ev.value(*args)
+            with pytest.raises(ShapeError):
+                ev.gram([args[0]], [args[1]])
+        with pytest.raises(ShapeError):
+            ev.gram([fit, bad], [])
+
+
+def test_evaluators_agree_on_histories_at_the_validation_tolerance(rng):
+    # factors diag(1, 8e-9) pass validation at 1e-8 but their Kronecker
+    # product would not; every evaluator still gives the one value
+    near = np.diag([1.0, 8e-9])
+    rho = random_density(2, rng)
+    h = homogeneous_history([near] * 3)
+    k = homogeneous_history([near, PPLUS, near])
+    for x, y in ((h, h), (h, k), (k, h)):
+        values = [dec.make_evaluator(m, rho, 2, 3).value(x, y)
+                  for m in ("direct", "series", "ils", "stream")]
+        assert max(abs(v - values[0]) for v in values) <= 1e-9
 
 
 def test_verify_axioms_all_methods(rng):

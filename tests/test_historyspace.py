@@ -122,6 +122,17 @@ def test_embed_rank_multiplies(rng):
     assert np.allclose(emb.matrix, kron_chain([a, b]), atol=1e-12)
 
 
+def test_embed_keeps_factors_that_pass_the_tolerance():
+    # each factor diag(1, 8e-9) passes validation at 1e-8, their product's
+    # trace (1 + 8e-9)^3 does not; the embedding takes the factors' word
+    near = np.diag([1.0, 8e-9])
+    with pytest.raises(ValidationError, match="trace"):
+        hs.validate_projection(kron_chain([near] * 3))
+    emb = hs.embed_homogeneous(hs.homogeneous_history([near] * 3))
+    assert emb.projection.rank == 1 and emb.dim == 8
+    assert np.array_equal(emb.matrix, kron_chain([near] * 3))
+
+
 def test_embed_respects_cap():
     h = hs.homogeneous_history([np.eye(3)] * 4)
     with pytest.raises(SizeCapError):
