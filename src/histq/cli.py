@@ -351,9 +351,9 @@ def _cmd_search_excess(args, cfg: RunConfig) -> int:
         rho = density_from_spectral([1.0], xi, tol=cfg.validation_tol)
     if rho.dim != d:
         raise ValidationError(f"-d {d} does not match the state dimension {rho.dim}")
-    M = decoherence.build_M(rho, d, n, cap=cfg.materialize_cap)
-    res = consistency.diag_excess_search(M, budget=args.budget, seed=seed,
-                                         sweeps=args.sweeps)
+    _check_history_cap("stream", d, n, cfg)
+    ev = decoherence.make_evaluator("stream", rho, d, n)
+    res = consistency.diag_excess_search(ev, budget=args.budget, seed=seed, sweeps=args.sweeps)
     out = {
         "value": res.value,
         "rank": res.rank,

@@ -10,6 +10,11 @@ of the atoms, G[i, j] = d(a_i, a_j), which a bound evaluator forms with its
 k^2 value calls.  A bare callable is called k^2 times.  The largest |Re d|
 over disjoint pairs has a closed form per closure element, so no pair is
 enumerated.
+
+The search for diagonal values above one needs only rho = S S^dagger: for
+Hermitian p, B(p) = A(p)^dagger and d(p, p) = ||A(p) S||_F^2.
+`diag_excess_search` raises it by a monotone ascent in p and a unit matrix
+Phi, taking a kernel or a bound evaluator, and forms no kernel.
 """
 
 from __future__ import annotations
@@ -18,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoherence import pairwise_gram
+from .decoherence import ILSOperator, pairwise_gram, partial_traces
 from .errors import ShapeError, ValidationError
-from .historyspace import (VALIDATION_TOL, HistoryProjection, history_projection,
-                           validate_projection)
+from .historyspace import (VALIDATION_TOL, HistoryProjection, density_matrix,
+                           history_projection, validate_projection)
 from .seeding import generator
 
 MAX_ATOMS = 12
@@ -181,64 +186,57 @@ def _positive_projector(h: np.ndarray) -> np.ndarray:
     return v @ v.conj().T
 
 
-def diag_excess_search(M, budget: int = 200, seed: int = 0,
+def diag_excess_search(source, budget: int = 200, seed: int = 0,
                        sweeps: int = 50) -> SearchResult:
-    """Seeded multistart alternating ascent on Re d(p, q) = Re tr((p (x) q) M).
+    """Seeded multistart ascent on d(p, p) = ||A(p) S||_F^2, rho = S S^dagger.
 
-    Each slot update replaces one argument by the projector onto the
-    positive eigenspace of the induced Hermitian form, which maximizes the
-    slot-linear objective over all projections regardless of rank.  Since
-    the kernel is positive semidefinite, Re d(p, q) <= max(d(p,p), d(q,q)),
-    so the better diagonal at a fixed point certifies the ascent value.
-    Both induced forms and the diagonal are products with the realigned
-    kernel K = ``M.pair_matrix``, tr((p (x) q) M) = vec(p) @ K @ vec(q).
-    Deterministic given seed; a restart replaces the best only when its
-    value is larger by more than 1e-12, so ties within 1e-12 break to the
-    lowest restart index.
+    ``source`` is an ILSOperator, whose rho is its exact slice
+    M[(a,0,0,0), (0,0,b,0)], or any bound Evaluator; S = V sqrt(w) over the
+    nonzero weights.  Each sweep maximizes f(p, Phi) = Re tr(Phi^dagger A(p) S)
+    = tr(p Herm X(Phi)), X[(t,u),(u',v)] = delta(u,u') (S Phi^dagger)[t,v], in
+    one variable at a time, so d(p, p) = (max over unit Phi of f)^2 never
+    decreases:
+
+    * p <- the projector onto the positive eigenspace of Herm X(Phi);
+    * Phi <- A(p) S / ||A(p) S||_F, by one ``partial_traces`` call.
+
+    Restart 0 starts at Phi = S, restart i > 0 at a random d x rank(rho) Phi
+    from the ``search`` stream.  A restart replaces the best only when its
+    value is larger by more than 1e-12, so ties break to the lowest restart.
     """
     if budget < 1:
         raise ValidationError(f"budget must be >= 1, got {budget}")
     if sweeps < 1:
         raise ValidationError(f"sweeps must be >= 1, got {sweeps}")
-    dim = M.matrix.shape[0]
-    d_hist = int(round(dim ** 0.5))
-    if d_hist * d_hist != dim:
-        raise ShapeError(f"operator dimension {dim} is not a perfect square")
-    kernel = M.pair_matrix
-
-    def diag_value(p):
-        return float((p.reshape(-1) @ (kernel @ p.reshape(-1))).real)
-
-    best_val = -np.inf
-    best_p = None
-    best_restart = -1
+    d, n = source.single_dim, source.order
+    dim, r = d ** n, d ** (n - 1)
+    if isinstance(source, ILSOperator):
+        rho_m = source.matrix.reshape(d, r, r, d, r, d, d, r)[:, 0, 0, 0, 0, 0, :, 0]
+    else:
+        rho_m = density_matrix(source.rho)
+    w, v = np.linalg.eigh(rho_m)
+    s = v[:, w > 1e-12] * np.sqrt(w[w > 1e-12])
+    best_val, best_p, best_restart = -np.inf, None, -1
     for restart in range(budget):
-        rng = generator(seed, "search", restart)
-        xi = rng.standard_normal(d_hist) + 1j * rng.standard_normal(d_hist)
-        xi /= np.linalg.norm(xi)
-        q = np.outer(xi, np.conj(xi))
-        p = np.eye(d_hist, dtype=np.complex128)
+        phi = s
+        if restart:
+            rng = generator(seed, "search", restart)
+            phi = rng.standard_normal(s.shape) + 1j * rng.standard_normal(s.shape)
+        p = np.zeros((dim, dim), dtype=np.complex128)
         for _ in range(sweeps):
-            w = (kernel @ q.reshape(-1)).reshape(d_hist, d_hist).T
-            p_new = _positive_projector((w + w.conj().T) / 2.0)
-            t = (p_new.reshape(-1) @ kernel).reshape(d_hist, d_hist).T
-            q_new = _positive_projector((t + t.conj().T) / 2.0)
-            if (np.max(np.abs(p_new - p)) <= 1e-13 and
-                    np.max(np.abs(q_new - q)) <= 1e-13):
-                p, q = p_new, q_new
+            x = np.einsum("tv,wu->twuv", s @ phi.conj().T, np.eye(r)).reshape(dim, dim)
+            p_new = _positive_projector((x + x.conj().T) / 2.0)
+            if np.max(np.abs(p_new - p)) <= 1e-13:
                 break
-            p, q = p_new, q_new
-        for cand in (p, q):
-            val = diag_value(cand)
-            if val > best_val + TIE_TOL:
-                best_val = val
-                best_p = cand
-                best_restart = restart
-    hist = history_projection(best_p, M.order, M.single_dim)
+            p = p_new
+            a_s = partial_traces(p[None], d, n)[0][0] @ s
+            norm = np.linalg.norm(a_s)
+            phi = a_s / norm
+        val = float(norm ** 2)
+        if val > best_val + TIE_TOL:
+            best_val, best_p, best_restart = val, p, restart
+    hist = history_projection(best_p, n, d)
     rank = hist.projection.rank
-    xi_out = None
-    if rank == 1:
-        vals, vecs = np.linalg.eigh(best_p)
-        xi_out = np.ascontiguousarray(vecs[:, -1])
+    xi = np.ascontiguousarray(np.linalg.eigh(best_p)[1][:, -1]) if rank == 1 else None
     return SearchResult(projection=hist, value=best_val, rank=rank,
-                        restart_index=best_restart, xi=xi_out)
+                        restart_index=best_restart, xi=xi)

@@ -79,8 +79,8 @@ class ILSOperator:
     """Kernel operator M on the doubled history space.
 
     Satisfies trace(M) = 1 within 1e-9 and operator norm at most 1 + 1e-8;
-    both are checked at construction.  ``state_fingerprint`` hashes the
-    generating density operator.
+    both are checked by `build_M`.  The excess search reads rho from the slice
+    M[(a,0,0,0), (0,0,b,0)].  ``state_fingerprint`` hashes the state.
     """
 
     matrix: np.ndarray

@@ -243,13 +243,16 @@ def test_consistency_golden_inconsistent(tmp_path, capsys):
         "single_time_dim": 2, "order": 2, "members": members,
         "labels": ["+0", "+1", "-0", "-1"],
     })
-    code, out = run_json(capsys, ["consistency", "--rho", rho, "--family", family])
-    assert code == 0
-    assert out["consistent"] is False
-    assert out["max_re_offdiag"] == pytest.approx(0.25, abs=1e-12)
-    assert out["probabilities"] == pytest.approx(
-        {"+0": 0.25, "+1": 0.25, "-0": 0.25, "-1": 0.25}, abs=1e-12)
-    assert len(out["unphysical"]) == 2
+    # the batched Grams of stream and ils give the verdict of the series loop
+    for method in ("series", "stream", "ils"):
+        code, out = run_json(capsys, ["consistency", "--rho", rho, "--family", family,
+                                      "--method", method])
+        assert code == 0, method
+        assert out["consistent"] is False, method
+        assert out["max_re_offdiag"] == pytest.approx(0.25, abs=1e-12), method
+        assert out["probabilities"] == pytest.approx(
+            {"+0": 0.25, "+1": 0.25, "-0": 0.25, "-1": 0.25}, abs=1e-12), method
+        assert len(out["unphysical"]) == 2, method
 
 
 def test_consistency_matrix_members_consistent(tmp_path, capsys):
@@ -299,6 +302,25 @@ def test_search_excess_near_degenerate_rho(tmp_path, capsys):
             "--out", out_path], out_path)
         assert code == 0
         assert out["value"] >= 1.0
+
+
+def test_search_excess_at_the_history_cap(tmp_path, capsys):
+    # the search holds d**n x d**n projections and no kernel, so it runs up to
+    # the history cap of 64 and refuses beyond it
+    rho = rho_file(tmp_path, pure_state([1, 2j]))
+    out_path = str(tmp_path / "search.json")
+    code, out = run_json(capsys, ["search-excess", "--rho", rho, "-d", "2", "-n", "6",
+                                  "--budget", "2", "--out", out_path], out_path)
+    assert code == 0
+    assert out["value"] > 1.0
+    proj = jwrite(tmp_path, "proj.json", out["projection"])
+    code, again = run_json(capsys, ["eval", "--rho", rho, "--h", proj, "--k", proj,
+                                    "--method", "stream"])
+    assert code == 0
+    assert abs(complex(*again["value"]) - out["value"]) <= 1e-9
+    assert main(["search-excess", "--rho", rho, "-d", "2", "-n", "7",
+                 "--budget", "2"]) == 3
+    assert "exceeds cap 64" in capsys.readouterr().err
 
 
 def test_bench_csv(tmp_path):
