@@ -27,8 +27,8 @@ from .divergence import (DEFAULT_CONVERGENCE_THRESHOLD, DEFAULT_DIVERGENCE_THRES
 from .errors import (HistqError, NumericalError, ShapeError, SizeCapError,
                      ValidationError)
 from .historyspace import (DEFAULT_HISTORY_CAP, VALIDATION_TOL, DensityOperator,
-                           density_from_spectral, embed_homogeneous,
-                           history_projection)
+                           HomogeneousHistory, density_from_spectral,
+                           embed_homogeneous, history_projection)
 from .seeding import generator, stream_metadata
 
 
@@ -170,14 +170,14 @@ def _infer_order(dim: int, d: int) -> int:
 
 
 def _load_history_like(path: str, d: int, cfg: RunConfig):
-    """Returns ("homogeneous", HomogeneousHistory) or ("projection", HistoryProjection)."""
+    """A HomogeneousHistory or a HistoryProjection."""
     obj = serialize.load_json(path)
     if isinstance(obj, dict) and "projections" in obj:
-        return "homogeneous", serialize.history_from_json(obj, tol=cfg.validation_tol)
+        return serialize.history_from_json(obj, tol=cfg.validation_tol)
     if isinstance(obj, dict) and "rows" in obj:
         m = serialize.matrix_from_json(obj)
         n = _infer_order(m.shape[0], d)
-        return "projection", history_projection(m, n, d, tol=cfg.validation_tol)
+        return history_projection(m, n, d, tol=cfg.validation_tol)
     raise ValidationError(f"{path}: expected a history or matrix JSON object")
 
 
@@ -187,17 +187,20 @@ def _projection_residuals(m: np.ndarray) -> tuple[float, float]:
     return herm, idem
 
 
-def _factor_residuals(kind, obj) -> tuple[float, float]:
-    if kind == "homogeneous":
+def _factor_residuals(obj) -> tuple[float, float]:
+    if isinstance(obj, HomogeneousHistory):
         pairs = [_projection_residuals(p.matrix) for p in obj.projections]
         return max(p[0] for p in pairs), max(p[1] for p in pairs)
     return _projection_residuals(obj.matrix)
 
 
-def _check_history_cap(method: str, d: int, n: int, cfg: RunConfig) -> None:
+def _check_history_cap(method: str, rho: DensityOperator, d: int, n: int,
+                       cfg: RunConfig) -> None:
     """Refuse to embed histories of dimension d**n above the history cap;
-    ``direct`` holds only the d x d factors and is not capped."""
-    if method != "direct" and d ** n > cfg.history_cap:
+    ``direct`` holds only the d x d factors and is not capped.  A state of
+    another dimension than d passes, so that make_evaluator rejects it first
+    as a validation error."""
+    if method != "direct" and rho.dim == d and d ** n > cfg.history_cap:
         raise SizeCapError(
             f"history dimension {d}**{n}={d ** n} exceeds cap {cfg.history_cap}")
 
@@ -205,14 +208,14 @@ def _check_history_cap(method: str, d: int, n: int, cfg: RunConfig) -> None:
 def _cmd_eval(args, cfg: RunConfig) -> int:
     rho = _load_density(args.rho, cfg)
     d = rho.dim
-    kind_h, h = _load_history_like(args.h, d, cfg)
-    kind_k, k = _load_history_like(args.k, d, cfg)
+    h = _load_history_like(args.h, d, cfg)
+    k = _load_history_like(args.k, d, cfg)
     residuals = {"rho_trace": abs(float(np.sum(rho.weights)) - 1.0)}
-    residuals["h_hermitian"], residuals["h_idempotent"] = _factor_residuals(kind_h, h)
-    residuals["k_hermitian"], residuals["k_idempotent"] = _factor_residuals(kind_k, k)
+    residuals["h_hermitian"], residuals["h_idempotent"] = _factor_residuals(h)
+    residuals["k_hermitian"], residuals["k_idempotent"] = _factor_residuals(k)
     n = max(h.order, k.order)
-    if "homogeneous" in (kind_h, kind_k):
-        _check_history_cap(args.method, d, n, cfg)
+    if isinstance(h, HomogeneousHistory) or isinstance(k, HomogeneousHistory):
+        _check_history_cap(args.method, rho, d, n, cfg)
     evaluator = decoherence.make_evaluator(args.method, rho, d, n,
                                            cap=cfg.materialize_cap)
     value = evaluator.value(h, k)
@@ -229,9 +232,7 @@ def _cmd_eval(args, cfg: RunConfig) -> int:
 def _cmd_build_m(args, cfg: RunConfig) -> int:
     rho = _load_density(args.rho, cfg)
     # here -d defaults to the state's dimension, not to single_dim
-    d = rho.dim
-    if args.single_dim is not None and cfg.single_dim != d:
-        raise ValidationError(f"-d {cfg.single_dim} does not match the state dimension {d}")
+    d = rho.dim if args.single_dim is None else cfg.single_dim
     n = cfg.order
     M = decoherence.build_M(rho, d, n, cap=cfg.materialize_cap)
     serialize.dump_json(serialize.matrix_to_json(M.matrix), args.out)
@@ -251,9 +252,7 @@ def _cmd_build_m(args, cfg: RunConfig) -> int:
 def _cmd_verify(args, cfg: RunConfig) -> int:
     d, n, seed = cfg.single_dim, cfg.order, cfg.seed
     rho = _load_density(args.rho, cfg, default=_mixed_state(d, cfg))
-    if rho.dim != d:
-        raise ValidationError(f"-d {d} does not match the state dimension {rho.dim}")
-    _check_history_cap(args.method, d, n, cfg)
+    _check_history_cap(args.method, rho, d, n, cfg)
     evaluator = decoherence.make_evaluator(args.method, rho, d, n,
                                            cap=cfg.materialize_cap)
     report = decoherence.verify_axioms(evaluator, samples=args.samples,
@@ -328,9 +327,6 @@ def _cmd_consistency(args, cfg: RunConfig) -> int:
     members, labels = serialize.family_from_json(obj, cap=cfg.history_cap,
                                                  tol=cfg.validation_tol)
     fam = consistency.build_family(members, labels, tol=cfg.validation_tol)
-    if fam.single_dim != rho.dim:
-        raise ValidationError(
-            f"family dimension {fam.single_dim} does not match state dimension {rho.dim}")
     evaluator = decoherence.make_evaluator(args.method, rho, fam.single_dim,
                                            fam.order, cap=cfg.materialize_cap)
     report = consistency.check_consistent(evaluator, fam, tol=cfg.consistency_tol)
@@ -349,9 +345,7 @@ def _cmd_search_excess(args, cfg: RunConfig) -> int:
         xi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         xi = (xi / np.linalg.norm(xi)).reshape(d, 1)
         rho = density_from_spectral([1.0], xi, tol=cfg.validation_tol)
-    if rho.dim != d:
-        raise ValidationError(f"-d {d} does not match the state dimension {rho.dim}")
-    _check_history_cap("stream", d, n, cfg)
+    _check_history_cap("stream", rho, d, n, cfg)
     ev = decoherence.make_evaluator("stream", rho, d, n)
     res = consistency.diag_excess_search(ev, budget=args.budget, seed=seed, sweeps=args.sweeps)
     out = {
@@ -375,7 +369,7 @@ def _cmd_bench(args, cfg: RunConfig) -> int:
     if args.pairs < 1:
         raise ValidationError(f"--pairs must be >= 1, got {args.pairs}")
     for method in methods:
-        _check_history_cap(method, d, n, cfg)
+        _check_history_cap(method, rho, d, n, cfg)
     rng = generator(seed, "bench")
     pairs = [(decoherence.random_homogeneous(d, n, rng),
               decoherence.random_homogeneous(d, n, rng))

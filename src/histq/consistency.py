@@ -32,6 +32,9 @@ from .seeding import generator
 MAX_ATOMS = 12
 # a search restart must beat the best value by more than this to replace it
 TIE_TOL = 1e-12
+# a restart stops at the first sweep that raises its value by at most this,
+# relative to max(1, value)
+STOP_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -201,8 +204,11 @@ def diag_excess_search(source, budget: int = 200, seed: int = 0,
     * Phi <- A(p) S / ||A(p) S||_F, by one ``partial_traces`` call.
 
     Restart 0 starts at Phi = S, restart i > 0 at a random d x rank(rho) Phi
-    from the ``search`` stream.  A restart replaces the best only when its
-    value is larger by more than 1e-12, so ties break to the lowest restart.
+    from the ``search`` stream.  A restart ends after ``sweeps`` sweeps or at
+    the first sweep that raises d(p, p) by at most 1e-13 max(1, d(p, p)),
+    and reports that sweep's p and value.  A restart replaces the best only
+    when its value is larger by more than 1e-12, so ties break to the lowest
+    restart.
     """
     if budget < 1:
         raise ValidationError(f"budget must be >= 1, got {budget}")
@@ -222,17 +228,16 @@ def diag_excess_search(source, budget: int = 200, seed: int = 0,
         if restart:
             rng = generator(seed, "search", restart)
             phi = rng.standard_normal(s.shape) + 1j * rng.standard_normal(s.shape)
-        p = np.zeros((dim, dim), dtype=np.complex128)
+        val = 0.0
         for _ in range(sweeps):
             x = np.einsum("tv,wu->twuv", s @ phi.conj().T, np.eye(r)).reshape(dim, dim)
-            p_new = _positive_projector((x + x.conj().T) / 2.0)
-            if np.max(np.abs(p_new - p)) <= 1e-13:
-                break
-            p = p_new
+            p = _positive_projector((x + x.conj().T) / 2.0)
             a_s = partial_traces(p[None], d, n)[0][0] @ s
             norm = np.linalg.norm(a_s)
+            gain, val = norm ** 2 - val, float(norm ** 2)
+            if gain <= STOP_TOL * max(1.0, val):
+                break
             phi = a_s / norm
-        val = float(norm ** 2)
         if val > best_val + TIE_TOL:
             best_val, best_p, best_restart = val, p, restart
     hist = history_projection(best_p, n, d)

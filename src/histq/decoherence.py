@@ -42,9 +42,12 @@ bit-identical to the per-tuple scalar expansion.  `d_via_M` contracts the
 materialized kernel through its realignment K[(a,c),(b,e)] = M[(c,e),(a,b)],
 so tr((p (x) q) M) = vec(p) @ K @ vec(q).
 
-`make_evaluator` binds a method's Gram to (rho, d, n); its ``value`` and
-``gram`` take history projections and homogeneous histories alike and check
-both against (d, n) for every method.
+All four functions and the ``value`` and ``gram`` of the `Evaluator` that
+`make_evaluator` binds to (rho, d, n) take history projections and
+homogeneous histories alike (``direct`` only the latter), and one normalizer
+checks, pads and embeds them for every method.  The free functions take d
+from the state, or from the kernel for `d_via_M`, and n as the larger order
+of their two arguments, or the kernel's.
 """
 
 from __future__ import annotations
@@ -60,7 +63,6 @@ from .historyspace import (
     DensityOperator,
     HistoryProjection,
     HomogeneousHistory,
-    completed_basis,
     density_matrix,
     embed_homogeneous,
     history_projection,
@@ -107,27 +109,33 @@ def state_fingerprint(rho: DensityOperator) -> str:
     return h.hexdigest()
 
 
+def _normalize(method: str, d: int, n: int, xs) -> tuple:
+    """The arguments of every evaluator, checked against (d, n), padded and,
+    except for ``direct``, embedded by the rules of `Evaluator`."""
+    out = []
+    for x in xs:
+        homogeneous = isinstance(x, HomogeneousHistory)
+        if x.single_dim != d:
+            raise ShapeError(f"single-time dimension {x.single_dim} does not match "
+                             f"the evaluator's {d}")
+        if x.order > n or (x.order != n and not homogeneous):
+            raise ShapeError(f"order {x.order} does not fit the evaluator's order {n}")
+        if homogeneous:
+            x = pad_history(x, n)
+            if method != "direct":
+                x = embed_homogeneous(x, cap=d ** n)
+        elif method == "direct":
+            raise ShapeError("evaluator direct needs homogeneous histories")
+        out.append(x)
+    return tuple(out)
+
+
 def d_direct(rho: DensityOperator, h: HomogeneousHistory, k: HomogeneousHistory) -> complex:
     """Time-ordered product evaluation tr(h_n ... h_1 rho k_1 ... k_n)."""
-    if h.single_dim != rho.dim or k.single_dim != rho.dim:
-        raise ShapeError("histories and state must share the single-time dimension")
-    order = max(h.order, k.order)
-    h = pad_history(h, order)
-    k = pad_history(k, order)
+    h, k = _normalize("direct", rho.dim, max(h.order, k.order), (h, k))
     left = reduce(np.matmul, [p.matrix for p in reversed(h.projections)])
     right = reduce(np.matmul, [p.matrix for p in k.projections])
     return complex(np.trace(left @ density_matrix(rho) @ right))
-
-
-def _check_args(rho: DensityOperator, xs):
-    """(d, n) for history projections that share the state's single-time
-    dimension and one order; the first mismatch raises ShapeError."""
-    if any(x.single_dim != rho.dim for x in xs):
-        raise ShapeError("history projections and state must share the single-time dimension")
-    for x in xs:
-        if x.order != xs[0].order:
-            raise ShapeError(f"order mismatch {xs[0].order} vs {x.order}")
-    return rho.dim, xs[0].order
 
 
 def _place_value(digits, d: int):
@@ -144,7 +152,8 @@ def _real_product(xr, xi, yr, yi):
     return xr * yr - xi * yi, xr * yi + xi * yr
 
 
-def d_series(rho: DensityOperator, h: HistoryProjection, k: HistoryProjection) -> complex:
+def d_series(rho: DensityOperator, h: HistoryProjection | HomogeneousHistory,
+             k: HistoryProjection | HomogeneousHistory) -> complex:
     """Series evaluation: fixed-order sum of per-tuple contributions.
 
     Tuples are visited in lexicographic order and accumulated left to right,
@@ -155,17 +164,17 @@ def d_series(rho: DensityOperator, h: HistoryProjection, k: HistoryProjection) -
     never by complex-array multiply, so every step rounds as the scalar
     per-tuple expansion does and the value is bit-identical to it.
     """
-    d, n = _check_args(rho, (h, k))
-    full = completed_basis(rho)
-    J = np.indices((d,) * (2 * n)).reshape(2 * n, -1)
-    J = J[:, full.weights[J[0]] != 0.0]
+    d, n = rho.dim, max(h.order, k.order)
+    h, k = _normalize("series", d, n, (h, k))
+    J = np.indices((len(rho.weights),) + (d,) * (2 * n - 1)).reshape(2 * n, -1)
+    J = J[:, rho.weights[J[0]] != 0.0]
     # tuple slots: u = (j_2n, ..., j_{n+2}), v = j_{n+1}, w = (j_2, ..., j_n)
     u = _place_value(J[2 * n - 1:n:-1], d)
     w = _place_value(J[1:n], d)
     row_a = u * d + J[n]
     col_b = w * d + J[n]
     r = d ** (n - 1)
-    psi = full.vectors[:, J[0]]
+    psi = rho.vectors[:, J[0]]
     ar = ai = br = bi = 0.0
     for t in range(d):
         hv = h.matrix[row_a, t * r + u]
@@ -176,7 +185,7 @@ def d_series(rho: DensityOperator, h: HistoryProjection, k: HistoryProjection) -
         br, bi = br + pr, bi + pi
     xr, xi = _real_product(ar, ai, br, bi)
     # a real weight times a complex term multiplies as complex (w + 0j)
-    xr, xi = _real_product(full.weights[J[0]], 0.0, xr, xi)
+    xr, xi = _real_product(rho.weights[J[0]], 0.0, xr, xi)
     total_r = np.add.accumulate(np.concatenate(([0.0], xr)))[-1]
     total_i = np.add.accumulate(np.concatenate(([0.0], xi)))[-1]
     return complex(total_r, total_i)
@@ -190,18 +199,20 @@ def build_M(rho: DensityOperator, d: int, n: int,
 
     Raises
     ------
+    ShapeError
+        If the state's dimension is not d; checked before the cap.
     SizeCapError
         If the doubled dimension d**(2n) exceeds ``cap``; use
         ``d_via_M_streaming`` instead in that regime.
     """
+    if rho.dim != d:
+        raise ShapeError(f"state dimension {rho.dim} does not match d={d}")
     dd = d ** (2 * n)
     if dd > cap:
         raise SizeCapError(
             f"doubled dimension {d}**{2 * n}={dd} exceeds materialization cap "
             f"{cap}; evaluate with d_via_M_streaming instead"
         )
-    if rho.dim != d:
-        raise ShapeError(f"state dimension {rho.dim} does not match d={d}")
     rho_m = density_matrix(rho)
     r = d ** (n - 1)
     eye_r = np.eye(r, dtype=np.complex128)
@@ -226,13 +237,11 @@ def _ils_gram(M: ILSOperator, ps, qs) -> np.ndarray:
     return vp @ (M.pair_matrix @ vq.T)
 
 
-def d_via_M(M: ILSOperator, p: HistoryProjection, q: HistoryProjection) -> complex:
+def d_via_M(M: ILSOperator, p: HistoryProjection | HomogeneousHistory,
+            q: HistoryProjection | HomogeneousHistory) -> complex:
     """Kernel evaluation tr((p (x) q) M) = vec(p) @ K @ vec(q) with K the
     realigned kernel ``M.pair_matrix``: the one-pair ``ils`` Gram."""
-    if p.single_dim != M.single_dim or q.single_dim != M.single_dim:
-        raise ShapeError("history projections must match the kernel's single-time dimension")
-    if p.order != M.order or q.order != M.order:
-        raise ShapeError("history projections must match the kernel's order")
+    p, q = _normalize("ils", M.single_dim, M.order, (p, q))
     return complex(_ils_gram(M, (p,), (q,))[0, 0])
 
 
@@ -253,12 +262,13 @@ def _stream_gram(rho_m: np.ndarray, d: int, n: int, ps, qs) -> np.ndarray:
     return np.einsum("ivt,ts,jsv->ij", a[:len(ps)], rho_m, b[len(ps):])
 
 
-def d_via_M_streaming(rho: DensityOperator, p: HistoryProjection,
-                      q: HistoryProjection) -> complex:
+def d_via_M_streaming(rho: DensityOperator, p: HistoryProjection | HomogeneousHistory,
+                      q: HistoryProjection | HomogeneousHistory) -> complex:
     """Kernel evaluation without materializing M: tr(A(p) rho B(q)) with the
     partial traces A and B of the module docstring, the one-pair ``stream``
     Gram."""
-    d, n = _check_args(rho, (p, q))
+    d, n = rho.dim, max(p.order, q.order)
+    p, q = _normalize("stream", d, n, (p, q))
     return complex(_stream_gram(density_matrix(rho), d, n, (p,), (q,))[0, 0])
 
 
@@ -281,6 +291,8 @@ class Evaluator:
     the realigned kernel, and ``series`` and ``direct`` by one call per pair.
     ``series``, ``ils`` and ``stream`` embed homogeneous histories;
     ``direct`` needs them and raises ShapeError on history projections.
+    The four free functions take their arguments by the same rules, with n
+    the larger order of the two, or the kernel's order for `d_via_M`.
     """
 
     method: str
@@ -289,29 +301,10 @@ class Evaluator:
     order: int
     _gram: object
 
-    def _normalize(self, xs) -> tuple:
-        d, n = self.single_dim, self.order
-        out = []
-        for x in xs:
-            homogeneous = isinstance(x, HomogeneousHistory)
-            if x.single_dim != d:
-                raise ShapeError(f"single-time dimension {x.single_dim} does not match "
-                                 f"the evaluator's {d}")
-            if x.order > n or (x.order != n and not homogeneous):
-                raise ShapeError(f"order {x.order} does not fit the evaluator's order {n}")
-            if homogeneous:
-                x = pad_history(x, n)
-                if self.method != "direct":
-                    x = embed_homogeneous(x, cap=d ** n)
-            elif self.method == "direct":
-                raise ShapeError("evaluator direct needs homogeneous histories")
-            out.append(x)
-        return tuple(out)
-
     def gram(self, xs, ys) -> np.ndarray:
         """(len(xs), len(ys)) complex matrix of the values d(xs[i], ys[j])."""
         xs, ys = tuple(xs), tuple(ys)
-        args = self._normalize(xs + ys)
+        args = _normalize(self.method, self.single_dim, self.order, xs + ys)
         if not xs or not ys:
             return np.zeros((len(xs), len(ys)), dtype=np.complex128)
         return self._gram(args[:len(xs)], args[len(xs):])

@@ -8,14 +8,17 @@ import numpy as np
 
 from .errors import ShapeError, ValidationError
 from .historyspace import (
+    DEFAULT_HISTORY_CAP,
     DensityOperator,
     HistoryProjection,
     HomogeneousHistory,
     density_from_matrix,
     density_from_spectral,
+    embed_homogeneous,
     history_projection,
     homogeneous_history,
 )
+from .quadform import simple_tensor_sum
 
 
 def matrix_to_json(m: np.ndarray) -> dict:
@@ -139,8 +142,6 @@ def tensor_sum_to_json(z) -> dict:
 
 
 def tensor_sum_from_json(obj):
-    from .quadform import simple_tensor_sum
-
     n = _json_int(obj, "order", "tensor-sum")
     d = _json_int(obj, "dim", "tensor-sum")
     terms = obj.get("terms")
@@ -148,21 +149,22 @@ def tensor_sum_from_json(obj):
         raise ValidationError('tensor-sum JSON needs a "terms" list')
     parsed = []
     for term in terms:
+        if not isinstance(term, list):
+            raise ValidationError(
+                f"tensor-sum term must be a list of factors, got {type(term).__name__}")
         if len(term) != n:
             raise ValidationError(f"term has {len(term)} factors, order is {n}")
         parsed.append(tuple(matrix_from_json(f) for f in term))
     return simple_tensor_sum(parsed, order=n, single_dim=d)
 
 
-def family_from_json(obj, cap: int = 64, tol: float = 1e-8):
+def family_from_json(obj, cap: int = DEFAULT_HISTORY_CAP, tol: float = 1e-8):
     """Parse {"single_time_dim", "order", "members": [...]} into projections.
 
     Each member is either a homogeneous history object (embedded here) or
     {"matrix": matrix-json} giving the tensor-space projection directly.
     Returns (members, labels).
     """
-    from .historyspace import embed_homogeneous
-
     d = _json_int(obj, "single_time_dim", "family")
     n = _json_int(obj, "order", "family")
     raw = obj.get("members")

@@ -7,6 +7,7 @@ section only.
 
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -130,7 +131,7 @@ def test_criterion_6_unboundedness_probe(tmp_path, capsys):
     csv_path = str(tmp_path / "probe.csv")
     assert main(["unbounded-probe", "--sizes", ",".join(map(str, sizes)),
                  "--out", csv_path]) == 0
-    lines = open(csv_path, encoding="utf-8").read().strip().split("\n")
+    lines = Path(csv_path).read_text(encoding="utf-8").strip().split("\n")
     assert lines[0] == "N,norm,value"
     table = [line.split(",") for line in lines[1:]]
     slope = np.polyfit([float(r[0]) for r in table],

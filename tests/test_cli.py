@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ def run_json(capsys, argv, out_path=None):
 
 
 def read_csv(path):
-    lines = open(path, encoding="utf-8").read().strip().split("\n")
+    lines = Path(path).read_text(encoding="utf-8").strip().split("\n")
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
 
 
@@ -140,7 +141,7 @@ def test_build_m_roundtrip(tmp_path, capsys):
         assert summary["dim"] == 16
         assert summary["trace"] == pytest.approx([1.0, 0.0], abs=1e-9)
         assert len(summary["state_fingerprint"]) == 64
-        m = serialize.matrix_from_json(json.loads(open(out_path).read()))
+        m = serialize.matrix_from_json(json.loads(Path(out_path).read_text()))
         assert m.shape == (16, 16)
         assert abs(np.trace(m) - 1.0) <= 1e-9
 
@@ -368,8 +369,7 @@ def test_reruns_are_byte_identical(tmp_path, capsys):
                      "--seed", "3", "--out", s]) == 0
         assert main(["diverge", "--p", "builtin:identity", "--q", "builtin:qu",
                      "--dim", "2", "--out", d]) == 0
-        pairs.append((open(v, "rb").read(), open(s, "rb").read(),
-                      open(d, "rb").read()))
+        pairs.append(tuple(Path(f).read_bytes() for f in (v, s, d)))
     assert pairs[0] == pairs[1]
 
 
@@ -446,3 +446,28 @@ def test_invalid_settings_exit_2_without_traceback(tmp_path, capsys, argv):
     assert err.startswith("validation error:")
     assert "Traceback" not in err
 
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "-d", "9", "-n", "2", "--method", "stream"],
+    ["search-excess", "-d", "9", "-n", "2"],
+    ["build-m", "-d", "5", "-n", "3", "--out", "{out}"],
+], ids=" ".join)
+def test_state_dimension_is_checked_before_the_size_caps(tmp_path, capsys, argv):
+    # -d disagrees with the 2-dim state and d**n is above the history cap
+    # (verify, search-excess) or d**(2n) above the materialization cap
+    # (build-m): the mismatch is reported, not the cap
+    rho = rho_file(tmp_path, pure_e1(2))
+    argv = [a.format(out=tmp_path / "m.json") for a in argv] + ["--rho", rho]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: state dimension 2 does not match d=")
+
+
+def test_quadform_rejects_a_term_that_is_not_a_list(tmp_path, capsys):
+    rho = rho_file(tmp_path, pure_e1(2))
+    z = jwrite(tmp_path, "z.json", {"order": 2, "dim": 2, "terms": [1]})
+    assert main(["quadform", "--rho", rho, "--z", z, "--w", z]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: tensor-sum term must be a list")
+    assert "Traceback" not in err

@@ -512,3 +512,16 @@ def test_kernel_slice_is_the_state(d, n, state):
     r = d ** (n - 1)
     m = build_M(rho, d, n).matrix.reshape(d, r, r, d, r, d, d, r)
     assert np.array_equal(m[:, 0, 0, 0, 0, 0, :, 0], density_matrix(rho))
+
+
+@pytest.mark.parametrize("state", ["pure", "mixed"])
+def test_search_stops_once_the_value_settles(state):
+    # a restart ends when a sweep stops raising d(p, p), long before 1000
+    # sweeps; the value and rank do not depend on the sweep limit
+    rho = pure_state([1, 2j]) if state == "pure" else random_density(2, np.random.default_rng(4))
+    ev = make_evaluator("stream", rho, 2, 2)
+    short = cs.diag_excess_search(ev, budget=20, seed=1, sweeps=50)
+    long = cs.diag_excess_search(ev, budget=20, seed=1, sweeps=1000)
+    assert abs(short.value - long.value) <= 1e-12
+    assert short.rank == long.rank
+    assert abs(long.value - 2.25) <= 1e-12

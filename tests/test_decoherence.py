@@ -1,4 +1,5 @@
 import itertools
+from functools import partial
 
 import numpy as np
 import pytest
@@ -406,3 +407,60 @@ def test_pair_matrix_is_a_lazy_cached_realignment(rng):
     k4 = K.reshape(dim, dim, dim, dim)
     for a, c, b, e in itertools.product(range(dim), repeat=4):
         assert k4[a, c, b, e] == m4[c, e, a, b]
+
+
+def _free_value(method, rho, M, x, y):
+    if method == "direct":
+        return dec.d_direct(rho, x, y)
+    if method == "series":
+        return dec.d_series(rho, x, y)
+    if method == "ils":
+        return dec.d_via_M(M, x, y)
+    return dec.d_via_M_streaming(rho, x, y)
+
+
+def _hex(z):
+    return complex(z).real.hex(), complex(z).imag.hex()
+
+
+@pytest.mark.parametrize("spectrum", ["full", "rank-deficient"])
+@pytest.mark.parametrize("dn", [(2, 1), (2, 2), (3, 2), (2, 3)])
+def test_free_functions_take_what_the_evaluator_takes(dn, spectrum):
+    # each free function checks, pads and embeds its arguments as the bound
+    # evaluator does, so it returns the same bits on both argument kinds and
+    # raises the same ShapeError; d_series, d_via_M and d_via_M_streaming
+    # used to raise AttributeError on homogeneous histories, and d_direct on
+    # history projections
+    d, n = dn
+    rng = np.random.default_rng([d, n, SPECTRA.index(spectrum)])
+    rho = _spectrum_state(spectrum, d, rng)
+    M = dec.build_M(rho, d, n)
+    h = homogeneous_history([random_proj(d, rng) for _ in range(n)])
+    k = homogeneous_history([random_proj(d, rng) for _ in range(n)])
+    args = {"homogeneous": (h, k),
+            "projection": tuple(history_projection(random_proj(d ** n, rng), n, d)
+                                for _ in range(2))}
+    for method in ("direct", "series", "ils", "stream"):
+        ev = dec.make_evaluator(method, rho, d, n)
+        for kind, (x, y) in args.items():
+            if method == "direct" and kind == "projection":
+                for call in (partial(_free_value, method, rho, M), ev.value):
+                    with pytest.raises(ShapeError):
+                        call(x, y)
+                continue
+            got = _free_value(method, rho, M, x, y)
+            assert _hex(got) == _hex(ev.value(x, y)), (method, kind)
+
+
+def test_free_functions_refuse_mixed_orders_and_other_dimensions():
+    rho, M = pure_e1(2), dec.build_M(pure_e1(2), 2, 2)
+    p2, p3 = identity_history_projection(2, 2), identity_history_projection(2, 3)
+    h3 = homogeneous_history([np.eye(3)] * 2)
+    q3 = identity_history_projection(3, 2)
+    for method in ("direct", "series", "ils", "stream"):
+        for x, y in ((p2, p3), (p3, p2), (h3, h3), (q3, p2), (p2, q3)):
+            with pytest.raises(ShapeError):
+                _free_value(method, rho, M, x, y)
+    # the kernel fixes the order: a longer homogeneous history does not fit
+    with pytest.raises(ShapeError, match="does not fit"):
+        dec.d_via_M(M, homogeneous_history([P0] * 3), homogeneous_history([P0] * 3))

@@ -141,6 +141,9 @@ def test_tensor_sum_round_trip():
                                  "terms": [[sz.matrix_to_json(np.eye(2))]]})
     with pytest.raises(ValidationError, match="order"):
         sz.tensor_sum_from_json(dict(sz.tensor_sum_to_json(z), order=2.5))
+    for term in (1, None, "ab", {"rows": 2}):
+        with pytest.raises(ValidationError, match="term must be a list"):
+            sz.tensor_sum_from_json({"order": 2, "dim": 2, "terms": [term]})
 
 
 def test_family_from_json_both_member_forms():
