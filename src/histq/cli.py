@@ -160,7 +160,7 @@ def _pure_e1(d: int, cfg: RunConfig) -> DensityOperator:
 def _infer_order(dim: int, d: int) -> int:
     n = 0
     acc = 1
-    while acc < dim:
+    while acc < dim and d > 1:
         acc *= d
         n += 1
     if acc != dim:

@@ -4,11 +4,12 @@ For order-2 arguments the tuple series collapses to S = sum_j1 w_j1
 sum_j3 a[j3] b[j3], where the a and b tables absorb the inner sums over the
 remaining auxiliary indices.  Scale-free operator families (identity, slot
 swap, symmetric-subspace projector) have closed-form tables at every
-truncation cutoff, so partial sums can be followed to cutoffs far beyond any
-materializable dimension.  The classifier maps the partial-sum trace to a
-finite value or a divergence verdict; divergence at truncation scale is a
-heuristic reading of the true infinite series, so the trace always ships
-with the verdict.
+truncation cutoff.  A table stops where its data does, at the state's
+dimension or the operator's block, so a partial sum costs O(dim) at any
+cutoff up to MAX_CUTOFF = 2**53, where float(cut) is still exact.  The
+classifier maps the partial-sum trace to a finite value or a divergence
+verdict; divergence at truncation scale is a heuristic reading of the true
+infinite series, so the trace always ships with the verdict.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .historyspace import (DensityOperator, HistoryProjection, Projection,
 DEFAULT_CONVERGENCE_THRESHOLD = 1e-9
 DEFAULT_DIVERGENCE_THRESHOLD = 1e6
 SWAP_DIM_CAP = 4096
+MAX_CUTOFF = 2 ** 53
 
 
 @dataclass(frozen=True)
@@ -39,6 +41,8 @@ class TruncationSchedule:
             raise ValidationError(f"need at least 3 cutoffs, got {len(cuts)}")
         if cuts[0] < 1:
             raise ValidationError("cutoffs must be positive")
+        if cuts[-1] > MAX_CUTOFF:
+            raise ValidationError(f"cutoffs must be at most 2**53, got {cuts[-1]}")
         if any(b <= a for a, b in zip(cuts, cuts[1:])):
             raise ValidationError("cutoffs must be strictly increasing")
         if not (0.0 < self.convergence_threshold < self.divergence_threshold):
@@ -79,7 +83,8 @@ class PairOperator:
 
     a_table(psi, cut)[j] collects the inner sums of the left argument at
     auxiliary index j; b_table the right argument.  Tables must agree with
-    the dense doubled matrix whenever one exists.
+    the dense doubled matrix whenever one exists.  A table may stop before
+    cut; its missing entries count as zero.
     """
 
     def a_table(self, psi: np.ndarray, cut: int) -> np.ndarray:
@@ -89,24 +94,17 @@ class PairOperator:
         raise NotImplementedError
 
 
-def _pad(psi: np.ndarray, cut: int) -> np.ndarray:
-    out = np.zeros(cut, dtype=np.complex128)
-    k = min(cut, psi.shape[0])
-    out[:k] = psi[:k]
-    return out
-
-
 class _ScaledPair(PairOperator):
-    """Scale-free family: both tables are the padded state times scale(cut)."""
+    """Scale-free family: both tables are the state times scale(cut)."""
 
     def scale(self, cut: int) -> float:
         raise NotImplementedError
 
     def a_table(self, psi, cut):
-        return self.scale(cut) * _pad(psi, cut)
+        return self.scale(cut) * psi[:cut]
 
     def b_table(self, psi, cut):
-        return self.scale(cut) * np.conj(_pad(psi, cut))
+        return self.scale(cut) * np.conj(psi[:cut])
 
 
 class IdentityPair(_ScaledPair):
@@ -129,7 +127,7 @@ class SymmetricSubspacePair(_ScaledPair):
 
 
 class MatrixPairOperator(PairOperator):
-    """Fixed matrix on a finite doubled space; tables vanish beyond its block."""
+    """Fixed matrix on a finite doubled space; tables stop at its block."""
 
     def __init__(self, matrix: np.ndarray, single_dim: int):
         matrix = np.ascontiguousarray(matrix, dtype=np.complex128)
@@ -140,32 +138,19 @@ class MatrixPairOperator(PairOperator):
         self.single_dim = s
         self._m4 = matrix.reshape(s, s, s, s)
 
-    def _padded_state(self, psi):
-        s = self.single_dim
-        if psi.shape[0] > s:
-            raise ShapeError(
-                f"state dimension {psi.shape[0]} exceeds operator block {s}")
-        out = np.zeros(s, dtype=np.complex128)
-        out[:psi.shape[0]] = psi
-        return out
+    def _state_dim(self, psi) -> int:
+        t = psi.shape[0]
+        if t > self.single_dim:
+            raise ShapeError(f"state dimension {t} exceeds operator block {self.single_dim}")
+        return t
 
     def a_table(self, psi, cut):
-        s = self.single_dim
-        k = min(cut, s)
-        full = np.einsum("ajta,t->j", self._m4[:k, :, :, :k],
-                         self._padded_state(psi))
-        out = np.zeros(cut, dtype=np.complex128)
-        out[:k] = full[:k]
-        return out
+        t = self._state_dim(psi)
+        return np.einsum("ajta,t->j", self._m4[:cut, :cut, :t, :cut], psi)
 
     def b_table(self, psi, cut):
-        s = self.single_dim
-        k = min(cut, s)
-        full = np.einsum("taaj,t->j", self._m4[:, :k, :k, :],
-                         np.conj(self._padded_state(psi)))
-        out = np.zeros(cut, dtype=np.complex128)
-        out[:k] = full[:k]
-        return out
+        t = self._state_dim(psi)
+        return np.einsum("taaj,t->j", self._m4[:t, :cut, :cut, :cut], np.conj(psi))
 
 
 BUILTIN_PAIRS = {
@@ -250,8 +235,8 @@ def truncated_d(rho: DensityOperator, P, Q,
             a = p_op.a_table(psi, cut)
             b = q_op.b_table(psi, cut)
             acc = 0j
-            for j in range(cut):
-                acc += a[j] * b[j]
+            for x, y in zip(a, b):
+                acc += x * y
             total += wgt * acc
         sums.append(complex(total))
     return _classify(tuple(schedule.cutoffs), tuple(sums), schedule)

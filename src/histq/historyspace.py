@@ -112,7 +112,8 @@ def validate_projection(m, tol: float = VALIDATION_TOL) -> Projection:
         If idempotence, self-adjointness, or trace integrality fails; the
         message reports the offending maximum residual.
     """
-    m = matrixcore.as_complex_matrix(m)
+    # a copy, so that a Projection never aliases its input
+    m = matrixcore.as_complex_matrix(np.array(m, dtype=np.complex128, order="C"))
     if m.shape[0] != m.shape[1]:
         raise ShapeError(f"projection must be square, got {m.shape}")
     herm = float(np.max(np.abs(m - m.conj().T)))

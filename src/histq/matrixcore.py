@@ -14,8 +14,12 @@ ARITH_TOL = 1e-10
 
 
 def as_complex_matrix(obj) -> np.ndarray:
-    """Coerce to a C-ordered 2-d complex128 array with finite entries."""
-    m = np.array(obj, dtype=np.complex128, order="C")
+    """Coerce to a C-ordered 2-d complex128 array with finite entries.
+
+    An array that is already C-ordered complex128 is checked and returned
+    as is, not copied.
+    """
+    m = np.asarray(obj, dtype=np.complex128, order="C")
     if m.ndim != 2:
         raise ShapeError(f"expected a 2-d array, got ndim={m.ndim}")
     if m.shape[0] < 1 or m.shape[1] < 1:

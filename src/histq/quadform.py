@@ -39,7 +39,10 @@ class SimpleTensorSum:
 
 def simple_tensor_sum(terms, order: int | None = None,
                       single_dim: int | None = None) -> SimpleTensorSum:
-    """Validate factor shapes and assemble a SimpleTensorSum."""
+    """Validate factor shapes and assemble a SimpleTensorSum.
+
+    Factors that are already C-ordered complex128 arrays are kept, not copied.
+    """
     parsed = []
     for term in terms:
         factors = tuple(matrixcore.as_complex_matrix(f) for f in term)

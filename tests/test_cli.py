@@ -124,6 +124,20 @@ def test_eval_exit_codes(tmp_path, capsys):
         capsys.readouterr()
 
 
+def test_eval_one_dim_state(tmp_path, capsys):
+    rho = rho_file(tmp_path, pure_state([1]))
+    one = jwrite(tmp_path, "one.json", serialize.matrix_to_json(np.eye(1)))
+    code, out = run_json(capsys, ["eval", "--rho", rho, "--h", one, "--k", one,
+                                  "--method", "stream"])
+    assert code == 0
+    assert out["value"] == [1.0, 0.0]
+    # a 2 x 2 matrix is no power of 1: rejected at once, not searched for forever
+    two = jwrite(tmp_path, "two.json", serialize.matrix_to_json(np.eye(2)))
+    assert main(["eval", "--rho", rho, "--h", two, "--k", two, "--method", "stream"]) == 2
+    assert ("matrix dimension 2 is not a power of the single-time dimension 1"
+            in capsys.readouterr().err)
+
+
 def test_help_and_version(capsys):
     assert main(["--help"]) == 0
     assert "histq" in capsys.readouterr().out

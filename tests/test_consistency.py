@@ -478,6 +478,48 @@ def test_search_reaches_the_symmetric_subspace_value(d, state):
         assert res.rank == (d if state == "pure" else d * (d + 1) // 2), seed
 
 
+def pure_state_witness(psi, n):
+    # p* projects onto the positive eigenspace of Herm X, where
+    # X[(t,u),(u',v)] = delta(u,u') psi_t conj(psi_v), u running over the
+    # last n - 1 slots of the row and the first n - 1 slots of the column
+    d, r = psi.shape[0], psi.shape[0] ** (n - 1)
+    x = (psi[:, None, None, None] * np.eye(r)[None, :, :, None]
+         * psi.conj()[None, None, None, :]).reshape(d ** n, d ** n)
+    w, v = np.linalg.eigh((x + x.conj().T) / 2.0)
+    keep = v[:, w > 1e-9]
+    return history_projection(keep @ keep.conj().T, n, d)
+
+
+PURE_STATE_SUPREMUM = {
+    2: lambda d: ((d + 1) / 2) ** 2,
+    3: lambda d: ((d * d - 2 * d + 3 + (d - 1) * np.sqrt(2)) / 2) ** 2,
+}
+
+
+@pytest.mark.parametrize("d, n, rank", [(2, 2, 2), (3, 2, 3), (4, 2, 4),
+                                        (2, 3, 3), (3, 3, 7), (4, 3, 13)])
+def test_pure_state_witness_attains_the_closed_form(d, n, rank):
+    # the named witness p* of a pure state gives s(d, n)^2 through every
+    # evaluator that can hold it, and the ascent from a stream evaluator
+    # reaches the same value with a projection of the same rank; nothing
+    # here claims that s(d, n)^2 bounds d(p, p) from above
+    rng = np.random.default_rng([d, n, 11])
+    psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    psi /= np.linalg.norm(psi)
+    rho = pure_state(psi)
+    p = pure_state_witness(psi, n)
+    want = PURE_STATE_SUPREMUM[n](d)
+    assert p.projection.rank == rank
+    # ils at (4, 3) would need M of doubled dimension 4096, above the kernel cap
+    methods = ("series", "stream") if (d, n) == (4, 3) else ("series", "stream", "ils")
+    for method in methods:
+        got = make_evaluator(method, rho, d, n).value(p, p)
+        assert abs(got - want) <= 1e-9, method
+    res = cs.diag_excess_search(make_evaluator("stream", rho, d, n), budget=10, seed=0)
+    assert abs(res.value - want) <= 1e-9
+    assert res.rank == rank
+
+
 def test_search_value_never_decreases_with_sweeps():
     # each half-step maximizes Re tr(Phi^dagger A(p) S) in one variable, so
     # the diagonal of one restart climbs with every sweep; on these mixed

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from histq import divergence as dv
+from histq.cli import main
 from histq.decoherence import d_series
 from histq.errors import ShapeError, SizeCapError, ValidationError
 from histq.historyspace import history_projection, homogeneous_history
@@ -69,6 +70,9 @@ def test_schedule_validation():
                               divergence_threshold=1.0)
     with pytest.raises(ValidationError, match="threshold"):
         dv.TruncationSchedule(cutoffs=(4, 8, 16), convergence_threshold=0.0)
+    with pytest.raises(ValidationError, match="at most 2\\*\\*53"):
+        dv.TruncationSchedule(cutoffs=(4, 8, 2**53 + 1))
+    assert dv.TruncationSchedule(cutoffs=(4, 8, 2**53)).cutoffs[-1] == dv.MAX_CUTOFF
 
 
 def test_default_schedule_powers_of_two():
@@ -137,6 +141,65 @@ def test_non_convergent_reason():
     assert [s.real for s in out.partial_sums] == [4.0, 1.0, 4.0]
     assert out.kind == "Divergent"
     assert out.reason == "non-convergent"
+
+
+def test_cutoff_far_beyond_any_table():
+    # each table stops at the state's dimension, so 10**15 costs what 8 does
+    schedule = dv.TruncationSchedule(cutoffs=(4, 8, 10**15))
+    out = dv.truncated_d(pure_e1(2), dv.IdentityPair(), dv.SymmetricSubspacePair(),
+                         schedule)
+    assert out.kind == "Divergent"
+    assert out.reason == "threshold"
+    assert out.partial_sums[-1] == complex(5e14 + 0.5)
+
+
+def test_diverge_cli_at_huge_cutoffs(tmp_path, capsys):
+    out_path = tmp_path / "div.csv"
+    argv = ["diverge", "--p", "builtin:identity", "--q", "builtin:qu", "--dim", "2",
+            "--out", str(out_path), "--cutoffs"]
+    assert main(argv + ["4,8,1000000000000000"]) == 0
+    rows = out_path.read_text(encoding="utf-8").split()
+    assert rows[-1] == "1000000000000000,500000000000000.5,0.0,Divergent"
+    assert main(argv + ["4,8,1" + "0" * 399]) == 2
+    assert "at most 2**53" in capsys.readouterr().err
+
+
+def test_tables_stop_at_the_data(rng):
+    rho = random_density(3, rng)
+    psi = rho.vectors[:, 0]
+    qu5 = dv.MatrixPairOperator(dv.q_u(5).matrix, 5)
+    for cut in (1, 2, 3, 4, 10**15):
+        for op, block in ((dv.SwapPair(), 3), (qu5, 5)):
+            assert op.a_table(psi, cut).shape == (min(cut, block),)
+            assert op.b_table(psi, cut).shape == (min(cut, block),)
+
+
+class HeadPair(dv.PairOperator):
+    """The state's first two entries at every cutoff, optionally zero-padded to cut."""
+
+    def __init__(self, padded):
+        self.padded = padded
+
+    def _table(self, v, cut):
+        out = np.zeros(cut if self.padded else min(cut, 2), dtype=np.complex128)
+        out[:min(cut, 2)] = v[:min(cut, 2)]
+        return out
+
+    def a_table(self, psi, cut):
+        return self._table(psi, cut)
+
+    def b_table(self, psi, cut):
+        return self._table(np.conj(psi), cut)
+
+
+def test_short_tables_sum_as_if_zero_padded(rng):
+    rho = random_density(3, rng)
+    schedule = dv.TruncationSchedule(cutoffs=(1, 2, 3, 5))
+    short, padded, swap = HeadPair(False), HeadPair(True), dv.SwapPair()
+    for p, q, p0, q0 in ((short, short, padded, padded), (short, swap, padded, swap),
+                         (swap, short, swap, padded)):
+        assert (dv.truncated_d(rho, p, q, schedule).partial_sums
+                == dv.truncated_d(rho, p0, q0, schedule).partial_sums)
 
 
 def test_embedded_history_pair_matches_series(rng):

@@ -37,6 +37,14 @@ def test_validate_projection_never_repairs():
     assert np.array_equal(loose.matrix, bumped)
 
 
+def test_validate_projection_copies_its_input():
+    m = np.array(P0, dtype=np.complex128)
+    p = hs.validate_projection(m)
+    assert not np.shares_memory(p.matrix, m)
+    m[0, 0] = 0.0
+    assert p.matrix[0, 0] == 1.0
+
+
 def test_density_from_spectral_pure_and_mixed():
     rho = hs.density_from_spectral([1.0], np.array([[1], [0]], dtype=complex))
     assert rho.dim == 2 and np.array_equal(rho.weights, [1.0])

@@ -8,7 +8,7 @@ import pytest
 from histq import matrixcore as mc
 from histq import quadform as qf
 from histq.decoherence import d_direct
-from histq.errors import ShapeError
+from histq.errors import ShapeError, ValidationError
 from histq.historyspace import density_from_spectral, density_matrix, homogeneous_history
 
 from conftest import (P0, P1, haar_unitary, pure_e1, pure_state, random_density,
@@ -16,6 +16,19 @@ from conftest import (P0, P1, haar_unitary, pure_e1, pure_state, random_density,
 
 X1 = np.array([[1, 2], [3, 4]], dtype=np.complex128)
 X2 = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+
+
+def test_simple_tensor_sum_validates_complex_factors_without_copying():
+    z = qf.simple_tensor_sum([(X1, X2)])
+    assert z.terms[0][0] is X1 and z.terms[0][1] is X2
+    f0, f1 = qf.simple_tensor_sum([(np.eye(2), np.asfortranarray(X1))]).terms[0]
+    assert f0.dtype == f1.dtype == np.complex128
+    assert f0.flags["C_CONTIGUOUS"] and f1.flags["C_CONTIGUOUS"]
+    assert np.array_equal(f1, X1)
+    with pytest.raises(ValidationError, match="non-finite"):
+        qf.simple_tensor_sum([(X1, np.array([[np.nan, 0], [0, 1]], dtype=np.complex128))])
+    with pytest.raises(ShapeError, match="2-d"):
+        qf.simple_tensor_sum([(X1, np.ones(4, dtype=np.complex128))])
 
 
 def test_pi_map_single_term_reversed_product():
@@ -264,8 +277,8 @@ def test_probe_rejects_bad_size():
 
 
 def test_probe_memory_stays_quadratic():
-    # z_256 held whole is 512 dense 256 x 256 factors, copied once more on
-    # validation: about 1 GB; one term at a time needs a few MB
+    # z_256 held whole is 512 dense 256 x 256 factors, about 512 MB; one
+    # term at a time needs a few MB
     tracemalloc.start()
     try:
         rows = qf.unboundedness_probe([256])
