@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoherence import ILSOperator, pairwise_gram, partial_traces
+from .decoherence import ILSOperator, pairwise_gram, partial_trace_from_columns
 from .errors import ShapeError, ValidationError
 from .historyspace import (VALIDATION_TOL, HistoryProjection, density_matrix,
                            history_projection, validate_projection)
@@ -177,16 +177,14 @@ class SearchResult:
     xi: np.ndarray | None
 
 
-def _positive_projector(h: np.ndarray) -> np.ndarray:
-    """Projector onto the positive eigenspace of a Hermitian matrix; falls back
-    to the top eigenvector when no eigenvalue clears the floor."""
+def _positive_columns(h: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the positive eigenspace of a Hermitian
+    matrix; falls back to the top eigenvector when no eigenvalue clears the
+    floor."""
     vals, vecs = np.linalg.eigh(h)
-    keep = vals > 1e-12
-    if not np.any(keep):
-        v = vecs[:, -1:]
-        return v @ v.conj().T
-    v = vecs[:, keep]
-    return v @ v.conj().T
+    # eigh sorts the eigenvalues ascending, so the kept columns are the last
+    keep = int(np.count_nonzero(vals > 1e-12))
+    return vecs[:, -max(keep, 1):]
 
 
 def diag_excess_search(source, budget: int = 200, seed: int = 0,
@@ -200,13 +198,17 @@ def diag_excess_search(source, budget: int = 200, seed: int = 0,
     one variable at a time, so d(p, p) = (max over unit Phi of f)^2 never
     decreases:
 
-    * p <- the projector onto the positive eigenspace of Herm X(Phi);
-    * Phi <- A(p) S / ||A(p) S||_F, by one ``partial_traces`` call.
+    * p <- the projector V V^dagger onto the positive eigenspace of
+      Herm X(Phi), kept as its eigenvectors V; Herm X is written in place
+      into one buffer reused by every sweep;
+    * Phi <- A(p) S / ||A(p) S||_F, with A(p) taken from V by
+      `partial_trace_from_columns`, so p itself is never formed.
 
     Restart 0 starts at Phi = S, restart i > 0 at a random d x rank(rho) Phi
     from the ``search`` stream.  A restart ends after ``sweeps`` sweeps or at
     the first sweep that raises d(p, p) by at most 1e-13 max(1, d(p, p)),
-    and reports that sweep's p and value.  A restart replaces the best only
+    and reports that sweep's p and value; p = V V^dagger is multiplied out
+    once, for the best restart.  A restart replaces the best only
     when its value is larger by more than 1e-12, so ties break to the lowest
     restart.
     """
@@ -220,9 +222,16 @@ def diag_excess_search(source, budget: int = 200, seed: int = 0,
         rho_m = source.matrix.reshape(d, r, r, d, r, d, d, r)[:, 0, 0, 0, 0, 0, :, 0]
     else:
         rho_m = density_matrix(source.rho)
-    w, v = np.linalg.eigh(rho_m)
-    s = v[:, w > 1e-12] * np.sqrt(w[w > 1e-12])
-    best_val, best_p, best_restart = -np.inf, None, -1
+    w, vecs = np.linalg.eigh(rho_m)
+    s = vecs[:, w > 1e-12] * np.sqrt(w[w > 1e-12])
+    # flat positions of X[(t,u),(u,v)] = Y[t,v] and of its adjoint, both in
+    # (t, u, v) order, so Herm X is written from Y = S Phi^dagger in place
+    t, u, v = np.ogrid[:d, :r, :d]
+    row, col = t * r + u, u * d + v
+    pos_x, pos_adj = row * dim + col, col * dim + row
+    herm = np.zeros((dim, dim), dtype=np.complex128)
+    flat = herm.reshape(-1)
+    best_val, best_cols, best_restart = -np.inf, None, -1
     for restart in range(budget):
         phi = s
         if restart:
@@ -230,16 +239,22 @@ def diag_excess_search(source, budget: int = 200, seed: int = 0,
             phi = rng.standard_normal(s.shape) + 1j * rng.standard_normal(s.shape)
         val = 0.0
         for _ in range(sweeps):
-            x = np.einsum("tv,wu->twuv", s @ phi.conj().T, np.eye(r)).reshape(dim, dim)
-            p = _positive_projector((x + x.conj().T) / 2.0)
-            a_s = partial_traces(p[None], d, n)[0][0] @ s
-            norm = np.linalg.norm(a_s)
-            gain, val = norm ** 2 - val, float(norm ** 2)
+            half_y = 0.5 * (s @ phi.conj().T)[:, None, :]
+            # the two position sets meet, so the adjoint adds to what X wrote
+            # over a cleared buffer
+            herm.fill(0.0)
+            flat[pos_x] = half_y
+            flat[pos_adj] += half_y.conj()
+            cols = _positive_columns(herm)
+            a_s = partial_trace_from_columns(cols, d, n) @ s
+            sq = float(np.vdot(a_s, a_s).real)
+            gain, val = sq - val, sq
             if gain <= STOP_TOL * max(1.0, val):
                 break
-            phi = a_s / norm
+            phi = a_s / np.sqrt(sq)
         if val > best_val + TIE_TOL:
-            best_val, best_p, best_restart = val, p, restart
+            best_val, best_cols, best_restart = val, cols, restart
+    best_p = best_cols @ best_cols.conj().T
     hist = history_projection(best_p, n, d)
     rank = hist.projection.rank
     xi = np.ascontiguousarray(np.linalg.eigh(best_p)[1][:, -1]) if rank == 1 else None

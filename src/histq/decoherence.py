@@ -24,7 +24,9 @@ M is a row and column permutation of rho (x) 1: trace(M) = 1 and the
 singular values of M are the weights of rho.  The same structure factorizes
 the trace across the tensor cut, d(p, q) = tr(A(p) rho B(q)) with the partial
 traces A(p)[v,t] = sum_u p[(u,v),(t,u)] and B(q)[t,v] = sum_w q[(t,w),(w,v)].
-`partial_traces` takes them of a whole stack of projections at once.
+`partial_traces` takes them of a whole stack of projections at once, and
+`partial_trace_from_columns` takes A(V V^dagger) from the columns V alone,
+as the excess search keeps its projections.
 
 ``stream`` and ``ils`` each have one contraction, the Gram matrix
 G[i, j] = d(p_i, q_j) of two lists, and a single value is the one-pair
@@ -253,6 +255,16 @@ def partial_traces(stack: np.ndarray, d: int, n: int) -> tuple[np.ndarray, np.nd
     a = np.einsum("iuvtu->ivt", stack.reshape(k, r, d, d, r))
     b = np.einsum("itwwv->itv", stack.reshape(k, d, r, r, d))
     return a, b
+
+
+def partial_trace_from_columns(cols: np.ndarray, d: int, n: int) -> np.ndarray:
+    """A(V V^dagger) of the module docstring from the (D, m) column matrix
+    V = ``cols``, without forming V V^dagger:
+    A[v,t] = sum_{u,j} V[(u,v),j] conj(V[(t,u),j]), one (d x r m)(r m x d)
+    product with r = d^(n-1)."""
+    r, m = d ** (n - 1), cols.shape[1]
+    left = cols.reshape(r, d, m).transpose(1, 0, 2).reshape(d, r * m)
+    return left @ cols.reshape(d, r * m).conj().T
 
 
 def _stream_gram(rho_m: np.ndarray, d: int, n: int, ps, qs) -> np.ndarray:

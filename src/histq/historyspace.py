@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -289,7 +288,12 @@ def embed_homogeneous(h: HomogeneousHistory,
         raise SizeCapError(
             f"history dimension {h.single_dim}**{h.order}={dim} exceeds cap {cap}"
         )
-    mat = reduce(np.kron, [p.matrix for p in h.projections])
+    # np.kron's outer product and reshape, one factor at a time
+    mat = h.projections[0].matrix
+    for p in h.projections[1:]:
+        f = p.matrix
+        mat = (mat[:, None, :, None] * f[None, :, None, :]).reshape(
+            mat.shape[0] * f.shape[0], mat.shape[1] * f.shape[1])
     rank = math.prod(p.rank for p in h.projections)
     return HistoryProjection(projection=Projection(matrix=mat, dim=dim, rank=rank),
                              order=h.order, single_dim=h.single_dim)

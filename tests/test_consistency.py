@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from histq import consistency as cs
-from histq.decoherence import (build_M, d_series, d_via_M_streaming, make_evaluator,
-                               pairwise_gram, random_homogeneous)
+from histq.decoherence import (ILSOperator, build_M, d_series, d_via_M_streaming,
+                               make_evaluator, pairwise_gram, partial_traces,
+                               random_homogeneous)
 from histq.errors import ShapeError, ValidationError
 from histq.historyspace import (density_from_spectral, density_matrix, history_projection,
                                 identity_history_projection)
@@ -302,6 +303,56 @@ def test_homogeneous_diagonals_never_exceed_one(rng):
         assert v.real <= 1.0 + 1e-9
 
 
+def _reference_positive_projector(h):
+    # the projector onto the positive eigenspace, multiplied out, with the
+    # search's fallback to the top eigenvector
+    vals, vecs = np.linalg.eigh(h)
+    keep = vals > 1e-12
+    v = vecs[:, keep] if np.any(keep) else vecs[:, -1:]
+    return v @ v.conj().T
+
+
+def _reference_search(source, budget, seed, sweeps=50):
+    # the unfused sweep: X from an einsum against the identity, p = V V^dagger
+    # multiplied out, and A(p) from `partial_traces`; returns the best
+    # (value, p, restart) under the search's stop and tie rules
+    d, n = source.single_dim, source.order
+    dim, r = d ** n, d ** (n - 1)
+    if isinstance(source, ILSOperator):
+        rho_m = source.matrix.reshape(d, r, r, d, r, d, d, r)[:, 0, 0, 0, 0, 0, :, 0]
+    else:
+        rho_m = density_matrix(source.rho)
+    w, v = np.linalg.eigh(rho_m)
+    s = v[:, w > 1e-12] * np.sqrt(w[w > 1e-12])
+    best_val, best_p, best_restart = -np.inf, None, -1
+    for restart in range(budget):
+        phi = s
+        if restart:
+            rng = generator(seed, "search", restart)
+            phi = rng.standard_normal(s.shape) + 1j * rng.standard_normal(s.shape)
+        val = 0.0
+        for _ in range(sweeps):
+            x = np.einsum("tv,wu->twuv", s @ phi.conj().T, np.eye(r)).reshape(dim, dim)
+            p = _reference_positive_projector((x + x.conj().T) / 2.0)
+            a_s = partial_traces(p[None], d, n)[0][0] @ s
+            norm = np.linalg.norm(a_s)
+            gain, val = norm ** 2 - val, float(norm ** 2)
+            if gain <= cs.STOP_TOL * max(1.0, val):
+                break
+            phi = a_s / norm
+        if val > best_val + cs.TIE_TOL:
+            best_val, best_p, best_restart = val, p, restart
+    return best_val, best_p, best_restart
+
+
+def assert_matches_reference(res, source, budget, seed):
+    value, p, restart = _reference_search(source, budget, seed)
+    assert res.restart_index == restart
+    assert res.rank == int(round(np.trace(p).real))
+    assert abs(res.value - value) <= 1e-12 * max(1.0, value)
+    assert np.max(np.abs(res.projection.matrix - p)) <= 1e-10
+
+
 def _einsum_ascent(M, budget, seed, sweeps=50):
     # the bilinear ascent on Re d(p, q) contracted against
     # M4 = M.reshape(D, D, D, D) directly: both slots move, restarts start
@@ -322,9 +373,9 @@ def _einsum_ascent(M, budget, seed, sweeps=50):
         p = np.eye(dim, dtype=np.complex128)
         for _ in range(sweeps):
             w = np.einsum("be,ceab->ca", q, m4)
-            p_new = cs._positive_projector((w + w.conj().T) / 2.0)
+            p_new = _reference_positive_projector((w + w.conj().T) / 2.0)
             t = np.einsum("ac,ceab->eb", p_new, m4)
-            q_new = cs._positive_projector((t + t.conj().T) / 2.0)
+            q_new = _reference_positive_projector((t + t.conj().T) / 2.0)
             done = (np.max(np.abs(p_new - p)) <= 1e-13
                     and np.max(np.abs(q_new - q)) <= 1e-13)
             p, q = p_new, q_new
@@ -567,3 +618,36 @@ def test_search_stops_once_the_value_settles(state):
     assert abs(short.value - long.value) <= 1e-12
     assert short.rank == long.rank
     assert abs(long.value - 2.25) <= 1e-12
+
+
+@pytest.mark.parametrize("state", ["full", "rank-one", "rank-deficient", "near-degenerate"])
+@pytest.mark.parametrize("dn", [(2, 1), (2, 2), (3, 2), (2, 3), (2, 4), (3, 3)])
+def test_search_matches_the_unfused_sweep(dn, state):
+    # the in-place Herm X and the factored A(V V^dagger) change only rounding:
+    # every search picks the reference's restart and rank, with its value
+    # and projection
+    d, n = dn
+    rho = gram_state(state, d, np.random.default_rng([d, n, 21]))
+    ev = make_evaluator("stream", rho, d, n)
+    for seed in range(3):
+        res = cs.diag_excess_search(ev, budget=6, seed=seed)
+        assert_matches_reference(res, ev, 6, seed)
+
+
+def test_search_matches_the_unfused_sweep_at_full_budget():
+    # the state and budget of acceptance criterion 8
+    rng = generator(0, "samples")
+    xi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    rho = density_from_spectral([1.0], (xi / np.linalg.norm(xi)).reshape(2, 1))
+    M = build_M(rho, 2, 2)
+    assert_matches_reference(cs.diag_excess_search(M, budget=200, seed=0), M, 200, 0)
+
+
+@pytest.mark.parametrize("h", [-np.eye(4), np.zeros((4, 4)),
+                               np.diag([-2.0, -1.0, 1e-13])])
+def test_positive_columns_fall_back_to_the_top_eigenvector(h):
+    # no eigenvalue clears 1e-12, so the sweep keeps the top eigenvector
+    cols = cs._positive_columns(h)
+    top = np.linalg.eigh(h)[1][:, -1:]
+    assert cols.shape == (len(h), 1)
+    assert np.array_equal(cols @ cols.conj().T, top @ top.conj().T)

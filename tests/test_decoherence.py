@@ -396,6 +396,19 @@ def test_series_is_bit_identical_to_tuple_loop(dn, spectrum):
             (np.float64(want.real).tobytes(), np.float64(want.imag).tobytes())
 
 
+@pytest.mark.parametrize("dn", [(2, 1), (2, 2), (3, 2), (2, 3), (3, 3), (2, 4)])
+def test_partial_trace_from_columns_matches_partial_traces(dn):
+    # A(V V^dagger) from orthonormal columns V equals the partial trace of
+    # the multiplied-out projection for every column count m = 1 ... D
+    d, n = dn
+    dim = d ** n
+    rng = np.random.default_rng([d, n, 13])
+    for m in range(1, dim + 1):
+        v = haar_unitary(dim, rng)[:, :m]
+        want = dec.partial_traces((v @ v.conj().T)[None], d, n)[0][0]
+        assert np.max(np.abs(dec.partial_trace_from_columns(v, d, n) - want)) <= 1e-13
+
+
 def test_pair_matrix_is_a_lazy_cached_realignment(rng):
     d, n = 2, 2
     dim = d ** n

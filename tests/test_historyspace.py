@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,15 @@ def test_embed_matches_kron_oracle():
     emb = hs.embed_homogeneous(h)
     assert np.array_equal(emb.matrix, np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex))
     assert emb.order == 2 and emb.single_dim == 2 and emb.dim == 4
+
+
+@pytest.mark.parametrize("d, n", [(2, 1), (2, 4), (3, 3), (4, 2), (2, 6)])
+def test_embed_is_bit_identical_to_the_kron_chain(d, n):
+    rng = np.random.default_rng([d, n, 7])
+    for _ in range(20):
+        h = hs.homogeneous_history([random_proj(d, rng) for _ in range(n)])
+        want = reduce(np.kron, [p.matrix for p in h.projections])
+        assert hs.embed_homogeneous(h).matrix.tobytes() == want.tobytes()
 
 
 def test_embed_rank_multiplies(rng):
