@@ -35,12 +35,14 @@ materializing M, G[i, j] = tr(A(p_i) rho B(q_j)), and `d_via_M_streaming`
 is its [0, 0] entry; ``ils`` forms vec(P) @ K @ vec(Q)^T with the realigned
 kernel K of `d_via_M` below, and `d_via_M` is its [0, 0] entry.
 
-`d_series` builds the table of all tuples at once and gathers from h and k
-the entries each tuple needs.  Accumulation is still lexicographic and left
-to right.  Complex products are formed on real and imaginary parts because
-numpy's SIMD loops for complex-array multiply may fuse multiply-adds (FMA),
-while its scalar complex multiply does not; this way the value is
-bit-identical to the per-tuple scalar expansion.  `d_via_M` contracts the
+`d_series` caches the table of all tuples for each (rank rho, d, n) as flat
+positions into h and k; a call gathers from each of them in one step the
+entries every tuple needs and sums over the single-time index t along the
+outer axis.  Accumulation is still lexicographic and left to right.
+Complex products are formed on real and imaginary parts because numpy's
+SIMD loops for complex-array multiply may fuse multiply-adds (FMA), while
+its scalar complex multiply does not; this way the value is bit-identical
+to the per-tuple scalar expansion.  `d_via_M` contracts the
 materialized kernel through its realignment K[(a,c),(b,e)] = M[(c,e),(a,b)],
 so tr((p (x) q) M) = vec(p) @ K @ vec(q).
 
@@ -56,7 +58,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import cached_property, partial, reduce
+from functools import cached_property, lru_cache, partial, reduce
 
 import numpy as np
 
@@ -154,6 +156,31 @@ def _real_product(xr, xi, yr, yi):
     return xr * yr - xi * yi, xr * yi + xi * yr
 
 
+@lru_cache(maxsize=16)
+def _tuple_table(rank: int, d: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tuple table of `d_series` for a state of rank ``rank`` at (d, n).
+
+    Returns the weight index j0 of each tuple, in lexicographic order, and
+    the flat positions of the entries each tuple reads for each t:
+    flat_h[t, T] = row_a * D + t * r + u and flat_k[t, T] = (t * r + w) * D
+    + col_b, with D = d^n, r = d^(n-1), row_a = (u, v) and col_b = (w, v)
+    in the slots below.  The arrays are read-only, since every call shares
+    them; the bound on cached keys keeps large tables from piling up.
+    """
+    J = np.indices((rank,) + (d,) * (2 * n - 1)).reshape(2 * n, -1)
+    # tuple slots: u = (j_2n, ..., j_{n+2}), v = j_{n+1}, w = (j_2, ..., j_n)
+    u = _place_value(J[2 * n - 1:n:-1], d)
+    w = _place_value(J[1:n], d)
+    dim, r = d ** n, d ** (n - 1)
+    shift = (np.arange(d) * r)[:, None]
+    j0 = J[0].copy()
+    flat_h = (u * d + J[n]) * dim + shift + u
+    flat_k = (shift + w) * dim + w * d + J[n]
+    for table in (j0, flat_h, flat_k):
+        table.flags.writeable = False
+    return j0, flat_h, flat_k
+
+
 def d_series(rho: DensityOperator, h: HistoryProjection | HomogeneousHistory,
              k: HistoryProjection | HomogeneousHistory) -> complex:
     """Series evaluation: fixed-order sum of per-tuple contributions.
@@ -161,33 +188,29 @@ def d_series(rho: DensityOperator, h: HistoryProjection | HomogeneousHistory,
     Tuples are visited in lexicographic order and accumulated left to right,
     skipping those of zero weight.  Each contribution splits across the
     doubled-space tensor cut, so only entries of h and k are touched: the
-    tuple table is built once per call and the entries each tuple needs are
-    gathered from h and k.  Products are formed on real and imaginary parts,
+    tuple table depends only on (rank rho, d, n) and is cached, and each
+    call gathers from h and k, in one step each, the entries every tuple
+    needs for every t, then sums over t along the outer axis, which numpy
+    reduces in sequence.  Products are formed on real and imaginary parts,
     never by complex-array multiply, so every step rounds as the scalar
     per-tuple expansion does and the value is bit-identical to it.
     """
     d, n = rho.dim, max(h.order, k.order)
     h, k = _normalize("series", d, n, (h, k))
-    J = np.indices((len(rho.weights),) + (d,) * (2 * n - 1)).reshape(2 * n, -1)
-    J = J[:, rho.weights[J[0]] != 0.0]
-    # tuple slots: u = (j_2n, ..., j_{n+2}), v = j_{n+1}, w = (j_2, ..., j_n)
-    u = _place_value(J[2 * n - 1:n:-1], d)
-    w = _place_value(J[1:n], d)
-    row_a = u * d + J[n]
-    col_b = w * d + J[n]
-    r = d ** (n - 1)
-    psi = rho.vectors[:, J[0]]
-    ar = ai = br = bi = 0.0
-    for t in range(d):
-        hv = h.matrix[row_a, t * r + u]
-        kv = k.matrix[t * r + w, col_b]
-        pr, pi = _real_product(psi[t].real, psi[t].imag, hv.real, hv.imag)
-        ar, ai = ar + pr, ai + pi
-        pr, pi = _real_product(psi[t].real, -psi[t].imag, kv.real, kv.imag)
-        br, bi = br + pr, bi + pi
+    j0, flat_h, flat_k = _tuple_table(len(rho.weights), d, n)
+    if not rho.weights.all():
+        keep = rho.weights[j0] != 0.0
+        j0, flat_h, flat_k = j0[keep], flat_h[:, keep], flat_k[:, keep]
+    psi = rho.vectors[:, j0]
+    hv = h.matrix.reshape(-1)[flat_h]
+    kv = k.matrix.reshape(-1)[flat_k]
+    pr, pi = _real_product(psi.real, psi.imag, hv.real, hv.imag)
+    ar, ai = np.add.reduce(pr, axis=0), np.add.reduce(pi, axis=0)
+    pr, pi = _real_product(psi.real, -psi.imag, kv.real, kv.imag)
+    br, bi = np.add.reduce(pr, axis=0), np.add.reduce(pi, axis=0)
     xr, xi = _real_product(ar, ai, br, bi)
     # a real weight times a complex term multiplies as complex (w + 0j)
-    xr, xi = _real_product(rho.weights[J[0]], 0.0, xr, xi)
+    xr, xi = _real_product(rho.weights[j0], 0.0, xr, xi)
     total_r = np.add.accumulate(np.concatenate(([0.0], xr)))[-1]
     total_i = np.add.accumulate(np.concatenate(([0.0], xi)))[-1]
     return complex(total_r, total_i)

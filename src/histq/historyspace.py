@@ -145,7 +145,7 @@ def density_from_spectral(weights, vectors, tol: float = VALIDATION_TOL) -> Dens
         raise ShapeError("need exactly one weight per column vector")
     if v.shape[1] > v.shape[0]:
         raise ShapeError("more vectors than the space dimension allows")
-    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(v))):
+    if not (np.isfinite(w).all() and np.isfinite(v.view(np.float64)).all()):
         raise ValidationError("non-finite spectral data")
     if np.min(w) < -1e-12:
         raise ValidationError(f"negative weight {np.min(w):.3e}")
@@ -288,8 +288,9 @@ def embed_homogeneous(h: HomogeneousHistory,
         raise SizeCapError(
             f"history dimension {h.single_dim}**{h.order}={dim} exceeds cap {cap}"
         )
-    # np.kron's outer product and reshape, one factor at a time
-    mat = h.projections[0].matrix
+    # np.kron's outer product and reshape, one factor at a time, started from
+    # a copy so that a one-time embedding does not alias its factor
+    mat = h.projections[0].matrix.copy()
     for p in h.projections[1:]:
         f = p.matrix
         mat = (mat[:, None, :, None] * f[None, :, None, :]).reshape(

@@ -11,8 +11,9 @@ With rho = S S^dagger for the d x r matrix S of weighted eigenvectors, the
 form is the inner product <Pi(w) S, Pi(z) S>.  D_form applies each term's
 factors to S in time order and never forms Pi as a d x d product, so one
 evaluation costs O(terms * n * d^2 * rank rho).  The unboundedness probe
-sums D(t_j, 1) over the terms t_j of z_N by linearity in z, holding one
-term's factors at a time.
+sums D(t_j, 1) = <Pi(1) S, Pi(t_j) S> over the terms t_j of z_N by
+linearity in z, forming Pi(1) S once per N and writing each term's two
+factors into the same two reused buffers.
 """
 
 from __future__ import annotations
@@ -207,18 +208,24 @@ class ProbeRow:
 
 
 def _ladder_terms(n_dim: int):
-    """The terms |e_j><e_1| (x) |e_1><e_j| of z_N, produced one at a time."""
+    """The terms |e_j><e_1| (x) |e_1><e_j| of z_N, produced one at a time.
+
+    Every term is written into the same two N x N buffers, one entry set
+    before it is yielded and cleared after, so a yielded term is valid only
+    until the next one; copy its factors to keep them.
+    """
+    x = np.zeros((n_dim, n_dim), dtype=np.complex128)
+    y = np.zeros((n_dim, n_dim), dtype=np.complex128)
     for j in range(n_dim):
-        x = np.zeros((n_dim, n_dim), dtype=np.complex128)
-        x[j, 0] = 1.0
-        y = np.zeros((n_dim, n_dim), dtype=np.complex128)
-        y[0, j] = 1.0
+        x[j, 0] = y[0, j] = 1.0
         yield x, y
+        x[j, 0] = y[0, j] = 0.0
 
 
 def _ladder_element(n_dim: int) -> SimpleTensorSum:
     """z_N = sum_j |e_j><e_1| (x) |e_1><e_j| inside a dim-N single-time space."""
-    return simple_tensor_sum(_ladder_terms(n_dim), order=2, single_dim=n_dim)
+    return simple_tensor_sum(((x.copy(), y.copy()) for x, y in _ladder_terms(n_dim)),
+                             order=2, single_dim=n_dim)
 
 
 def _ladder_norm(n_dim: int) -> float:
@@ -238,7 +245,9 @@ def unboundedness_probe(sizes) -> list[ProbeRow]:
 
     The value grows like N while the element norm stays 1, witnessing that
     no uniform bound C with |D(z, w)| <= C ||z|| ||w|| exists.  The terms of
-    z_N are built and evaluated one at a time, so memory stays O(N^2).
+    z_N are written one at a time into two reused N x N buffers and
+    evaluated against Pi(1) S, which is formed once per N, so memory stays
+    O(N^2).
     """
     rows = []
     for n_dim in sizes:
@@ -248,9 +257,11 @@ def unboundedness_probe(sizes) -> list[ProbeRow]:
         xi = np.zeros((n_dim, 1), dtype=np.complex128)
         xi[0, 0] = 1.0
         rho = density_from_spectral([1.0], xi)
-        one = identity_element(n_dim, 2)
-        # D is linear in z, so delta(z_N) is the sum over the terms of z_N
-        value = sum((D_form(rho, simple_tensor_sum([term], order=2, single_dim=n_dim), one)
+        one = _state_image(rho, identity_element(n_dim, 2))
+        # D is linear in z, so delta(z_N) is the sum over the terms t_j of
+        # z_N of D(t_j, 1) = <Pi(1) S, Pi(t_j) S>, with Pi(1) S formed once
+        value = sum((complex(np.vdot(one, _state_image(
+                         rho, simple_tensor_sum([term], order=2, single_dim=n_dim))))
                      for term in _ladder_terms(n_dim)), 0j)
         if abs(value.imag) > 1e-9:
             raise ValidationError(f"probe value has imaginary part {value.imag:.3e}")

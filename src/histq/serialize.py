@@ -77,7 +77,7 @@ def matrix_from_json(obj) -> np.ndarray:
             raise ValidationError(f"entry {i} is not an [re, im] pair")
         out[i] = complex(json_float(pair[0], f"entry {i}"),
                          json_float(pair[1], f"entry {i}"))
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out.view(np.float64)).all():
         raise ValidationError("matrix JSON contains non-finite entries")
     return out.reshape(rows, cols)
 

@@ -377,8 +377,9 @@ def _series_loop(rho, h, k):
 
 @pytest.mark.parametrize("spectrum", SPECTRA)
 @pytest.mark.parametrize("dn", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (3, 3),
-                                (2, 5), (4, 2)])
+                                (2, 5), (4, 2), (5, 2), (9, 1)])
 def test_series_is_bit_identical_to_tuple_loop(dn, spectrum):
+    # at d >= 8 a sum over t taken pairwise, not in sequence, changes the bits
     d, n = dn
     rng = np.random.default_rng([d, n, SPECTRA.index(spectrum)])
     rho = _spectrum_state(spectrum, d, rng)
@@ -394,6 +395,37 @@ def test_series_is_bit_identical_to_tuple_loop(dn, spectrum):
         assert got == want
         assert (np.float64(got.real).tobytes(), np.float64(got.imag).tobytes()) == \
             (np.float64(want.real).tobytes(), np.float64(want.imag).tobytes())
+
+
+def _bytes(z):
+    return np.float64(z.real).tobytes(), np.float64(z.imag).tobytes()
+
+
+def test_series_tuple_table_is_cached_and_read_only():
+    tables = dec._tuple_table(2, 2, 3)
+    assert dec._tuple_table(2, 2, 3) is tables
+    j0, flat_h, flat_k = tables
+    assert flat_h.shape == flat_k.shape == (2, j0.size) == (2, 2 * 2 ** 5)
+    for table in tables:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[..., 0] = 0
+
+
+def test_series_rank_deficient_call_leaves_the_cached_table_intact():
+    # a zero weight filters the shared table per call; the full-rank calls
+    # of the same (d, n) on either side must still read the whole table
+    d, n = 3, 2
+    rng = np.random.default_rng(31)
+    basis = haar_unitary(d, rng)
+    full = density_from_spectral(rng.dirichlet(np.ones(d)), basis)
+    deficient = density_from_spectral([*rng.dirichlet(np.ones(d - 1)), 0.0], basis)
+    p = history_projection(random_proj(d ** n, rng, 4), n, d)
+    q = history_projection(random_proj(d ** n, rng, 5), n, d)
+    before = dec.d_series(full, p, q)
+    assert _bytes(dec.d_series(deficient, p, q)) == _bytes(_series_loop(deficient, p, q))
+    after = dec.d_series(full, p, q)
+    assert _bytes(before) == _bytes(after) == _bytes(_series_loop(full, p, q))
 
 
 @pytest.mark.parametrize("dn", [(2, 1), (2, 2), (3, 2), (2, 3), (3, 3), (2, 4)])

@@ -133,6 +133,18 @@ def test_embed_is_bit_identical_to_the_kron_chain(d, n):
         assert hs.embed_homogeneous(h).matrix.tobytes() == want.tobytes()
 
 
+def test_one_time_embedding_does_not_alias_its_factor():
+    h = hs.homogeneous_history([PPLUS])
+    factor = h.projections[0].matrix
+    emb = hs.embed_homogeneous(h).matrix
+    assert emb is not factor and not np.shares_memory(emb, factor)
+    assert np.array_equal(emb, factor)
+    emb[0, 0] = 7.0
+    assert factor[0, 0] == 0.5
+    factor[1, 1] = 9.0
+    assert emb[1, 1] == 0.5
+
+
 def test_embed_rank_multiplies(rng):
     a = random_proj(3, rng, rank=2)
     b = random_proj(3, rng, rank=1)

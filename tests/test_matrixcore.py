@@ -5,6 +5,7 @@ from histq import matrixcore as mc
 from histq.decoherence import build_M
 from histq.errors import ShapeError, ValidationError
 from histq.historyspace import density_from_spectral
+from histq.serialize import matrix_from_json
 
 from conftest import haar_unitary, random_proj
 
@@ -27,6 +28,20 @@ def test_as_complex_matrix_rejects_non_finite():
         mc.as_complex_matrix([[np.nan, 0], [0, 1]])
     with pytest.raises(ValidationError):
         mc.as_complex_matrix([[np.inf, 0], [0, 1]])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_imaginary_parts_are_rejected(bad):
+    # the real parts are finite; only the imaginary part of one entry is not
+    m = np.eye(2, dtype=np.complex128)
+    m[1, 0] = complex(0.0, bad)
+    with pytest.raises(ValidationError, match="non-finite"):
+        mc.as_complex_matrix(m)
+    with pytest.raises(ValidationError, match="non-finite"):
+        density_from_spectral([0.5, 0.5], m)
+    data = [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
+    with pytest.raises(ValidationError, match="non-finite"):
+        matrix_from_json({"rows": 2, "cols": 2, "data": data})
 
 
 def test_kron_block_structure():

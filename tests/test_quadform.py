@@ -269,6 +269,39 @@ def test_probe_linear_growth():
         assert row.value == float(row.size)
 
 
+def _reference_probe_value(n_dim):
+    # delta(z_N) as a sum of D_form over freshly allocated terms of z_N,
+    # each evaluated against the identity element in full
+    rho = pure_e1(n_dim)
+    one = qf.identity_element(n_dim, 2)
+    total = 0j
+    for j in range(n_dim):
+        x = np.zeros((n_dim, n_dim), dtype=np.complex128)
+        x[j, 0] = 1.0
+        y = np.zeros((n_dim, n_dim), dtype=np.complex128)
+        y[0, j] = 1.0
+        total += qf.D_form(rho, qf.simple_tensor_sum([(x, y)]), one)
+    return total
+
+
+def test_probe_is_bit_identical_to_the_per_term_form_sum():
+    sizes = list(range(1, 65))
+    rows = qf.unboundedness_probe(sizes)
+    for n_dim, row in zip(sizes, rows):
+        want = _reference_probe_value(n_dim)
+        assert row.size == n_dim
+        assert np.float64(row.value).tobytes() == np.float64(want.real).tobytes()
+
+
+def test_ladder_terms_reuse_two_buffers_and_the_element_copies_them():
+    terms = list(qf._ladder_terms(3))
+    assert all(x is terms[0][0] and y is terms[0][1] for x, y in terms)
+    assert not terms[0][0].any() and not terms[0][1].any()
+    z = qf._ladder_element(3)
+    for j, (x, y) in enumerate(z.terms):
+        assert np.flatnonzero(x).tolist() == [3 * j] and np.flatnonzero(y).tolist() == [j]
+
+
 def test_probe_rejects_bad_size():
     with pytest.raises(ShapeError, match="positive"):
         qf.unboundedness_probe([0])
