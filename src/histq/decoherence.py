@@ -33,7 +33,8 @@ G[i, j] = d(p_i, q_j) of two lists, and a single value is the one-pair
 Gram: ``stream`` contracts the stacked partial traces with rho without
 materializing M, G[i, j] = tr(A(p_i) rho B(q_j)), and `d_via_M_streaming`
 is its [0, 0] entry; ``ils`` forms vec(P) @ K @ vec(Q)^T with the realigned
-kernel K of `d_via_M` below, and `d_via_M` is its [0, 0] entry.
+kernel K of `d_via_M` below, contracted over K's nonzero entries, and
+`d_via_M` is its [0, 0] entry.
 
 `d_series` caches the table of all tuples for each (rank rho, d, n) as flat
 positions into h and k; a call gathers from each of them in one step the
@@ -44,7 +45,11 @@ SIMD loops for complex-array multiply may fuse multiply-adds (FMA), while
 its scalar complex multiply does not; this way the value is bit-identical
 to the per-tuple scalar expansion.  `d_via_M` contracts the
 materialized kernel through its realignment K[(a,c),(b,e)] = M[(c,e),(a,b)],
-so tr((p (x) q) M) = vec(p) @ K @ vec(q).
+so tr((p (x) q) M) = vec(p) @ K @ vec(q).  Being a permutation of rho (x) 1,
+M has only nnz(rho) D^2 / d nonzero entries of its D^4, with D = d^n, so
+the contraction gathers vec(p) and vec(q) at the positions of those entries
+alone and never forms K: a wrong M still gives a wrong value, and ``ils``
+stays an oracle independent of ``stream``.
 
 All four functions and the ``value`` and ``gram`` of the `Evaluator` that
 `make_evaluator` binds to (rho, d, n) take history projections and
@@ -85,8 +90,10 @@ class ILSOperator:
     """Kernel operator M on the doubled history space.
 
     Satisfies trace(M) = 1 within 1e-9 and operator norm at most 1 + 1e-8;
-    both are checked by `build_M`.  The excess search reads rho from the slice
-    M[(a,0,0,0), (0,0,b,0)].  ``state_fingerprint`` hashes the state.
+    both are checked by `build_M`, which also makes ``matrix`` read-only.
+    The excess search reads rho from the slice M[(a,0,0,0), (0,0,b,0)].
+    ``state_fingerprint`` hashes the state.  ``pair_entries`` holds the
+    nonzero entries of the realigned kernel that `d_via_M` contracts.
     """
 
     matrix: np.ndarray
@@ -95,13 +102,21 @@ class ILSOperator:
     state_fingerprint: str
 
     @cached_property
-    def pair_matrix(self) -> np.ndarray:
-        """Realignment K[(a,c),(b,e)] = M[(c,e),(a,b)] of the kernel, so that
-        tr((p (x) q) M) = vec(p) @ K @ vec(q) for row-major vec.  A (D^2, D^2)
-        copy of M made on first use; build_M does not make it."""
+    def pair_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The nonzero entries of the realignment K[(a,c),(b,e)] = M[(c,e),(a,b)]
+        of the kernel, so that tr((p (x) q) M) = vec(p) @ K @ vec(q) for
+        row-major vec, as read-only (rows, cols, values) in the row-major
+        order of M's nonzero entries.  Read from M on first use; build_M does
+        not read them."""
         dim = self.single_dim ** self.order
-        m4 = self.matrix.reshape(dim, dim, dim, dim)
-        return np.ascontiguousarray(m4.transpose(2, 0, 3, 1)).reshape(dim * dim, dim * dim)
+        # a boolean mask finds the entries several times faster than a
+        # complex array's own nonzero test
+        flat = np.flatnonzero(self.matrix != 0)
+        c, e, a, b = np.unravel_index(flat, (dim,) * 4)
+        entries = (a * dim + c, b * dim + e, self.matrix.take(flat))
+        for x in entries:
+            x.flags.writeable = False
+        return entries
 
 
 def state_fingerprint(rho: DensityOperator) -> str:
@@ -243,6 +258,8 @@ def build_M(rho: DensityOperator, d: int, n: int,
     eye_r = np.eye(r, dtype=np.complex128)
     m = np.einsum("ab,uU,wW,vV->auwvUVbW", rho_m, eye_r, eye_r,
                   np.eye(d, dtype=np.complex128)).reshape(dd, dd)
+    # read-only, so that the entries cached from it cannot go stale
+    m.flags.writeable = False
     tr = complex(np.trace(m))
     if abs(tr - 1.0) > 1e-9:
         raise ValidationError(f"kernel trace {tr:.12g} differs from 1 beyond 1e-9")
@@ -259,13 +276,15 @@ def _ils_gram(M: ILSOperator, ps, qs) -> np.ndarray:
     # the arguments are checked by the caller
     vp = np.array([p.matrix for p in ps]).reshape(len(ps), -1)
     vq = np.array([q.matrix for q in qs]).reshape(len(qs), -1)
-    return vp @ (M.pair_matrix @ vq.T)
+    rows, cols, values = M.pair_entries
+    return (vp.take(rows, axis=1) * values) @ vq.take(cols, axis=1).T
 
 
 def d_via_M(M: ILSOperator, p: HistoryProjection | HomogeneousHistory,
             q: HistoryProjection | HomogeneousHistory) -> complex:
     """Kernel evaluation tr((p (x) q) M) = vec(p) @ K @ vec(q) with K the
-    realigned kernel ``M.pair_matrix``: the one-pair ``ils`` Gram."""
+    realigned kernel, summed over its nonzero entries ``M.pair_entries``
+    only, at O(nnz M) per pair: the one-pair ``ils`` Gram."""
     p, q = _normalize("ils", M.single_dim, M.order, (p, q))
     return complex(_ils_gram(M, (p,), (q,))[0, 0])
 
@@ -322,8 +341,9 @@ class Evaluator:
     identities to order n; an argument of another single-time dimension or
     order raises ShapeError.  ``gram`` is the matrix G[i, j] = d(xs[i], ys[j])
     and ``value`` is its one-pair case.  ``stream`` forms it in one
-    contraction of the stacked partial traces, ``ils`` in one product with
-    the realigned kernel, and ``series`` and ``direct`` by one call per pair.
+    contraction of the stacked partial traces, ``ils`` in one product over
+    the nonzero entries of the realigned kernel, and ``series`` and
+    ``direct`` by one call per pair.
     ``series``, ``ils`` and ``stream`` embed homogeneous histories;
     ``direct`` needs them and raises ShapeError on history projections.
     The four free functions take their arguments by the same rules, with n

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,11 +56,21 @@ class DensityOperator:
     vectors : np.ndarray
         dim x r complex matrix whose columns are orthonormal; column i is
         the eigenvector carrying ``weights[i]``.
+    matrix : np.ndarray
+        The dense matrix sum_i w_i |psi_i><psi_i|, formed on first use and
+        read-only.  The constructors of this module make ``weights`` and
+        ``vectors`` read-only too, so the cached matrix cannot go stale.
     """
 
     dim: int
     weights: np.ndarray
     vectors: np.ndarray
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        m = (self.vectors * self.weights) @ self.vectors.conj().T
+        m.flags.writeable = False
+        return m
 
 
 @dataclass(frozen=True)
@@ -158,6 +169,7 @@ def density_from_spectral(weights, vectors, tol: float = VALIDATION_TOL) -> Dens
     gram_res = float(np.max(np.abs(gram - np.eye(v.shape[1]))))
     if gram_res > tol:
         raise ValidationError(f"vectors not orthonormal: Gram residual {gram_res:.3e}")
+    w.flags.writeable = v.flags.writeable = False
     return DensityOperator(dim=v.shape[0], weights=w, vectors=v)
 
 
@@ -191,8 +203,9 @@ def density_from_matrix(m, tol: float = VALIDATION_TOL) -> DensityOperator:
 
 
 def density_matrix(rho: DensityOperator) -> np.ndarray:
-    """Reassemble the dense matrix sum_i w_i |psi_i><psi_i|."""
-    return (rho.vectors * rho.weights) @ rho.vectors.conj().T
+    """The dense matrix sum_i w_i |psi_i><psi_i|: the read-only
+    ``rho.matrix``, reassembled once per state."""
+    return rho.matrix
 
 
 def completed_basis(rho: DensityOperator) -> DensityOperator:
@@ -219,7 +232,9 @@ def completed_basis(rho: DensityOperator) -> DensityOperator:
     if len(cols) != d:
         raise ValidationError("failed to complete the spectral basis")
     weights = np.concatenate([rho.weights, np.zeros(d - r)])
-    return DensityOperator(dim=d, weights=weights, vectors=np.column_stack(cols))
+    vectors = np.column_stack(cols)
+    weights.flags.writeable = vectors.flags.writeable = False
+    return DensityOperator(dim=d, weights=weights, vectors=vectors)
 
 
 def homogeneous_history(projections, tol: float = VALIDATION_TOL) -> HomogeneousHistory:

@@ -188,7 +188,10 @@ def family_from_json(obj, cap: int = DEFAULT_HISTORY_CAP, tol: float = 1e-8):
         labels = [f"g{i}" for i in range(len(members))]
     if not isinstance(labels, list) or len(labels) != len(members):
         raise ValidationError("labels do not match the number of members")
-    return members, [str(x) for x in labels]
+    for i, x in enumerate(labels):
+        if not isinstance(x, str):
+            raise ValidationError(f"label {i} must be a string, got {type(x).__name__}")
+    return members, labels
 
 
 def load_json(path: str):

@@ -202,6 +202,13 @@ def test_quadform_identity(tmp_path, capsys):
     assert out["value"] == pytest.approx([1.0, 0.0], abs=1e-12)
 
 
+def test_unbounded_probe_refuses_sizes_above_the_cap(tmp_path, capsys):
+    out_path = tmp_path / "probe.csv"
+    assert main(["unbounded-probe", "--sizes", "4,100000", "--out", str(out_path)]) == 3
+    assert "exceeds cap" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_unbounded_probe_csv(tmp_path):
     out_path = str(tmp_path / "probe.csv")
     assert main(["unbounded-probe", "--sizes", "1,2,4,8", "--out", out_path]) == 0
@@ -291,6 +298,17 @@ def test_consistency_dim_mismatch(tmp_path, capsys):
                     {"single_time_dim": 2, "order": 2, "members": members})
     assert main(["consistency", "--rho", rho3, "--family", family]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("labels", [[1, "b"], ["a", {"a": 2}], ["a", None], ["a", True]])
+def test_consistency_rejects_labels_that_are_not_strings(tmp_path, capsys, labels):
+    # malformed JSON is rejected, not coerced by str()
+    rho = rho_file(tmp_path, pure_e1(2))
+    members = [serialize.history_to_json(homogeneous_history([p, P0])) for p in (P0, P1)]
+    family = jwrite(tmp_path, "family.json", {
+        "single_time_dim": 2, "order": 2, "members": members, "labels": labels})
+    assert main(["consistency", "--rho", rho, "--family", family]) == 2
+    assert "must be a string" in capsys.readouterr().err
 
 
 def test_search_excess_output(tmp_path, capsys):

@@ -1,5 +1,5 @@
 import itertools
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 import pytest
@@ -441,17 +441,83 @@ def test_partial_trace_from_columns_matches_partial_traces(dn):
         assert np.max(np.abs(dec.partial_trace_from_columns(v, d, n) - want)) <= 1e-13
 
 
-def test_pair_matrix_is_a_lazy_cached_realignment(rng):
+def test_pair_entries_are_the_cached_nonzeros_of_the_realignment(rng):
     d, n = 2, 2
     dim = d ** n
     M = dec.build_M(random_density(d, rng), d, n)
-    assert "pair_matrix" not in vars(M)
-    K = M.pair_matrix
-    assert M.pair_matrix is K
+    assert "pair_entries" not in vars(M)
+    entries = M.pair_entries
+    assert M.pair_entries is entries
+    rows, cols, values = entries
+    assert all(not x.flags.writeable for x in entries)
+    # each nonzero entry of M once, and nothing else
+    assert len(set(zip(rows.tolist(), cols.tolist()))) == len(values)
+    assert len(values) == np.count_nonzero(M.matrix) == 4 * dim * dim // d
+    assert np.all(values != 0)
+    K = np.zeros((dim * dim, dim * dim), dtype=np.complex128)
+    K[rows, cols] = values
     m4 = M.matrix.reshape(dim, dim, dim, dim)
     k4 = K.reshape(dim, dim, dim, dim)
     for a, c, b, e in itertools.product(range(dim), repeat=4):
         assert k4[a, c, b, e] == m4[c, e, a, b]
+
+
+@pytest.mark.parametrize("spectrum", SPECTRA)
+@pytest.mark.parametrize("dn", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (3, 3)])
+def test_sparse_ils_matches_stream_and_series(dn, spectrum):
+    # value and Gram of the contraction over the kernel's nonzero entries,
+    # against the two evaluators that never form M
+    d, n = dn
+    dim = d ** n
+    rng = np.random.default_rng([d, n, len(spectrum), 16])
+    rho = _spectrum_state(spectrum, d, rng)
+    xs = [history_projection(random_proj(dim, rng, int(rng.integers(0, dim + 1))), n, d)
+          for _ in range(3)]
+    xs.append(homogeneous_history([random_proj(d, rng) for _ in range(n)]))
+    M = dec.build_M(rho, d, n)
+    for x, y in itertools.product(xs, repeat=2):
+        ils = dec.d_via_M(M, x, y)
+        assert abs(ils - dec.d_via_M_streaming(rho, x, y)) <= 1e-12
+        assert abs(ils - dec.d_series(rho, x, y)) <= 1e-12
+    ils = dec.make_evaluator("ils", rho, d, n).gram(xs, xs[::-1])
+    for method in ("stream", "series"):
+        other = dec.make_evaluator(method, rho, d, n).gram(xs, xs[::-1])
+        assert np.max(np.abs(ils - other)) <= 1e-12, method
+
+
+def test_sparse_ils_on_a_dense_hand_made_kernel():
+    # a kernel with no zero entry, so every term of the contraction counts
+    d, n = 2, 2
+    dim = d ** n
+    rng = np.random.default_rng(1616)
+    m = rng.standard_normal((dim * dim,) * 2) + 1j * rng.standard_normal((dim * dim,) * 2)
+    assert np.all(m != 0)
+    M = dec.ILSOperator(matrix=m, order=n, single_dim=d, state_fingerprint="hand")
+    assert len(M.pair_entries[2]) == m.size
+    m4 = m.reshape(dim, dim, dim, dim)
+    for _ in range(5):
+        p, q = (random_proj(dim, rng, int(rng.integers(1, dim + 1))) for _ in range(2))
+        # tr((p (x) q) M) = sum p[a,b] q[c,e] M[(b,e),(a,c)]
+        want = np.einsum("ab,ce,beac->", p, q, m4)
+        assert abs(want - np.trace(np.kron(p, q) @ m)) <= 1e-12
+        got = dec.d_via_M(M, history_projection(p, n, d), history_projection(q, n, d))
+        assert abs(got - want) <= 1e-12
+
+
+def test_state_matrix_cache_leaves_direct_and_stream_bytes_unchanged():
+    rng = np.random.default_rng(1617)
+    for d, n in ((2, 1), (2, 3), (3, 2)):
+        rho = random_density(d, rng)
+        facs = [[random_proj(d, rng) for _ in range(n)] for _ in range(2)]
+        h, k = (homogeneous_history(x) for x in facs)
+        # the dense state recomputed inline, as every call once did
+        rho_m = (rho.vectors * rho.weights) @ rho.vectors.conj().T
+        left = reduce(np.matmul, list(reversed(facs[0])))
+        right = reduce(np.matmul, facs[1])
+        assert _hex(dec.d_direct(rho, h, k)) == _hex(np.trace(left @ rho_m @ right))
+        a, b = dec.partial_traces(np.array([kron_chain(x) for x in facs]), d, n)
+        want = np.einsum("ivt,ts,jsv->ij", a[:1], rho_m, b[1:])[0, 0]
+        assert _hex(dec.d_via_M_streaming(rho, embed(facs[0]), embed(facs[1]))) == _hex(want)
 
 
 def _free_value(method, rho, M, x, y):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from histq import historyspace as hs
+from histq.decoherence import build_M
 from histq.errors import ShapeError, SizeCapError, ValidationError
 
 from conftest import P0, P1, PPLUS, PMINUS, haar_unitary, kron_chain, pure_e1, random_proj
@@ -54,6 +55,31 @@ def test_density_from_spectral_pure_and_mixed():
     assert np.allclose(hs.density_matrix(mixed), np.eye(2) / 2, atol=1e-12)
     plus = hs.density_from_spectral([1.0], np.array([[1], [1]], dtype=complex) / np.sqrt(2))
     assert np.allclose(hs.density_matrix(plus), PPLUS, atol=1e-12)
+
+
+def test_density_matrix_is_cached_read_only_and_exact(rng):
+    weights = [*rng.dirichlet(np.ones(2)), 0.0]
+    rho = hs.density_from_spectral(weights, haar_unitary(3, rng))
+    m = hs.density_matrix(rho)
+    assert hs.density_matrix(rho) is m and rho.matrix is m
+    assert not m.flags.writeable
+    want = (rho.vectors * rho.weights) @ rho.vectors.conj().T
+    assert m.tobytes() == want.tobytes()
+
+
+def test_state_and_kernel_arrays_refuse_writes(rng):
+    rho = hs.density_from_spectral(rng.dirichlet(np.ones(2)), haar_unitary(2, rng))
+    for arr in (rho.weights, rho.vectors, hs.density_matrix(rho),
+                build_M(rho, 2, 2).matrix, hs.completed_basis(pure_e1(2)).weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_density_from_spectral_does_not_freeze_its_inputs():
+    # the state holds read-only copies; the caller's arrays stay writable
+    w, v = np.array([0.5, 0.5]), np.eye(2, dtype=complex)
+    hs.density_from_spectral(w, v)
+    w[0] = v[0, 0] = 1.0
 
 
 def test_density_from_spectral_renormalizes_within_tol():

@@ -8,7 +8,7 @@ import pytest
 from histq import matrixcore as mc
 from histq import quadform as qf
 from histq.decoherence import d_direct
-from histq.errors import ShapeError, ValidationError
+from histq.errors import ShapeError, SizeCapError, ValidationError
 from histq.historyspace import density_from_spectral, density_matrix, homogeneous_history
 
 from conftest import (P0, P1, haar_unitary, pure_e1, pure_state, random_density,
@@ -307,6 +307,16 @@ def test_probe_rejects_bad_size():
         qf.unboundedness_probe([0])
     with pytest.raises(ShapeError, match="positive"):
         qf.unboundedness_probe([4, -1])
+
+
+@pytest.mark.parametrize("sizes", [[qf.PROBE_SIZE_CAP + 1], [4, 100000]])
+def test_probe_refuses_sizes_above_the_cap_before_probing(sizes, monkeypatch):
+    # every size is checked before the first one is probed
+    def never(n_dim):
+        raise AssertionError(f"probed N={n_dim}")
+    monkeypatch.setattr(qf, "_ladder_terms", never)
+    with pytest.raises(SizeCapError, match="exceeds cap"):
+        qf.unboundedness_probe(sizes)
 
 
 def test_probe_memory_stays_quadratic():
