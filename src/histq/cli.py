@@ -42,6 +42,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 _NUMBER = {"int": serialize.json_int, "float": serialize.json_float}
+METHODS = ("direct", "series", "ils", "stream")
 
 
 @dataclass(frozen=True)
@@ -366,6 +367,9 @@ def _cmd_bench(args, cfg: RunConfig) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise UsageError("--methods needs at least one method")
+    unknown = [m for m in methods if m not in METHODS]
+    if unknown:
+        raise ValidationError(f"unknown evaluation method {unknown[0]!r}")
     if args.pairs < 1:
         raise ValidationError(f"--pairs must be >= 1, got {args.pairs}")
     for method in methods:
@@ -419,12 +423,10 @@ def build_parser() -> _Parser:
         p.set_defaults(func=func)
         return p
 
-    methods = ("direct", "series", "ils", "stream")
-
     p = command("eval", _cmd_eval, "evaluate d(h, k) by one method", out, rho_required)
     p.add_argument("--h", required=True, metavar="FILE")
     p.add_argument("--k", required=True, metavar="FILE")
-    p.add_argument("--method", default="direct", choices=methods)
+    p.add_argument("--method", default="direct", choices=METHODS)
     p.add_argument("--tol", dest="validation_tol", type=float, default=None, metavar="TOL")
 
     p = command("build-m", _cmd_build_m, "materialize the kernel operator",
@@ -434,7 +436,7 @@ def build_parser() -> _Parser:
     p = command("verify", _cmd_verify, "axiom violation report",
                 out, rho, dim, order, seed, tol)
     p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--method", default="direct", choices=methods)
+    p.add_argument("--method", default="direct", choices=METHODS)
     p.add_argument("--csv", default=None, metavar="FILE")
 
     p = command("quadform", _cmd_quadform, "evaluate the quadratic form D(z, w)",
@@ -455,7 +457,7 @@ def build_parser() -> _Parser:
     p = command("consistency", _cmd_consistency, "consistent-set report for a family",
                 out, rho_required, tol)
     p.add_argument("--family", required=True, metavar="FILE")
-    p.add_argument("--method", default="series", choices=methods[1:])
+    p.add_argument("--method", default="series", choices=METHODS[1:])
 
     p = command("search-excess", _cmd_search_excess,
                 "search for diagonal values above one", out, rho, dim, order, seed)
@@ -464,7 +466,7 @@ def build_parser() -> _Parser:
 
     p = command("bench", _cmd_bench, "compare evaluation methods",
                 out, rho, dim, order, seed)
-    p.add_argument("--methods", default="direct,series,ils,stream")
+    p.add_argument("--methods", default=",".join(METHODS))
     p.add_argument("--pairs", type=int, default=20)
 
     return parser

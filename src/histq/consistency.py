@@ -6,10 +6,10 @@ total.  Consistency asks that Re d(h, k) vanish for every ordered disjoint
 pair in the closure; the diagonal then defines a probability assignment on
 the generators.  Bilinearity reduces all closure checks to the Gram matrix
 of the atoms, G[i, j] = d(a_i, a_j), which a bound evaluator forms with its
-``gram`` method: ``stream`` and ``ils`` in one contraction, ``series`` by
-k^2 value calls.  A bare callable is called k^2 times.  The largest |Re d|
-over disjoint pairs has a closed form per closure element, so no pair is
-enumerated.
+``gram`` method: ``stream`` and ``ils`` in one contraction, ``series`` in
+one tuple sum per atom.  A bare callable is called k^2 times, by
+`pairwise_gram`.  The largest |Re d| over disjoint pairs has a closed form
+per closure element, so no pair is enumerated.
 
 The search for diagonal values above one needs only rho = S S^dagger: for
 Hermitian p, B(p) = A(p)^dagger and d(p, p) = ||A(p) S||_F^2.
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoherence import ILSOperator, pairwise_gram, partial_trace_from_columns
+from .decoherence import ILSOperator, partial_trace_from_columns
 from .errors import ShapeError, ValidationError
 from .historyspace import (VALIDATION_TOL, HistoryProjection, density_matrix,
                            history_projection, validate_projection)
@@ -121,6 +121,12 @@ class ConsistencyReport:
             "unphysical": list(self.unphysical),
             "tol": self.tol,
         }
+
+
+def pairwise_gram(fn, ps, qs) -> np.ndarray:
+    """G[i, j] = fn(ps[i], qs[j]) by len(ps) * len(qs) calls, row by row."""
+    return np.array([[complex(fn(p, q)) for q in qs] for p in ps],
+                    dtype=np.complex128).reshape(len(ps), len(qs))
 
 
 def _mask_label(mask: int, atom_labels) -> str:

@@ -28,18 +28,21 @@ traces A(p)[v,t] = sum_u p[(u,v),(t,u)] and B(q)[t,v] = sum_w q[(t,w),(w,v)].
 `partial_trace_from_columns` takes A(V V^dagger) from the columns V alone,
 as the excess search keeps its projections.
 
-``stream`` and ``ils`` each have one contraction, the Gram matrix
-G[i, j] = d(p_i, q_j) of two lists, and a single value is the one-pair
-Gram: ``stream`` contracts the stacked partial traces with rho without
+Each method has one evaluation function, which gives a single value for
+two arguments and the Gram matrix G[i, j] = d(p_i, q_j) of two lists:
+``stream`` contracts the stacked partial traces with rho without
 materializing M, G[i, j] = tr(A(p_i) rho B(q_j)), and `d_via_M_streaming`
 is its [0, 0] entry; ``ils`` forms vec(P) @ K @ vec(Q)^T with the realigned
 kernel K of `d_via_M` below, contracted over K's nonzero entries, and
-`d_via_M` is its [0, 0] entry.
+`d_via_M` is its [0, 0] entry; ``series`` sums the tuples of one h against
+one k or a stack of them, so a Gram takes one call per row; ``direct``
+traces left rho right for one pair of time-ordered products or, broadcast,
+for a stack of each.
 
-`d_series` caches the table of all tuples for each (rank rho, d, n) as flat
-positions into h and k; a call gathers from each of them in one step the
-entries every tuple needs and sums over the single-time index t along the
-outer axis.  Accumulation is still lexicographic and left to right.
+The series sum caches the table of all tuples for each (rank rho, d, n) as
+flat positions into h and k; a call gathers from each of them in one step
+the entries every tuple needs and sums over the single-time index t along
+an outer axis.  Accumulation is still lexicographic and left to right.
 Complex products are formed on real and imaginary parts because numpy's
 SIMD loops for complex-array multiply may fuse multiply-adds (FMA), while
 its scalar complex multiply does not; this way the value is bit-identical
@@ -149,12 +152,34 @@ def _normalize(method: str, d: int, n: int, xs) -> tuple:
     return tuple(out)
 
 
+def _left_product(h: HomogeneousHistory) -> np.ndarray:
+    # h_n ... h_1
+    return reduce(np.matmul, [p.matrix for p in reversed(h.projections)])
+
+
+def _right_product(k: HomogeneousHistory) -> np.ndarray:
+    # k_1 ... k_n
+    return reduce(np.matmul, [p.matrix for p in k.projections])
+
+
+def _direct_values(rho_m: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """tr(left rho right) over the last two axes, broadcast over the rest:
+    one value for two d x d products, a Gram for a (k, 1, d, d) stack of
+    left products against an (l, d, d) stack of right ones."""
+    return np.trace(left @ rho_m @ right, axis1=-2, axis2=-1)
+
+
+def _direct_gram(rho_m: np.ndarray, ps, qs) -> np.ndarray:
+    # the arguments are checked by the caller
+    left = np.array([_left_product(h) for h in ps])
+    right = np.array([_right_product(k) for k in qs])
+    return _direct_values(rho_m, left[:, None], right)
+
+
 def d_direct(rho: DensityOperator, h: HomogeneousHistory, k: HomogeneousHistory) -> complex:
     """Time-ordered product evaluation tr(h_n ... h_1 rho k_1 ... k_n)."""
     h, k = _normalize("direct", rho.dim, max(h.order, k.order), (h, k))
-    left = reduce(np.matmul, [p.matrix for p in reversed(h.projections)])
-    right = reduce(np.matmul, [p.matrix for p in k.projections])
-    return complex(np.trace(left @ density_matrix(rho) @ right))
+    return complex(_direct_values(density_matrix(rho), _left_product(h), _right_product(k)))
 
 
 def _place_value(digits, d: int):
@@ -196,39 +221,62 @@ def _tuple_table(rank: int, d: int, n: int) -> tuple[np.ndarray, np.ndarray, np.
     return j0, flat_h, flat_k
 
 
-def d_series(rho: DensityOperator, h: HistoryProjection | HomogeneousHistory,
-             k: HistoryProjection | HomogeneousHistory) -> complex:
-    """Series evaluation: fixed-order sum of per-tuple contributions.
+def _series_values(rho: DensityOperator, d: int, n: int, h: np.ndarray,
+                   k: np.ndarray) -> np.ndarray:
+    """The series sum for one (D, D) history matrix h against k, which is
+    one (D, D) matrix or an (l, D, D) stack: a 0-d value or a Gram row.
 
     Tuples are visited in lexicographic order and accumulated left to right,
     skipping those of zero weight.  Each contribution splits across the
     doubled-space tensor cut, so only entries of h and k are touched: the
     tuple table depends only on (rank rho, d, n) and is cached, and each
-    call gathers from h and k, in one step each, the entries every tuple
-    needs for every t, then sums over t along the outer axis, which numpy
-    reduces in sequence.  Products are formed on real and imaginary parts,
-    never by complex-array multiply, so every step rounds as the scalar
-    per-tuple expansion does and the value is bit-identical to it.
+    call gathers from h and every k, in one step each, the entries every
+    tuple needs for every t, then sums over t along an outer axis, which
+    numpy reduces in sequence.  Products are formed on real and imaginary
+    parts, never by complex-array multiply, so every step rounds as the
+    scalar per-tuple expansion does.  The weights are real and the terms
+    finite, so multiplying them as reals changes at most the sign of a zero
+    term; a left-to-right sum from +0.0 never holds -0.0, and the final
+    + 0.0 clears the one case where the sum without that start differs, so
+    every value is bit-identical to the per-tuple expansion.
     """
-    d, n = rho.dim, max(h.order, k.order)
-    h, k = _normalize("series", d, n, (h, k))
     j0, flat_h, flat_k = _tuple_table(len(rho.weights), d, n)
     if not rho.weights.all():
-        keep = rho.weights[j0] != 0.0
-        j0, flat_h, flat_k = j0[keep], flat_h[:, keep], flat_k[:, keep]
-    psi = rho.vectors[:, j0]
-    hv = h.matrix.reshape(-1)[flat_h]
-    kv = k.matrix.reshape(-1)[flat_k]
+        keep = np.flatnonzero(rho.weights[j0] != 0.0)
+        j0, flat_h, flat_k = j0[keep], flat_h.take(keep, axis=1), flat_k.take(keep, axis=1)
+    # take() returns C-ordered arrays, where indexing along axis 1 may lay
+    # the tuple axis out first: the sums over t then run along a strided
+    # axis, in sequence; numpy sums a contiguous axis of 8 or more terms
+    # pairwise
+    psi = rho.vectors.take(j0, axis=1)
+    hv = h.reshape(-1)[flat_h]
+    kv = k.reshape(*k.shape[:-2], -1).take(flat_k, axis=-1)
     pr, pi = _real_product(psi.real, psi.imag, hv.real, hv.imag)
-    ar, ai = np.add.reduce(pr, axis=0), np.add.reduce(pi, axis=0)
+    ar, ai = np.add.reduce(pr, axis=-2), np.add.reduce(pi, axis=-2)
     pr, pi = _real_product(psi.real, -psi.imag, kv.real, kv.imag)
-    br, bi = np.add.reduce(pr, axis=0), np.add.reduce(pi, axis=0)
+    br, bi = np.add.reduce(pr, axis=-2), np.add.reduce(pi, axis=-2)
     xr, xi = _real_product(ar, ai, br, bi)
-    # a real weight times a complex term multiplies as complex (w + 0j)
-    xr, xi = _real_product(rho.weights[j0], 0.0, xr, xi)
-    total_r = np.add.accumulate(np.concatenate(([0.0], xr)))[-1]
-    total_i = np.add.accumulate(np.concatenate(([0.0], xi)))[-1]
-    return complex(total_r, total_i)
+    w = rho.weights[j0]
+    total = np.empty(xr.shape[:-1], dtype=np.complex128)
+    total.real = np.add.accumulate(w * xr, axis=-1)[..., -1] + 0.0
+    total.imag = np.add.accumulate(w * xi, axis=-1)[..., -1] + 0.0
+    return total
+
+
+def _series_gram(rho: DensityOperator, d: int, n: int, ps, qs) -> np.ndarray:
+    # one row per call, ps[i] against the stack of qs, so memory stays
+    # O(len(qs) * tuples); the arguments are checked by the caller
+    qm = np.array([q.matrix for q in qs])
+    return np.array([_series_values(rho, d, n, p.matrix, qm) for p in ps])
+
+
+def d_series(rho: DensityOperator, h: HistoryProjection | HomogeneousHistory,
+             k: HistoryProjection | HomogeneousHistory) -> complex:
+    """Series evaluation: the fixed-order sum of per-tuple contributions of
+    `_series_values`, bit-identical to the scalar per-tuple expansion."""
+    d, n = rho.dim, max(h.order, k.order)
+    h, k = _normalize("series", d, n, (h, k))
+    return complex(_series_values(rho, d, n, h.matrix, k.matrix))
 
 
 def build_M(rho: DensityOperator, d: int, n: int,
@@ -326,12 +374,6 @@ def d_via_M_streaming(rho: DensityOperator, p: HistoryProjection | HomogeneousHi
     return complex(_stream_gram(density_matrix(rho), d, n, (p,), (q,))[0, 0])
 
 
-def pairwise_gram(fn, ps, qs) -> np.ndarray:
-    """G[i, j] = fn(ps[i], qs[j]) by len(ps) * len(qs) calls, row by row."""
-    return np.array([[complex(fn(p, q)) for q in qs] for p in ps],
-                    dtype=np.complex128).reshape(len(ps), len(qs))
-
-
 @dataclass(frozen=True)
 class Evaluator:
     """A decoherence functional bound to a fixed state and geometry (d, n).
@@ -342,8 +384,9 @@ class Evaluator:
     order raises ShapeError.  ``gram`` is the matrix G[i, j] = d(xs[i], ys[j])
     and ``value`` is its one-pair case.  ``stream`` forms it in one
     contraction of the stacked partial traces, ``ils`` in one product over
-    the nonzero entries of the realigned kernel, and ``series`` and
-    ``direct`` by one call per pair.
+    the nonzero entries of the realigned kernel, ``series`` by one tuple
+    sum per row against the stack of ``ys``, and ``direct`` in one
+    broadcast product of the stacked time-ordered products.
     ``series``, ``ils`` and ``stream`` embed homogeneous histories;
     ``direct`` needs them and raises ShapeError on history projections.
     The four free functions take their arguments by the same rules, with n
@@ -374,9 +417,9 @@ def make_evaluator(method: str, rho: DensityOperator, d: int, n: int,
     if rho.dim != d:
         raise ShapeError(f"state dimension {rho.dim} does not match d={d}")
     if method == "direct":
-        gram = partial(pairwise_gram, partial(d_direct, rho))
+        gram = partial(_direct_gram, density_matrix(rho))
     elif method == "series":
-        gram = partial(pairwise_gram, partial(d_series, rho))
+        gram = partial(_series_gram, rho, d, n)
     elif method == "ils":
         gram = partial(_ils_gram, build_M(rho, d, n, cap=cap))
     elif method == "stream":

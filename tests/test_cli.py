@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from histq import quadform, serialize
+from histq import decoherence, quadform, serialize
 from histq.cli import RunConfig, main
 from histq.decoherence import DEFAULT_MATERIALIZE_CAP
 from histq.divergence import (DEFAULT_CONVERGENCE_THRESHOLD, DEFAULT_DIVERGENCE_THRESHOLD,
@@ -384,9 +384,19 @@ def test_verify_and_bench_refuse_histories_above_the_cap(tmp_path, capsys, metho
                  "--pairs", "1", "--out", out]) == 0
 
 
-def test_bench_rejects_unknown_method(tmp_path, capsys):
+def test_bench_rejects_unknown_method(tmp_path, capsys, monkeypatch):
     assert main(["bench", "--methods", "direct,magic"]) == 2
     capsys.readouterr()
+    # every name is checked before the size cap and before any evaluation
+    assert main(["bench", "--methods", "foo", "-d", "2", "-n", "40"]) == 2
+    assert "unknown evaluation method 'foo'" in capsys.readouterr().err
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("bench evaluated before checking every method name")
+
+    monkeypatch.setattr(decoherence, "make_evaluator", refuse)
+    assert main(["bench", "--methods", "stream,foo", "-d", "2", "-n", "2"]) == 2
+    assert "unknown evaluation method 'foo'" in capsys.readouterr().err
 
 
 def test_reruns_are_byte_identical(tmp_path, capsys):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from histq import consistency as cs
-from histq.decoherence import (ILSOperator, build_M, d_series, d_via_M_streaming,
-                               make_evaluator, pairwise_gram, partial_traces,
-                               random_homogeneous)
+from histq.consistency import pairwise_gram
+from histq.decoherence import (ILSOperator, build_M, d_direct, d_series, d_via_M_streaming,
+                               make_evaluator, partial_traces, random_homogeneous)
 from histq.errors import ShapeError, ValidationError
 from histq.historyspace import (density_from_spectral, density_matrix, history_projection,
                                 identity_history_projection)
@@ -434,6 +434,10 @@ def gram_families(rho, d, n, rng):
                            for v in eig.T]), True
 
 
+def hex_entries(g):
+    return [(z.real.hex(), z.imag.hex()) for z in np.ravel(g).tolist()]
+
+
 @pytest.mark.parametrize("state", ["full", "rank-one", "rank-deficient", "near-degenerate"])
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -444,6 +448,10 @@ def test_gram_matches_the_pairwise_loop(n, d, state):
     for family, must_be_consistent in gram_families(rho, d, n, rng):
         atoms = family.atoms
         oracle = evs["series"].gram(atoms, atoms)
+        # the series Gram is d_series pair by pair to the bit, also rectangular
+        for xs, ys in ((atoms, atoms), (atoms[:1], atoms[::-1])):
+            want = pairwise_gram(lambda p, q: d_series(rho, p, q), xs, ys)
+            assert hex_entries(evs["series"].gram(xs, ys)) == hex_entries(want)
         reports = {m: cs.check_consistent(ev, family) for m, ev in evs.items()}
         for m in ("stream", "ils"):
             ev = evs[m]
@@ -491,11 +499,25 @@ def test_gram_raises_what_the_loop_raises(method):
     assert "single-time dimension" in str(bare.value)
 
 
+@pytest.mark.parametrize("state", ["full", "rank-deficient"])
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_direct_gram_matches_d_direct_pair_by_pair(n, d, state):
+    rng = np.random.default_rng([n, d, len(state), 7])
+    rho = gram_state(state, d, rng)
+    hs = [random_homogeneous(d, n, rng) for _ in range(3)]
+    ks = [random_homogeneous(d, n, rng) for _ in range(2)]
+    got = make_evaluator("direct", rho, d, n).gram(hs, ks)
+    assert got.shape == (3, 2)
+    want = pairwise_gram(lambda h, k: d_direct(rho, h, k), hs, ks)
+    assert hex_entries(got) == hex_entries(want)
+
+
 def test_gram_order_mismatch_raises_as_the_loop_does():
     rho = pure_e1(2)
     family = double_z_family()
     other = embed([P0, P0, P0])
-    for method in ("stream", "ils"):
+    for method in ("series", "stream", "ils"):
         ev = make_evaluator(method, rho, 2, 2)
         with pytest.raises(ShapeError) as batched:
             ev.gram(family.atoms, (other,))

@@ -428,6 +428,22 @@ def test_series_rank_deficient_call_leaves_the_cached_table_intact():
     assert _bytes(before) == _bytes(after) == _bytes(_series_loop(full, p, q))
 
 
+@pytest.mark.parametrize("d", [8, 9])
+def test_series_sums_over_t_in_sequence_past_eight_terms(d):
+    # zero weights filter the tuple table; the sum over t must still run in
+    # sequence, in the value and in the Gram, where numpy would sum a
+    # contiguous axis of 8 or more terms pairwise
+    rng = np.random.default_rng([d, 8])
+    rho = density_from_spectral([0.6, 0.0, 0.4] + [0.0] * (d - 3), haar_unitary(d, rng))
+    ps = [history_projection(random_proj(d, rng, r), 1, d) for r in (2, 4, 7)]
+    gram = dec.make_evaluator("series", rho, d, 1).gram(ps, ps[:2])
+    for i, p in enumerate(ps):
+        for j, q in enumerate(ps[:2]):
+            want = _bytes(_series_loop(rho, p, q))
+            assert _bytes(dec.d_series(rho, p, q)) == want
+            assert _bytes(gram[i, j]) == want
+
+
 @pytest.mark.parametrize("dn", [(2, 1), (2, 2), (3, 2), (2, 3), (3, 3), (2, 4)])
 def test_partial_trace_from_columns_matches_partial_traces(dn):
     # A(V V^dagger) from orthonormal columns V equals the partial trace of
