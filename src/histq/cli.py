@@ -211,7 +211,7 @@ def _cmd_eval(args, cfg: RunConfig) -> int:
     d = rho.dim
     h = _load_history_like(args.h, d, cfg)
     k = _load_history_like(args.k, d, cfg)
-    residuals = {"rho_trace": abs(float(np.sum(rho.weights)) - 1.0)}
+    residuals = {"rho_trace": rho.trace_residual}
     residuals["h_hermitian"], residuals["h_idempotent"] = _factor_residuals(h)
     residuals["k_hermitian"], residuals["k_idempotent"] = _factor_residuals(k)
     n = max(h.order, k.order)

@@ -5,11 +5,10 @@ projections: every orthogonal sum of generators plus the complement of their
 total.  Consistency asks that Re d(h, k) vanish for every ordered disjoint
 pair in the closure; the diagonal then defines a probability assignment on
 the generators.  Bilinearity reduces all closure checks to the Gram matrix
-of the atoms, G[i, j] = d(a_i, a_j), which a bound evaluator forms with its
-``gram`` method: ``stream`` and ``ils`` in one contraction, ``series`` in
-one tuple sum per atom.  A bare callable is called k^2 times, by
-`pairwise_gram`.  The largest |Re d| over disjoint pairs has a closed form
-per closure element, so no pair is enumerated.
+of the atoms, G[i, j] = d(a_i, a_j), which the evaluator forms in one
+``gram`` call: ``stream`` and ``ils`` in one contraction, ``series`` in one
+tuple sum per atom.  The largest |Re d| over disjoint pairs has a closed
+form per closure element, so no pair is enumerated.
 
 The search for diagonal values above one needs only rho = S S^dagger: for
 Hermitian p, B(p) = A(p)^dagger and d(p, p) = ||A(p) S||_F^2.
@@ -19,7 +18,7 @@ Phi, taking a kernel or a bound evaluator, and forms no kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -113,20 +112,7 @@ class ConsistencyReport:
     tol: float
 
     def as_dict(self) -> dict:
-        return {
-            "consistent": self.consistent,
-            "max_re_offdiag": self.max_re_offdiag,
-            "probabilities": dict(self.probabilities),
-            "prob_sum": self.prob_sum,
-            "unphysical": list(self.unphysical),
-            "tol": self.tol,
-        }
-
-
-def pairwise_gram(fn, ps, qs) -> np.ndarray:
-    """G[i, j] = fn(ps[i], qs[j]) by len(ps) * len(qs) calls, row by row."""
-    return np.array([[complex(fn(p, q)) for q in qs] for p in ps],
-                    dtype=np.complex128).reshape(len(ps), len(qs))
+        return {**asdict(self), "unphysical": list(self.unphysical)}
 
 
 def _mask_label(mask: int, atom_labels) -> str:
@@ -138,9 +124,9 @@ def check_consistent(evaluator, family: HistoryFamily,
                      tol: float = 1e-9) -> ConsistencyReport:
     """Re d over all ordered disjoint closure pairs, probabilities on generators.
 
-    evaluator is either a bound evaluator exposing gram(ps, qs), the matrix
-    of values on two lists of history projections, or a bare callable
-    value(p, q), which is called once per ordered pair of atoms.
+    evaluator is anything with gram(ps, qs), the matrix of values on two
+    lists of history projections, such as a bound `Evaluator`; it is asked
+    once, for the Gram of the atoms.
 
     For a closure element s with atom indicator row e_s, Re d(s, t) equals
     the sum of r_s = e_s Re G over the atoms of t.  Over non-empty t disjoint
@@ -149,12 +135,8 @@ def check_consistent(evaluator, family: HistoryFamily,
     O(2^k k) array work without visiting a pair.
     """
     atoms = family.atoms
-    if hasattr(evaluator, "gram"):
-        gram = evaluator.gram(atoms, atoms)
-    else:
-        gram = pairwise_gram(evaluator, atoms, atoms)
+    re_gram = evaluator.gram(atoms, atoms).real
     k = len(atoms)
-    re_gram = gram.real
     n_masks = 1 << k
     ind = ((np.arange(n_masks)[:, None] >> np.arange(k)) & 1).astype(float)
     row_sum = ind @ re_gram

@@ -56,6 +56,9 @@ class DensityOperator:
     vectors : np.ndarray
         dim x r complex matrix whose columns are orthonormal; column i is
         the eigenvector carrying ``weights[i]``.
+    trace_residual : float
+        |sum of the input weights - 1| before they were renormalized: the
+        distance of the given state from unit trace.
     matrix : np.ndarray
         The dense matrix sum_i w_i |psi_i><psi_i|, formed on first use and
         read-only.  The constructors of this module make ``weights`` and
@@ -65,6 +68,7 @@ class DensityOperator:
     dim: int
     weights: np.ndarray
     vectors: np.ndarray
+    trace_residual: float
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -145,7 +149,8 @@ def density_from_spectral(weights, vectors, tol: float = VALIDATION_TOL) -> Dens
     """Build a density operator from explicit weights and column vectors.
 
     Weights within ``-1e-12`` of zero are clamped to zero; the weight sum is
-    renormalized only when it is already within ``tol`` of one.  Columns must
+    renormalized only when it is already within ``tol`` of one, and its
+    distance from one is kept as ``trace_residual``.  Columns must
     be orthonormal within ``tol``.
     """
     w = np.array(weights, dtype=float)
@@ -170,7 +175,8 @@ def density_from_spectral(weights, vectors, tol: float = VALIDATION_TOL) -> Dens
     if gram_res > tol:
         raise ValidationError(f"vectors not orthonormal: Gram residual {gram_res:.3e}")
     w.flags.writeable = v.flags.writeable = False
-    return DensityOperator(dim=v.shape[0], weights=w, vectors=v)
+    return DensityOperator(dim=v.shape[0], weights=w, vectors=v,
+                           trace_residual=abs(total - 1.0))
 
 
 def density_from_matrix(m, tol: float = VALIDATION_TOL) -> DensityOperator:
@@ -188,7 +194,8 @@ def density_from_matrix(m, tol: float = VALIDATION_TOL) -> DensityOperator:
     -------
     DensityOperator
         Eigenvalues are clamped at zero from below (only within ``-tol``)
-        and renormalized to sum to one.
+        and renormalized to sum to one; ``trace_residual`` is the distance
+        of the clamped eigenvalues' sum from one.
     """
     m = matrixcore.as_complex_matrix(m)
     if m.shape[0] != m.shape[1]:
@@ -234,7 +241,8 @@ def completed_basis(rho: DensityOperator) -> DensityOperator:
     weights = np.concatenate([rho.weights, np.zeros(d - r)])
     vectors = np.column_stack(cols)
     weights.flags.writeable = vectors.flags.writeable = False
-    return DensityOperator(dim=d, weights=weights, vectors=vectors)
+    return DensityOperator(dim=d, weights=weights, vectors=vectors,
+                           trace_residual=rho.trace_residual)
 
 
 def homogeneous_history(projections, tol: float = VALIDATION_TOL) -> HomogeneousHistory:

@@ -18,7 +18,7 @@ factors into the same two reused buffers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import reduce
 
 import numpy as np
@@ -171,8 +171,7 @@ class UniquenessReport:
     max_deviation: float
 
     def as_dict(self) -> dict:
-        return {"probe_count": self.probe_count, "seed": self.seed,
-                "max_deviation": self.max_deviation}
+        return asdict(self)
 
 
 def random_tensor_sum(d: int, n: int, rng: np.random.Generator,
@@ -233,18 +232,6 @@ def _ladder_element(n_dim: int) -> SimpleTensorSum:
                              order=2, single_dim=n_dim)
 
 
-def _ladder_norm(n_dim: int) -> float:
-    """Exact norm of the assembled z_N, from the positions of its entries.
-
-    Term j assembles to one unit entry at row (j, 1) and column (1, j) of
-    the doubled space, composite indices j * N and j.  No two entries share
-    a row, so Z^dagger Z is diagonal with the entry count of each column on
-    its diagonal, and the norm is the square root of the largest count.
-    """
-    cols = np.arange(n_dim)
-    return float(np.sqrt(np.bincount(cols).max()))
-
-
 def unboundedness_probe(sizes) -> list[ProbeRow]:
     """Growth table: for each N report the norm of z_N and delta(z_N) = D(z_N, 1).
 
@@ -280,5 +267,7 @@ def unboundedness_probe(sizes) -> list[ProbeRow]:
                      for term in _ladder_terms(n_dim)), 0j)
         if abs(value.imag) > 1e-9:
             raise ValidationError(f"probe value has imaginary part {value.imag:.3e}")
-        rows.append(ProbeRow(size=n_dim, norm=_ladder_norm(n_dim), value=float(value.real)))
+        # the N unit entries of z_N sit at rows j * N and columns j, no two
+        # in one row or one column, so its operator norm is exactly 1
+        rows.append(ProbeRow(size=n_dim, norm=1.0, value=float(value.real)))
     return rows

@@ -102,6 +102,21 @@ def test_eval_tol_flag_relaxes_validation(tmp_path, capsys):
     assert out["residuals"]["h_idempotent"] == pytest.approx(1e-7, rel=1e-3)
 
 
+def test_eval_reports_the_trace_residual_of_the_input_state(tmp_path, capsys):
+    h = history_file(tmp_path, [P0, P0], "h.json")
+    eye = serialize.matrix_to_json(np.eye(2, dtype=complex))
+    spectral = jwrite(tmp_path, "spectral.json", {"weights": [0.5, 0.5000001], "vectors": eye})
+    dense = jwrite(tmp_path, "dense.json", {"matrix": serialize.matrix_to_json(
+        np.diag([0.5, 0.5000001]).astype(complex))})
+    for rho in (spectral, dense):
+        assert main(["eval", "--rho", rho, "--h", h, "--k", h]) == 2
+        capsys.readouterr()
+        code, out = run_json(capsys, ["eval", "--rho", rho, "--h", h, "--k", h,
+                                      "--tol", "1e-5"])
+        assert code == 0
+        assert out["residuals"]["rho_trace"] == pytest.approx(1e-7, rel=1e-6)
+
+
 def test_eval_exit_codes(tmp_path, capsys):
     rho = rho_file(tmp_path, pure_e1(2))
     h = history_file(tmp_path, [P0, P0], "h.json")

@@ -11,6 +11,7 @@ from histq.historyspace import (completed_basis, density_from_spectral,
                                 homogeneous_history, history_projection,
                                 identity_history_projection, pad_history,
                                 zero_history_projection)
+from histq.seeding import generator
 
 from conftest import (P0, P1, PMINUS, PPLUS, haar_unitary, kron_chain,
                       near_degenerate_states, pure_e1, pure_state,
@@ -307,6 +308,70 @@ def test_verify_axioms_deterministic(rng):
     r1 = dec.verify_axioms(ev, samples=15, seed=4)
     r2 = dec.verify_axioms(ev, samples=15, seed=4)
     assert r1 == r2
+
+
+def verify_axioms_by_value(evaluator, samples, seed, tol=1e-9):
+    """verify_axioms as nine one-pair ``value`` calls per sample: the
+    reference for the two Gram calls the program makes."""
+    rng = generator(seed, "verify")
+    d, n = evaluator.single_dim, evaluator.order
+    homogeneous = evaluator.method == "direct"
+    eye = homogeneous_history([np.eye(d, dtype=np.complex128)] * n)
+    max_norm = abs(evaluator.value(eye, eye) - 1.0)
+    max_herm = max_pos = max_add = 0.0
+    for _ in range(samples):
+        x, y, whole, x1, x2 = dec._axiom_draw(homogeneous, d, n, rng)
+        v = evaluator.value
+        max_herm = max(max_herm, abs(v(x, y) - np.conj(v(y, x))))
+        diag = v(x, x)
+        max_pos = max(max_pos, max(-diag.real, 0.0), abs(diag.imag))
+        max_add = max(max_add, abs(v(whole, y) - v(x1, y) - v(x2, y)))
+        max_add = max(max_add, abs(v(y, whole) - v(y, x1) - v(y, x2)))
+    return dec.AxiomReport(evaluator.method, samples, seed, tol, float(max_herm),
+                           float(max_pos), float(max_norm), float(max_add))
+
+
+@pytest.mark.parametrize("method", ["direct", "series", "ils", "stream"])
+@pytest.mark.parametrize("d, n", [(2, 1), (2, 2), (3, 2), (2, 3)])
+def test_verify_axioms_matches_the_value_loop(d, n, method):
+    for seed in range(3):
+        rho = random_density(d, np.random.default_rng([d, n, seed]))
+        ev = dec.make_evaluator(method, rho, d, n)
+        got = dec.verify_axioms(ev, samples=20, seed=seed).as_dict()
+        want = verify_axioms_by_value(ev, samples=20, seed=seed).as_dict()
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            if not isinstance(value, float):
+                assert got[key] == value, key
+            elif method == "ils":
+                # the kernel contraction sums a Gram row in another order
+                assert abs(got[key] - value) <= 1e-15, key
+            else:
+                assert got[key].hex() == value.hex(), key
+
+
+class CountingEvaluator:
+    def __init__(self, evaluator):
+        self.evaluator = evaluator
+        self.method = evaluator.method
+        self.single_dim, self.order = evaluator.single_dim, evaluator.order
+        self.gram_calls = self.value_calls = 0
+
+    def gram(self, xs, ys):
+        self.gram_calls += 1
+        return self.evaluator.gram(xs, ys)
+
+    def value(self, x, y):
+        self.value_calls += 1
+        return self.evaluator.value(x, y)
+
+
+@pytest.mark.parametrize("method", ["direct", "series", "ils", "stream"])
+def test_verify_axioms_asks_two_grams_and_one_value_per_sample(method, rng):
+    ev = CountingEvaluator(dec.make_evaluator(method, random_density(2, rng), 2, 2))
+    dec.verify_axioms(ev, samples=7, seed=1)
+    # one more value call for the normalization d(1, 1)
+    assert (ev.gram_calls, ev.value_calls) == (14, 8)
 
 
 def test_build_m_deterministic(rng):

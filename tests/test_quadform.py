@@ -217,7 +217,7 @@ def test_ladder_element_structure():
 def test_probe_norm_matches_dense_oracle():
     for n_dim in range(1, 17):
         dense = qf.assemble(qf._ladder_element(n_dim))
-        # the entry positions the exact norm is read from
+        # the entry positions the constant norm 1 rests on: distinct rows and columns
         rows, cols = np.nonzero(dense)
         assert sorted(zip(rows.tolist(), cols.tolist())) == [(j * n_dim, j) for j in range(n_dim)]
         row = qf.unboundedness_probe([n_dim])[0]
