@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import __version__, consistency, decoherence, divergence, quadform, serialize
-from .decoherence import DEFAULT_MATERIALIZE_CAP
+from .decoherence import DEFAULT_MATERIALIZE_CAP, METHODS
 from .divergence import (DEFAULT_CONVERGENCE_THRESHOLD, DEFAULT_DIVERGENCE_THRESHOLD,
                          default_schedule)
 from .errors import (HistqError, NumericalError, ShapeError, SizeCapError,
@@ -42,7 +42,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 _NUMBER = {"int": serialize.json_int, "float": serialize.json_float}
-METHODS = ("direct", "series", "ils", "stream")
 
 
 @dataclass(frozen=True)
@@ -137,12 +136,7 @@ def _write_csv(header, rows, path: str | None) -> None:
     _write_text("\n".join(lines) + "\n", path)
 
 
-def _load_density(path: str | None, cfg: RunConfig,
-                  default: DensityOperator | None = None) -> DensityOperator:
-    if path is None:
-        if default is None:
-            raise UsageError("--rho is required here")
-        return default
+def _load_density(path: str, cfg: RunConfig) -> DensityOperator:
     return serialize.density_from_json(serialize.load_json(path),
                                        tol=cfg.validation_tol)
 
@@ -195,13 +189,13 @@ def _factor_residuals(obj) -> tuple[float, float]:
     return _projection_residuals(obj.matrix)
 
 
-def _check_history_cap(method: str, rho: DensityOperator, d: int, n: int,
+def _check_history_cap(method: str, state_dim: int, d: int, n: int,
                        cfg: RunConfig) -> None:
     """Refuse to embed histories of dimension d**n above the history cap;
     ``direct`` holds only the d x d factors and is not capped.  A state of
     another dimension than d passes, so that make_evaluator rejects it first
     as a validation error."""
-    if method != "direct" and rho.dim == d and d ** n > cfg.history_cap:
+    if method != "direct" and state_dim == d and d ** n > cfg.history_cap:
         raise SizeCapError(
             f"history dimension {d}**{n}={d ** n} exceeds cap {cfg.history_cap}")
 
@@ -216,7 +210,7 @@ def _cmd_eval(args, cfg: RunConfig) -> int:
     residuals["k_hermitian"], residuals["k_idempotent"] = _factor_residuals(k)
     n = max(h.order, k.order)
     if isinstance(h, HomogeneousHistory) or isinstance(k, HomogeneousHistory):
-        _check_history_cap(args.method, rho, d, n, cfg)
+        _check_history_cap(args.method, rho.dim, d, n, cfg)
     evaluator = decoherence.make_evaluator(args.method, rho, d, n,
                                            cap=cfg.materialize_cap)
     value = evaluator.value(h, k)
@@ -243,7 +237,7 @@ def _cmd_build_m(args, cfg: RunConfig) -> int:
         "single_dim": d,
         "order": n,
         "trace": [np.trace(M.matrix).real, np.trace(M.matrix).imag],
-        "state_fingerprint": M.state_fingerprint,
+        "state_fingerprint": decoherence.state_fingerprint(rho),
         "meta": _meta(),
     }
     _write_json(summary, None)
@@ -252,8 +246,11 @@ def _cmd_build_m(args, cfg: RunConfig) -> int:
 
 def _cmd_verify(args, cfg: RunConfig) -> int:
     d, n, seed = cfg.single_dim, cfg.order, cfg.seed
-    rho = _load_density(args.rho, cfg, default=_mixed_state(d, cfg))
-    _check_history_cap(args.method, rho, d, n, cfg)
+    # the default state is built only once the cap lets the run through
+    rho = None if args.rho is None else _load_density(args.rho, cfg)
+    _check_history_cap(args.method, d if rho is None else rho.dim, d, n, cfg)
+    if rho is None:
+        rho = _mixed_state(d, cfg)
     evaluator = decoherence.make_evaluator(args.method, rho, d, n,
                                            cap=cfg.materialize_cap)
     report = decoherence.verify_axioms(evaluator, samples=args.samples,
@@ -312,7 +309,8 @@ def _load_pair_operator(spec_text: str, cfg: RunConfig):
 
 
 def _cmd_diverge(args, cfg: RunConfig) -> int:
-    rho = _load_density(args.rho, cfg, default=_pure_e1(cfg.single_dim, cfg))
+    rho = (_pure_e1(cfg.single_dim, cfg) if args.rho is None
+           else _load_density(args.rho, cfg))
     p = _load_pair_operator(args.p, cfg)
     q = _load_pair_operator(args.q, cfg)
     result = divergence.truncated_d(rho, p, q, cfg.schedule())
@@ -346,7 +344,7 @@ def _cmd_search_excess(args, cfg: RunConfig) -> int:
         xi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         xi = (xi / np.linalg.norm(xi)).reshape(d, 1)
         rho = density_from_spectral([1.0], xi, tol=cfg.validation_tol)
-    _check_history_cap("stream", rho, d, n, cfg)
+    _check_history_cap("stream", rho.dim, d, n, cfg)
     ev = decoherence.make_evaluator("stream", rho, d, n)
     res = consistency.diag_excess_search(ev, budget=args.budget, seed=seed, sweeps=args.sweeps)
     out = {
@@ -363,7 +361,7 @@ def _cmd_search_excess(args, cfg: RunConfig) -> int:
 
 def _cmd_bench(args, cfg: RunConfig) -> int:
     d, n, seed = cfg.single_dim, cfg.order, cfg.seed
-    rho = _load_density(args.rho, cfg, default=_mixed_state(d, cfg))
+    rho = None if args.rho is None else _load_density(args.rho, cfg)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise UsageError("--methods needs at least one method")
@@ -373,7 +371,9 @@ def _cmd_bench(args, cfg: RunConfig) -> int:
     if args.pairs < 1:
         raise ValidationError(f"--pairs must be >= 1, got {args.pairs}")
     for method in methods:
-        _check_history_cap(method, rho, d, n, cfg)
+        _check_history_cap(method, d if rho is None else rho.dim, d, n, cfg)
+    if rho is None:
+        rho = _mixed_state(d, cfg)
     rng = generator(seed, "bench")
     pairs = [(decoherence.random_homogeneous(d, n, rng),
               decoherence.random_homogeneous(d, n, rng))

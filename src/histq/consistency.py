@@ -13,7 +13,7 @@ form per closure element, so no pair is enumerated.
 The search for diagonal values above one needs only rho = S S^dagger: for
 Hermitian p, B(p) = A(p)^dagger and d(p, p) = ||A(p) S||_F^2.
 `diag_excess_search` raises it by a monotone ascent in p and a unit matrix
-Phi, taking a kernel or a bound evaluator, and forms no kernel.
+Phi, reading rho from a kernel or a bound evaluator, and forms no kernel.
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .decoherence import ILSOperator, partial_trace_from_columns
+from .decoherence import partial_trace_from_columns
 from .errors import ShapeError, ValidationError
-from .historyspace import (VALIDATION_TOL, HistoryProjection, density_matrix,
-                           history_projection, validate_projection)
+from .historyspace import (VALIDATION_TOL, HistoryProjection, history_projection,
+                           validate_projection)
 from .seeding import generator
 
 MAX_ATOMS = 12
@@ -51,16 +51,21 @@ def build_family(members, labels=None, tol: float = VALIDATION_TOL) -> HistoryFa
 
     Generators must be pairwise orthogonal and sum to a projection; the
     complement of the total joins the atom list when it has nonzero rank.
+    Labels default to g0, g1, ...; given ones must be unique strings, one
+    per generator, and are never converted.
     """
     members = tuple(members)
     if not members:
         raise ValidationError("family needs at least one generator")
     if labels is None:
         labels = tuple(f"g{i}" for i in range(len(members)))
-    labels = tuple(str(x) for x in labels)
+    labels = tuple(labels)
     if len(labels) != len(members):
         raise ValidationError(
             f"{len(labels)} labels for {len(members)} generators")
+    for i, x in enumerate(labels):
+        if not isinstance(x, str):
+            raise ValidationError(f"label {i} must be a string, got {type(x).__name__}")
     if len(set(labels)) != len(labels):
         raise ValidationError("generator labels must be unique")
     if "rest" in labels:
@@ -179,9 +184,9 @@ def diag_excess_search(source, budget: int = 200, seed: int = 0,
                        sweeps: int = 50) -> SearchResult:
     """Seeded multistart ascent on d(p, p) = ||A(p) S||_F^2, rho = S S^dagger.
 
-    ``source`` is an ILSOperator, whose rho is its exact slice
-    M[(a,0,0,0), (0,0,b,0)], or any bound Evaluator; S = V sqrt(w) over the
-    nonzero weights.  Each sweep maximizes f(p, Phi) = Re tr(Phi^dagger A(p) S)
+    ``source`` is anything with ``rho``, ``single_dim`` and ``order``, such
+    as an ILSOperator or a bound Evaluator; S = V sqrt(w) over the nonzero
+    weights of rho.  Each sweep maximizes f(p, Phi) = Re tr(Phi^dagger A(p) S)
     = tr(p Herm X(Phi)), X[(t,u),(u',v)] = delta(u,u') (S Phi^dagger)[t,v], in
     one variable at a time, so d(p, p) = (max over unit Phi of f)^2 never
     decreases:
@@ -206,11 +211,7 @@ def diag_excess_search(source, budget: int = 200, seed: int = 0,
         raise ValidationError(f"sweeps must be >= 1, got {sweeps}")
     d, n = source.single_dim, source.order
     dim, r = d ** n, d ** (n - 1)
-    if isinstance(source, ILSOperator):
-        rho_m = source.matrix.reshape(d, r, r, d, r, d, d, r)[:, 0, 0, 0, 0, 0, :, 0]
-    else:
-        rho_m = density_matrix(source.rho)
-    w, vecs = np.linalg.eigh(rho_m)
+    w, vecs = np.linalg.eigh(source.rho.matrix)
     s = vecs[:, w > 1e-12] * np.sqrt(w[w > 1e-12])
     # flat positions of X[(t,u),(u,v)] = Y[t,v] and of its adjoint, both in
     # (t, u, v) order, so Herm X is written from Y = S Phi^dagger in place

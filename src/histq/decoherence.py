@@ -86,6 +86,7 @@ from .historyspace import (
 from .seeding import generator
 
 DEFAULT_MATERIALIZE_CAP = 1024
+METHODS = ("direct", "series", "ils", "stream")
 
 
 @dataclass(frozen=True)
@@ -94,15 +95,14 @@ class ILSOperator:
 
     Satisfies trace(M) = 1 within 1e-9 and operator norm at most 1 + 1e-8;
     both are checked by `build_M`, which also makes ``matrix`` read-only.
-    The excess search reads rho from the slice M[(a,0,0,0), (0,0,b,0)].
-    ``state_fingerprint`` hashes the state.  ``pair_entries`` holds the
+    ``rho`` is the state M was built from.  ``pair_entries`` holds the
     nonzero entries of the realigned kernel that `d_via_M` contracts.
     """
 
     matrix: np.ndarray
     order: int
     single_dim: int
-    state_fingerprint: str
+    rho: DensityOperator
 
     @cached_property
     def pair_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -315,8 +315,7 @@ def build_M(rho: DensityOperator, d: int, n: int,
     norm = float(np.linalg.norm(rho_m, 2))
     if norm > 1.0 + 1e-8:
         raise ValidationError(f"kernel norm {norm:.12g} exceeds 1 + 1e-8")
-    return ILSOperator(matrix=m, order=n, single_dim=d,
-                       state_fingerprint=state_fingerprint(rho))
+    return ILSOperator(matrix=m, order=n, single_dim=d, rho=rho)
 
 
 def _ils_gram(M: ILSOperator, ps, qs) -> np.ndarray:

@@ -9,6 +9,7 @@ import numpy as np
 from .errors import ShapeError, ValidationError
 from .historyspace import (
     DEFAULT_HISTORY_CAP,
+    VALIDATION_TOL,
     DensityOperator,
     HistoryProjection,
     HomogeneousHistory,
@@ -94,7 +95,7 @@ def history_to_json(h: HomogeneousHistory) -> dict:
     }
 
 
-def history_from_json(obj, tol: float = 1e-8) -> HomogeneousHistory:
+def history_from_json(obj, tol: float = VALIDATION_TOL) -> HomogeneousHistory:
     d = _json_int(obj, "single_time_dim", "history")
     n = _json_int(obj, "order", "history")
     mats = obj.get("projections")
@@ -117,7 +118,7 @@ def density_to_json(rho: DensityOperator) -> dict:
     }
 
 
-def density_from_json(obj, tol: float = 1e-8) -> DensityOperator:
+def density_from_json(obj, tol: float = VALIDATION_TOL) -> DensityOperator:
     if not isinstance(obj, dict):
         raise ValidationError("density JSON must be an object")
     if "matrix" in obj:
@@ -158,12 +159,13 @@ def tensor_sum_from_json(obj):
     return simple_tensor_sum(parsed, order=n, single_dim=d)
 
 
-def family_from_json(obj, cap: int = DEFAULT_HISTORY_CAP, tol: float = 1e-8):
+def family_from_json(obj, cap: int = DEFAULT_HISTORY_CAP, tol: float = VALIDATION_TOL):
     """Parse {"single_time_dim", "order", "members": [...]} into projections.
 
     Each member is either a homogeneous history object (embedded here) or
     {"matrix": matrix-json} giving the tensor-space projection directly.
-    Returns (members, labels).
+    Returns (members, labels), labels being the "labels" list as given or
+    None when it is absent or null; `consistency.build_family` checks them.
     """
     d = _json_int(obj, "single_time_dim", "family")
     n = _json_int(obj, "order", "family")
@@ -184,13 +186,8 @@ def family_from_json(obj, cap: int = DEFAULT_HISTORY_CAP, tol: float = 1e-8):
         else:
             raise ValidationError('family member needs "projections" or "matrix"')
     labels = obj.get("labels")
-    if labels is None:
-        labels = [f"g{i}" for i in range(len(members))]
-    if not isinstance(labels, list) or len(labels) != len(members):
-        raise ValidationError("labels do not match the number of members")
-    for i, x in enumerate(labels):
-        if not isinstance(x, str):
-            raise ValidationError(f"label {i} must be a string, got {type(x).__name__}")
+    if labels is not None and not isinstance(labels, list):
+        raise ValidationError('family JSON "labels" must be a list')
     return members, labels
 
 

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from histq import decoherence, quadform, serialize
+from histq import cli, decoherence, quadform, serialize
 from histq.cli import RunConfig, main
 from histq.decoherence import DEFAULT_MATERIALIZE_CAP
 from histq.divergence import (DEFAULT_CONVERGENCE_THRESHOLD, DEFAULT_DIVERGENCE_THRESHOLD,
@@ -169,7 +169,7 @@ def test_build_m_roundtrip(tmp_path, capsys):
         summary = json.loads(capsys.readouterr().out)
         assert summary["dim"] == 16
         assert summary["trace"] == pytest.approx([1.0, 0.0], abs=1e-9)
-        assert len(summary["state_fingerprint"]) == 64
+        assert summary["state_fingerprint"] == decoherence.state_fingerprint(state)
         m = serialize.matrix_from_json(json.loads(Path(out_path).read_text()))
         assert m.shape == (16, 16)
         assert abs(np.trace(m) - 1.0) <= 1e-9
@@ -399,6 +399,21 @@ def test_verify_and_bench_refuse_histories_above_the_cap(tmp_path, capsys, metho
                  "--pairs", "1", "--out", out]) == 0
 
 
+def test_verify_and_bench_check_before_building_the_default_state(capsys, monkeypatch):
+    # a d x d default state costs O(d^2) memory and an O(d^3) check, so it
+    # is built only after the method names and the cap let the run through
+    def refuse(*args, **kwargs):
+        raise AssertionError("default state built before the checks")
+
+    monkeypatch.setattr(cli, "_mixed_state", refuse)
+    for argv in (["verify", "--method", "stream", "-d", "2000", "-n", "1"],
+                 ["bench", "-d", "2000", "-n", "1", "--methods", "stream"]):
+        assert main(argv) == 3, argv
+        assert "exceeds cap 64" in capsys.readouterr().err
+    assert main(["bench", "-d", "2000", "-n", "1", "--methods", "foo"]) == 2
+    assert "unknown evaluation method 'foo'" in capsys.readouterr().err
+
+
 def test_bench_rejects_unknown_method(tmp_path, capsys, monkeypatch):
     assert main(["bench", "--methods", "direct,magic"]) == 2
     capsys.readouterr()
@@ -507,12 +522,13 @@ def test_invalid_settings_exit_2_without_traceback(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("argv", [
     ["verify", "-d", "9", "-n", "2", "--method", "stream"],
+    ["bench", "-d", "9", "-n", "2", "--methods", "stream"],
     ["search-excess", "-d", "9", "-n", "2"],
     ["build-m", "-d", "5", "-n", "3", "--out", "{out}"],
 ], ids=" ".join)
 def test_state_dimension_is_checked_before_the_size_caps(tmp_path, capsys, argv):
     # -d disagrees with the 2-dim state and d**n is above the history cap
-    # (verify, search-excess) or d**(2n) above the materialization cap
+    # (verify, bench, search-excess) or d**(2n) above the materialization cap
     # (build-m): the mismatch is reported, not the cap
     rho = rho_file(tmp_path, pure_e1(2))
     argv = [a.format(out=tmp_path / "m.json") for a in argv] + ["--rho", rho]

@@ -119,10 +119,18 @@ def test_build_family_rejections():
         cs.build_family([p00, p01], labels=("a", "a"))
     with pytest.raises(ValidationError, match="reserved"):
         cs.build_family([p00], labels=("rest",))
-    with pytest.raises(ValidationError, match="labels for"):
-        cs.build_family([p00, p01], labels=("a",))
+    with pytest.raises(ValidationError, match="1 labels for 2 generators"):
+        cs.build_family([p00, p01], labels=["a"])
     with pytest.raises(ShapeError, match="different history spaces"):
         cs.build_family([p00, history_projection(np.zeros((2, 2)), 1, 2)])
+
+
+@pytest.mark.parametrize("label", [1, None, True, {}])
+def test_build_family_rejects_labels_that_are_not_strings(label):
+    # malformed labels are rejected, not converted by str()
+    p00, p01 = embed([P0, P0]), embed([P0, P1])
+    with pytest.raises(ValidationError, match="label 1 must be a string"):
+        cs.build_family([p00, p01], labels=["a", label])
 
 
 def test_first_non_orthogonal_pair_is_named_in_row_major_order():

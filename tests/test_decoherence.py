@@ -225,9 +225,18 @@ def test_state_fingerprint_distinguishes_states(rng):
     assert len(a) == 64
 
 
+def test_build_m_keeps_its_state(rng):
+    for d, n in ((2, 1), (2, 2), (3, 2)):
+        rho = random_density(d, rng)
+        assert dec.build_M(rho, d, n).rho is rho
+
+
 def test_make_evaluator_unknown_method(rng):
-    with pytest.raises(ValidationError):
-        dec.make_evaluator("nope", random_density(2, rng), 2, 2)
+    rho = random_density(2, rng)
+    with pytest.raises(ValidationError, match="unknown evaluation method 'nope'"):
+        dec.make_evaluator("nope", rho, 2, 2)
+    for method in dec.METHODS:
+        assert dec.make_evaluator(method, rho, 2, 2).method == method
 
 
 def test_evaluator_kinds(rng):
@@ -573,7 +582,7 @@ def test_sparse_ils_on_a_dense_hand_made_kernel():
     rng = np.random.default_rng(1616)
     m = rng.standard_normal((dim * dim,) * 2) + 1j * rng.standard_normal((dim * dim,) * 2)
     assert np.all(m != 0)
-    M = dec.ILSOperator(matrix=m, order=n, single_dim=d, state_fingerprint="hand")
+    M = dec.ILSOperator(matrix=m, order=n, single_dim=d, rho=pure_e1(d))
     assert len(M.pair_entries[2]) == m.size
     m4 = m.reshape(dim, dim, dim, dim)
     for _ in range(5):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from histq import serialize as sz
+from histq.consistency import build_family
 from histq.errors import ValidationError
 from histq.historyspace import density_from_spectral, homogeneous_history
 from histq.quadform import identity_element
@@ -156,8 +157,11 @@ def test_family_from_json_both_member_forms():
         ],
     }
     members, labels = sz.family_from_json(obj)
-    assert labels == ["g0", "g1"]
+    # absent labels are passed on as None; build_family fills in the defaults
+    assert labels is None
+    assert build_family(members, labels).atom_labels == ("g0", "g1", "rest")
     assert members[0].dim == 4 and members[1].dim == 4
+    assert sz.family_from_json(dict(obj, labels=["a", 1]))[1] == ["a", 1]
     with pytest.raises(ValidationError):
         sz.family_from_json({"single_time_dim": 2, "order": 2,
                              "members": [{"bogus": 1}]})
@@ -165,7 +169,7 @@ def test_family_from_json_both_member_forms():
         sz.family_from_json(dict(obj, single_time_dim="2"))
     with pytest.raises(ValidationError, match="object"):
         sz.family_from_json(dict(obj, members=[1]))
-    with pytest.raises(ValidationError, match="labels"):
+    with pytest.raises(ValidationError, match='"labels" must be a list'):
         sz.family_from_json(dict(obj, labels=5))
 
 
