@@ -8,7 +8,8 @@ the generators.  Bilinearity reduces all closure checks to the Gram matrix
 of the atoms, G[i, j] = d(a_i, a_j), which the evaluator forms in one
 ``gram`` call: ``stream`` and ``ils`` in one contraction, ``series`` in one
 tuple sum per atom.  The largest |Re d| over disjoint pairs has a closed
-form per closure element, so no pair is enumerated.
+form per closure element, so no pair is enumerated, and the report names a
+pair that attains it.
 
 The search for diagonal values above one needs only rho = S S^dagger: for
 Hermitian p, B(p) = A(p)^dagger and d(p, p) = ||A(p) S||_F^2.
@@ -19,6 +20,7 @@ Phi, reading rho from a kernel or a bound evaluator, and forms no kernel.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,13 +48,26 @@ class HistoryFamily:
     single_dim: int
 
 
+@lru_cache(maxsize=MAX_ATOMS)
+def _upper_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs i < j of k generators in row-major order, as read-only
+    index arrays, shared by every family with k generators."""
+    pairs = np.triu_indices(k, 1)
+    for x in pairs:
+        x.flags.writeable = False
+    return pairs
+
+
 def build_family(members, labels=None, tol: float = VALIDATION_TOL) -> HistoryFamily:
     """Validate generators and close the family under complement of the total.
 
     Generators must be pairwise orthogonal and sum to a projection; the
     complement of the total joins the atom list when it has nonzero rank.
-    Labels default to g0, g1, ...; given ones must be unique strings, one
-    per generator, and are never converted.
+    Orthogonality is gated on the k(k-1)/2 products P_i P_j with i < j
+    alone, each by its max-entry norm against ``tol``, with the pairs taken
+    from a table cached per generator count k; the first failing pair in
+    row-major order is named.  Labels default to g0, g1, ...; given ones
+    must be unique strings, one per generator, and are never converted.
     """
     members = tuple(members)
     if not members:
@@ -79,14 +94,15 @@ def build_family(members, labels=None, tol: float = VALIDATION_TOL) -> HistoryFa
     if k > MAX_ATOMS:
         raise ValidationError(f"{k} generators exceed cap {MAX_ATOMS}; the closure "
                               "has 2^k elements")
-    # every product P_i P_j in one stacked matmul, reduced to a k x k table of
-    # max-entry norms; the first failing pair in row-major i < j order is named
+    # the k(k-1)/2 products P_i P_j with i < j in one stacked matmul, each
+    # reduced to its max-entry norm; the pairs come in row-major order, so
+    # the first failing pair is named
     stack = np.array([m.matrix for m in members])
-    prods = np.abs(stack.reshape(k * dim, dim) @ stack.transpose(1, 0, 2).reshape(dim, k * dim))
-    table = prods.reshape(k, dim, k, dim).max(axis=(1, 3))
-    bad = np.argwhere(np.triu(table > tol, 1))
+    rows, cols = _upper_pairs(k)
+    norms = np.abs(stack[rows] @ stack[cols]).max(axis=(1, 2))
+    bad = np.flatnonzero(norms > tol)
     if len(bad):
-        i, j = bad[0]
+        i, j = rows[bad[0]], cols[bad[0]]
         raise ValidationError(
             f"generators {labels[i]!r} and {labels[j]!r} are not orthogonal")
     total = stack.sum(axis=0)
@@ -111,18 +127,29 @@ def build_family(members, labels=None, tol: float = VALIDATION_TOL) -> HistoryFa
 class ConsistencyReport:
     consistent: bool
     max_re_offdiag: float
+    max_re_witness: tuple[str, str] | None
     probabilities: dict
     prob_sum: float
     unphysical: tuple[str, ...]
     tol: float
 
     def as_dict(self) -> dict:
-        return {**asdict(self), "unphysical": list(self.unphysical)}
+        witness = self.max_re_witness
+        return {**asdict(self), "max_re_witness": None if witness is None else list(witness),
+                "unphysical": list(self.unphysical)}
 
 
-def _mask_label(mask: int, atom_labels) -> str:
-    return "+".join(atom_labels[i] for i in range(len(atom_labels))
-                    if mask >> i & 1)
+@lru_cache(maxsize=MAX_ATOMS)
+def _closure_table(k: int) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, ...], ...]]:
+    """The closure of k atoms, one row per mask m in 0 ... 2^k - 1: the
+    (2^k, k) indicator rows ind[m, i] = bit i of m, their complement
+    1 - ind, and the atom indices of each mask in increasing order.  The
+    arrays are read-only, since every check with k atoms shares them."""
+    ind = ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1).astype(float)
+    comp = 1.0 - ind
+    for table in (ind, comp):
+        table.flags.writeable = False
+    return ind, comp, tuple(tuple(i for i in range(k) if m >> i & 1) for m in range(1 << k))
 
 
 def check_consistent(evaluator, family: HistoryFamily,
@@ -131,34 +158,52 @@ def check_consistent(evaluator, family: HistoryFamily,
 
     evaluator is anything with gram(ps, qs), the matrix of values on two
     lists of history projections, such as a bound `Evaluator`; it is asked
-    once, for the Gram of the atoms.
+    once, for the Gram of the atoms.  The closure's indicator rows, their
+    complement and each element's atom indices depend on the atom count k
+    alone and come from a table cached per k.
 
     For a closure element s with atom indicator row e_s, Re d(s, t) equals
     the sum of r_s = e_s Re G over the atoms of t.  Over non-empty t disjoint
     from s its largest modulus is the larger of the positive and the
     negative parts of r_s summed outside s, so max_re_offdiag comes from
-    O(2^k k) array work without visiting a pair.
+    O(2^k k) array work without visiting a pair.  Its witness is the pair
+    (s, t) with s the first mask attaining it and t the atoms outside s
+    where r_s has the sign of the larger part, the positive one on a tie;
+    there is none when max_re_offdiag is 0.
     """
     atoms = family.atoms
     re_gram = evaluator.gram(atoms, atoms).real
-    k = len(atoms)
-    n_masks = 1 << k
-    ind = ((np.arange(n_masks)[:, None] >> np.arange(k)) & 1).astype(float)
+    ind, comp, members = _closure_table(len(atoms))
     row_sum = ind @ re_gram
     diag = np.einsum("mk,mk->m", row_sum, ind)
-    outside = row_sum * (1.0 - ind)
-    max_re = float(max(np.clip(outside, 0.0, None).sum(axis=1).max(),
-                       np.clip(-outside, 0.0, None).sum(axis=1).max()))
-    member_count = len(family.members)
-    probabilities = {family.labels[i]: float(re_gram[i, i])
-                     for i in range(member_count)}
+    outside = row_sum * comp
+    # np.clip(x, 0.0, None) is np.maximum(x, 0.0) behind a wrapper, so the
+    # bits are clip's; maximum(0.0, x) would keep -0.0 entries as -0.0
+    pos = np.maximum(outside, 0.0).sum(axis=1)
+    neg = np.maximum(-outside, 0.0).sum(axis=1)
+    best = np.maximum(pos, neg)
+    # argmax names the first mask attaining the maximum
+    s = int(best.argmax())
+    max_re = float(best[s])
+    atom_labels = family.atom_labels
+
+    def label(mask: int) -> str:
+        return "+".join([atom_labels[i] for i in members[mask]])
+
+    witness = None
+    if max_re > 0.0:
+        sign = 1.0 if pos[s] >= neg[s] else -1.0
+        t = sum(1 << i for i, x in enumerate(outside[s].tolist()) if sign * x > 0.0)
+        witness = (label(s), label(t))
+    probabilities = dict(zip(family.labels,
+                             re_gram.diagonal()[:len(family.members)].tolist()))
     prob_sum = float(sum(probabilities.values()))
-    unphysical = tuple(_mask_label(int(m), family.atom_labels)
-                       for m in np.flatnonzero(diag[1:] > 1.0 + tol) + 1)
+    unphysical = tuple([label(m) for m in
+                        (np.flatnonzero(diag[1:] > 1.0 + tol) + 1).tolist()])
     consistent = max_re <= tol and all(p >= -tol for p in probabilities.values())
     return ConsistencyReport(consistent=consistent, max_re_offdiag=max_re,
-                             probabilities=probabilities, prob_sum=prob_sum,
-                             unphysical=unphysical, tol=tol)
+                             max_re_witness=witness, probabilities=probabilities,
+                             prob_sum=prob_sum, unphysical=unphysical, tol=tol)
 
 
 @dataclass(frozen=True)

@@ -24,9 +24,9 @@ M is a row and column permutation of rho (x) 1: trace(M) = 1 and the
 singular values of M are the weights of rho.  The same structure factorizes
 the trace across the tensor cut, d(p, q) = tr(A(p) rho B(q)) with the partial
 traces A(p)[v,t] = sum_u p[(u,v),(t,u)] and B(q)[t,v] = sum_w q[(t,w),(w,v)].
-`partial_traces` takes them of a whole stack of projections at once, and
-`partial_trace_from_columns` takes A(V V^dagger) from the columns V alone,
-as the excess search keeps its projections.
+`partial_trace_a` and `partial_trace_b` take them of a whole stack of
+projections at once, and `partial_trace_from_columns` takes A(V V^dagger)
+from the columns V alone, as the excess search keeps its projections.
 
 Each method has one evaluation function, which gives a single value for
 two arguments and the Gram matrix G[i, j] = d(p_i, q_j) of two lists:
@@ -75,7 +75,6 @@ from .historyspace import (
     DensityOperator,
     HistoryProjection,
     HomogeneousHistory,
-    density_matrix,
     embed_homogeneous,
     history_projection,
     homogeneous_history,
@@ -89,7 +88,7 @@ DEFAULT_MATERIALIZE_CAP = 1024
 METHODS = ("direct", "series", "ils", "stream")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ILSOperator:
     """Kernel operator M on the doubled history space.
 
@@ -97,6 +96,7 @@ class ILSOperator:
     both are checked by `build_M`, which also makes ``matrix`` read-only.
     ``rho`` is the state M was built from.  ``pair_entries`` holds the
     nonzero entries of the realigned kernel that `d_via_M` contracts.
+    Kernels compare and hash by identity.
     """
 
     matrix: np.ndarray
@@ -179,7 +179,7 @@ def _direct_gram(rho_m: np.ndarray, ps, qs) -> np.ndarray:
 def d_direct(rho: DensityOperator, h: HomogeneousHistory, k: HomogeneousHistory) -> complex:
     """Time-ordered product evaluation tr(h_n ... h_1 rho k_1 ... k_n)."""
     h, k = _normalize("direct", rho.dim, max(h.order, k.order), (h, k))
-    return complex(_direct_values(density_matrix(rho), _left_product(h), _right_product(k)))
+    return complex(_direct_values(rho.matrix, _left_product(h), _right_product(k)))
 
 
 def _place_value(digits, d: int):
@@ -301,7 +301,7 @@ def build_M(rho: DensityOperator, d: int, n: int,
             f"doubled dimension {d}**{2 * n}={dd} exceeds materialization cap "
             f"{cap}; evaluate with d_via_M_streaming instead"
         )
-    rho_m = density_matrix(rho)
+    rho_m = rho.matrix
     r = d ** (n - 1)
     eye_r = np.eye(r, dtype=np.complex128)
     m = np.einsum("ab,uU,wW,vV->auwvUVbW", rho_m, eye_r, eye_r,
@@ -336,14 +336,20 @@ def d_via_M(M: ILSOperator, p: HistoryProjection | HomogeneousHistory,
     return complex(_ils_gram(M, (p,), (q,))[0, 0])
 
 
-def partial_traces(stack: np.ndarray, d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The partial traces of the module docstring for a (k, D, D) stack of
-    history-space matrices: A[i][v,t] = sum_u stack[i][(u,v),(t,u)] and
-    B[i][t,v] = sum_w stack[i][(t,w),(w,v)], each of shape (k, d, d)."""
+def partial_trace_a(stack: np.ndarray, d: int, n: int) -> np.ndarray:
+    """The partial trace A of the module docstring for a (k, D, D) stack of
+    history-space matrices: A[i][v,t] = sum_u stack[i][(u,v),(t,u)], of
+    shape (k, d, d)."""
     k, r = len(stack), d ** (n - 1)
-    a = np.einsum("iuvtu->ivt", stack.reshape(k, r, d, d, r))
-    b = np.einsum("itwwv->itv", stack.reshape(k, d, r, r, d))
-    return a, b
+    return np.einsum("iuvtu->ivt", stack.reshape(k, r, d, d, r))
+
+
+def partial_trace_b(stack: np.ndarray, d: int, n: int) -> np.ndarray:
+    """The partial trace B of the module docstring for a (k, D, D) stack of
+    history-space matrices: B[i][t,v] = sum_w stack[i][(t,w),(w,v)], of
+    shape (k, d, d)."""
+    k, r = len(stack), d ** (n - 1)
+    return np.einsum("itwwv->itv", stack.reshape(k, d, r, r, d))
 
 
 def partial_trace_from_columns(cols: np.ndarray, d: int, n: int) -> np.ndarray:
@@ -357,10 +363,11 @@ def partial_trace_from_columns(cols: np.ndarray, d: int, n: int) -> np.ndarray:
 
 
 def _stream_gram(rho_m: np.ndarray, d: int, n: int, ps, qs) -> np.ndarray:
-    # G[i, j] = tr(A(ps[i]) rho B(qs[j])), one partial-trace pass over both
-    # lists; the arguments are checked by the caller
-    a, b = partial_traces(np.array([x.matrix for x in (*ps, *qs)]), d, n)
-    return np.einsum("ivt,ts,jsv->ij", a[:len(ps)], rho_m, b[len(ps):])
+    # G[i, j] = tr(A(ps[i]) rho B(qs[j])), A taken of the ps alone and B of
+    # the qs alone; the arguments are checked by the caller
+    a = partial_trace_a(np.array([x.matrix for x in ps]), d, n)
+    b = partial_trace_b(np.array([x.matrix for x in qs]), d, n)
+    return np.einsum("ivt,ts,jsv->ij", a, rho_m, b)
 
 
 def d_via_M_streaming(rho: DensityOperator, p: HistoryProjection | HomogeneousHistory,
@@ -370,10 +377,10 @@ def d_via_M_streaming(rho: DensityOperator, p: HistoryProjection | HomogeneousHi
     Gram."""
     d, n = rho.dim, max(p.order, q.order)
     p, q = _normalize("stream", d, n, (p, q))
-    return complex(_stream_gram(density_matrix(rho), d, n, (p,), (q,))[0, 0])
+    return complex(_stream_gram(rho.matrix, d, n, (p,), (q,))[0, 0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Evaluator:
     """A decoherence functional bound to a fixed state and geometry (d, n).
 
@@ -390,6 +397,7 @@ class Evaluator:
     ``direct`` needs them and raises ShapeError on history projections.
     The four free functions take their arguments by the same rules, with n
     the larger order of the two, or the kernel's order for `d_via_M`.
+    Evaluators compare and hash by identity.
     """
 
     method: str
@@ -416,13 +424,13 @@ def make_evaluator(method: str, rho: DensityOperator, d: int, n: int,
     if rho.dim != d:
         raise ShapeError(f"state dimension {rho.dim} does not match d={d}")
     if method == "direct":
-        gram = partial(_direct_gram, density_matrix(rho))
+        gram = partial(_direct_gram, rho.matrix)
     elif method == "series":
         gram = partial(_series_gram, rho, d, n)
     elif method == "ils":
         gram = partial(_ils_gram, build_M(rho, d, n, cap=cap))
     elif method == "stream":
-        gram = partial(_stream_gram, density_matrix(rho), d, n)
+        gram = partial(_stream_gram, rho.matrix, d, n)
     else:
         raise ValidationError(f"unknown evaluation method {method!r}")
     return Evaluator(method, rho, d, n, gram)

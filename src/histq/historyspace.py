@@ -43,7 +43,7 @@ class Projection:
     rank: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityOperator:
     """A state in spectral form: weights and orthonormal vectors.
 
@@ -63,6 +63,8 @@ class DensityOperator:
         The dense matrix sum_i w_i |psi_i><psi_i|, formed on first use and
         read-only.  The constructors of this module make ``weights`` and
         ``vectors`` read-only too, so the cached matrix cannot go stale.
+
+    States compare and hash by identity.
     """
 
     dim: int

@@ -287,6 +287,7 @@ def test_consistency_golden_inconsistent(tmp_path, capsys):
         assert code == 0, method
         assert out["consistent"] is False, method
         assert out["max_re_offdiag"] == pytest.approx(0.25, abs=1e-12), method
+        assert out["max_re_witness"] == ["+0", "-0"], method
         assert out["probabilities"] == pytest.approx(
             {"+0": 0.25, "+1": 0.25, "-0": 0.25, "-1": 0.25}, abs=1e-12), method
         assert len(out["unphysical"]) == 2, method

@@ -5,7 +5,7 @@ import pytest
 
 from histq import consistency as cs
 from histq.decoherence import (ILSOperator, build_M, d_direct, d_series, d_via_M_streaming,
-                               make_evaluator, partial_traces, random_homogeneous)
+                               make_evaluator, partial_trace_a, random_homogeneous)
 from histq.errors import ShapeError, ValidationError
 from histq.historyspace import (density_from_spectral, density_matrix, history_projection,
                                 identity_history_projection)
@@ -48,6 +48,8 @@ def test_golden_x_then_z_is_inconsistent():
                                  x_then_z_family())
     assert not report.consistent
     assert abs(report.max_re_offdiag - 0.25) <= 1e-12
+    # Re d(+0, -0) = 1/4: mask 1 is the first to reach the maximum
+    assert report.max_re_witness == ("+0", "-0")
     for label in ("+0", "+1", "-0", "-1"):
         assert abs(report.probabilities[label] - 0.25) <= 1e-12
     assert set(report.unphysical) == {"+0++1+-0", "+0+-0+-1"}
@@ -179,16 +181,16 @@ def test_crafted_gram_evaluator():
 
 
 def diagonal_family(k):
-    # k atoms on the 8-dimensional history space of (d, n) = (2, 3): k - 1
+    # k atoms on the 16-dimensional history space of (d, n) = (2, 4): k - 1
     # coordinate projectors and the projector onto the remaining coordinates
     members = []
     for i in range(k):
-        m = np.zeros((8, 8), dtype=np.complex128)
+        m = np.zeros((16, 16), dtype=np.complex128)
         if i < k - 1:
             m[i, i] = 1.0
         else:
-            m[np.arange(i, 8), np.arange(i, 8)] = 1.0
-        members.append(history_projection(m, 3, 2))
+            m[np.arange(i, 16), np.arange(i, 16)] = 1.0
+        members.append(history_projection(m, 4, 2))
     return cs.build_family(members)
 
 
@@ -223,6 +225,85 @@ def test_max_re_offdiag_matches_ordered_pair_walk(k):
         assert abs(report.max_re_offdiag - max_re) <= 1e-12
         assert type(report.max_re_offdiag) is float
         assert unphysical_sets(family, report) == unphysical
+        # the witness is a non-empty disjoint pair whose |Re d| is the
+        # maximum, and there is none for one atom
+        if k == 1:
+            assert report.max_re_witness is None
+            continue
+        s, t = (witness_indicator(family, x) for x in report.max_re_witness)
+        assert s.any() and t.any() and not (s * t).any()
+        assert abs(abs(float(s @ gram.real @ t)) - max_re) <= 1e-12
+
+
+def witness_indicator(family, label):
+    return np.array([x in label.split("+") for x in family.atom_labels], dtype=float)
+
+
+def clip_scan(gram, atom_labels, tol):
+    # check_consistent's scan as it stood with np.clip and a per-bit label
+    # generator: the reference its values must match to the bit
+    re_gram = gram.real
+    k = len(atom_labels)
+    ind = ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1).astype(float)
+    row_sum = ind @ re_gram
+    diag = np.einsum("mk,mk->m", row_sum, ind)
+    outside = row_sum * (1.0 - ind)
+    max_re = float(max(np.clip(outside, 0.0, None).sum(axis=1).max(),
+                       np.clip(-outside, 0.0, None).sum(axis=1).max()))
+    unphysical = tuple("+".join(atom_labels[i] for i in range(k) if m >> i & 1)
+                       for m in np.flatnonzero(diag[1:] > 1.0 + tol) + 1)
+    return max_re, unphysical
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_scan_matches_the_clip_scan_to_the_bit(k):
+    family = diagonal_family(k)
+    gen = generator(5000 + k, "samples")
+    grams = [0.3 * (gen.standard_normal((k, k)) + 1j * gen.standard_normal((k, k))),
+             np.diag(gen.uniform(0.5, 2.0, k)) + 0j,
+             # signed zeros off a negative diagonal, so every row of the
+             # scan holds -0.0 entries; clip turns them into +0.0
+             np.where(np.eye(k, dtype=bool), -gen.uniform(0.5, 2.0, k), -0.0) + 0j]
+    for gram in grams:
+        report = cs.check_consistent(SimpleNamespace(gram=lambda ps, qs: gram),
+                                     family, tol=1e-9)
+        max_re, unphysical = clip_scan(gram, family.atom_labels, 1e-9)
+        assert report.max_re_offdiag.hex() == max_re.hex()
+        assert report.unphysical == unphysical
+        assert (report.max_re_witness is None) == (max_re == 0.0)
+
+
+def test_witness_is_the_first_mask_and_breaks_a_sign_tie_to_the_positive_part():
+    # r_s of s = g0 is (0.3, -0.3) outside s, a tie; masks 2, 3, 4 and 5
+    # reach 0.3 as well, but later
+    gram = np.array([[1.0, 0.3, -0.3], [0.3, 1.0, 0.0], [-0.3, 0.0, 1.0]]) + 0j
+    report = cs.check_consistent(SimpleNamespace(gram=lambda ps, qs: gram),
+                                 diagonal_family(3))
+    assert report.max_re_offdiag == 0.3
+    assert report.max_re_witness == ("g0", "g1")
+    assert report.as_dict()["max_re_witness"] == ["g0", "g1"]
+
+
+def test_exactly_consistent_family_reports_a_positive_zero():
+    report = cs.check_consistent(make_evaluator("series", pure_state([1, 1]), 2, 2),
+                                 double_z_family())
+    assert report.max_re_offdiag == 0.0
+    assert not np.signbit(report.max_re_offdiag)
+    assert report.max_re_witness is None
+
+
+def test_closure_tables_are_cached_and_read_only():
+    for k in (1, 5, 12):
+        ind, comp, members = cs._closure_table(k)
+        assert cs._closure_table(k)[0] is ind
+        assert ind.shape == comp.shape == (1 << k, k)
+        assert np.array_equal(ind + comp, np.ones((1 << k, k)))
+        assert members[0] == () and members[-1] == tuple(range(k))
+        assert isinstance(members, tuple)
+        for table in (ind, comp, *cs._upper_pairs(k)):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[...] = 0
 
 
 def test_both_orientations_of_a_disjoint_pair_are_checked():
@@ -311,7 +392,7 @@ def _reference_positive_projector(h):
 
 def _reference_search(source, budget, seed, sweeps=50):
     # the unfused sweep: X from an einsum against the identity, p = V V^dagger
-    # multiplied out, and A(p) from `partial_traces`; returns the best
+    # multiplied out, and A(p) from `partial_trace_a`; returns the best
     # (value, p, restart) under the search's stop and tie rules
     d, n = source.single_dim, source.order
     dim, r = d ** n, d ** (n - 1)
@@ -331,7 +412,7 @@ def _reference_search(source, budget, seed, sweeps=50):
         for _ in range(sweeps):
             x = np.einsum("tv,wu->twuv", s @ phi.conj().T, np.eye(r)).reshape(dim, dim)
             p = _reference_positive_projector((x + x.conj().T) / 2.0)
-            a_s = partial_traces(p[None], d, n)[0][0] @ s
+            a_s = partial_trace_a(p[None], d, n)[0] @ s
             norm = np.linalg.norm(a_s)
             gain, val = norm ** 2 - val, float(norm ** 2)
             if gain <= cs.STOP_TOL * max(1.0, val):

@@ -231,6 +231,19 @@ def test_build_m_keeps_its_state(rng):
         assert dec.build_M(rho, d, n).rho is rho
 
 
+def test_states_kernels_and_evaluators_compare_by_identity(rng):
+    # array fields give no truth value, so equality is identity and the
+    # hash is the object's own
+    rho = random_density(2, rng)
+    m = dec.build_M(rho, 2, 1)
+    assert (dec.build_M(rho, 2, 1) == dec.build_M(rho, 2, 1)) is False
+    assert m == m and hash(m) == hash(m)
+    ev = dec.make_evaluator("stream", rho, 2, 1)
+    assert (ev == dec.make_evaluator("stream", rho, 2, 1)) is False
+    assert (rho == density_from_spectral(rho.weights, rho.vectors)) is False
+    assert len({m, ev, rho}) == 3
+
+
 def test_make_evaluator_unknown_method(rng):
     rho = random_density(2, rng)
     with pytest.raises(ValidationError, match="unknown evaluation method 'nope'"):
@@ -527,7 +540,7 @@ def test_partial_trace_from_columns_matches_partial_traces(dn):
     rng = np.random.default_rng([d, n, 13])
     for m in range(1, dim + 1):
         v = haar_unitary(dim, rng)[:, :m]
-        want = dec.partial_traces((v @ v.conj().T)[None], d, n)[0][0]
+        want = dec.partial_trace_a((v @ v.conj().T)[None], d, n)[0]
         assert np.max(np.abs(dec.partial_trace_from_columns(v, d, n) - want)) <= 1e-13
 
 
@@ -605,7 +618,8 @@ def test_state_matrix_cache_leaves_direct_and_stream_bytes_unchanged():
         left = reduce(np.matmul, list(reversed(facs[0])))
         right = reduce(np.matmul, facs[1])
         assert _hex(dec.d_direct(rho, h, k)) == _hex(np.trace(left @ rho_m @ right))
-        a, b = dec.partial_traces(np.array([kron_chain(x) for x in facs]), d, n)
+        stack = np.array([kron_chain(x) for x in facs])
+        a, b = dec.partial_trace_a(stack, d, n), dec.partial_trace_b(stack, d, n)
         want = np.einsum("ivt,ts,jsv->ij", a[:1], rho_m, b[1:])[0, 0]
         assert _hex(dec.d_via_M_streaming(rho, embed(facs[0]), embed(facs[1]))) == _hex(want)
 
