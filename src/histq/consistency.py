@@ -26,8 +26,8 @@ import numpy as np
 
 from .decoherence import partial_trace_from_columns
 from .errors import ShapeError, ValidationError
-from .historyspace import (VALIDATION_TOL, HistoryProjection, history_projection,
-                           validate_projection)
+from .historyspace import (VALIDATION_TOL, HistoryProjection, Projection,
+                           history_projection, validate_projection)
 from .seeding import generator
 
 MAX_ATOMS = 12
@@ -61,8 +61,10 @@ def _upper_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
 def build_family(members, labels=None, tol: float = VALIDATION_TOL) -> HistoryFamily:
     """Validate generators and close the family under complement of the total.
 
-    Generators must be pairwise orthogonal and sum to a projection; the
-    complement of the total joins the atom list when it has nonzero rank.
+    Generators must be pairwise orthogonal and sum to a projection T; the
+    complement I - T joins the atom list when it has nonzero rank, with no
+    check of its own: its self-adjointness residual is T's bit for bit, and
+    its idempotence, trace and rank follow from T's.
     Orthogonality is gated on the k(k-1)/2 products P_i P_j with i < j
     alone, each by its max-entry norm against ``tol``, with the pairs taken
     from a table cached per generator count k; the first failing pair in
@@ -105,14 +107,11 @@ def build_family(members, labels=None, tol: float = VALIDATION_TOL) -> HistoryFa
         i, j = rows[bad[0]], cols[bad[0]]
         raise ValidationError(
             f"generators {labels[i]!r} and {labels[j]!r} are not orthogonal")
-    total = stack.sum(axis=0)
-    validate_projection(total, tol)
-    comp = np.eye(dim, dtype=np.complex128) - total
-    comp_proj = validate_projection(comp, tol)
-    atoms = list(members)
-    atom_labels = list(labels)
-    if comp_proj.rank > 0:
-        atoms.append(history_projection(comp_proj, order, single_dim))
+    total = validate_projection(stack.sum(axis=0), tol)
+    atoms, atom_labels = list(members), list(labels)
+    if total.rank < dim:
+        rest = Projection(np.eye(dim) - total.matrix, dim, dim - total.rank)
+        atoms.append(history_projection(rest, order, single_dim))
         atom_labels.append("rest")
     if len(atoms) > MAX_ATOMS:
         raise ValidationError(

@@ -28,34 +28,23 @@ traces A(p)[v,t] = sum_u p[(u,v),(t,u)] and B(q)[t,v] = sum_w q[(t,w),(w,v)].
 projections at once, and `partial_trace_from_columns` takes A(V V^dagger)
 from the columns V alone, as the excess search keeps its projections.
 
-Each method has one evaluation function, which gives a single value for
-two arguments and the Gram matrix G[i, j] = d(p_i, q_j) of two lists:
-``stream`` contracts the stacked partial traces with rho without
-materializing M, G[i, j] = tr(A(p_i) rho B(q_j)), and `d_via_M_streaming`
-is its [0, 0] entry; ``ils`` forms vec(P) @ K @ vec(Q)^T with the realigned
-kernel K of `d_via_M` below, contracted over K's nonzero entries, and
-`d_via_M` is its [0, 0] entry; ``series`` sums the tuples of one h against
-one k or a stack of them, so a Gram takes one call per row; ``direct``
-traces left rho right for one pair of time-ordered products or, broadcast,
-for a stack of each.
+Each method has a Gram function, G[i, j] = d(p_i, q_j) for two lists, and a
+one-pair function that its free function and `Evaluator.value` share.
+``stream`` contracts the stacked partial traces without materializing M,
+G[i, j] = tr(A(p_i) rho B(q_j)).  ``ils`` contracts the materialized M
+through its realignment K[(a,c),(b,e)] = M[(c,e),(a,b)],
+G = vec(P) @ K @ vec(Q)^T, at the nnz(rho) D^2 / d nonzero entries of M
+alone, D = d^n, and never forms K: a wrong M still gives a wrong value, and
+``ils`` stays an oracle independent of ``stream``.  Both take one pair as
+a one-pair Gram.  ``series`` sums the tuples of a cached table for one h
+against one k or a stack of them, one call per Gram row, forming complex
+products on real and imaginary parts, as numpy's SIMD complex multiply may
+fuse multiply-adds (FMA), so it is bit-identical to the per-tuple scalar
+expansion.  ``direct`` traces left rho right for one pair of time-ordered
+products or, broadcast, for a stack of each.
 
-The series sum caches the table of all tuples for each (rank rho, d, n) as
-flat positions into h and k; a call gathers from each of them in one step
-the entries every tuple needs and sums over the single-time index t along
-an outer axis.  Accumulation is still lexicographic and left to right.
-Complex products are formed on real and imaginary parts because numpy's
-SIMD loops for complex-array multiply may fuse multiply-adds (FMA), while
-its scalar complex multiply does not; this way the value is bit-identical
-to the per-tuple scalar expansion.  `d_via_M` contracts the
-materialized kernel through its realignment K[(a,c),(b,e)] = M[(c,e),(a,b)],
-so tr((p (x) q) M) = vec(p) @ K @ vec(q).  Being a permutation of rho (x) 1,
-M has only nnz(rho) D^2 / d nonzero entries of its D^4, with D = d^n, so
-the contraction gathers vec(p) and vec(q) at the positions of those entries
-alone and never forms K: a wrong M still gives a wrong value, and ``ils``
-stays an oracle independent of ``stream``.
-
-All four functions and the ``value`` and ``gram`` of the `Evaluator` that
-`make_evaluator` binds to (rho, d, n) take history projections and
+All four free functions and the ``value`` and ``gram`` of the `Evaluator`
+that `make_evaluator` binds to (rho, d, n) take history projections and
 homogeneous histories alike (``direct`` only the latter), and one normalizer
 checks, pads and embeds them for every method.  The free functions take d
 from the state, or from the kernel for `d_via_M`, and n as the larger order
@@ -176,10 +165,14 @@ def _direct_gram(rho_m: np.ndarray, ps, qs) -> np.ndarray:
     return _direct_values(rho_m, left[:, None], right)
 
 
+def _direct_value(rho_m: np.ndarray, h, k) -> complex:
+    return complex(_direct_values(rho_m, _left_product(h), _right_product(k)))
+
+
 def d_direct(rho: DensityOperator, h: HomogeneousHistory, k: HomogeneousHistory) -> complex:
     """Time-ordered product evaluation tr(h_n ... h_1 rho k_1 ... k_n)."""
     h, k = _normalize("direct", rho.dim, max(h.order, k.order), (h, k))
-    return complex(_direct_values(rho.matrix, _left_product(h), _right_product(k)))
+    return _direct_value(rho.matrix, h, k)
 
 
 def _place_value(digits, d: int):
@@ -270,13 +263,17 @@ def _series_gram(rho: DensityOperator, d: int, n: int, ps, qs) -> np.ndarray:
     return np.array([_series_values(rho, d, n, p.matrix, qm) for p in ps])
 
 
+def _series_value(rho: DensityOperator, d: int, n: int, h, k) -> complex:
+    return complex(_series_values(rho, d, n, h.matrix, k.matrix))
+
+
 def d_series(rho: DensityOperator, h: HistoryProjection | HomogeneousHistory,
              k: HistoryProjection | HomogeneousHistory) -> complex:
     """Series evaluation: the fixed-order sum of per-tuple contributions of
     `_series_values`, bit-identical to the scalar per-tuple expansion."""
     d, n = rho.dim, max(h.order, k.order)
     h, k = _normalize("series", d, n, (h, k))
-    return complex(_series_values(rho, d, n, h.matrix, k.matrix))
+    return _series_value(rho, d, n, h, k)
 
 
 def build_M(rho: DensityOperator, d: int, n: int,
@@ -319,21 +316,24 @@ def build_M(rho: DensityOperator, d: int, n: int,
 
 
 def _ils_gram(M: ILSOperator, ps, qs) -> np.ndarray:
-    # G = vec(P) @ K @ vec(Q)^T with the rows vec(ps[i]) and vec(qs[j]);
-    # the arguments are checked by the caller
+    # G = vec(P) @ K @ vec(Q)^T with the rows vec(ps[i]) and vec(qs[j]),
+    # stacked once when qs is ps; the arguments are checked by the caller
     vp = np.array([p.matrix for p in ps]).reshape(len(ps), -1)
-    vq = np.array([q.matrix for q in qs]).reshape(len(qs), -1)
+    vq = vp if qs is ps else np.array([q.matrix for q in qs]).reshape(len(qs), -1)
     rows, cols, values = M.pair_entries
     return (vp.take(rows, axis=1) * values) @ vq.take(cols, axis=1).T
 
 
+def _ils_value(M: ILSOperator, p, q) -> complex:
+    return complex(_ils_gram(M, (p,), (q,))[0, 0])
+
+
 def d_via_M(M: ILSOperator, p: HistoryProjection | HomogeneousHistory,
             q: HistoryProjection | HomogeneousHistory) -> complex:
-    """Kernel evaluation tr((p (x) q) M) = vec(p) @ K @ vec(q) with K the
-    realigned kernel, summed over its nonzero entries ``M.pair_entries``
-    only, at O(nnz M) per pair: the one-pair ``ils`` Gram."""
+    """Kernel evaluation tr((p (x) q) M) = vec(p) @ K @ vec(q), summed over
+    the nonzero entries ``M.pair_entries`` of the realigned kernel K alone."""
     p, q = _normalize("ils", M.single_dim, M.order, (p, q))
-    return complex(_ils_gram(M, (p,), (q,))[0, 0])
+    return _ils_value(M, p, q)
 
 
 def partial_trace_a(stack: np.ndarray, d: int, n: int) -> np.ndarray:
@@ -363,21 +363,25 @@ def partial_trace_from_columns(cols: np.ndarray, d: int, n: int) -> np.ndarray:
 
 
 def _stream_gram(rho_m: np.ndarray, d: int, n: int, ps, qs) -> np.ndarray:
-    # G[i, j] = tr(A(ps[i]) rho B(qs[j])), A taken of the ps alone and B of
-    # the qs alone; the arguments are checked by the caller
-    a = partial_trace_a(np.array([x.matrix for x in ps]), d, n)
-    b = partial_trace_b(np.array([x.matrix for x in qs]), d, n)
+    # G[i, j] = tr(A(ps[i]) rho B(qs[j])), one stack when qs is ps; the
+    # arguments are checked by the caller
+    stack = np.array([x.matrix for x in ps])
+    a = partial_trace_a(stack, d, n)
+    b = partial_trace_b(stack if qs is ps else np.array([x.matrix for x in qs]), d, n)
     return np.einsum("ivt,ts,jsv->ij", a, rho_m, b)
+
+
+def _stream_value(rho_m: np.ndarray, d: int, n: int, p, q) -> complex:
+    return complex(_stream_gram(rho_m, d, n, (p,), (q,))[0, 0])
 
 
 def d_via_M_streaming(rho: DensityOperator, p: HistoryProjection | HomogeneousHistory,
                       q: HistoryProjection | HomogeneousHistory) -> complex:
     """Kernel evaluation without materializing M: tr(A(p) rho B(q)) with the
-    partial traces A and B of the module docstring, the one-pair ``stream``
-    Gram."""
+    partial traces A and B of the module docstring."""
     d, n = rho.dim, max(p.order, q.order)
     p, q = _normalize("stream", d, n, (p, q))
-    return complex(_stream_gram(rho.matrix, d, n, (p,), (q,))[0, 0])
+    return _stream_value(rho.matrix, d, n, p, q)
 
 
 @dataclass(frozen=True, eq=False)
@@ -388,52 +392,49 @@ class Evaluator:
     and homogeneous histories of order at most n, the latter padded with
     identities to order n; an argument of another single-time dimension or
     order raises ShapeError.  ``gram`` is the matrix G[i, j] = d(xs[i], ys[j])
-    and ``value`` is its one-pair case.  ``stream`` forms it in one
-    contraction of the stacked partial traces, ``ils`` in one product over
-    the nonzero entries of the realigned kernel, ``series`` by one tuple
-    sum per row against the stack of ``ys``, and ``direct`` in one
-    broadcast product of the stacked time-ordered products.
-    ``series``, ``ils`` and ``stream`` embed homogeneous histories;
-    ``direct`` needs them and raises ShapeError on history projections.
-    The four free functions take their arguments by the same rules, with n
-    the larger order of the two, or the kernel's order for `d_via_M`.
-    Evaluators compare and hash by identity.
+    from the method's Gram function; with ``ys is xs`` the one list is
+    checked and stacked once.  ``value`` calls the one-pair function that
+    the method's free function calls.  ``series``, ``ils`` and ``stream`` embed
+    homogeneous histories; ``direct`` needs them and raises ShapeError on
+    history projections.  Evaluators compare and hash by identity.
     """
 
     method: str
     rho: DensityOperator
     single_dim: int
     order: int
+    _value: object
     _gram: object
 
     def gram(self, xs, ys) -> np.ndarray:
         """(len(xs), len(ys)) complex matrix of the values d(xs[i], ys[j])."""
-        xs, ys = tuple(xs), tuple(ys)
-        args = _normalize(self.method, self.single_dim, self.order, xs + ys)
+        check = partial(_normalize, self.method, self.single_dim, self.order)
+        # ys is xs is asked before xs is consumed, so one iterator is one list
+        xs, ys = (check(xs),) * 2 if ys is xs else (check(xs), check(ys))
         if not xs or not ys:
             return np.zeros((len(xs), len(ys)), dtype=np.complex128)
-        return self._gram(args[:len(xs)], args[len(xs):])
+        return self._gram(xs, ys)
 
     def value(self, x, y) -> complex:
-        return complex(self.gram((x,), (y,))[0, 0])
+        return self._value(*_normalize(self.method, self.single_dim, self.order, (x, y)))
 
 
 def make_evaluator(method: str, rho: DensityOperator, d: int, n: int,
                    cap: int = DEFAULT_MATERIALIZE_CAP) -> Evaluator:
-    """Bind one of the four evaluation strategies to (rho, d, n) by its Gram."""
+    """Bind one of the four evaluation strategies to (rho, d, n)."""
     if rho.dim != d:
         raise ShapeError(f"state dimension {rho.dim} does not match d={d}")
     if method == "direct":
-        gram = partial(_direct_gram, rho.matrix)
+        fns, bound = (_direct_value, _direct_gram), (rho.matrix,)
     elif method == "series":
-        gram = partial(_series_gram, rho, d, n)
+        fns, bound = (_series_value, _series_gram), (rho, d, n)
     elif method == "ils":
-        gram = partial(_ils_gram, build_M(rho, d, n, cap=cap))
+        fns, bound = (_ils_value, _ils_gram), (build_M(rho, d, n, cap=cap),)
     elif method == "stream":
-        gram = partial(_stream_gram, rho.matrix, d, n)
+        fns, bound = (_stream_value, _stream_gram), (rho.matrix, d, n)
     else:
         raise ValidationError(f"unknown evaluation method {method!r}")
-    return Evaluator(method, rho, d, n, gram)
+    return Evaluator(method, rho, d, n, *(partial(f, *bound) for f in fns))
 
 
 @dataclass(frozen=True)

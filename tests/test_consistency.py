@@ -7,8 +7,9 @@ from histq import consistency as cs
 from histq.decoherence import (ILSOperator, build_M, d_direct, d_series, d_via_M_streaming,
                                make_evaluator, partial_trace_a, random_homogeneous)
 from histq.errors import ShapeError, ValidationError
-from histq.historyspace import (density_from_spectral, density_matrix, history_projection,
-                                identity_history_projection)
+from histq.historyspace import (HistoryProjection, Projection, density_from_spectral,
+                                density_matrix, history_projection,
+                                homogeneous_history, identity_history_projection)
 from histq.seeding import generator
 
 from conftest import (P0, P1, PMINUS, PPLUS, haar_unitary, kron_chain, pure_e1,
@@ -110,6 +111,30 @@ def test_complement_atom_added():
     assert report.consistent
 
 
+@pytest.mark.parametrize("dn", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)])
+def test_rest_atom_is_the_unvalidated_complement_of_the_total(dn):
+    # the rest atom is I - total, built from the validated total without a
+    # second validation: the same bytes, rank dim - sum of ranks, and a
+    # self-adjointness residual bit-equal to the total's
+    d, n = dn
+    dim = d ** n
+    rng = np.random.default_rng([d, n, 21])
+    basis = haar_unitary(dim, rng)
+    cuts = sorted(rng.choice(np.arange(1, dim), size=min(3, dim - 1), replace=False))
+    mats = [basis[:, lo:hi] @ basis[:, lo:hi].conj().T
+            for lo, hi in zip([0, *cuts[:-1]], cuts)]
+    family = cs.build_family([history_projection(m, n, d) for m in mats])
+    assert family.atom_labels[-1] == "rest"
+    rest, total = family.atoms[-1], np.array([m.matrix for m in family.members]).sum(axis=0)
+    assert rest.matrix.tobytes() == (np.eye(dim) - total).tobytes()
+    ranks = [m.projection.rank for m in family.members]
+    assert rest.projection.rank == dim - sum(ranks) == dim - cuts[-1]
+
+    def herm(m):
+        return float(np.max(np.abs(m - m.conj().T)))
+    assert herm(rest.matrix).hex() == herm(total).hex()
+
+
 def test_build_family_rejections():
     p00 = embed([P0, P0])
     p01 = embed([P0, P1])
@@ -125,6 +150,11 @@ def test_build_family_rejections():
         cs.build_family([p00, p01], labels=["a"])
     with pytest.raises(ShapeError, match="different history spaces"):
         cs.build_family([p00, history_projection(np.zeros((2, 2)), 1, 2)])
+    # the total stays the gate for the rest atom: half the identity is
+    # self-adjoint with integer trace at dim 4, but not idempotent
+    half = HistoryProjection(Projection(0.5 * np.eye(4, dtype=np.complex128), 4, 2), 2, 2)
+    with pytest.raises(ValidationError, match="not idempotent: max residual 2.500e-01"):
+        cs.build_family([half])
 
 
 @pytest.mark.parametrize("label", [1, None, True, {}])
@@ -531,6 +561,11 @@ def test_gram_matches_the_pairwise_loop(n, d, state):
             want = pairwise_gram(lambda p, q: d_series(rho, p, q), xs, ys)
             assert hex_entries(evs["series"].gram(xs, ys)) == hex_entries(want)
         reports = {m: cs.check_consistent(ev, family) for m, ev in evs.items()}
+        # gram(atoms, atoms) checks and stacks the atoms once; an equal but
+        # distinct list takes the two-list path, with the same bytes
+        for ev in evs.values():
+            one_list = ev.gram(atoms, atoms)
+            assert hex_entries(one_list) == hex_entries(ev.gram(atoms, list(atoms)))
         for m in ("stream", "ils"):
             ev = evs[m]
             g = ev.gram(atoms, atoms)
@@ -555,6 +590,19 @@ def test_golden_families_through_the_batched_gram(method):
         assert (got.consistent, got.unphysical) == (want.consistent, want.unphysical)
         assert abs(got.max_re_offdiag - want.max_re_offdiag) <= 1e-12
     assert got.unphysical == ("+0++1+-0", "+0+-0+-1")
+
+
+@pytest.mark.parametrize("method", ["direct", "series", "stream", "ils"])
+def test_gram_of_one_shared_iterator_is_its_square_gram(method):
+    # the iterator is consumed once, for both sides; it used to give a
+    # (k, 0) matrix, the second side finding it empty
+    make = homogeneous_history if method == "direct" else embed
+    xs = [make([a, b]) for a in (P0, PPLUS) for b in (P0, P1)]
+    ev = make_evaluator(method, random_density(2, np.random.default_rng(5)), 2, 2)
+    it = iter(xs)
+    got = ev.gram(it, it)
+    assert got.shape == (4, 4)
+    assert hex_entries(got) == hex_entries(ev.gram(xs, list(xs)))
 
 
 def test_gram_of_empty_lists_is_empty():

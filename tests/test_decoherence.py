@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 from functools import partial, reduce
 
 import numpy as np
@@ -645,7 +646,8 @@ def test_free_functions_take_what_the_evaluator_takes(dn, spectrum):
     # evaluator does, so it returns the same bits on both argument kinds and
     # raises the same ShapeError; d_series, d_via_M and d_via_M_streaming
     # used to raise AttributeError on homogeneous histories, and d_direct on
-    # history projections
+    # history projections.  value calls the one-pair function of its
+    # method's free function, and never the Gram function
     d, n = dn
     rng = np.random.default_rng([d, n, SPECTRA.index(spectrum)])
     rho = _spectrum_state(spectrum, d, rng)
@@ -655,8 +657,11 @@ def test_free_functions_take_what_the_evaluator_takes(dn, spectrum):
     args = {"homogeneous": (h, k),
             "projection": tuple(history_projection(random_proj(d ** n, rng), n, d)
                                 for _ in range(2))}
+
+    def no_gram(xs, ys):
+        raise AssertionError("value asked the Gram function")
     for method in ("direct", "series", "ils", "stream"):
-        ev = dec.make_evaluator(method, rho, d, n)
+        ev = replace(dec.make_evaluator(method, rho, d, n), _gram=no_gram)
         for kind, (x, y) in args.items():
             if method == "direct" and kind == "projection":
                 for call in (partial(_free_value, method, rho, M), ev.value):

@@ -262,6 +262,17 @@ def test_probe_witness_attains_the_certificate():
         assert abs(value - n_dim) <= 1e-12
 
 
+def test_ladder_form_is_n_times_the_first_diagonal_entry_of_the_state():
+    # each term |e_j><e_1| (x) |e_1><e_j| of z_N sends S to e_1 e_1^dagger S,
+    # so D(z_N, 1) = N rho_11 for every state: an analytic oracle for the
+    # generic D_form, checked on mixed states where the probe's e_1 gives N
+    rng = np.random.default_rng(2106)
+    for n_dim in range(1, 9):
+        rho = random_density(n_dim, rng)
+        value = qf.D_form(rho, qf._ladder_element(n_dim), qf.identity_element(n_dim, 2))
+        assert abs(value - n_dim * rho.matrix[0, 0].real) <= 1e-12
+
+
 def test_probe_linear_growth():
     rows = qf.unboundedness_probe([1, 2, 4, 8, 16])
     for row in rows:
