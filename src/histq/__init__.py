@@ -2,10 +2,10 @@
 
 Evaluates decoherence functionals on tensor-product history spaces by
 independent constructions (time-ordered products, a doubled-space series, a
-materialized trace-class kernel, and a streaming variant), extends them to
-quadratic forms on the algebraic tensor product, reproduces divergence and
-unboundedness phenomena through truncation probes, and checks consistency of
-Boolean history families.
+trace-class kernel held by its nonzero entries, and a streaming variant),
+extends them to quadratic forms on the algebraic tensor product, reproduces
+divergence and unboundedness phenomena through truncation probes, and checks
+consistency of Boolean history families.
 """
 
 __version__ = "0.1.0"

@@ -193,8 +193,8 @@ def _check_history_cap(method: str, state_dim: int, d: int, n: int,
                        cfg: RunConfig) -> None:
     """Refuse to embed histories of dimension d**n above the history cap;
     ``direct`` holds only the d x d factors and is not capped.  A state of
-    another dimension than d passes, so that make_evaluator rejects it first
-    as a validation error."""
+    another dimension than d passes, so that make_evaluator or build_M
+    rejects it first as a validation error."""
     if method != "direct" and state_dim == d and d ** n > cfg.history_cap:
         raise SizeCapError(
             f"history dimension {d}**{n}={d ** n} exceeds cap {cfg.history_cap}")
@@ -211,8 +211,7 @@ def _cmd_eval(args, cfg: RunConfig) -> int:
     n = max(h.order, k.order)
     if isinstance(h, HomogeneousHistory) or isinstance(k, HomogeneousHistory):
         _check_history_cap(args.method, rho.dim, d, n, cfg)
-    evaluator = decoherence.make_evaluator(args.method, rho, d, n,
-                                           cap=cfg.materialize_cap)
+    evaluator = decoherence.make_evaluator(args.method, rho, d, n)
     value = evaluator.value(h, k)
     out = {
         "value": [value.real, value.imag],
@@ -229,14 +228,17 @@ def _cmd_build_m(args, cfg: RunConfig) -> int:
     # here -d defaults to the state's dimension, not to single_dim
     d = rho.dim if args.single_dim is None else cfg.single_dim
     n = cfg.order
-    M = decoherence.build_M(rho, d, n, cap=cfg.materialize_cap)
-    serialize.dump_json(serialize.matrix_to_json(M.matrix), args.out)
+    # the kernel's entries are held at history dimension d**n, as by ils;
+    # the materialization cap bounds the dense M read from them
+    _check_history_cap("ils", rho.dim, d, n, cfg)
+    m = decoherence.build_M(rho, d, n, cap=cfg.materialize_cap).matrix
+    serialize.dump_json(serialize.matrix_to_json(m), args.out)
     summary = {
         "out": args.out,
-        "dim": int(M.matrix.shape[0]),
+        "dim": int(m.shape[0]),
         "single_dim": d,
         "order": n,
-        "trace": [np.trace(M.matrix).real, np.trace(M.matrix).imag],
+        "trace": [np.trace(m).real, np.trace(m).imag],
         "state_fingerprint": decoherence.state_fingerprint(rho),
         "meta": _meta(),
     }
@@ -251,8 +253,7 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
     _check_history_cap(args.method, d if rho is None else rho.dim, d, n, cfg)
     if rho is None:
         rho = _mixed_state(d, cfg)
-    evaluator = decoherence.make_evaluator(args.method, rho, d, n,
-                                           cap=cfg.materialize_cap)
+    evaluator = decoherence.make_evaluator(args.method, rho, d, n)
     report = decoherence.verify_axioms(evaluator, samples=args.samples,
                                        seed=seed, tol=cfg.consistency_tol)
     out = report.as_dict()
@@ -326,8 +327,7 @@ def _cmd_consistency(args, cfg: RunConfig) -> int:
     members, labels = serialize.family_from_json(obj, cap=cfg.history_cap,
                                                  tol=cfg.validation_tol)
     fam = consistency.build_family(members, labels, tol=cfg.validation_tol)
-    evaluator = decoherence.make_evaluator(args.method, rho, fam.single_dim,
-                                           fam.order, cap=cfg.materialize_cap)
+    evaluator = decoherence.make_evaluator(args.method, rho, fam.single_dim, fam.order)
     report = consistency.check_consistent(evaluator, fam, tol=cfg.consistency_tol)
     out = report.as_dict()
     out["meta"] = _meta()
@@ -382,8 +382,7 @@ def _cmd_bench(args, cfg: RunConfig) -> int:
     rows = []
     for method in methods:
         start = time.perf_counter()
-        evaluator = decoherence.make_evaluator(method, rho, d, n,
-                                               cap=cfg.materialize_cap)
+        evaluator = decoherence.make_evaluator(method, rho, d, n)
         setup = time.perf_counter() - start
         start = time.perf_counter()
         values = [evaluator.value(h, k) for h, k in pairs]

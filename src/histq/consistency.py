@@ -23,6 +23,7 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .decoherence import partial_trace_from_columns
 from .errors import ShapeError, ValidationError
@@ -236,8 +237,9 @@ def diag_excess_search(source, budget: int = 200, seed: int = 0,
     decreases:
 
     * p <- the projector V V^dagger onto the positive eigenspace of
-      Herm X(Phi), kept as its eigenvectors V; Herm X is written in place
-      into one buffer reused by every sweep;
+      Herm X(Phi), kept as its eigenvectors V; X and X^dagger are written
+      through strided views of their d D entries, D = d^n, into two
+      buffers reused by every sweep, and Herm X is their sum;
     * Phi <- A(p) S / ||A(p) S||_F, with A(p) taken from V by
       `partial_trace_from_columns`, so p itself is never formed.
 
@@ -257,13 +259,17 @@ def diag_excess_search(source, budget: int = 200, seed: int = 0,
     dim, r = d ** n, d ** (n - 1)
     w, vecs = np.linalg.eigh(source.rho.matrix)
     s = vecs[:, w > 1e-12] * np.sqrt(w[w > 1e-12])
-    # flat positions of X[(t,u),(u,v)] = Y[t,v] and of its adjoint, both in
-    # (t, u, v) order, so Herm X is written from Y = S Phi^dagger in place
-    t, u, v = np.ogrid[:d, :r, :d]
-    row, col = t * r + u, u * d + v
-    pos_x, pos_adj = row * dim + col, col * dim + row
-    herm = np.zeros((dim, dim), dtype=np.complex128)
-    flat = herm.reshape(-1)
+    # X[(t,u),(u,v)] = Y[t,v] / 2 and X^dagger as (t, u, v) views of two
+    # buffers whose other entries are never written, so Herm X = X + X^dagger
+    # is one add.  Those entries are +0.0 in X and -0.0 - 0.0j in X^dagger,
+    # so every entry has the bits of X written over zeros with X^dagger
+    # added to it: an entry of X alone keeps its signed zeros
+    x = np.zeros((dim, dim), dtype=np.complex128)
+    x_adj = np.full((dim, dim), complex(-0.0, -0.0))
+    herm = np.empty((dim, dim), dtype=np.complex128)
+    item = herm.itemsize
+    x_view = as_strided(x, (d, r, d), (r * dim * item, (dim + d) * item, item))
+    adj_view = as_strided(x_adj, (d, r, d), (r * item, (d * dim + 1) * item, dim * item))
     best_val, best_cols, best_restart = -np.inf, None, -1
     for restart in range(budget):
         phi = s
@@ -273,11 +279,9 @@ def diag_excess_search(source, budget: int = 200, seed: int = 0,
         val = 0.0
         for _ in range(sweeps):
             half_y = 0.5 * (s @ phi.conj().T)[:, None, :]
-            # the two position sets meet, so the adjoint adds to what X wrote
-            # over a cleared buffer
-            herm.fill(0.0)
-            flat[pos_x] = half_y
-            flat[pos_adj] += half_y.conj()
+            x_view[...] = half_y
+            np.conjugate(half_y, out=adj_view)
+            np.add(x, x_adj, out=herm)
             cols = _positive_columns(herm)
             a_s = partial_trace_from_columns(cols, d, n) @ s
             sq = float(np.vdot(a_s, a_s).real)

@@ -31,17 +31,19 @@ from the columns V alone, as the excess search keeps its projections.
 Each method has a Gram function, G[i, j] = d(p_i, q_j) for two lists, and a
 one-pair function that its free function and `Evaluator.value` share.
 ``stream`` contracts the stacked partial traces without materializing M,
-G[i, j] = tr(A(p_i) rho B(q_j)).  ``ils`` contracts the materialized M
-through its realignment K[(a,c),(b,e)] = M[(c,e),(a,b)],
-G = vec(P) @ K @ vec(Q)^T, at the nnz(rho) D^2 / d nonzero entries of M
-alone, D = d^n, and never forms K: a wrong M still gives a wrong value, and
-``ils`` stays an oracle independent of ``stream``.  Both take one pair as
-a one-pair Gram.  ``series`` sums the tuples of a cached table for one h
-against one k or a stack of them, one call per Gram row, forming complex
-products on real and imaginary parts, as numpy's SIMD complex multiply may
-fuse multiply-adds (FMA), so it is bit-identical to the per-tuple scalar
-expansion.  ``direct`` traces left rho right for one pair of time-ordered
-products or, broadcast, for a stack of each.
+G[i, j] = tr(A(p_i) rho B(q_j)).  ``ils`` contracts the kernel through its
+realignment K[(a,c),(b,e)] = M[(c,e),(a,b)], G = vec(P) @ K @ vec(Q)^T, at
+the nnz(rho) D^2 / d nonzero entries of M alone, D = d^n.  `build_M` gathers
+those entries from rho through an index table cached per (d, n) and forms
+neither M nor K; the dense M is scattered from them only when it is read.
+A wrong table still gives a wrong value, so ``ils`` stays an oracle
+independent of ``stream``.  Both take one pair as a one-pair Gram.
+``series`` sums the tuples of a cached table for one h against one k or a
+stack of them, one call per Gram row, forming complex products on real and
+imaginary parts, as numpy's SIMD complex multiply may fuse multiply-adds
+(FMA), so it is bit-identical to the per-tuple scalar expansion.
+``direct`` traces left rho right for one pair of time-ordered products or,
+broadcast, for a stack of each.
 
 All four free functions and the ``value`` and ``gram`` of the `Evaluator`
 that `make_evaluator` binds to (rho, d, n) take history projections and
@@ -79,36 +81,43 @@ METHODS = ("direct", "series", "ils", "stream")
 
 @dataclass(frozen=True, eq=False)
 class ILSOperator:
-    """Kernel operator M on the doubled history space.
+    """Kernel operator M on the doubled history space, held by its nonzero
+    entries.
 
-    Satisfies trace(M) = 1 within 1e-9 and operator norm at most 1 + 1e-8;
-    both are checked by `build_M`, which also makes ``matrix`` read-only.
-    ``rho`` is the state M was built from.  ``pair_entries`` holds the
-    nonzero entries of the realigned kernel that `d_via_M` contracts.
-    Kernels compare and hash by identity.
+    ``pair_entries`` are the nonzero entries of the realignment
+    K[(a,c),(b,e)] = M[(c,e),(a,b)], so that tr((p (x) q) M) =
+    vec(p) @ K @ vec(q) for row-major vec, as read-only (rows, cols, values)
+    in the row-major order of M's entries; `d_via_M` contracts them.
+    ``matrix`` is the dense (D^2, D^2) M, D = d^n, scattered from them on
+    first read, then cached and read-only; reading it raises SizeCapError
+    when D^2 exceeds ``cap``.  `build_M` checks trace(M) = 1 within 1e-9
+    and operator norm at most 1 + 1e-8.  ``rho`` is the state M was built
+    from.  Kernels compare and hash by identity.
     """
 
-    matrix: np.ndarray
+    pair_entries: tuple[np.ndarray, np.ndarray, np.ndarray]
     order: int
     single_dim: int
     rho: DensityOperator
+    cap: int = DEFAULT_MATERIALIZE_CAP
 
     @cached_property
-    def pair_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The nonzero entries of the realignment K[(a,c),(b,e)] = M[(c,e),(a,b)]
-        of the kernel, so that tr((p (x) q) M) = vec(p) @ K @ vec(q) for
-        row-major vec, as read-only (rows, cols, values) in the row-major
-        order of M's nonzero entries.  Read from M on first use; build_M does
-        not read them."""
-        dim = self.single_dim ** self.order
-        # a boolean mask finds the entries several times faster than a
-        # complex array's own nonzero test
-        flat = np.flatnonzero(self.matrix != 0)
-        c, e, a, b = np.unravel_index(flat, (dim,) * 4)
-        entries = (a * dim + c, b * dim + e, self.matrix.take(flat))
-        for x in entries:
-            x.flags.writeable = False
-        return entries
+    def matrix(self) -> np.ndarray:
+        d, n = self.single_dim, self.order
+        dim = d ** n
+        dd = dim * dim
+        if dd > self.cap:
+            raise SizeCapError(
+                f"doubled dimension {d}**{2 * n}={dd} exceeds materialization cap "
+                f"{self.cap}; d_via_M and d_via_M_streaming evaluate without it"
+            )
+        rows, cols, values = self.pair_entries
+        a, c = np.divmod(rows, dim)
+        b, e = np.divmod(cols, dim)
+        m = np.zeros((dd, dd), dtype=np.complex128)
+        m[c * dim + e, a * dim + b] = values
+        m.flags.writeable = False
+        return m
 
 
 def state_fingerprint(rho: DensityOperator) -> str:
@@ -276,43 +285,80 @@ def d_series(rho: DensityOperator, h: HistoryProjection | HomogeneousHistory,
     return _series_value(rho, d, n, h, k)
 
 
+@lru_cache(maxsize=16)
+def _kernel_table(d: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The index table of `build_M` at (d, n).
+
+    Lists the entries M[(a,u,w,v), (u,v,b,w)] = rho[a,b] of the module
+    docstring in the lexicographic order of (a, u, w, v, b), which is M's
+    row-major order, with D = d^n and r = d^(n-1).  Returns the realignment
+    row and column of each entry, as ``pair_entries`` hold them, its index
+    a * d + b in the flat state, and the table positions of the entries on
+    M's diagonal.  Checks once that the row map (a,u,w,v) -> R and the
+    column map (u,v,b,w) -> C are each one-to-one onto 0 ... D^2 - 1, so
+    that M is a permutation of rho (x) 1, and that the flat positions
+    R D^2 + C increase.  The arrays are read-only, since every kernel at
+    (d, n) shares them; the bound on cached keys keeps large tables from
+    piling up.
+    """
+    dim, r = d ** n, d ** (n - 1)
+    dd = dim * dim
+    a, u, w, v, b = np.indices((d, r, r, d, d)).reshape(5, -1)
+    row = ((a * r + u) * r + w) * d + v
+    col = ((u * d + v) * d + b) * r + w
+    # each R comes once for each b, each C once for each a
+    for name, idx in (("row", row), ("column", col)):
+        if not np.array_equal(np.bincount(idx, minlength=dd), np.full(dd, d)):
+            raise AssertionError(f"kernel {name} map at ({d}, {n}) is not one-to-one "
+                                 f"onto 0 ... {dd - 1}")
+    if not np.all(np.diff(row * dd + col) > 0):
+        raise AssertionError(f"kernel entries at ({d}, {n}) are not in row-major order")
+    # K[(a',c),(b',e)] = M[(c,e),(a',b')] with R = (c, e), C = (a', b')
+    (c, e), (a2, b2) = np.divmod(row, dim), np.divmod(col, dim)
+    table = (a2 * dim + c, b2 * dim + e, a * d + b, np.flatnonzero(row == col))
+    for x in table:
+        x.flags.writeable = False
+    return table
+
+
 def build_M(rho: DensityOperator, d: int, n: int,
             cap: int = DEFAULT_MATERIALIZE_CAP) -> ILSOperator:
-    """Materialize the kernel operator M = sum_J w_{j_1} |eps_J><eps_tilde_J|,
-    assembled in one step as the permutation of rho (x) 1 of the module
-    docstring.
+    """The kernel operator M = sum_J w_{j_1} |eps_J><eps_tilde_J| of the
+    module docstring, held by its nonzero entries, each an entry of rho.
+
+    One gather of rho through the index table of `_kernel_table`, cached per
+    (d, n), gives every entry M[(a,u,w,v), (u,v,b,w)] = rho[a,b] in M's
+    row-major order; exact zeros are dropped and the rest become the
+    kernel's ``pair_entries``, d D^2 of them at most, D = d^n.  The trace
+    is summed over the diagonal entries and the norm gate reads rho, since
+    M is a permutation of rho (x) 1 and ||M|| = ||rho||.  ``cap`` bounds
+    the doubled dimension d**(2n) of the dense ``matrix`` alone, which is
+    scattered from the entries when it is read.
 
     Raises
     ------
     ShapeError
-        If the state's dimension is not d; checked before the cap.
-    SizeCapError
-        If the doubled dimension d**(2n) exceeds ``cap``; use
-        ``d_via_M_streaming`` instead in that regime.
+        If the state's dimension is not d.
+    ValidationError
+        If the trace differs from 1 beyond 1e-9 or the norm exceeds 1 + 1e-8.
     """
     if rho.dim != d:
         raise ShapeError(f"state dimension {rho.dim} does not match d={d}")
-    dd = d ** (2 * n)
-    if dd > cap:
-        raise SizeCapError(
-            f"doubled dimension {d}**{2 * n}={dd} exceeds materialization cap "
-            f"{cap}; evaluate with d_via_M_streaming instead"
-        )
-    rho_m = rho.matrix
-    r = d ** (n - 1)
-    eye_r = np.eye(r, dtype=np.complex128)
-    m = np.einsum("ab,uU,wW,vV->auwvUVbW", rho_m, eye_r, eye_r,
-                  np.eye(d, dtype=np.complex128)).reshape(dd, dd)
-    # read-only, so that the entries cached from it cannot go stale
-    m.flags.writeable = False
-    tr = complex(np.trace(m))
+    rows, cols, src, diag = _kernel_table(d, n)
+    values = rho.matrix.reshape(-1).take(src)
+    tr = complex(values.take(diag).sum())
     if abs(tr - 1.0) > 1e-9:
         raise ValidationError(f"kernel trace {tr:.12g} differs from 1 beyond 1e-9")
-    # M is a row and column permutation of rho (x) 1, so ||M|| = ||rho||
-    norm = float(np.linalg.norm(rho_m, 2))
+    norm = float(np.linalg.norm(rho.matrix, 2))
     if norm > 1.0 + 1e-8:
         raise ValidationError(f"kernel norm {norm:.12g} exceeds 1 + 1e-8")
-    return ILSOperator(matrix=m, order=n, single_dim=d, rho=rho)
+    if not values.all():
+        keep = np.flatnonzero(values)
+        rows, cols, values = rows.take(keep), cols.take(keep), values.take(keep)
+        rows.flags.writeable = cols.flags.writeable = False
+    values.flags.writeable = False
+    return ILSOperator(pair_entries=(rows, cols, values), order=n, single_dim=d,
+                       rho=rho, cap=cap)
 
 
 def _ils_gram(M: ILSOperator, ps, qs) -> np.ndarray:
@@ -394,7 +440,8 @@ class Evaluator:
     order raises ShapeError.  ``gram`` is the matrix G[i, j] = d(xs[i], ys[j])
     from the method's Gram function; with ``ys is xs`` the one list is
     checked and stacked once.  ``value`` calls the one-pair function that
-    the method's free function calls.  ``series``, ``ils`` and ``stream`` embed
+    the method's free function calls; with ``y is x`` the one argument is
+    checked and embedded once.  ``series``, ``ils`` and ``stream`` embed
     homogeneous histories; ``direct`` needs them and raises ShapeError on
     history projections.  Evaluators compare and hash by identity.
     """
@@ -416,12 +463,18 @@ class Evaluator:
         return self._gram(xs, ys)
 
     def value(self, x, y) -> complex:
-        return self._value(*_normalize(self.method, self.single_dim, self.order, (x, y)))
+        check = partial(_normalize, self.method, self.single_dim, self.order)
+        return self._value(*(check((x,)) * 2 if y is x else check((x, y))))
 
 
-def make_evaluator(method: str, rho: DensityOperator, d: int, n: int,
-                   cap: int = DEFAULT_MATERIALIZE_CAP) -> Evaluator:
-    """Bind one of the four evaluation strategies to (rho, d, n)."""
+def make_evaluator(method: str, rho: DensityOperator, d: int, n: int) -> Evaluator:
+    """Bind one of the four evaluation strategies to (rho, d, n).
+
+    No method is capped here: ``ils`` holds the kernel's O(d D^2) entries,
+    D = d^n, and never the dense M, so like ``series`` and ``stream`` it is
+    bounded only by the D x D arguments it is given (the command line caps D
+    at its history cap).
+    """
     if rho.dim != d:
         raise ShapeError(f"state dimension {rho.dim} does not match d={d}")
     if method == "direct":
@@ -429,7 +482,7 @@ def make_evaluator(method: str, rho: DensityOperator, d: int, n: int,
     elif method == "series":
         fns, bound = (_series_value, _series_gram), (rho, d, n)
     elif method == "ils":
-        fns, bound = (_ils_value, _ils_gram), (build_M(rho, d, n, cap=cap),)
+        fns, bound = (_ils_value, _ils_gram), (build_M(rho, d, n),)
     elif method == "stream":
         fns, bound = (_stream_value, _stream_gram), (rho.matrix, d, n)
     else:

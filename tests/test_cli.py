@@ -183,6 +183,25 @@ def test_build_m_size_cap(tmp_path, capsys):
     assert "size cap" in capsys.readouterr().err
 
 
+def test_eval_ils_at_the_history_cap(tmp_path, capsys):
+    # at order 6 the history dimension 64 is the history cap and the doubled
+    # dimension 4096 is above the materialization cap: ils evaluates from the
+    # kernel's entries, while build-m still refuses the dense M
+    rho = rho_file(tmp_path, pure_state([1, 2j]))
+    h = history_file(tmp_path, [PPLUS, P0, PMINUS, P1, PPLUS, P0], "h.json")
+    k = history_file(tmp_path, [PPLUS, PPLUS, P0, PMINUS, P0, PPLUS], "k.json")
+    values = {}
+    for method in ("ils", "stream"):
+        code, out = run_json(capsys, ["eval", "--rho", rho, "--h", h, "--k", k,
+                                      "--method", method])
+        assert code == 0, method
+        values[method] = complex(*out["value"])
+    assert abs(values["ils"] - values["stream"]) <= 1e-9
+    assert main(["build-m", "--rho", rho, "-d", "2", "-n", "6",
+                 "--out", str(tmp_path / "m.json")]) == 3
+    assert "exceeds materialization cap 1024" in capsys.readouterr().err
+
+
 def test_build_m_dim_mismatch(tmp_path, capsys):
     rho = rho_file(tmp_path, pure_e1(2))
     code = main(["build-m", "--rho", rho, "-d", "3", "--out", str(tmp_path / "m.json")])

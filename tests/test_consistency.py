@@ -706,9 +706,7 @@ def test_pure_state_witness_attains_the_closed_form(d, n, rank):
     p = pure_state_witness(psi, n)
     want = PURE_STATE_SUPREMUM[n](d)
     assert p.projection.rank == rank
-    # ils at (4, 3) would need M of doubled dimension 4096, above the kernel cap
-    methods = ("series", "stream") if (d, n) == (4, 3) else ("series", "stream", "ils")
-    for method in methods:
+    for method in ("series", "stream", "ils"):
         got = make_evaluator(method, rho, d, n).value(p, p)
         assert abs(got - want) <= 1e-9, method
     res = cs.diag_excess_search(make_evaluator("stream", rho, d, n), budget=10, seed=0)

@@ -148,11 +148,10 @@ def _rank_one_kernel(rho, d, n):
 def test_basis_tuples_structure(rng):
     for d, n in ((2, 1), (2, 2), (3, 2)):
         for rho in (pure_e1(d), random_density(d, rng)):
-            eps, til, m = _rank_one_kernel(rho, d, n)
+            eps, til, _ = _rank_one_kernel(rho, d, n)
             dd = d ** (2 * n)
             assert np.allclose(eps.conj().T @ eps, np.eye(dd), atol=1e-12)
             assert np.allclose(til.conj().T @ til, np.eye(dd), atol=1e-12)
-            assert np.max(np.abs(dec.build_M(rho, d, n).matrix - m)) <= 1e-15
 
 
 def test_basis_tuples_dimension_check():
@@ -190,8 +189,10 @@ def test_build_m_order_one_hand_case():
 
 
 def test_build_m_cap_points_to_streaming():
+    # the (4, 3) kernel holds its entries; only its dense M is capped
+    M = dec.build_M(pure_e1(4), 4, 3)
     with pytest.raises(SizeCapError, match="streaming"):
-        dec.build_M(pure_e1(4), 4, 3)
+        M.matrix
 
 
 def test_via_m_additive_in_each_slot(rng):
@@ -397,6 +398,23 @@ def test_verify_axioms_asks_two_grams_and_one_value_per_sample(method, rng):
     assert (ev.gram_calls, ev.value_calls) == (14, 8)
 
 
+@pytest.mark.parametrize("method", ["series", "ils", "stream"])
+def test_value_of_one_argument_embeds_it_once(method, rng, monkeypatch):
+    # value(h, h) checks and embeds h once, with the bits of value(h, h')
+    # for an equal copy h'
+    rho = random_density(2, rng)
+    h = homogeneous_history([random_proj(2, rng) for _ in range(3)])
+    ev = dec.make_evaluator(method, rho, 2, 3)
+    want = ev.value(h, replace(h))
+    calls = []
+    embed = dec.embed_homogeneous
+    monkeypatch.setattr(dec, "embed_homogeneous",
+                        lambda *a, **kw: calls.append(a) or embed(*a, **kw))
+    got = ev.value(h, h)
+    assert len(calls) == 1
+    assert _hex(got) == _hex(want)
+
+
 def test_build_m_deterministic(rng):
     rho = random_density(3, rng)
     m1 = dec.build_M(rho, 3, 2).matrix
@@ -546,24 +564,96 @@ def test_partial_trace_from_columns_matches_partial_traces(dn):
 
 
 def test_pair_entries_are_the_cached_nonzeros_of_the_realignment(rng):
+    # the entries are the kernel's data; its dense M is scattered from them
+    # on first read, cached and read-only, and its nonzeros in row-major
+    # order are the entries again
     d, n = 2, 2
     dim = d ** n
     M = dec.build_M(random_density(d, rng), d, n)
-    assert "pair_entries" not in vars(M)
-    entries = M.pair_entries
-    assert M.pair_entries is entries
-    rows, cols, values = entries
-    assert all(not x.flags.writeable for x in entries)
-    # each nonzero entry of M once, and nothing else
-    assert len(set(zip(rows.tolist(), cols.tolist()))) == len(values)
-    assert len(values) == np.count_nonzero(M.matrix) == 4 * dim * dim // d
+    rows, cols, values = M.pair_entries
+    assert all(not x.flags.writeable for x in M.pair_entries)
+    assert "matrix" not in vars(M)
+    m = M.matrix
+    assert M.matrix is m
+    assert not m.flags.writeable
+    assert len(values) == np.count_nonzero(m) == 4 * dim * dim // d
     assert np.all(values != 0)
+    flat = np.flatnonzero(m)
+    c, e, a, b = np.unravel_index(flat, (dim,) * 4)
+    assert np.array_equal(rows, a * dim + c)
+    assert np.array_equal(cols, b * dim + e)
+    assert values.tobytes() == m.take(flat).tobytes()
     K = np.zeros((dim * dim, dim * dim), dtype=np.complex128)
     K[rows, cols] = values
-    m4 = M.matrix.reshape(dim, dim, dim, dim)
+    m4 = m.reshape(dim, dim, dim, dim)
     k4 = K.reshape(dim, dim, dim, dim)
     for a, c, b, e in itertools.product(range(dim), repeat=4):
         assert k4[a, c, b, e] == m4[c, e, a, b]
+
+
+@pytest.mark.parametrize("state", ["full", "rank-one", "diagonal", "e1"])
+@pytest.mark.parametrize("dn", [(2, 1), (2, 2), (3, 2), (2, 3)])
+def test_kernel_entries_are_the_literal_rank_one_sum(dn, state):
+    # the entries gathered from rho, and the M scattered from them, against
+    # M = sum_J w_{j_1} |eps_J><eps_tilde_J| summed term by term; diagonal
+    # states have exact zeros, which the entries leave out
+    d, n = dn
+    dim = d ** n
+    rng = np.random.default_rng([d, n, 21])
+    rho = {"full": random_density(d, rng),
+           "rank-one": pure_state(haar_unitary(d, rng)[:, 0]),
+           "diagonal": density_from_spectral(rng.dirichlet(np.ones(d)),
+                                             np.eye(d, dtype=complex)),
+           "e1": pure_e1(d)}[state]
+    want = _rank_one_kernel(rho, d, n)[2]
+    M = dec.build_M(rho, d, n)
+    rows, cols, values = M.pair_entries
+    a, c = np.divmod(rows, dim)
+    b, e = np.divmod(cols, dim)
+    assert np.max(np.abs(values - want[c * dim + e, a * dim + b])) <= 1e-15
+    assert np.max(np.abs(M.matrix - want)) <= 1e-15
+    assert len(values) == np.count_nonzero(rho.matrix) * dim * dim // d
+
+
+@pytest.mark.parametrize("dn", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (4, 2)])
+def test_kernel_table_maps_rows_and_columns_one_to_one(dn):
+    # every entry M[(a,u,w,v), (u,v,b,w)] of the table: its row R depends on
+    # (a, u, w, v) alone and its column C on (u, v, b, w) alone, and each is
+    # a permutation of 0 ... D^2 - 1, so M is a permutation of rho (x) 1
+    d, n = dn
+    dim, r = d ** n, d ** (n - 1)
+    rows, cols, src, diag = dec._kernel_table(d, n)
+    assert all(not x.flags.writeable for x in (rows, cols, src, diag))
+    assert dec._kernel_table(d, n)[0] is rows
+    R = ((rows % dim) * dim + cols % dim).reshape(d, r, r, d, d)
+    C = ((rows // dim) * dim + cols // dim).reshape(d, r, r, d, d)
+    idx = np.indices(R.shape)
+    assert np.array_equal(src.reshape(R.shape), idx[0] * d + idx[4])
+    assert np.all(R == R[..., :1])
+    assert np.array_equal(np.sort(R[..., 0].reshape(-1)), np.arange(dim * dim))
+    assert np.all(C == C[:1])
+    assert np.array_equal(np.sort(C[0].reshape(-1)), np.arange(dim * dim))
+    # row-major order, and the diagonal entries are those with R = C
+    flat = (R * dim * dim + C).reshape(-1)
+    assert np.all(np.diff(flat) > 0)
+    assert np.array_equal(diag, np.flatnonzero(R.reshape(-1) == C.reshape(-1)))
+
+
+def test_ils_reaches_the_history_cap():
+    # at (2, 6), D = 64 is the history cap and D^2 = 4096 is above the
+    # materialization cap: ils contracts the kernel's entries, while its
+    # dense M stays out of reach
+    d, n = 2, 6
+    dim = d ** n
+    rng = np.random.default_rng(2606)
+    rho = random_density(d, rng)
+    xs = [history_projection(random_proj(dim, rng), n, d) for _ in range(4)]
+    ils = dec.make_evaluator("ils", rho, d, n).gram(xs, xs)
+    for method in ("stream", "series"):
+        other = dec.make_evaluator(method, rho, d, n).gram(xs, xs)
+        assert np.max(np.abs(ils - other)) <= 1e-9, method
+    with pytest.raises(SizeCapError, match="exceeds materialization cap 1024"):
+        dec.build_M(rho, d, n).matrix
 
 
 @pytest.mark.parametrize("spectrum", SPECTRA)
@@ -596,8 +686,11 @@ def test_sparse_ils_on_a_dense_hand_made_kernel():
     rng = np.random.default_rng(1616)
     m = rng.standard_normal((dim * dim,) * 2) + 1j * rng.standard_normal((dim * dim,) * 2)
     assert np.all(m != 0)
-    M = dec.ILSOperator(matrix=m, order=n, single_dim=d, rho=pure_e1(d))
-    assert len(M.pair_entries[2]) == m.size
+    # K[(a,c),(b,e)] = M[(c,e),(a,b)], every entry in row-major order
+    c, e, a, b = np.unravel_index(np.arange(m.size), (dim,) * 4)
+    M = dec.ILSOperator(pair_entries=(a * dim + c, b * dim + e, m.reshape(-1)),
+                        order=n, single_dim=d, rho=pure_e1(d))
+    assert np.array_equal(M.matrix, m)
     m4 = m.reshape(dim, dim, dim, dim)
     for _ in range(5):
         p, q = (random_proj(dim, rng, int(rng.integers(1, dim + 1))) for _ in range(2))
