@@ -27,7 +27,7 @@ from .divergence import (DEFAULT_CONVERGENCE_THRESHOLD, DEFAULT_DIVERGENCE_THRES
 from .errors import (HistqError, NumericalError, ShapeError, SizeCapError,
                      ValidationError)
 from .historyspace import (DEFAULT_HISTORY_CAP, VALIDATION_TOL, DensityOperator,
-                           HomogeneousHistory, density_from_spectral,
+                           HomogeneousHistory, checked_int, density_from_spectral,
                            embed_homogeneous, history_projection)
 from .seeding import generator, stream_metadata
 
@@ -41,7 +41,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_NUMBER = {"int": serialize.json_int, "float": serialize.json_float}
+_NUMBER = {"int": checked_int, "float": serialize.json_float}
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ class RunConfig:
             if f.name == "cutoffs":
                 if not isinstance(val, (list, tuple)):
                     raise ValidationError(f"{what} must be a list of integers, got {val!r}")
-                val = tuple(serialize.json_int(c, f"{what} entry") for c in val)
+                val = tuple(checked_int(c, f"{what} entry") for c in val)
             else:
                 val = _NUMBER[f.type](val, what)
             object.__setattr__(self, f.name, val)

@@ -371,7 +371,8 @@ def _ils_gram(M: ILSOperator, ps, qs) -> np.ndarray:
 
 
 def _ils_value(M: ILSOperator, p, q) -> complex:
-    return complex(_ils_gram(M, (p,), (q,))[0, 0])
+    ps = (p,)
+    return complex(_ils_gram(M, ps, ps if q is p else (q,))[0, 0])
 
 
 def d_via_M(M: ILSOperator, p: HistoryProjection | HomogeneousHistory,
@@ -418,7 +419,8 @@ def _stream_gram(rho_m: np.ndarray, d: int, n: int, ps, qs) -> np.ndarray:
 
 
 def _stream_value(rho_m: np.ndarray, d: int, n: int, p, q) -> complex:
-    return complex(_stream_gram(rho_m, d, n, (p,), (q,))[0, 0])
+    ps = (p,)
+    return complex(_stream_gram(rho_m, d, n, ps, ps if q is p else (q,))[0, 0])
 
 
 def d_via_M_streaming(rho: DensityOperator, p: HistoryProjection | HomogeneousHistory,

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ShapeError, SizeCapError, ValidationError
 from .historyspace import (DensityOperator, HistoryProjection, Projection,
-                           validate_projection)
+                           checked_int, validate_projection)
 
 DEFAULT_CONVERGENCE_THRESHOLD = 1e-9
 DEFAULT_DIVERGENCE_THRESHOLD = 1e6
@@ -35,7 +35,7 @@ class TruncationSchedule:
     divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD
 
     def __post_init__(self):
-        cuts = tuple(int(c) for c in self.cutoffs)
+        cuts = tuple(checked_int(c, "cutoff") for c in self.cutoffs)
         object.__setattr__(self, "cutoffs", cuts)
         if len(cuts) < 3:
             raise ValidationError(f"need at least 3 cutoffs, got {len(cuts)}")

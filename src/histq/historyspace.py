@@ -9,6 +9,7 @@ with the leftmost Kronecker factor belonging to the earliest time.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -20,6 +21,14 @@ from .errors import ShapeError, SizeCapError, ValidationError
 VALIDATION_TOL = 1e-8
 
 DEFAULT_HISTORY_CAP = 64
+
+
+def checked_int(val, what: str) -> int:
+    """val as an int; bools, strings and non-integral numbers are rejected."""
+    if (isinstance(val, bool) or not isinstance(val, numbers.Real)
+            or not (isinstance(val, numbers.Integral) or float(val).is_integer())):
+        raise ValidationError(f"{what} must be an integer, got {val!r}")
+    return int(val)
 
 
 @dataclass(frozen=True)
@@ -163,6 +172,8 @@ def density_from_spectral(weights, vectors, tol: float = VALIDATION_TOL) -> Dens
         raise ShapeError("need exactly one weight per column vector")
     if v.shape[1] > v.shape[0]:
         raise ShapeError("more vectors than the space dimension allows")
+    if not w.size:
+        raise ValidationError("spectral data needs at least one weight")
     if not (np.isfinite(w).all() and np.isfinite(v.view(np.float64)).all()):
         raise ValidationError("non-finite spectral data")
     if np.min(w) < -1e-12:

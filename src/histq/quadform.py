@@ -11,9 +11,9 @@ With rho = S S^dagger for the d x r matrix S of weighted eigenvectors, the
 form is the inner product <Pi(w) S, Pi(z) S>.  D_form applies each term's
 factors to S in time order and never forms Pi as a d x d product, so one
 evaluation costs O(terms * n * d^2 * rank rho).  The unboundedness probe
-sums D(t_j, 1) = <Pi(1) S, Pi(t_j) S> over the terms t_j of z_N by
-linearity in z, forming Pi(1) S once per N and writing each term's two
-factors into the same two reused buffers.
+reads z_N from the (row, column) indices of its matrix units: a unit
+|e_r><e_c| moves row c of S to row r, so it sums D(t_j, 1) = <S, Pi(t_j) S>
+over the terms t_j of z_N in O(N * rank rho) work, with no N x N array.
 """
 
 from __future__ import annotations
@@ -25,13 +25,13 @@ import numpy as np
 
 from . import matrixcore
 from .errors import ShapeError, SizeCapError, ValidationError
-from .historyspace import DensityOperator, density_from_spectral
+from .historyspace import DensityOperator, checked_int, density_from_spectral
 from .seeding import generator
 
-# largest probe size N: a probe costs O(N^3) over N x N buffers, about 0.19 s
-# at N = 512 and 1.3 s at N = 1024 on one 2-vCPU Xeon core, so the next
-# power of two would take about ten seconds
-PROBE_SIZE_CAP = 1024
+# largest probe size N: a probe costs O(N * rank rho) work and memory, about
+# 0.2 s and 120 MB at N = 2**20 on one 2-vCPU Xeon core; the cap refuses
+# larger sizes before their length-N arrays are allocated
+PROBE_SIZE_CAP = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -52,6 +52,8 @@ def simple_tensor_sum(terms, order: int | None = None,
     parsed = []
     for term in terms:
         factors = tuple(matrixcore.as_complex_matrix(f) for f in term)
+        if not factors:
+            raise ShapeError("a tensor-sum term needs at least one factor")
         for f in factors:
             if f.shape[0] != f.shape[1]:
                 raise ShapeError(f"tensor factor must be square, got {f.shape}")
@@ -71,6 +73,8 @@ def simple_tensor_sum(terms, order: int | None = None,
         order, single_dim = t_order, t_dim
     if order is None or single_dim is None:
         raise ShapeError("empty tensor sum needs explicit order and single_dim")
+    if order < 1 or single_dim < 1:
+        raise ShapeError(f"tensor-sum order and dim must be positive, got {order}, {single_dim}")
     return SimpleTensorSum(order=order, single_dim=single_dim, terms=tuple(parsed))
 
 
@@ -211,44 +215,41 @@ class ProbeRow:
     value: float
 
 
-def _ladder_terms(n_dim: int):
-    """The terms |e_j><e_1| (x) |e_1><e_j| of z_N, produced one at a time.
-
-    Every term is written into the same two N x N buffers, one entry set
-    before it is yielded and cleared after, so a yielded term is valid only
-    until the next one; copy its factors to keep them.
-    """
-    x = np.zeros((n_dim, n_dim), dtype=np.complex128)
-    y = np.zeros((n_dim, n_dim), dtype=np.complex128)
-    for j in range(n_dim):
-        x[j, 0] = y[0, j] = 1.0
-        yield x, y
-        x[j, 0] = y[0, j] = 0.0
+def _ladder_units(n_dim: int):
+    """z_N = sum_j |e_j><e_1| (x) |e_1><e_j| as the (row, column) indices of
+    its matrix units: term j is |e_r><e_c| (x) |e_r'><e_c'| with
+    (r, c) = (x_rows[j], x_cols[j]) and (r', c') = (y_rows[j], y_cols[j])."""
+    j, first = np.arange(n_dim), np.zeros(n_dim, dtype=np.intp)
+    return (j, first), (first, j)
 
 
 def _ladder_element(n_dim: int) -> SimpleTensorSum:
-    """z_N = sum_j |e_j><e_1| (x) |e_1><e_j| inside a dim-N single-time space."""
-    return simple_tensor_sum(((x.copy(), y.copy()) for x, y in _ladder_terms(n_dim)),
-                             order=2, single_dim=n_dim)
+    """z_N as dense N x N factors, one unit matrix per index pair."""
+    eye = np.eye(n_dim, dtype=np.complex128)
+    units = _ladder_units(n_dim)
+    terms = [tuple(np.outer(eye[rows[j]], eye[cols[j]]) for rows, cols in units)
+             for j in range(n_dim)]
+    return simple_tensor_sum(terms, order=2, single_dim=n_dim)
 
 
 def unboundedness_probe(sizes) -> list[ProbeRow]:
     """Growth table: for each N report the norm of z_N and delta(z_N) = D(z_N, 1).
 
     The value grows like N while the element norm stays 1, witnessing that
-    no uniform bound C with |D(z, w)| <= C ||z|| ||w|| exists.  The terms of
-    z_N are written one at a time into two reused N x N buffers and
-    evaluated against Pi(1) S, which is formed once per N, so memory stays
-    O(N^2).  Every size is checked before any is probed.
+    no uniform bound C with |D(z, w)| <= C ||z|| ||w|| exists.  Each term of
+    z_N acts on S as the row moves of its matrix units, so no N x N array is
+    formed.  Every size is checked before any is probed.
 
     Raises
     ------
+    ValidationError
+        If a size is not an integer.
     ShapeError
         If a size is not positive.
     SizeCapError
         If a size exceeds `PROBE_SIZE_CAP`.
     """
-    sizes = [int(n_dim) for n_dim in sizes]
+    sizes = [checked_int(n_dim, "probe size") for n_dim in sizes]
     for n_dim in sizes:
         if n_dim < 1:
             raise ShapeError(f"probe size must be positive, got {n_dim}")
@@ -256,16 +257,14 @@ def unboundedness_probe(sizes) -> list[ProbeRow]:
             raise SizeCapError(f"probe size {n_dim} exceeds cap {PROBE_SIZE_CAP}")
     rows = []
     for n_dim in sizes:
-        xi = np.zeros((n_dim, 1), dtype=np.complex128)
-        xi[0, 0] = 1.0
-        rho = density_from_spectral([1.0], xi)
-        one = _state_image(rho, identity_element(n_dim, 2))
+        (x_rows, x_cols), (y_rows, y_cols) = _ladder_units(n_dim)
+        rho = density_from_spectral([1.0], np.eye(n_dim, 1, dtype=np.complex128))
         s = rho.vectors * np.sqrt(rho.weights)
-        # D is linear in z, so delta(z_N) is the sum over the terms t_j of
-        # z_N of D(t_j, 1) = <Pi(1) S, Pi(t_j) S>, with Pi(1) S formed once
-        # and Pi(x (x) y) S = y (x S) applied as `_apply_pi` applies it
-        value = sum((complex(np.vdot(one, y @ (x @ s)))
-                     for x, y in _ladder_terms(n_dim)), 0j)
+        # x = |e_r><e_c| puts row c of S in row r and y = |e_r'><e_c'| moves
+        # row c' to row r', so Pi(t_j) S is row c of S at row r' if c' = r,
+        # else 0; its vdot with Pi(1) S = S is D(t_j, 1), summed in term order
+        moved = np.where((y_cols == x_rows)[:, None], s[x_cols], 0)
+        value = sum(np.einsum("jr,jr->j", s[y_rows].conj(), moved).tolist(), 0j)
         if abs(value.imag) > 1e-9:
             raise ValidationError(f"probe value has imaginary part {value.imag:.3e}")
         # the N unit entries of z_N sit at rows j * N and columns j, no two

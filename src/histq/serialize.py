@@ -13,6 +13,7 @@ from .historyspace import (
     DensityOperator,
     HistoryProjection,
     HomogeneousHistory,
+    checked_int,
     density_from_matrix,
     density_from_spectral,
     embed_homogeneous,
@@ -35,14 +36,6 @@ def matrix_to_json(m: np.ndarray) -> dict:
     }
 
 
-def json_int(val, what: str) -> int:
-    """val as an int; bools, strings and non-integral numbers are rejected."""
-    if (isinstance(val, bool) or not isinstance(val, (int, float))
-            or (isinstance(val, float) and not val.is_integer())):
-        raise ValidationError(f"{what} must be an integer, got {val!r}")
-    return int(val)
-
-
 def json_float(val, what: str) -> float:
     """val as a float; bools and strings are rejected."""
     if isinstance(val, bool) or not isinstance(val, (int, float)):
@@ -55,7 +48,7 @@ def _json_int(obj, key: str, what: str) -> int:
         val = obj[key]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed {what} JSON: missing {key!r}") from exc
-    return json_int(val, f"{what} JSON {key!r}")
+    return checked_int(val, f"{what} JSON {key!r}")
 
 
 def matrix_from_json(obj) -> np.ndarray:

@@ -238,7 +238,7 @@ def test_quadform_identity(tmp_path, capsys):
 
 def test_unbounded_probe_refuses_sizes_above_the_cap(tmp_path, capsys):
     out_path = tmp_path / "probe.csv"
-    assert main(["unbounded-probe", "--sizes", "4,100000", "--out", str(out_path)]) == 3
+    assert main(["unbounded-probe", "--sizes", "4,1048577", "--out", str(out_path)]) == 3
     assert "exceeds cap" in capsys.readouterr().err
     assert not out_path.exists()
 
@@ -555,6 +555,20 @@ def test_state_dimension_is_checked_before_the_size_caps(tmp_path, capsys, argv)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("validation error: state dimension 2 does not match d=")
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"order": -1, "dim": 2, "terms": []}, "tensor-sum order and dim must be positive"),
+    ({"order": 2, "dim": 0, "terms": []}, "tensor-sum order and dim must be positive"),
+    ({"order": 0, "dim": 2, "terms": [[]]}, "a tensor-sum term needs at least one factor"),
+])
+def test_quadform_rejects_malformed_tensor_sums(tmp_path, capsys, obj, message):
+    rho = rho_file(tmp_path, pure_e1(2))
+    z = jwrite(tmp_path, "z.json", obj)
+    out_path = tmp_path / "out.json"
+    assert main(["quadform", "--rho", rho, "--z", z, "--w", z, "--out", str(out_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"validation error: {message}")
+    assert not out_path.exists()
 
 
 def test_quadform_rejects_a_term_that_is_not_a_list(tmp_path, capsys):

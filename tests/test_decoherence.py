@@ -400,18 +400,25 @@ def test_verify_axioms_asks_two_grams_and_one_value_per_sample(method, rng):
 
 @pytest.mark.parametrize("method", ["series", "ils", "stream"])
 def test_value_of_one_argument_embeds_it_once(method, rng, monkeypatch):
-    # value(h, h) checks and embeds h once, with the bits of value(h, h')
-    # for an equal copy h'
+    # value(h, h) checks and embeds h once, and the kernel methods stack it
+    # once (their Gram function gets one tuple for both sides), with the bits
+    # of value(h, h') for an equal copy h'
     rho = random_density(2, rng)
     h = homogeneous_history([random_proj(2, rng) for _ in range(3)])
     ev = dec.make_evaluator(method, rho, 2, 3)
     want = ev.value(h, replace(h))
-    calls = []
+    calls, one_stack = [], []
     embed = dec.embed_homogeneous
     monkeypatch.setattr(dec, "embed_homogeneous",
                         lambda *a, **kw: calls.append(a) or embed(*a, **kw))
+    gram_name = {"ils": "_ils_gram", "stream": "_stream_gram"}.get(method)
+    if gram_name is not None:
+        gram = getattr(dec, gram_name)
+        monkeypatch.setattr(dec, gram_name,
+                            lambda *a: one_stack.append(a[-1] is a[-2]) or gram(*a))
     got = ev.value(h, h)
     assert len(calls) == 1
+    assert one_stack == ([] if gram_name is None else [True])
     assert _hex(got) == _hex(want)
 
 

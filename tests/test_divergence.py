@@ -75,6 +75,17 @@ def test_schedule_validation():
     assert dv.TruncationSchedule(cutoffs=(4, 8, 2**53)).cutoffs[-1] == dv.MAX_CUTOFF
 
 
+@pytest.mark.parametrize("cutoffs", [(4.5, 8, 16), (True, 8, 16), (4, 8, "16")])
+def test_schedule_checks_cutoffs_are_integers(cutoffs):
+    with pytest.raises(ValidationError, match="cutoff must be an integer"):
+        dv.TruncationSchedule(cutoffs=cutoffs)
+
+
+def test_schedule_takes_integral_floats_and_numpy_integers():
+    cuts = dv.TruncationSchedule(cutoffs=(4.0, np.int64(8), 16)).cutoffs
+    assert cuts == (4, 8, 16) and all(type(c) is int for c in cuts)
+
+
 def test_default_schedule_powers_of_two():
     assert dv.default_schedule().cutoffs == (4, 8, 16, 32, 64, 128, 256, 512)
     assert dv.default_schedule(limit=16).cutoffs == (4, 8, 16)

@@ -57,6 +57,25 @@ def test_density_from_spectral_pure_and_mixed():
     assert np.allclose(hs.density_matrix(plus), PPLUS, atol=1e-12)
 
 
+def test_density_from_spectral_rejects_empty_spectral_data():
+    with pytest.raises(ValidationError, match="at least one weight"):
+        hs.density_from_spectral([], np.zeros((2, 0)))
+
+
+@pytest.mark.parametrize("val, want", [(3, 3), (3.0, 3), (-2, -2), (np.int64(5), 5),
+                                       (np.float64(6.0), 6), (2**60 + 1, 2**60 + 1)])
+def test_checked_int_takes_integral_numbers(val, want):
+    got = hs.checked_int(val, "value")
+    assert got == want and type(got) is int
+
+
+@pytest.mark.parametrize("val", [True, np.bool_(False), 2.5, float("inf"), float("nan"),
+                                 "3", None, [3], 1 + 0j])
+def test_checked_int_rejects_bools_and_non_integral_values(val):
+    with pytest.raises(ValidationError, match="value must be an integer"):
+        hs.checked_int(val, "value")
+
+
 def test_density_matrix_is_cached_read_only_and_exact(rng):
     weights = [*rng.dirichlet(np.ones(2)), 0.0]
     rho = hs.density_from_spectral(weights, haar_unitary(3, rng))

@@ -60,6 +60,16 @@ def test_simple_tensor_sum_rejections():
         qf.simple_tensor_sum([(X1, X2)], order=3)
     with pytest.raises(ShapeError, match="declared dim"):
         qf.simple_tensor_sum([(X1, X2)], single_dim=3)
+    with pytest.raises(ShapeError, match="at least one factor"):
+        qf.simple_tensor_sum([(X1,), ()])
+    with pytest.raises(ShapeError, match="at least one factor"):
+        qf.simple_tensor_sum([()], order=0, single_dim=2)
+
+
+@pytest.mark.parametrize("order, dim", [(-1, 2), (0, 2), (2, 0), (1, -3)])
+def test_empty_tensor_sum_needs_a_positive_order_and_dim(order, dim):
+    with pytest.raises(ShapeError, match="must be positive"):
+        qf.simple_tensor_sum([], order=order, single_dim=dim)
 
 
 def test_identity_element_normalization(rng):
@@ -304,10 +314,7 @@ def test_probe_is_bit_identical_to_the_per_term_form_sum():
         assert np.float64(row.value).tobytes() == np.float64(want.real).tobytes()
 
 
-def test_ladder_terms_reuse_two_buffers_and_the_element_copies_them():
-    terms = list(qf._ladder_terms(3))
-    assert all(x is terms[0][0] and y is terms[0][1] for x, y in terms)
-    assert not terms[0][0].any() and not terms[0][1].any()
+def test_ladder_element_holds_one_unit_per_factor():
     z = qf._ladder_element(3)
     for j, (x, y) in enumerate(z.terms):
         assert np.flatnonzero(x).tolist() == [3 * j] and np.flatnonzero(y).tolist() == [j]
@@ -320,25 +327,40 @@ def test_probe_rejects_bad_size():
         qf.unboundedness_probe([4, -1])
 
 
-@pytest.mark.parametrize("sizes", [[qf.PROBE_SIZE_CAP + 1], [4, 100000]])
+@pytest.mark.parametrize("size", [2.5, True, "4", None])
+def test_probe_checks_sizes_are_integers_before_probing(size, monkeypatch):
+    def never(n_dim):
+        raise AssertionError(f"probed N={n_dim}")
+    monkeypatch.setattr(qf, "_ladder_units", never)
+    with pytest.raises(ValidationError, match="probe size must be an integer"):
+        qf.unboundedness_probe([4, size])
+
+
+def test_probe_takes_integral_floats_and_numpy_integers():
+    rows = qf.unboundedness_probe([4.0, np.int64(3), np.uint8(2)])
+    assert [(r.size, type(r.size), r.value) for r in rows] == [
+        (4, int, 4.0), (3, int, 3.0), (2, int, 2.0)]
+
+
+@pytest.mark.parametrize("sizes", [[qf.PROBE_SIZE_CAP + 1], [4, 2**21]])
 def test_probe_refuses_sizes_above_the_cap_before_probing(sizes, monkeypatch):
     # every size is checked before the first one is probed
     def never(n_dim):
         raise AssertionError(f"probed N={n_dim}")
-    monkeypatch.setattr(qf, "_ladder_terms", never)
+    monkeypatch.setattr(qf, "_ladder_units", never)
     with pytest.raises(SizeCapError, match="exceeds cap"):
         qf.unboundedness_probe(sizes)
 
 
-def test_probe_memory_stays_quadratic():
-    # z_256 held whole is 512 dense 256 x 256 factors, about 512 MB; one
-    # term at a time needs a few MB
+def test_probe_memory_stays_linear():
+    # one N x N complex array at N = 2**16 is 64 GiB; the row moves hold a
+    # few length-N arrays, about 8 MB
     tracemalloc.start()
     try:
-        rows = qf.unboundedness_probe([256])
+        rows = qf.unboundedness_probe([2**16])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert rows[0].value == 256.0
-    assert peak < 64 * 2**20
+    assert rows[0].value == 2.0**16
+    assert peak < 16 * 2**20
 
