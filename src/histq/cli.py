@@ -8,6 +8,11 @@ lays the flags that were given over its values and builds one
 checked; every subcommand reads its settings from that object.  All
 randomness flows from the seed through named PRNG streams recorded in
 output metadata, so reruns are bit-identical.
+
+Each ``histq`` run is a new process, so a subcommand imports the modules it
+runs in its own body: importing this module loads neither ``decoherence``
+nor ``consistency``, and ``quadform``, ``unbounded-probe`` and ``diverge``
+never load them.
 """
 
 from __future__ import annotations
@@ -20,15 +25,15 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import __version__, consistency, decoherence, divergence, quadform, serialize
-from .decoherence import DEFAULT_MATERIALIZE_CAP, METHODS
+from . import __version__, divergence, quadform, serialize
 from .divergence import (DEFAULT_CONVERGENCE_THRESHOLD, DEFAULT_DIVERGENCE_THRESHOLD,
                          default_schedule)
 from .errors import (HistqError, NumericalError, ShapeError, SizeCapError,
                      ValidationError)
-from .historyspace import (DEFAULT_HISTORY_CAP, VALIDATION_TOL, DensityOperator,
-                           HomogeneousHistory, checked_int, density_from_spectral,
-                           embed_homogeneous, history_projection)
+from .historyspace import (DEFAULT_HISTORY_CAP, DEFAULT_MATERIALIZE_CAP, METHODS,
+                           VALIDATION_TOL, DensityOperator, HomogeneousHistory,
+                           checked_int, density_from_spectral, embed_homogeneous,
+                           history_projection)
 from .seeding import generator, stream_metadata
 
 
@@ -65,10 +70,8 @@ class RunConfig:
             if f.name == "cutoffs":
                 if not isinstance(val, (list, tuple)):
                     raise ValidationError(f"{what} must be a list of integers, got {val!r}")
-                val = tuple(checked_int(c, f"{what} entry") for c in val)
             else:
-                val = _NUMBER[f.type](val, what)
-            object.__setattr__(self, f.name, val)
+                object.__setattr__(self, f.name, _NUMBER[f.type](val, what))
         for name, low in (("single_dim", 2), ("order", 1), ("seed", 0),
                           ("materialize_cap", 1), ("history_cap", 1)):
             if getattr(self, name) < low:
@@ -76,7 +79,8 @@ class RunConfig:
         for name in ("validation_tol", "consistency_tol"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValidationError(f"{name} must be positive and finite")
-        self.schedule()  # checks the cutoffs and both thresholds
+        # the schedule checks each cutoff and both thresholds
+        object.__setattr__(self, "cutoffs", self.schedule().cutoffs)
 
     def schedule(self) -> divergence.TruncationSchedule:
         return divergence.TruncationSchedule(self.cutoffs, self.convergence_threshold,
@@ -201,6 +205,8 @@ def _check_history_cap(method: str, state_dim: int, d: int, n: int,
 
 
 def _cmd_eval(args, cfg: RunConfig) -> int:
+    from . import decoherence
+
     rho = _load_density(args.rho, cfg)
     d = rho.dim
     h = _load_history_like(args.h, d, cfg)
@@ -224,6 +230,8 @@ def _cmd_eval(args, cfg: RunConfig) -> int:
 
 
 def _cmd_build_m(args, cfg: RunConfig) -> int:
+    from . import decoherence
+
     rho = _load_density(args.rho, cfg)
     # here -d defaults to the state's dimension, not to single_dim
     d = rho.dim if args.single_dim is None else cfg.single_dim
@@ -247,6 +255,8 @@ def _cmd_build_m(args, cfg: RunConfig) -> int:
 
 
 def _cmd_verify(args, cfg: RunConfig) -> int:
+    from . import decoherence
+
     d, n, seed = cfg.single_dim, cfg.order, cfg.seed
     # the default state is built only once the cap lets the run through
     rho = None if args.rho is None else _load_density(args.rho, cfg)
@@ -322,6 +332,8 @@ def _cmd_diverge(args, cfg: RunConfig) -> int:
 
 
 def _cmd_consistency(args, cfg: RunConfig) -> int:
+    from . import consistency, decoherence
+
     rho = _load_density(args.rho, cfg)
     obj = serialize.load_json(args.family)
     members, labels = serialize.family_from_json(obj, cap=cfg.history_cap,
@@ -336,6 +348,8 @@ def _cmd_consistency(args, cfg: RunConfig) -> int:
 
 
 def _cmd_search_excess(args, cfg: RunConfig) -> int:
+    from . import consistency, decoherence
+
     d, n, seed = cfg.single_dim, cfg.order, cfg.seed
     if args.rho is not None:
         rho = _load_density(args.rho, cfg)
@@ -360,6 +374,8 @@ def _cmd_search_excess(args, cfg: RunConfig) -> int:
 
 
 def _cmd_bench(args, cfg: RunConfig) -> int:
+    from . import decoherence
+
     d, n, seed = cfg.single_dim, cfg.order, cfg.seed
     rho = None if args.rho is None else _load_density(args.rho, cfg)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]

@@ -55,7 +55,6 @@ of their two arguments, or the kernel's.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache, partial, reduce
 
@@ -63,6 +62,8 @@ import numpy as np
 
 from .errors import ShapeError, SizeCapError, ValidationError
 from .historyspace import (
+    DEFAULT_MATERIALIZE_CAP,
+    METHODS,
     DensityOperator,
     HistoryProjection,
     HomogeneousHistory,
@@ -74,9 +75,6 @@ from .historyspace import (
     validate_projection,
 )
 from .seeding import generator
-
-DEFAULT_MATERIALIZE_CAP = 1024
-METHODS = ("direct", "series", "ils", "stream")
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,6 +119,8 @@ class ILSOperator:
 
 
 def state_fingerprint(rho: DensityOperator) -> str:
+    import hashlib  # only build-m prints a fingerprint; keep it off import
+
     h = hashlib.sha256()
     h.update(b"histq-density-v1")
     h.update(int(rho.dim).to_bytes(4, "little"))

@@ -22,6 +22,11 @@ VALIDATION_TOL = 1e-8
 
 DEFAULT_HISTORY_CAP = 64
 
+# decoherence's method names and kernel cap live here, beside the history
+# cap, so that the CLI builds its parser and settings without importing it
+DEFAULT_MATERIALIZE_CAP = 1024
+METHODS = ("direct", "series", "ils", "stream")
+
 
 def checked_int(val, what: str) -> int:
     """val as an int; bools, strings and non-integral numbers are rejected."""

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import histq
 from histq.historyspace import density_from_spectral
 
 P0 = np.array([[1, 0], [0, 0]], dtype=np.complex128)
@@ -55,3 +61,13 @@ def kron_chain(mats):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def run_child(script, argv, cwd):
+    """``python -c script *argv`` in a fresh interpreter that imports the
+    ``histq`` package this one imports, installed or from the source tree."""
+    env = dict(os.environ)
+    root = str(Path(histq.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", script, *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120, check=False)

@@ -6,11 +6,10 @@ import pytest
 
 from histq import cli, decoherence, quadform, serialize
 from histq.cli import RunConfig, main
-from histq.decoherence import DEFAULT_MATERIALIZE_CAP
 from histq.divergence import (DEFAULT_CONVERGENCE_THRESHOLD, DEFAULT_DIVERGENCE_THRESHOLD,
                               default_schedule, q_u)
-from histq.historyspace import (DEFAULT_HISTORY_CAP, VALIDATION_TOL,
-                                homogeneous_history)
+from histq.historyspace import (DEFAULT_HISTORY_CAP, DEFAULT_MATERIALIZE_CAP,
+                                VALIDATION_TOL, homogeneous_history)
 
 from conftest import (P0, P1, PMINUS, PPLUS, kron_chain, near_degenerate_states,
                       pure_e1, pure_state)
@@ -485,6 +484,13 @@ def test_config_file_cutoffs_and_rejection(tmp_path, capsys):
                      "--q", "builtin:qu"]) == 2, obj
         err = capsys.readouterr().err
         assert err.startswith("validation error:") and "Traceback" not in err, obj
+    # the schedule owns the rule for each cutoff, and the config keeps its ints
+    fraction = jwrite(tmp_path, "fraction.json", {"cutoffs": [4, 8.5, 16]})
+    assert main(["diverge", "--config", fraction, "--p", "builtin:identity",
+                 "--q", "builtin:qu"]) == 2
+    assert "cutoff must be an integer, got 8.5" in capsys.readouterr().err
+    cutoffs = RunConfig(cutoffs=[4, 8.0, 16]).cutoffs
+    assert cutoffs == (4, 8, 16) and all(type(c) is int for c in cutoffs)
 
 
 def test_flags_replace_config_values_before_validation(tmp_path, capsys):
