@@ -240,7 +240,7 @@ def _cmd_build_m(args, cfg: RunConfig) -> int:
     # the materialization cap bounds the dense M read from them
     _check_history_cap("ils", rho.dim, d, n, cfg)
     m = decoherence.build_M(rho, d, n, cap=cfg.materialize_cap).matrix
-    serialize.dump_json(serialize.matrix_to_json(m), args.out)
+    serialize.dump_json(m, args.out)
     summary = {
         "out": args.out,
         "dim": int(m.shape[0]),

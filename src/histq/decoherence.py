@@ -41,7 +41,12 @@ independent of ``stream``.  Both take one pair as a one-pair Gram.
 ``series`` sums the tuples of a cached table for one h against one k or a
 stack of them, one call per Gram row, forming complex products on real and
 imaginary parts, as numpy's SIMD complex multiply may fuse multiply-adds
-(FMA), so it is bit-identical to the per-tuple scalar expansion.
+(FMA), so it is bit-identical to the per-tuple scalar expansion.  What the
+sum takes from the state, its weights and psi at each tuple of nonzero
+weight, is built once per state and (d, n) and kept in a memo keyed weakly
+on the state, so it goes with the state; each call gathers the real and
+imaginary parts of h and k through their float64 views as contiguous
+arrays.
 ``direct`` traces left rho right for one pair of time-ordered products or,
 broadcast, for a stack of each.
 
@@ -55,6 +60,7 @@ of their two arguments, or the kernel's.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache, partial, reduce
 
@@ -150,6 +156,12 @@ def _normalize(method: str, d: int, n: int, xs) -> tuple:
     return tuple(out)
 
 
+def _stack(xs) -> np.ndarray:
+    """The (k, D, D) stack of the matrices of a checked argument tuple; one
+    matrix is taken as a view, without a copy."""
+    return xs[0].matrix[None] if len(xs) == 1 else np.array([x.matrix for x in xs])
+
+
 def _left_product(h: HomogeneousHistory) -> np.ndarray:
     # h_n ... h_1
     return reduce(np.matmul, [p.matrix for p in reversed(h.projections)])
@@ -203,11 +215,14 @@ def _tuple_table(rank: int, d: int, n: int) -> tuple[np.ndarray, np.ndarray, np.
     """The tuple table of `d_series` for a state of rank ``rank`` at (d, n).
 
     Returns the weight index j0 of each tuple, in lexicographic order, and
-    the flat positions of the entries each tuple reads for each t:
-    flat_h[t, T] = row_a * D + t * r + u and flat_k[t, T] = (t * r + w) * D
-    + col_b, with D = d^n, r = d^(n-1), row_a = (u, v) and col_b = (w, v)
-    in the slots below.  The arrays are read-only, since every call shares
-    them; the bound on cached keys keeps large tables from piling up.
+    the positions, in the float64 view of a flat complex matrix, of the
+    entries each tuple reads for each t: pos_h[0, t, T] = 2 flat_h and
+    pos_h[1, t, T] = 2 flat_h + 1 hold the real and imaginary part of the
+    entry at flat_h = row_a * D + t * r + u, and pos_k those of flat_k =
+    (t * r + w) * D + col_b, with D = d^n, r = d^(n-1), row_a = (u, v) and
+    col_b = (w, v) in the slots below.  The arrays are read-only, since
+    every call shares them; the bound on cached keys keeps large tables
+    from piling up.
     """
     J = np.indices((rank,) + (d,) * (2 * n - 1)).reshape(2 * n, -1)
     # tuple slots: u = (j_2n, ..., j_{n+2}), v = j_{n+1}, w = (j_2, ..., j_n)
@@ -216,11 +231,48 @@ def _tuple_table(rank: int, d: int, n: int) -> tuple[np.ndarray, np.ndarray, np.
     dim, r = d ** n, d ** (n - 1)
     shift = (np.arange(d) * r)[:, None]
     j0 = J[0].copy()
-    flat_h = (u * d + J[n]) * dim + shift + u
-    flat_k = (shift + w) * dim + w * d + J[n]
-    for table in (j0, flat_h, flat_k):
+    parts = np.arange(2)[:, None, None]
+    pos_h = 2 * ((u * d + J[n]) * dim + shift + u) + parts
+    pos_k = 2 * ((shift + w) * dim + w * d + J[n]) + parts
+    for table in (j0, pos_h, pos_k):
         table.flags.writeable = False
-    return j0, flat_h, flat_k
+    return j0, pos_h, pos_k
+
+
+# per state, the tuple data of `_series_terms` for each (d, n); an entry
+# dies with its state, which hashes by identity
+_series_memo: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _series_terms(rho: DensityOperator, d: int, n: int) -> tuple[np.ndarray, ...]:
+    """The state's part of the series sum at (d, n), built on first use and
+    kept in `_series_memo` while the state lives.
+
+    Returns the positions pos_h and pos_k of `_tuple_table`, the weight
+    w_{j0} of each tuple, and psi_{j0} gathered at each tuple as contiguous
+    real, imaginary and negated imaginary (d, T) arrays, all read-only.
+    Tuples of zero weight are dropped here, once per state, so the
+    positions are the shared table's own unless a weight is zero.  The
+    state's weights and vectors are read-only, so the entry cannot go stale.
+    """
+    per_state = _series_memo.setdefault(rho, {})
+    terms = per_state.get((d, n))
+    if terms is None:
+        j0, pos_h, pos_k = _tuple_table(len(rho.weights), d, n)
+        if not rho.weights.all():
+            keep = np.flatnonzero(rho.weights[j0] != 0.0)
+            # take() returns C-ordered arrays, where indexing along the
+            # last axis may lay the tuple axis out first: the sums over t
+            # then run along a strided axis, in sequence; numpy sums a
+            # contiguous axis of 8 or more terms pairwise
+            j0, pos_h, pos_k = j0[keep], pos_h.take(keep, axis=-1), pos_k.take(keep, axis=-1)
+        psi = rho.vectors.take(j0, axis=1)
+        terms = (pos_h, pos_k, rho.weights.take(j0), np.ascontiguousarray(psi.real),
+                 np.ascontiguousarray(psi.imag), -psi.imag)
+        for x in terms:
+            x.flags.writeable = False
+        per_state[(d, n)] = terms
+    return terms
 
 
 def _series_values(rho: DensityOperator, d: int, n: int, h: np.ndarray,
@@ -231,34 +283,28 @@ def _series_values(rho: DensityOperator, d: int, n: int, h: np.ndarray,
     Tuples are visited in lexicographic order and accumulated left to right,
     skipping those of zero weight.  Each contribution splits across the
     doubled-space tensor cut, so only entries of h and k are touched: the
-    tuple table depends only on (rank rho, d, n) and is cached, and each
-    call gathers from h and every k, in one step each, the entries every
-    tuple needs for every t, then sums over t along an outer axis, which
-    numpy reduces in sequence.  Products are formed on real and imaginary
-    parts, never by complex-array multiply, so every step rounds as the
-    scalar per-tuple expansion does.  The weights are real and the terms
-    finite, so multiplying them as reals changes at most the sign of a zero
-    term; a left-to-right sum from +0.0 never holds -0.0, and the final
-    + 0.0 clears the one case where the sum without that start differs, so
-    every value is bit-identical to the per-tuple expansion.
+    tuple table depends only on (rank rho, d, n) and is cached, and what
+    depends on the state as well, the weights, psi at each tuple and the
+    zero-weight filter, is built once per state by `_series_terms` and kept
+    while the state lives.  Each call gathers from the float64 views of h
+    and every k, in one step each, the real and imaginary parts every tuple
+    needs for every t as contiguous arrays, then sums over t along an outer
+    axis, which numpy reduces in sequence.  Products are formed on real and
+    imaginary parts, never by complex-array multiply, so every step rounds
+    as the scalar per-tuple expansion does.  The weights are real and the
+    terms finite, so multiplying them as reals changes at most the sign of
+    a zero term; a left-to-right sum from +0.0 never holds -0.0, and the
+    final + 0.0 clears the one case where the sum without that start
+    differs, so every value is bit-identical to the per-tuple expansion.
     """
-    j0, flat_h, flat_k = _tuple_table(len(rho.weights), d, n)
-    if not rho.weights.all():
-        keep = np.flatnonzero(rho.weights[j0] != 0.0)
-        j0, flat_h, flat_k = j0[keep], flat_h.take(keep, axis=1), flat_k.take(keep, axis=1)
-    # take() returns C-ordered arrays, where indexing along axis 1 may lay
-    # the tuple axis out first: the sums over t then run along a strided
-    # axis, in sequence; numpy sums a contiguous axis of 8 or more terms
-    # pairwise
-    psi = rho.vectors.take(j0, axis=1)
-    hv = h.reshape(-1)[flat_h]
-    kv = k.reshape(*k.shape[:-2], -1).take(flat_k, axis=-1)
-    pr, pi = _real_product(psi.real, psi.imag, hv.real, hv.imag)
+    pos_h, pos_k, w, psr, psi, npsi = _series_terms(rho, d, n)
+    hr, hi = h.reshape(-1).view(np.float64).take(pos_h)
+    kv = k.reshape(*k.shape[:-2], -1).view(np.float64).take(pos_k, axis=-1)
+    pr, pi = _real_product(psr, psi, hr, hi)
     ar, ai = np.add.reduce(pr, axis=-2), np.add.reduce(pi, axis=-2)
-    pr, pi = _real_product(psi.real, -psi.imag, kv.real, kv.imag)
+    pr, pi = _real_product(psr, npsi, kv[..., 0, :, :], kv[..., 1, :, :])
     br, bi = np.add.reduce(pr, axis=-2), np.add.reduce(pi, axis=-2)
     xr, xi = _real_product(ar, ai, br, bi)
-    w = rho.weights[j0]
     total = np.empty(xr.shape[:-1], dtype=np.complex128)
     total.real = np.add.accumulate(w * xr, axis=-1)[..., -1] + 0.0
     total.imag = np.add.accumulate(w * xi, axis=-1)[..., -1] + 0.0
@@ -268,7 +314,7 @@ def _series_values(rho: DensityOperator, d: int, n: int, h: np.ndarray,
 def _series_gram(rho: DensityOperator, d: int, n: int, ps, qs) -> np.ndarray:
     # one row per call, ps[i] against the stack of qs, so memory stays
     # O(len(qs) * tuples); the arguments are checked by the caller
-    qm = np.array([q.matrix for q in qs])
+    qm = _stack(qs)
     return np.array([_series_values(rho, d, n, p.matrix, qm) for p in ps])
 
 
@@ -364,8 +410,8 @@ def build_M(rho: DensityOperator, d: int, n: int,
 def _ils_gram(M: ILSOperator, ps, qs) -> np.ndarray:
     # G = vec(P) @ K @ vec(Q)^T with the rows vec(ps[i]) and vec(qs[j]),
     # stacked once when qs is ps; the arguments are checked by the caller
-    vp = np.array([p.matrix for p in ps]).reshape(len(ps), -1)
-    vq = vp if qs is ps else np.array([q.matrix for q in qs]).reshape(len(qs), -1)
+    vp = _stack(ps).reshape(len(ps), -1)
+    vq = vp if qs is ps else _stack(qs).reshape(len(qs), -1)
     rows, cols, values = M.pair_entries
     return (vp.take(rows, axis=1) * values) @ vq.take(cols, axis=1).T
 
@@ -412,9 +458,9 @@ def partial_trace_from_columns(cols: np.ndarray, d: int, n: int) -> np.ndarray:
 def _stream_gram(rho_m: np.ndarray, d: int, n: int, ps, qs) -> np.ndarray:
     # G[i, j] = tr(A(ps[i]) rho B(qs[j])), one stack when qs is ps; the
     # arguments are checked by the caller
-    stack = np.array([x.matrix for x in ps])
+    stack = _stack(ps)
     a = partial_trace_a(stack, d, n)
-    b = partial_trace_b(stack if qs is ps else np.array([x.matrix for x in qs]), d, n)
+    b = partial_trace_b(stack if qs is ps else _stack(qs), d, n)
     return np.einsum("ivt,ts,jsv->ij", a, rho_m, b)
 
 

@@ -23,11 +23,16 @@ from .historyspace import (
 from .quadform import simple_tensor_sum
 
 
-def matrix_to_json(m: np.ndarray) -> dict:
-    """{"rows": n, "cols": m, "data": [[re, im], ...]} row-major."""
+def _complex_matrix(m) -> np.ndarray:
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2:
         raise ShapeError("only 2-d matrices are serialized")
+    return m
+
+
+def matrix_to_json(m: np.ndarray) -> dict:
+    """{"rows": n, "cols": m, "data": [[re, im], ...]} row-major."""
+    m = _complex_matrix(m)
     flat = m.reshape(-1)
     return {
         "rows": int(m.shape[0]),
@@ -193,11 +198,39 @@ def load_json(path: str):
 
 
 def dump_json(obj, path: str) -> None:
+    """Write obj to path as one line of JSON with sorted keys.
+
+    A numpy array is written as its matrix JSON, one row at a time, byte for
+    byte what dumping `matrix_to_json` of it writes, without forming the
+    list of [re, im] pairs; a non-finite entry, which would be written as
+    NaN or Infinity and refused when read back, raises ValidationError
+    before the file is opened.
+    """
+    if isinstance(obj, np.ndarray):
+        _dump_matrix_json(obj, path)
+        return
     # one json.dumps call without indent runs CPython's C encoder; indent or
     # the streaming json.dump fall back to the pure-Python one
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(obj, sort_keys=True))
         fh.write("\n")
+
+
+def _dump_matrix_json(m: np.ndarray, path: str) -> None:
+    m = _complex_matrix(m)
+    if not np.isfinite(m).all():
+        raise ValidationError("matrix has non-finite entries, which JSON cannot hold")
+    with open(path, "w", encoding="utf-8") as fh:
+        # the keys in sorted order and json's separators; json writes a
+        # finite float as its repr
+        fh.write('{"cols": %d, "data": [' % m.shape[1])
+        sep = ""
+        for row in m if m.shape[1] else ():
+            fh.write(sep)
+            fh.write(", ".join(["[%r, %r]" % pair
+                                for pair in zip(row.real.tolist(), row.imag.tolist())]))
+            sep = ", "
+        fh.write('], "rows": %d}\n' % m.shape[0])
 
 
 def dumps(obj) -> str:

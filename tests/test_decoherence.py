@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 from dataclasses import replace
 from functools import partial, reduce
 
@@ -517,8 +519,11 @@ def _bytes(z):
 def test_series_tuple_table_is_cached_and_read_only():
     tables = dec._tuple_table(2, 2, 3)
     assert dec._tuple_table(2, 2, 3) is tables
-    j0, flat_h, flat_k = tables
-    assert flat_h.shape == flat_k.shape == (2, j0.size) == (2, 2 * 2 ** 5)
+    j0, pos_h, pos_k = tables
+    # (real or imaginary part, t, tuple) positions in a float64 view
+    assert pos_h.shape == pos_k.shape == (2, 2, j0.size) == (2, 2, 2 * 2 ** 5)
+    assert np.array_equal(pos_h[1] - pos_h[0], np.ones_like(pos_h[0]))
+    assert not (pos_h[0] % 2).any() and not (pos_k[0] % 2).any()
     for table in tables:
         assert not table.flags.writeable
         with pytest.raises(ValueError):
@@ -555,6 +560,64 @@ def test_series_sums_over_t_in_sequence_past_eight_terms(d):
             want = _bytes(_series_loop(rho, p, q))
             assert _bytes(dec.d_series(rho, p, q)) == want
             assert _bytes(gram[i, j]) == want
+
+
+def test_series_memo_entry_dies_with_its_state():
+    gc.collect()
+    before = len(dec._series_memo)
+    rho = density_from_spectral([0.75, 0.25], haar_unitary(2, np.random.default_rng(41)))
+    p = identity_history_projection(2, 2)
+    dec.d_series(rho, p, p)
+    assert len(dec._series_memo) == before + 1
+    alive = weakref.ref(rho)
+    del rho
+    gc.collect()
+    assert alive() is None
+    assert len(dec._series_memo) == before
+
+
+def test_series_memo_arrays_are_read_only():
+    rho = density_from_spectral([0.5, 0.5, 0.0], haar_unitary(3, np.random.default_rng(42)))
+    p = identity_history_projection(3, 2)
+    dec.d_series(rho, p, p)
+    terms = dec._series_memo[rho][(3, 2)]
+    assert terms is dec._series_terms(rho, 3, 2)
+    for x in terms:
+        assert not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[..., 0] = 0
+
+
+@pytest.mark.parametrize("full_first", [True, False])
+def test_series_warm_memo_is_bit_identical_to_tuple_loop(full_first):
+    # a full-rank and a rank-deficient state at the same (d, n) share the
+    # tuple table; each keeps its own filtered memo entry, in either order
+    d, n = 3, 2
+    rng = np.random.default_rng([43, full_first])
+    basis = haar_unitary(d, rng)
+    full = density_from_spectral(rng.dirichlet(np.ones(d)), basis)
+    deficient = density_from_spectral([*rng.dirichlet(np.ones(d - 1)), 0.0], basis)
+    xs = [history_projection(random_proj(d ** n, rng, r), n, d) for r in (1, 4, 8)]
+    states = (full, deficient) if full_first else (deficient, full)
+    for _ in range(2):  # the second round reads the warm memo
+        for rho in states:
+            gram = dec.make_evaluator("series", rho, d, n).gram(xs, xs)
+            for i, x in enumerate(xs):
+                for j, y in enumerate(xs):
+                    want = _bytes(_series_loop(rho, x, y))
+                    assert _bytes(dec.d_series(rho, x, y)) == want
+                    assert _bytes(gram[i, j]) == want
+    assert dec._series_memo[full][(d, n)][0] is dec._tuple_table(d, d, n)[1]
+    assert dec._series_memo[deficient][(d, n)][0].shape[-1] < dec._tuple_table(d, d, n)[1].shape[-1]
+
+
+def test_series_memo_keeps_equal_states_apart():
+    basis = haar_unitary(2, np.random.default_rng(44))
+    a, b = (density_from_spectral([0.6, 0.4], basis) for _ in range(2))
+    p = identity_history_projection(2, 1)
+    assert dec.d_series(a, p, p) == dec.d_series(b, p, p)
+    assert dec._series_memo[a] is not dec._series_memo[b]
+    assert dec._series_memo[a][(2, 1)] is not dec._series_memo[b][(2, 1)]
 
 
 @pytest.mark.parametrize("dn", [(2, 1), (2, 2), (3, 2), (2, 3), (3, 3), (2, 4)])

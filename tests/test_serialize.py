@@ -189,3 +189,40 @@ def test_dump_json_stable_layout(tmp_path):
     assert text.endswith("\n")
     assert text.index('"a"') < text.index('"b"')
     assert sz.load_json(str(path)) == {"a": [1.5, -0.25], "b": 1}
+
+
+def test_dump_json_writes_a_matrix_as_json_dumps_does(tmp_path):
+    m = np.array([[-0.0, 5e-324, 1e-05, 1e16],
+                  [1.0, -2.0, 3.0, -4.5e-300],
+                  [-1e-05j, 2 - 0.0j, -1e16 + 1j, 0.1 - 7j]])
+    for case in (m, m.T, m[:1], m[:, :1], np.eye(2), m.real.astype(np.int64)):
+        path = tmp_path / "m.json"
+        sz.dump_json(case, str(path))
+        want = json.dumps(sz.matrix_to_json(case), sort_keys=True) + "\n"
+        assert path.read_bytes() == want.encode("utf-8")
+        assert np.array_equal(sz.matrix_from_json(sz.load_json(str(path))), case)
+
+
+def test_dump_json_writes_a_matrix_row_by_row(tmp_path):
+    # the list of [re, im] pairs of a 256 x 256 matrix alone takes about 11 MB
+    import tracemalloc
+
+    rng = np.random.default_rng(7)
+    m = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
+    tracemalloc.start()
+    try:
+        sz.dump_json(m, str(tmp_path / "m.json"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+
+
+def test_dump_json_refuses_a_non_finite_matrix(tmp_path):
+    path = tmp_path / "m.json"
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        m = np.eye(3, dtype=complex)
+        m[1, 2] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            sz.dump_json(m, str(path))
+        assert not path.exists()
