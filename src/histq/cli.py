@@ -33,7 +33,7 @@ from .errors import (HistqError, NumericalError, ShapeError, SizeCapError,
 from .historyspace import (DEFAULT_HISTORY_CAP, DEFAULT_MATERIALIZE_CAP, METHODS,
                            VALIDATION_TOL, DensityOperator, HomogeneousHistory,
                            checked_int, density_from_spectral, embed_homogeneous,
-                           history_projection)
+                           history_projection, projection_residuals)
 from .seeding import generator, stream_metadata
 
 
@@ -180,17 +180,11 @@ def _load_history_like(path: str, d: int, cfg: RunConfig):
     raise ValidationError(f"{path}: expected a history or matrix JSON object")
 
 
-def _projection_residuals(m: np.ndarray) -> tuple[float, float]:
-    herm = float(np.max(np.abs(m - m.conj().T)))
-    idem = float(np.max(np.abs(m @ m - m)))
-    return herm, idem
-
-
 def _factor_residuals(obj) -> tuple[float, float]:
     if isinstance(obj, HomogeneousHistory):
-        pairs = [_projection_residuals(p.matrix) for p in obj.projections]
+        pairs = [projection_residuals(p.matrix) for p in obj.projections]
         return max(p[0] for p in pairs), max(p[1] for p in pairs)
-    return _projection_residuals(obj.matrix)
+    return projection_residuals(obj.matrix)
 
 
 def _check_history_cap(method: str, state_dim: int, d: int, n: int,

@@ -27,7 +27,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .decoherence import partial_trace_from_columns
 from .errors import ShapeError, ValidationError
-from .historyspace import (VALIDATION_TOL, HistoryProjection, Projection,
+from .historyspace import (VALIDATION_TOL, HistoryProjection, Projection, checked_int,
                            history_projection, validate_projection)
 from .seeding import generator
 
@@ -249,8 +249,10 @@ def diag_excess_search(source, budget: int = 200, seed: int = 0,
     and reports that sweep's p and value; p = V V^dagger is multiplied out
     once, for the best restart.  A restart replaces the best only
     when its value is larger by more than 1e-12, so ties break to the lowest
-    restart.
+    restart.  ``budget`` and ``sweeps`` are counts of at least 1 by the
+    integer rule of `checked_int`.
     """
+    budget, sweeps = checked_int(budget, "budget"), checked_int(sweeps, "sweeps")
     if budget < 1:
         raise ValidationError(f"budget must be >= 1, got {budget}")
     if sweeps < 1:

@@ -38,8 +38,9 @@ those entries from rho through an index table cached per (d, n) and forms
 neither M nor K; the dense M is scattered from them only when it is read.
 A wrong table still gives a wrong value, so ``ils`` stays an oracle
 independent of ``stream``.  Both take one pair as a one-pair Gram.
-``series`` sums the tuples of a cached table for one h against one k or a
-stack of them, one call per Gram row, forming complex products on real and
+``series`` sums the tuples of a cached table, each split at the tensor cut
+into an h half and a k half; a Gram forms the k half of its whole stack once
+and the h half once per row, forming complex products on real and
 imaginary parts, as numpy's SIMD complex multiply may fuse multiply-adds
 (FMA), so it is bit-identical to the per-tuple scalar expansion.  What the
 sum takes from the state, its weights and psi at each tuple of nonzero
@@ -73,6 +74,7 @@ from .historyspace import (
     DensityOperator,
     HistoryProjection,
     HomogeneousHistory,
+    checked_int,
     embed_homogeneous,
     history_projection,
     homogeneous_history,
@@ -275,36 +277,31 @@ def _series_terms(rho: DensityOperator, d: int, n: int) -> tuple[np.ndarray, ...
     return terms
 
 
-def _series_values(rho: DensityOperator, d: int, n: int, h: np.ndarray,
-                   k: np.ndarray) -> np.ndarray:
-    """The series sum for one (D, D) history matrix h against k, which is
-    one (D, D) matrix or an (l, D, D) stack: a 0-d value or a Gram row.
-
-    Tuples are visited in lexicographic order and accumulated left to right,
-    skipping those of zero weight.  Each contribution splits across the
-    doubled-space tensor cut, so only entries of h and k are touched: the
-    tuple table depends only on (rank rho, d, n) and is cached, and what
-    depends on the state as well, the weights, psi at each tuple and the
-    zero-weight filter, is built once per state by `_series_terms` and kept
-    while the state lives.  Each call gathers from the float64 views of h
-    and every k, in one step each, the real and imaginary parts every tuple
-    needs for every t as contiguous arrays, then sums over t along an outer
-    axis, which numpy reduces in sequence.  Products are formed on real and
-    imaginary parts, never by complex-array multiply, so every step rounds
-    as the scalar per-tuple expansion does.  The weights are real and the
-    terms finite, so multiplying them as reals changes at most the sign of
-    a zero term; a left-to-right sum from +0.0 never holds -0.0, and the
-    final + 0.0 clears the one case where the sum without that start
-    differs, so every value is bit-identical to the per-tuple expansion.
+def _series_half(psi_r, psi_i, m: np.ndarray,
+                 pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One side of the series sum for one (D, D) matrix m or an (l, D, D)
+    stack: per tuple, the sum over t of psi times the entry of m at ``pos``,
+    as real and imaginary parts.  Both parts are gathered from m's float64
+    view in one step as contiguous arrays and summed over t along an outer
+    axis, which numpy reduces in sequence; products are formed on real and
+    imaginary parts, so every step rounds as the per-tuple expansion does.
     """
-    pos_h, pos_k, w, psr, psi, npsi = _series_terms(rho, d, n)
-    hr, hi = h.reshape(-1).view(np.float64).take(pos_h)
-    kv = k.reshape(*k.shape[:-2], -1).view(np.float64).take(pos_k, axis=-1)
-    pr, pi = _real_product(psr, psi, hr, hi)
-    ar, ai = np.add.reduce(pr, axis=-2), np.add.reduce(pi, axis=-2)
-    pr, pi = _real_product(psr, npsi, kv[..., 0, :, :], kv[..., 1, :, :])
-    br, bi = np.add.reduce(pr, axis=-2), np.add.reduce(pi, axis=-2)
-    xr, xi = _real_product(ar, ai, br, bi)
+    v = m.reshape(*m.shape[:-2], -1).view(np.float64).take(pos, axis=-1)
+    pr, pi = _real_product(psi_r, psi_i, v[..., 0, :, :], v[..., 1, :, :])
+    return np.add.reduce(pr, axis=-2), np.add.reduce(pi, axis=-2)
+
+
+def _series_sum(w: np.ndarray, h_half, k_half) -> np.ndarray:
+    """The series sum of the h half of one history against the k half of
+    one k or a stack of them: a 0-d value or a Gram row.  The tuples, of
+    nonzero weight only, are accumulated left to right in lexicographic
+    order.  The weights are real and the terms finite, so multiplying them
+    as reals changes at most the sign of a zero term; a left-to-right sum
+    from +0.0 never holds -0.0, and the final + 0.0 clears the one case
+    where the sum without that start differs, so every value is
+    bit-identical to the per-tuple expansion.
+    """
+    xr, xi = _real_product(*h_half, *k_half)
     total = np.empty(xr.shape[:-1], dtype=np.complex128)
     total.real = np.add.accumulate(w * xr, axis=-1)[..., -1] + 0.0
     total.imag = np.add.accumulate(w * xi, axis=-1)[..., -1] + 0.0
@@ -312,20 +309,24 @@ def _series_values(rho: DensityOperator, d: int, n: int, h: np.ndarray,
 
 
 def _series_gram(rho: DensityOperator, d: int, n: int, ps, qs) -> np.ndarray:
-    # one row per call, ps[i] against the stack of qs, so memory stays
-    # O(len(qs) * tuples); the arguments are checked by the caller
-    qm = _stack(qs)
-    return np.array([_series_values(rho, d, n, p.matrix, qm) for p in ps])
+    # the k half of the stack of qs once, then one row per ps[i], so memory
+    # stays O(len(qs) * tuples); the arguments are checked by the caller
+    pos_h, pos_k, w, psr, psi, npsi = _series_terms(rho, d, n)
+    k_half = _series_half(psr, npsi, _stack(qs), pos_k)
+    return np.array([_series_sum(w, _series_half(psr, psi, p.matrix, pos_h), k_half)
+                     for p in ps])
 
 
 def _series_value(rho: DensityOperator, d: int, n: int, h, k) -> complex:
-    return complex(_series_values(rho, d, n, h.matrix, k.matrix))
+    pos_h, pos_k, w, psr, psi, npsi = _series_terms(rho, d, n)
+    return complex(_series_sum(w, _series_half(psr, psi, h.matrix, pos_h),
+                               _series_half(psr, npsi, k.matrix, pos_k)))
 
 
 def d_series(rho: DensityOperator, h: HistoryProjection | HomogeneousHistory,
              k: HistoryProjection | HomogeneousHistory) -> complex:
     """Series evaluation: the fixed-order sum of per-tuple contributions of
-    `_series_values`, bit-identical to the scalar per-tuple expansion."""
+    `_series_sum`, bit-identical to the scalar per-tuple expansion."""
     d, n = rho.dim, max(h.order, k.order)
     h, k = _normalize("series", d, n, (h, k))
     return _series_value(rho, d, n, h, k)
@@ -627,8 +628,10 @@ def verify_axioms(evaluator: Evaluator, samples: int = 200, seed: int = 0,
     come from two Gram calls, the column of (x, whole, x1, x2) against y and
     the row of y against them, and one ``value`` call for d(x, x).
     Violations are data, not errors; the report is bit-identical for
-    identical inputs and seed.
+    identical inputs and seed.  ``samples`` is a count of at least 1 by the
+    integer rule of `checked_int`.
     """
+    samples = checked_int(samples, "samples")
     if samples < 1:
         raise ValidationError(f"samples must be >= 1, got {samples}")
     rng = generator(seed, "verify")

@@ -119,6 +119,12 @@ class HistoryProjection:
         return self.projection.dim
 
 
+def projection_residuals(m: np.ndarray) -> tuple[float, float]:
+    """The max-entry norms of ``m - m^dagger`` and ``m @ m - m`` of a square
+    complex matrix: its distances from self-adjoint and from idempotent."""
+    return float(np.max(np.abs(m - m.conj().T))), float(np.max(np.abs(m @ m - m)))
+
+
 def validate_projection(m, tol: float = VALIDATION_TOL) -> Projection:
     """Validate a matrix as an orthogonal projection.
 
@@ -146,10 +152,9 @@ def validate_projection(m, tol: float = VALIDATION_TOL) -> Projection:
     m = matrixcore.as_complex_matrix(np.array(m, dtype=np.complex128, order="C"))
     if m.shape[0] != m.shape[1]:
         raise ShapeError(f"projection must be square, got {m.shape}")
-    herm = float(np.max(np.abs(m - m.conj().T)))
+    herm, idem = projection_residuals(m)
     if herm > tol:
         raise ValidationError(f"not self-adjoint: max residual {herm:.3e} > {tol:g}")
-    idem = float(np.max(np.abs(m @ m - m)))
     if idem > tol:
         raise ValidationError(f"not idempotent: max residual {idem:.3e} > {tol:g}")
     tr = np.trace(m)
@@ -285,11 +290,6 @@ def history_projection(m, order: int, single_dim: int,
         raise ShapeError(
             f"matrix dimension {p.dim} is not {single_dim}**{order}"
         )
-    return HistoryProjection(projection=p, order=order, single_dim=single_dim)
-
-
-def identity_history_projection(single_dim: int, order: int) -> HistoryProjection:
-    p = validate_projection(np.eye(single_dim ** order, dtype=np.complex128))
     return HistoryProjection(projection=p, order=order, single_dim=single_dim)
 
 

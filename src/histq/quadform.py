@@ -19,8 +19,6 @@ over the terms t_j of z_N in O(N * rank rho) work, with no N x N array.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from functools import reduce
-
 import numpy as np
 
 from . import matrixcore
@@ -113,61 +111,6 @@ def D_form(rho: DensityOperator, z: SimpleTensorSum, w: SimpleTensorSum) -> comp
     return complex(np.vdot(_state_image(rho, w), _state_image(rho, z)))
 
 
-def gns_gram(rho: DensityOperator, basis) -> np.ndarray:
-    """Gram matrix G[i, j] = D(z_i, z_j); Hermitian positive semidefinite.
-
-    Null vectors of G span the degenerate directions of the semi-inner
-    product within the span of the basis.  Pi(z_i) S is formed once per
-    basis element and G is one product of those images.
-    """
-    basis = list(basis)
-    orders = {z.order for z in basis}
-    if len(orders) > 1:
-        raise ShapeError(f"basis has mixed orders {sorted(orders)}")
-    images = np.empty((len(basis), rho.vectors.size), dtype=np.complex128)
-    for i, z in enumerate(basis):
-        images[i] = _state_image(rho, z).reshape(-1)
-    g = images @ images.conj().T
-    upper = np.triu(g, 1)
-    return upper + upper.conj().T + np.diag(np.diag(g).real)
-
-
-def assemble(z: SimpleTensorSum, cap: int = 4096) -> np.ndarray:
-    """Dense Kronecker assembly of the element; for oracles and small probes."""
-    dim = z.single_dim ** z.order
-    if dim > cap:
-        raise ShapeError(f"assembled dimension {dim} exceeds cap {cap}")
-    acc = np.zeros((dim, dim), dtype=np.complex128)
-    for term in z.terms:
-        acc += reduce(np.kron, term)
-    return acc
-
-
-def reassociate(z: SimpleTensorSum, seed: int = 0) -> SimpleTensorSum:
-    """Rewrite z as a different SimpleTensorSum for the same element.
-
-    Moves random nonzero scalars between adjacent slots and splits terms by
-    scalar decomposition of the first factor.  Used to check representation
-    independence of the form.
-    """
-    rng = generator(seed, "probe")
-    new_terms = []
-    for term in z.terms:
-        factors = [f.copy() for f in term]
-        if len(factors) >= 2:
-            c = complex(0.5 + rng.random() * 1.5) * np.exp(2j * np.pi * rng.random())
-            factors[0] = factors[0] * c
-            factors[1] = factors[1] / c
-        if rng.random() < 0.5:
-            alpha = 0.25 + 0.5 * rng.random()
-            first = [factors[0] * alpha] + factors[1:]
-            second = [factors[0] * (1.0 - alpha)] + factors[1:]
-            new_terms.extend([tuple(first), tuple(second)])
-        else:
-            new_terms.append(tuple(factors))
-    return simple_tensor_sum(new_terms, order=z.order, single_dim=z.single_dim)
-
-
 @dataclass(frozen=True)
 class UniquenessReport:
     probe_count: int
@@ -221,15 +164,6 @@ def _ladder_units(n_dim: int):
     (r, c) = (x_rows[j], x_cols[j]) and (r', c') = (y_rows[j], y_cols[j])."""
     j, first = np.arange(n_dim), np.zeros(n_dim, dtype=np.intp)
     return (j, first), (first, j)
-
-
-def _ladder_element(n_dim: int) -> SimpleTensorSum:
-    """z_N as dense N x N factors, one unit matrix per index pair."""
-    eye = np.eye(n_dim, dtype=np.complex128)
-    units = _ladder_units(n_dim)
-    terms = [tuple(np.outer(eye[rows[j]], eye[cols[j]]) for rows, cols in units)
-             for j in range(n_dim)]
-    return simple_tensor_sum(terms, order=2, single_dim=n_dim)
 
 
 def unboundedness_probe(sizes) -> list[ProbeRow]:

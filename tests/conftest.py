@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import histq
-from histq.historyspace import density_from_spectral
+from histq import quadform as qf
+from histq.historyspace import density_from_spectral, history_projection
 
 P0 = np.array([[1, 0], [0, 0]], dtype=np.complex128)
 P1 = np.array([[0, 0], [0, 1]], dtype=np.complex128)
@@ -56,6 +57,75 @@ def kron_chain(mats):
     for m in mats:
         out = np.kron(out, m)
     return out
+
+
+def embed(mats):
+    """The history projection of the Kronecker product of single-time matrices."""
+    return history_projection(kron_chain(mats), len(mats), mats[0].shape[0])
+
+
+def identity_history_projection(single_dim, order):
+    return history_projection(np.eye(single_dim ** order, dtype=np.complex128),
+                              order, single_dim)
+
+
+# the spectrum kinds of `spectrum_state`
+SPECTRA = ("full", "rank-one", "rank-deficient", "near-degenerate")
+
+
+def spectrum_state(kind, d, rng):
+    """A state on a Haar basis with weights of the given kind: full rank,
+    rank one, an exact zero weight, or the near-degenerate (0.50001, 0.49999);
+    every kind draws the same numbers from rng."""
+    basis = haar_unitary(d, rng)
+    weights = {"full": rng.dirichlet(np.ones(d)),
+               "rank-one": [1.0],
+               "rank-deficient": [*rng.dirichlet(np.ones(d - 1)), 0.0],
+               "near-degenerate": [0.50001, 0.49999]}[kind]
+    return density_from_spectral(weights, basis[:, :len(weights)])
+
+
+def bits(z):
+    """The float hex of the real and imaginary part of each entry of z, a
+    number or an array: equal lists mean equal bits, signed zeros included."""
+    return [(c.real.hex(), c.imag.hex()) for c in np.ravel(z).tolist()]
+
+
+def assemble(z):
+    """The dense Kronecker assembly of a SimpleTensorSum, the sum of its terms."""
+    dim = z.single_dim ** z.order
+    return sum((kron_chain(term) for term in z.terms),
+               np.zeros((dim, dim), dtype=np.complex128))
+
+
+def reassociate(z, seed):
+    """Another SimpleTensorSum for the same element: seeded nonzero scalars
+    move between the first two slots, and terms split at random in two by a
+    scalar decomposition of the first factor."""
+    rng = np.random.default_rng(seed)
+    new_terms = []
+    for term in z.terms:
+        factors = list(term)
+        if len(factors) >= 2:
+            c = (0.5 + rng.random() * 1.5) * np.exp(2j * np.pi * rng.random())
+            factors[0], factors[1] = factors[0] * c, factors[1] / c
+        if rng.random() < 0.5:
+            alpha = 0.25 + 0.5 * rng.random()
+            new_terms += [(factors[0] * alpha, *factors[1:]),
+                          (factors[0] * (1.0 - alpha), *factors[1:])]
+        else:
+            new_terms.append(tuple(factors))
+    return qf.simple_tensor_sum(new_terms, order=z.order, single_dim=z.single_dim)
+
+
+def ladder_element(n_dim):
+    """z_N as dense N x N factors, one unit matrix for each index pair of
+    `quadform._ladder_units`."""
+    eye = np.eye(n_dim, dtype=np.complex128)
+    units = qf._ladder_units(n_dim)
+    terms = [tuple(np.outer(eye[rows[j]], eye[cols[j]]) for rows, cols in units)
+             for j in range(n_dim)]
+    return qf.simple_tensor_sum(terms, order=2, single_dim=n_dim)
 
 
 @pytest.fixture

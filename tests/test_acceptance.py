@@ -17,8 +17,8 @@ from histq.historyspace import (density_from_spectral, history_projection,
                                 homogeneous_history)
 from histq.seeding import generator
 
-from conftest import (P0, P1, PMINUS, PPLUS, kron_chain, pure_e1, pure_state,
-                      random_density, random_proj)
+from conftest import (P0, P1, PMINUS, PPLUS, embed, pure_e1, pure_state, random_density,
+                      random_proj)
 
 
 def _pass(capsys, criterion, detail):
@@ -141,9 +141,6 @@ def test_criterion_6_unboundedness_probe(tmp_path, capsys):
 
 
 def test_criterion_7_consistency_goldens(capsys):
-    def embed(mats):
-        return history_projection(kron_chain(mats), len(mats), 2)
-
     ev_plus = decoherence.make_evaluator("series", pure_state([1, 1]), 2, 2)
     fam_z = consistency.build_family(
         [embed([a, b]) for a in (P0, P1) for b in (P0, P1)],

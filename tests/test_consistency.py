@@ -5,19 +5,16 @@ import pytest
 
 from histq import consistency as cs
 from histq.decoherence import (ILSOperator, build_M, d_direct, d_series, d_via_M_streaming,
-                               make_evaluator, partial_trace_a, random_homogeneous)
+                               make_evaluator, partial_trace_a, random_homogeneous,
+                               verify_axioms)
 from histq.errors import ShapeError, ValidationError
 from histq.historyspace import (HistoryProjection, Projection, density_from_spectral,
-                                density_matrix, history_projection,
-                                homogeneous_history, identity_history_projection)
+                                density_matrix, history_projection, homogeneous_history)
 from histq.seeding import generator
 
-from conftest import (P0, P1, PMINUS, PPLUS, haar_unitary, kron_chain, pure_e1,
-                      pure_state, random_density)
-
-
-def embed(mats):
-    return history_projection(kron_chain(mats), len(mats), mats[0].shape[0])
+from conftest import (P0, P1, PMINUS, PPLUS, SPECTRA, bits, embed, haar_unitary,
+                      identity_history_projection, pure_e1, pure_state,
+                      random_density, spectrum_state)
 
 
 def double_z_family():
@@ -390,6 +387,26 @@ def test_search_rejects_bad_budget():
         cs.diag_excess_search(M, budget=0)
 
 
+def test_counts_follow_the_integer_rule():
+    # samples, budget and sweeps are counts: a bool or a non-integral number
+    # is refused before it is compared or run, an integral float is its int
+    M = build_M(pure_e1(2), 2, 2)
+    ev = make_evaluator("stream", pure_e1(2), 2, 2)
+    for bad in (True, 2.5):
+        with pytest.raises(ValidationError, match="samples must be an integer"):
+            verify_axioms(ev, samples=bad)
+        for key in ("budget", "sweeps"):
+            with pytest.raises(ValidationError, match=f"{key} must be an integer"):
+                cs.diag_excess_search(M, **{key: bad})
+    report = verify_axioms(ev, samples=2.0, seed=1)
+    assert type(report.samples) is int and report == verify_axioms(ev, samples=2, seed=1)
+    want = cs.diag_excess_search(M, budget=2, sweeps=3)
+    for counts in ({"budget": 2.0, "sweeps": 3}, {"budget": 2, "sweeps": 3.0}):
+        got = cs.diag_excess_search(M, **counts)
+        assert (got.value, got.restart_index) == (want.value, want.restart_index)
+        assert got.projection.matrix.tobytes() == want.projection.matrix.tobytes()
+
+
 def test_search_rank_one_peak_reports_xi():
     M = build_M(pure_e1(2), 2, 1)
     res = cs.diag_excess_search(M, budget=5, seed=0)
@@ -512,20 +529,6 @@ def test_search_matches_einsum_ascent(dn, state):
         assert abs(again - res.value) <= 1e-9, seed
 
 
-def gram_state(kind, d, rng):
-    if kind == "full":
-        return random_density(d, rng)
-    if kind == "rank-one":
-        return pure_state(rng.standard_normal(d) + 1j * rng.standard_normal(d))
-    if kind == "rank-deficient":
-        w = np.zeros(d)
-        w[:d - 1] = rng.dirichlet(np.ones(d - 1)) if d > 2 else 1.0
-        return density_from_spectral(w, haar_unitary(d, rng))
-    w = np.zeros(d)
-    w[:2] = (0.50001, 0.49999)
-    return density_from_spectral(w, np.eye(d, dtype=np.complex128))
-
-
 def gram_families(rho, d, n, rng):
     # (family, whether it must be consistent): a random orthogonal split of
     # the history space, consistent only at one time, and the always
@@ -542,16 +545,12 @@ def gram_families(rho, d, n, rng):
                            for v in eig.T]), True
 
 
-def hex_entries(g):
-    return [(z.real.hex(), z.imag.hex()) for z in np.ravel(g).tolist()]
-
-
-@pytest.mark.parametrize("state", ["full", "rank-one", "rank-deficient", "near-degenerate"])
+@pytest.mark.parametrize("state", SPECTRA)
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_gram_matches_the_pairwise_loop(n, d, state):
     rng = np.random.default_rng([n, d, len(state)])
-    rho = gram_state(state, d, rng)
+    rho = spectrum_state(state, d, rng)
     evs = {m: make_evaluator(m, rho, d, n) for m in ("series", "stream", "ils")}
     for family, must_be_consistent in gram_families(rho, d, n, rng):
         atoms = family.atoms
@@ -559,13 +558,13 @@ def test_gram_matches_the_pairwise_loop(n, d, state):
         # the series Gram is d_series pair by pair to the bit, also rectangular
         for xs, ys in ((atoms, atoms), (atoms[:1], atoms[::-1])):
             want = pairwise_gram(lambda p, q: d_series(rho, p, q), xs, ys)
-            assert hex_entries(evs["series"].gram(xs, ys)) == hex_entries(want)
+            assert bits(evs["series"].gram(xs, ys)) == bits(want)
         reports = {m: cs.check_consistent(ev, family) for m, ev in evs.items()}
         # gram(atoms, atoms) checks and stacks the atoms once; an equal but
         # distinct list takes the two-list path, with the same bytes
         for ev in evs.values():
             one_list = ev.gram(atoms, atoms)
-            assert hex_entries(one_list) == hex_entries(ev.gram(atoms, list(atoms)))
+            assert bits(one_list) == bits(ev.gram(atoms, list(atoms)))
         for m in ("stream", "ils"):
             ev = evs[m]
             g = ev.gram(atoms, atoms)
@@ -602,7 +601,7 @@ def test_gram_of_one_shared_iterator_is_its_square_gram(method):
     it = iter(xs)
     got = ev.gram(it, it)
     assert got.shape == (4, 4)
-    assert hex_entries(got) == hex_entries(ev.gram(xs, list(xs)))
+    assert bits(got) == bits(ev.gram(xs, list(xs)))
 
 
 def test_gram_of_empty_lists_is_empty():
@@ -627,13 +626,13 @@ def test_gram_raises_what_the_loop_raises(method):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_direct_gram_matches_d_direct_pair_by_pair(n, d, state):
     rng = np.random.default_rng([n, d, len(state), 7])
-    rho = gram_state(state, d, rng)
+    rho = spectrum_state(state, d, rng)
     hs = [random_homogeneous(d, n, rng) for _ in range(3)]
     ks = [random_homogeneous(d, n, rng) for _ in range(2)]
     got = make_evaluator("direct", rho, d, n).gram(hs, ks)
     assert got.shape == (3, 2)
     want = pairwise_gram(lambda h, k: d_direct(rho, h, k), hs, ks)
-    assert hex_entries(got) == hex_entries(want)
+    assert bits(got) == bits(want)
 
 
 def test_gram_order_mismatch_raises_as_the_loop_does():
@@ -666,7 +665,7 @@ def test_search_reaches_the_symmetric_subspace_value(d, state):
     # reaches that value with rank-d projections for a pure state and with
     # projections of q_u's rank d(d+1)/2 for a mixed one
     rng = np.random.default_rng([d, 2])
-    rho = gram_state("rank-one" if state == "pure" else "full", d, rng)
+    rho = spectrum_state("rank-one" if state == "pure" else "full", d, rng)
     M = build_M(rho, d, 2)
     for seed in range(3):
         res = cs.diag_excess_search(M, budget=8, seed=seed)
@@ -730,7 +729,7 @@ def test_search_value_never_decreases_with_sweeps():
 @pytest.mark.parametrize("dn", [(2, 1), (2, 2), (3, 2), (2, 3)])
 def test_search_kernel_and_evaluator_give_the_same_bytes(dn, state):
     d, n = dn
-    rho = gram_state(state, d, np.random.default_rng([d, n, 9]))
+    rho = spectrum_state(state, d, np.random.default_rng([d, n, 9]))
     a = cs.diag_excess_search(build_M(rho, d, n), budget=4, seed=2)
     b = cs.diag_excess_search(make_evaluator("stream", rho, d, n), budget=4, seed=2)
     assert (a.value, a.rank, a.restart_index) == (b.value, b.rank, b.restart_index)
@@ -744,7 +743,7 @@ def test_search_kernel_and_evaluator_give_the_same_bytes(dn, state):
 @pytest.mark.parametrize("d", [2, 3])
 def test_kernel_slice_is_the_state(d, n, state):
     # M is a permutation of rho (x) 1, so one slice of it holds rho exactly
-    rho = gram_state(state, d, np.random.default_rng([d, n, 3]))
+    rho = spectrum_state(state, d, np.random.default_rng([d, n, 3]))
     r = d ** (n - 1)
     m = build_M(rho, d, n).matrix.reshape(d, r, r, d, r, d, d, r)
     assert np.array_equal(m[:, 0, 0, 0, 0, 0, :, 0], density_matrix(rho))
@@ -763,14 +762,14 @@ def test_search_stops_once_the_value_settles(state):
     assert abs(long.value - 2.25) <= 1e-12
 
 
-@pytest.mark.parametrize("state", ["full", "rank-one", "rank-deficient", "near-degenerate"])
+@pytest.mark.parametrize("state", SPECTRA)
 @pytest.mark.parametrize("dn", [(2, 1), (2, 2), (3, 2), (2, 3), (2, 4), (3, 3)])
 def test_search_matches_the_unfused_sweep(dn, state):
     # the in-place Herm X and the factored A(V V^dagger) change only rounding:
     # every search picks the reference's restart and rank, with its value
     # and projection
     d, n = dn
-    rho = gram_state(state, d, np.random.default_rng([d, n, 21]))
+    rho = spectrum_state(state, d, np.random.default_rng([d, n, 21]))
     ev = make_evaluator("stream", rho, d, n)
     for seed in range(3):
         res = cs.diag_excess_search(ev, budget=6, seed=seed)

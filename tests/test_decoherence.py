@@ -11,18 +11,13 @@ from hypothesis import given, settings, strategies as st
 from histq import decoherence as dec
 from histq.errors import ShapeError, SizeCapError, ValidationError
 from histq.historyspace import (completed_basis, density_from_spectral,
-                                homogeneous_history, history_projection,
-                                identity_history_projection, pad_history,
+                                homogeneous_history, history_projection, pad_history,
                                 zero_history_projection)
 from histq.seeding import generator
 
-from conftest import (P0, P1, PMINUS, PPLUS, haar_unitary, kron_chain,
-                      near_degenerate_states, pure_e1, pure_state,
-                      random_density, random_proj)
-
-
-def embed(mats):
-    return history_projection(kron_chain(mats), len(mats), mats[0].shape[0])
+from conftest import (P0, P1, PMINUS, PPLUS, SPECTRA, bits, embed, haar_unitary,
+                      identity_history_projection, kron_chain, near_degenerate_states,
+                      pure_e1, pure_state, random_density, random_proj, spectrum_state)
 
 
 def all_methods_value(rho, mats_h, mats_k, d, n):
@@ -36,18 +31,6 @@ def all_methods_value(rho, mats_h, mats_k, d, n):
         "ils": dec.d_via_M(M, hp, kp),
         "stream": dec.d_via_M_streaming(rho, hp, kp),
     }
-
-
-def _spectrum_state(spectrum, d, rng):
-    basis = haar_unitary(d, rng)
-    weights = {"full": rng.dirichlet(np.ones(d)),
-               "rank-one": [1.0],
-               "rank-deficient": [*rng.dirichlet(np.ones(d - 1)), 0.0],
-               "near-degenerate": [0.50001, 0.49999]}[spectrum]
-    return density_from_spectral(weights, basis[:, :len(weights)])
-
-
-SPECTRA = ["full", "rank-one", "rank-deficient", "near-degenerate"]
 
 
 def test_hand_oracle_quarter():
@@ -213,7 +196,7 @@ def test_via_m_additive_in_each_slot(rng):
 def test_streaming_matches_materialized(rng):
     for (d, n), spectrum in itertools.product(((2, 1), (3, 1), (2, 2), (3, 2), (2, 3)),
                                               SPECTRA):
-        rho = _spectrum_state(spectrum, d, rng)
+        rho = spectrum_state(spectrum, d, rng)
         M = dec.build_M(rho, d, n)
         for _ in range(4):
             p = history_projection(random_proj(d ** n, rng, int(rng.integers(0, d ** n + 1))), n, d)
@@ -421,7 +404,7 @@ def test_value_of_one_argument_embeds_it_once(method, rng, monkeypatch):
     got = ev.value(h, h)
     assert len(calls) == 1
     assert one_stack == ([] if gram_name is None else [True])
-    assert _hex(got) == _hex(want)
+    assert bits(got) == bits(want)
 
 
 def test_build_m_deterministic(rng):
@@ -497,7 +480,7 @@ def test_series_is_bit_identical_to_tuple_loop(dn, spectrum):
     # at d >= 8 a sum over t taken pairwise, not in sequence, changes the bits
     d, n = dn
     rng = np.random.default_rng([d, n, SPECTRA.index(spectrum)])
-    rho = _spectrum_state(spectrum, d, rng)
+    rho = spectrum_state(spectrum, d, rng)
     dim = d ** n
     pairs = [(random_proj(dim, rng, int(rng.integers(1, dim + 1))),
               random_proj(dim, rng, int(rng.integers(0, dim + 1)))),
@@ -510,10 +493,6 @@ def test_series_is_bit_identical_to_tuple_loop(dn, spectrum):
         assert got == want
         assert (np.float64(got.real).tobytes(), np.float64(got.imag).tobytes()) == \
             (np.float64(want.real).tobytes(), np.float64(want.imag).tobytes())
-
-
-def _bytes(z):
-    return np.float64(z.real).tobytes(), np.float64(z.imag).tobytes()
 
 
 def test_series_tuple_table_is_cached_and_read_only():
@@ -541,9 +520,9 @@ def test_series_rank_deficient_call_leaves_the_cached_table_intact():
     p = history_projection(random_proj(d ** n, rng, 4), n, d)
     q = history_projection(random_proj(d ** n, rng, 5), n, d)
     before = dec.d_series(full, p, q)
-    assert _bytes(dec.d_series(deficient, p, q)) == _bytes(_series_loop(deficient, p, q))
+    assert bits(dec.d_series(deficient, p, q)) == bits(_series_loop(deficient, p, q))
     after = dec.d_series(full, p, q)
-    assert _bytes(before) == _bytes(after) == _bytes(_series_loop(full, p, q))
+    assert bits(before) == bits(after) == bits(_series_loop(full, p, q))
 
 
 @pytest.mark.parametrize("d", [8, 9])
@@ -557,9 +536,9 @@ def test_series_sums_over_t_in_sequence_past_eight_terms(d):
     gram = dec.make_evaluator("series", rho, d, 1).gram(ps, ps[:2])
     for i, p in enumerate(ps):
         for j, q in enumerate(ps[:2]):
-            want = _bytes(_series_loop(rho, p, q))
-            assert _bytes(dec.d_series(rho, p, q)) == want
-            assert _bytes(gram[i, j]) == want
+            want = bits(_series_loop(rho, p, q))
+            assert bits(dec.d_series(rho, p, q)) == want
+            assert bits(gram[i, j]) == want
 
 
 def test_series_memo_entry_dies_with_its_state():
@@ -604,9 +583,9 @@ def test_series_warm_memo_is_bit_identical_to_tuple_loop(full_first):
             gram = dec.make_evaluator("series", rho, d, n).gram(xs, xs)
             for i, x in enumerate(xs):
                 for j, y in enumerate(xs):
-                    want = _bytes(_series_loop(rho, x, y))
-                    assert _bytes(dec.d_series(rho, x, y)) == want
-                    assert _bytes(gram[i, j]) == want
+                    want = bits(_series_loop(rho, x, y))
+                    assert bits(dec.d_series(rho, x, y)) == want
+                    assert bits(gram[i, j]) == want
     assert dec._series_memo[full][(d, n)][0] is dec._tuple_table(d, d, n)[1]
     assert dec._series_memo[deficient][(d, n)][0].shape[-1] < dec._tuple_table(d, d, n)[1].shape[-1]
 
@@ -734,7 +713,7 @@ def test_sparse_ils_matches_stream_and_series(dn, spectrum):
     d, n = dn
     dim = d ** n
     rng = np.random.default_rng([d, n, len(spectrum), 16])
-    rho = _spectrum_state(spectrum, d, rng)
+    rho = spectrum_state(spectrum, d, rng)
     xs = [history_projection(random_proj(dim, rng, int(rng.integers(0, dim + 1))), n, d)
           for _ in range(3)]
     xs.append(homogeneous_history([random_proj(d, rng) for _ in range(n)]))
@@ -781,11 +760,11 @@ def test_state_matrix_cache_leaves_direct_and_stream_bytes_unchanged():
         rho_m = (rho.vectors * rho.weights) @ rho.vectors.conj().T
         left = reduce(np.matmul, list(reversed(facs[0])))
         right = reduce(np.matmul, facs[1])
-        assert _hex(dec.d_direct(rho, h, k)) == _hex(np.trace(left @ rho_m @ right))
+        assert bits(dec.d_direct(rho, h, k)) == bits(np.trace(left @ rho_m @ right))
         stack = np.array([kron_chain(x) for x in facs])
         a, b = dec.partial_trace_a(stack, d, n), dec.partial_trace_b(stack, d, n)
         want = np.einsum("ivt,ts,jsv->ij", a[:1], rho_m, b[1:])[0, 0]
-        assert _hex(dec.d_via_M_streaming(rho, embed(facs[0]), embed(facs[1]))) == _hex(want)
+        assert bits(dec.d_via_M_streaming(rho, embed(facs[0]), embed(facs[1]))) == bits(want)
 
 
 def _free_value(method, rho, M, x, y):
@@ -796,10 +775,6 @@ def _free_value(method, rho, M, x, y):
     if method == "ils":
         return dec.d_via_M(M, x, y)
     return dec.d_via_M_streaming(rho, x, y)
-
-
-def _hex(z):
-    return complex(z).real.hex(), complex(z).imag.hex()
 
 
 @pytest.mark.parametrize("spectrum", ["full", "rank-deficient"])
@@ -813,7 +788,7 @@ def test_free_functions_take_what_the_evaluator_takes(dn, spectrum):
     # method's free function, and never the Gram function
     d, n = dn
     rng = np.random.default_rng([d, n, SPECTRA.index(spectrum)])
-    rho = _spectrum_state(spectrum, d, rng)
+    rho = spectrum_state(spectrum, d, rng)
     M = dec.build_M(rho, d, n)
     h = homogeneous_history([random_proj(d, rng) for _ in range(n)])
     k = homogeneous_history([random_proj(d, rng) for _ in range(n)])
@@ -832,7 +807,7 @@ def test_free_functions_take_what_the_evaluator_takes(dn, spectrum):
                         call(x, y)
                 continue
             got = _free_value(method, rho, M, x, y)
-            assert _hex(got) == _hex(ev.value(x, y)), (method, kind)
+            assert bits(got) == bits(ev.value(x, y)), (method, kind)
 
 
 def test_free_functions_refuse_mixed_orders_and_other_dimensions():

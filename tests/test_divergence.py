@@ -5,7 +5,7 @@ from histq import divergence as dv
 from histq.cli import main
 from histq.decoherence import d_series
 from histq.errors import ShapeError, SizeCapError, ValidationError
-from histq.historyspace import history_projection, homogeneous_history
+from histq.historyspace import history_projection
 
 from conftest import P0, PPLUS, kron_chain, pure_e1, random_density
 

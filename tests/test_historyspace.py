@@ -7,7 +7,8 @@ from histq import historyspace as hs
 from histq.decoherence import build_M
 from histq.errors import ShapeError, SizeCapError, ValidationError
 
-from conftest import P0, P1, PPLUS, PMINUS, haar_unitary, kron_chain, pure_e1, random_proj
+from conftest import (P0, P1, PPLUS, PMINUS, haar_unitary, identity_history_projection,
+                      kron_chain, pure_e1, random_proj)
 
 
 def test_validate_projection_accepts_standard_cases():
@@ -224,7 +225,7 @@ def test_history_projection_dimension_check():
 
 
 def test_identity_and_zero_history_projections():
-    eye = hs.identity_history_projection(2, 2)
+    eye = identity_history_projection(2, 2)
     zero = hs.zero_history_projection(2, 2)
     assert eye.projection.rank == 4
     assert zero.projection.rank == 0
@@ -238,7 +239,7 @@ def test_orthogonal():
     assert hs.orthogonal(p, q)
     assert not hs.orthogonal(p, r)
     with pytest.raises(ShapeError):
-        hs.orthogonal(p, hs.identity_history_projection(2, 1))
+        hs.orthogonal(p, identity_history_projection(2, 1))
 
 
 def test_sum_projection():

@@ -7,7 +7,7 @@ from histq.errors import ShapeError, ValidationError
 from histq.historyspace import density_from_spectral
 from histq.serialize import matrix_from_json
 
-from conftest import haar_unitary, random_proj
+from conftest import random_proj
 
 
 def test_as_complex_matrix_coerces():
