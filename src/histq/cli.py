@@ -18,7 +18,6 @@ never load them.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -32,9 +31,9 @@ from .errors import (HistqError, NumericalError, ShapeError, SizeCapError,
                      ValidationError)
 from .historyspace import (DEFAULT_HISTORY_CAP, DEFAULT_MATERIALIZE_CAP, METHODS,
                            VALIDATION_TOL, DensityOperator, HomogeneousHistory,
-                           checked_int, density_from_spectral, embed_homogeneous,
-                           history_projection, projection_residuals)
-from .seeding import generator, stream_metadata
+                           checked_int, checked_tol, density_from_spectral,
+                           embed_homogeneous, history_projection, projection_residuals)
+from .seeding import checked_seed, generator, stream_metadata
 
 
 class UsageError(Exception):
@@ -47,6 +46,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 _NUMBER = {"int": checked_int, "float": serialize.json_float}
+# settings with a rule of their own beyond their number type
+_RULE = {"seed": checked_seed, "validation_tol": checked_tol, "consistency_tol": checked_tol}
 
 
 @dataclass(frozen=True)
@@ -71,14 +72,12 @@ class RunConfig:
                 if not isinstance(val, (list, tuple)):
                     raise ValidationError(f"{what} must be a list of integers, got {val!r}")
             else:
-                object.__setattr__(self, f.name, _NUMBER[f.type](val, what))
-        for name, low in (("single_dim", 2), ("order", 1), ("seed", 0),
+                check = _RULE.get(f.name) or _NUMBER[f.type]
+                object.__setattr__(self, f.name, check(val, what))
+        for name, low in (("single_dim", 2), ("order", 1),
                           ("materialize_cap", 1), ("history_cap", 1)):
             if getattr(self, name) < low:
                 raise ValidationError(f"{name} must be >= {low}")
-        for name in ("validation_tol", "consistency_tol"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValidationError(f"{name} must be positive and finite")
         # the schedule checks each cutoff and both thresholds
         object.__setattr__(self, "cutoffs", self.schedule().cutoffs)
 

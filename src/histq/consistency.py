@@ -28,10 +28,13 @@ from numpy.lib.stride_tricks import as_strided
 from .decoherence import partial_trace_from_columns
 from .errors import ShapeError, ValidationError
 from .historyspace import (VALIDATION_TOL, HistoryProjection, Projection, checked_int,
-                           history_projection, validate_projection)
-from .seeding import generator
+                           checked_tol, history_projection, validate_projection)
+from .seeding import checked_seed, generator
 
 MAX_ATOMS = 12
+# the consistency witness is the first closure element within this of the
+# largest |Re d|, relative to it
+WITNESS_TOL = 1e-12
 # a search restart must beat the best value by more than this to replace it
 TIE_TOL = 1e-12
 # a restart stops at the first sweep that raises its value by at most this,
@@ -71,7 +74,9 @@ def build_family(members, labels=None, tol: float = VALIDATION_TOL) -> HistoryFa
     from a table cached per generator count k; the first failing pair in
     row-major order is named.  Labels default to g0, g1, ...; given ones
     must be unique strings, one per generator, and are never converted.
+    ``tol`` must be positive and finite.
     """
+    tol = checked_tol(tol)
     members = tuple(members)
     if not members:
         raise ValidationError("family needs at least one generator")
@@ -141,11 +146,11 @@ class ConsistencyReport:
 
 @lru_cache(maxsize=MAX_ATOMS)
 def _closure_table(k: int) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, ...], ...]]:
-    """The closure of k atoms, one row per mask m in 0 ... 2^k - 1: the
-    (2^k, k) indicator rows ind[m, i] = bit i of m, their complement
+    """The closure of k atoms, one column per mask m in 0 ... 2^k - 1: the
+    (k, 2^k) indicator columns ind[i, m] = bit i of m, their complement
     1 - ind, and the atom indices of each mask in increasing order.  The
     arrays are read-only, since every check with k atoms shares them."""
-    ind = ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1).astype(float)
+    ind = ((np.arange(1 << k) >> np.arange(k)[:, None]) & 1).astype(float)
     comp = 1.0 - ind
     for table in (ind, comp):
         table.flags.writeable = False
@@ -158,33 +163,38 @@ def check_consistent(evaluator, family: HistoryFamily,
 
     evaluator is anything with gram(ps, qs), the matrix of values on two
     lists of history projections, such as a bound `Evaluator`; it is asked
-    once, for the Gram of the atoms.  The closure's indicator rows, their
+    once, for the Gram of the atoms.  The closure's indicator columns, their
     complement and each element's atom indices depend on the atom count k
-    alone and come from a table cached per k.
+    alone and come from a table cached per k.  ``tol`` must be positive and
+    finite.
 
-    For a closure element s with atom indicator row e_s, Re d(s, t) equals
-    the sum of r_s = e_s Re G over the atoms of t.  Over non-empty t disjoint
+    For a closure element s with atom indicator e_s, Re d(s, t) equals the
+    sum of r_s = e_s Re G over the atoms of t.  Over non-empty t disjoint
     from s its largest modulus is the larger of the positive and the
     negative parts of r_s summed outside s, so max_re_offdiag comes from
-    O(2^k k) array work without visiting a pair.  Its witness is the pair
-    (s, t) with s the first mask attaining it and t the atoms outside s
-    where r_s has the sign of the larger part, the positive one on a tie;
-    there is none when max_re_offdiag is 0.
+    O(2^k k) array work without visiting a pair.  Its witness is a pair
+    (s, t) chosen by a rule that no order of summation decides: s is the
+    first mask whose larger part lies within WITNESS_TOL max_re_offdiag of
+    the maximum, the sign is the positive part's unless the negative part
+    exceeds it by more than that margin, and t holds the atoms outside s
+    where r_s has that sign.  There is none when max_re_offdiag is 0.
     """
+    tol = checked_tol(tol)
     atoms = family.atoms
     re_gram = evaluator.gram(atoms, atoms).real
     ind, comp, members = _closure_table(len(atoms))
-    row_sum = ind @ re_gram
-    diag = np.einsum("mk,mk->m", row_sum, ind)
-    outside = row_sum * comp
-    # np.clip(x, 0.0, None) is np.maximum(x, 0.0) behind a wrapper, so the
-    # bits are clip's; maximum(0.0, x) would keep -0.0 entries as -0.0
-    pos = np.maximum(outside, 0.0).sum(axis=1)
-    neg = np.maximum(-outside, 0.0).sum(axis=1)
+    # r[j, m] = Re d(s_m, a_j), one column per mask, so every sum over atoms
+    # below adds k contiguous rows of 2^k entries; r's buffer is reused
+    r = re_gram.T @ ind
+    outside = r * comp
+    diag = np.multiply(r, ind, out=r).sum(axis=0)
+    # maximum(x, 0.0) turns -0.0 into +0.0, and max(x, 0) - x is max(-x, 0)
+    # exactly, so each negative part is summed as it stands
+    part = np.maximum(outside, 0.0, out=r)
+    pos = part.sum(axis=0)
+    neg = np.subtract(part, outside, out=part).sum(axis=0)
     best = np.maximum(pos, neg)
-    # argmax names the first mask attaining the maximum
-    s = int(best.argmax())
-    max_re = float(best[s])
+    max_re = float(best.max())
     atom_labels = family.atom_labels
 
     def label(mask: int) -> str:
@@ -192,14 +202,18 @@ def check_consistent(evaluator, family: HistoryFamily,
 
     witness = None
     if max_re > 0.0:
-        sign = 1.0 if pos[s] >= neg[s] else -1.0
-        t = sum(1 << i for i, x in enumerate(outside[s].tolist()) if sign * x > 0.0)
+        # mirrored pairs (s, t) and (t, s) tie in exact arithmetic, so the
+        # first mask within the margin is named, not the first exact maximum
+        margin = WITNESS_TOL * max_re
+        s = int((best >= max_re - margin).argmax())
+        sign = -1.0 if neg[s] > pos[s] + margin else 1.0
+        t = sum(1 << i for i, x in enumerate(outside[:, s].tolist()) if sign * x > 0.0)
         witness = (label(s), label(t))
     probabilities = dict(zip(family.labels,
                              re_gram.diagonal()[:len(family.members)].tolist()))
     prob_sum = float(sum(probabilities.values()))
-    unphysical = tuple([label(m) for m in
-                        (np.flatnonzero(diag[1:] > 1.0 + tol) + 1).tolist()])
+    # the empty element's diagonal is 0, below 1 + tol for every positive tol
+    unphysical = tuple([label(m) for m in np.flatnonzero(diag > 1.0 + tol).tolist()])
     consistent = max_re <= tol and all(p >= -tol for p in probabilities.values())
     return ConsistencyReport(consistent=consistent, max_re_offdiag=max_re,
                              max_re_witness=witness, probabilities=probabilities,
@@ -250,8 +264,9 @@ def diag_excess_search(source, budget: int = 200, seed: int = 0,
     once, for the best restart.  A restart replaces the best only
     when its value is larger by more than 1e-12, so ties break to the lowest
     restart.  ``budget`` and ``sweeps`` are counts of at least 1 by the
-    integer rule of `checked_int`.
+    integer rule of `checked_int`, and ``seed`` passes `checked_seed`.
     """
+    seed = checked_seed(seed)
     budget, sweeps = checked_int(budget, "budget"), checked_int(sweeps, "sweeps")
     if budget < 1:
         raise ValidationError(f"budget must be >= 1, got {budget}")

@@ -75,6 +75,7 @@ from .historyspace import (
     HistoryProjection,
     HomogeneousHistory,
     checked_int,
+    checked_tol,
     embed_homogeneous,
     history_projection,
     homogeneous_history,
@@ -82,7 +83,7 @@ from .historyspace import (
     sum_projection,
     validate_projection,
 )
-from .seeding import generator
+from .seeding import checked_seed, generator
 
 
 @dataclass(frozen=True, eq=False)
@@ -629,8 +630,10 @@ def verify_axioms(evaluator: Evaluator, samples: int = 200, seed: int = 0,
     the row of y against them, and one ``value`` call for d(x, x).
     Violations are data, not errors; the report is bit-identical for
     identical inputs and seed.  ``samples`` is a count of at least 1 by the
-    integer rule of `checked_int`.
+    integer rule of `checked_int`, ``seed`` passes `checked_seed` and ``tol``
+    must be positive and finite; all three are checked before any sample.
     """
+    seed, tol = checked_seed(seed), checked_tol(tol)
     samples = checked_int(samples, "samples")
     if samples < 1:
         raise ValidationError(f"samples must be >= 1, got {samples}")

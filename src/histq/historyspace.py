@@ -36,6 +36,15 @@ def checked_int(val, what: str) -> int:
     return int(val)
 
 
+def checked_tol(tol, what: str = "tol") -> float:
+    """tol as a float; bools, strings and numbers that are not positive and
+    finite are rejected."""
+    if ((type(tol) is not float and (isinstance(tol, bool) or not isinstance(tol, numbers.Real)))
+            or not 0.0 < tol < math.inf):
+        raise ValidationError(f"{what} must be positive and finite, got {tol!r}")
+    return float(tol)
+
+
 @dataclass(frozen=True)
 class Projection:
     """A validated orthogonal projection matrix.
@@ -122,7 +131,7 @@ class HistoryProjection:
 def projection_residuals(m: np.ndarray) -> tuple[float, float]:
     """The max-entry norms of ``m - m^dagger`` and ``m @ m - m`` of a square
     complex matrix: its distances from self-adjoint and from idempotent."""
-    return float(np.max(np.abs(m - m.conj().T))), float(np.max(np.abs(m @ m - m)))
+    return float(np.abs(m - m.conj().T).max()), float(np.abs(m @ m - m).max())
 
 
 def validate_projection(m, tol: float = VALIDATION_TOL) -> Projection:
@@ -134,7 +143,8 @@ def validate_projection(m, tol: float = VALIDATION_TOL) -> Projection:
         Candidate square matrix.
     tol : float
         Acceptance tolerance for the max-entry norms of ``P@P - P`` and
-        ``P - P^dagger`` and for the distance of the trace from an integer.
+        ``P - P^dagger`` and for the distance of the trace from an integer;
+        positive and finite.
 
     Returns
     -------
@@ -146,8 +156,10 @@ def validate_projection(m, tol: float = VALIDATION_TOL) -> Projection:
         If the matrix is not square.
     ValidationError
         If idempotence, self-adjointness, or trace integrality fails; the
-        message reports the offending maximum residual.
+        message reports the offending maximum residual.  Also if ``tol`` is
+        not positive and finite.
     """
+    tol = checked_tol(tol)
     # a copy, so that a Projection never aliases its input
     m = matrixcore.as_complex_matrix(np.array(m, dtype=np.complex128, order="C"))
     if m.shape[0] != m.shape[1]:
@@ -157,7 +169,7 @@ def validate_projection(m, tol: float = VALIDATION_TOL) -> Projection:
         raise ValidationError(f"not self-adjoint: max residual {herm:.3e} > {tol:g}")
     if idem > tol:
         raise ValidationError(f"not idempotent: max residual {idem:.3e} > {tol:g}")
-    tr = np.trace(m)
+    tr = m.trace()
     rank = int(round(tr.real))
     if abs(tr - rank) > tol:
         raise ValidationError(
@@ -172,8 +184,9 @@ def density_from_spectral(weights, vectors, tol: float = VALIDATION_TOL) -> Dens
     Weights within ``-1e-12`` of zero are clamped to zero; the weight sum is
     renormalized only when it is already within ``tol`` of one, and its
     distance from one is kept as ``trace_residual``.  Columns must
-    be orthonormal within ``tol``.
+    be orthonormal within ``tol``, which must be positive and finite.
     """
+    tol = checked_tol(tol)
     w = np.array(weights, dtype=float)
     v = np.array(vectors, dtype=np.complex128, order="C")
     if v.ndim != 2:
@@ -211,7 +224,7 @@ def density_from_matrix(m, tol: float = VALIDATION_TOL) -> DensityOperator:
         Square matrix with unit trace, self-adjoint within ``tol``, and no
         eigenvalue below ``-tol``.
     tol : float
-        Validation tolerance.
+        Validation tolerance, positive and finite.
 
     Returns
     -------
@@ -220,6 +233,7 @@ def density_from_matrix(m, tol: float = VALIDATION_TOL) -> DensityOperator:
         and renormalized to sum to one; ``trace_residual`` is the distance
         of the clamped eigenvalues' sum from one.
     """
+    tol = checked_tol(tol)
     m = matrixcore.as_complex_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ShapeError(f"density matrix must be square, got {m.shape}")

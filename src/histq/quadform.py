@@ -24,7 +24,7 @@ import numpy as np
 from . import matrixcore
 from .errors import ShapeError, SizeCapError, ValidationError
 from .historyspace import DensityOperator, checked_int, density_from_spectral
-from .seeding import generator
+from .seeding import checked_seed, generator
 
 # largest probe size N: a probe costs O(N * rank rho) work and memory, about
 # 0.2 s and 120 MB at N = 2**20 on one 2-vCPU Xeon core; the cap refuses
@@ -140,7 +140,9 @@ def uniqueness_check(rho: DensityOperator, q_eval, order: int,
     Any bounded form that agrees with the functional on projection tensors
     must agree everywhere, so a nonzero deviation flags a defective
     candidate; the check is an agreement test on probes, not a proof.
+    ``seed`` passes `checked_seed` before any probe is drawn.
     """
+    seed = checked_seed(seed)
     rng = generator(seed, "probe")
     worst = 0.0
     for _ in range(probe_count):

@@ -1,3 +1,4 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +11,7 @@ from histq.decoherence import (ILSOperator, build_M, d_direct, d_series, d_via_M
 from histq.errors import ShapeError, ValidationError
 from histq.historyspace import (HistoryProjection, Projection, density_from_spectral,
                                 density_matrix, history_projection, homogeneous_history)
+from histq.quadform import uniqueness_check
 from histq.seeding import generator
 
 from conftest import (P0, P1, PMINUS, PPLUS, SPECTRA, bits, embed, haar_unitary,
@@ -266,38 +268,105 @@ def witness_indicator(family, label):
     return np.array([x in label.split("+") for x in family.atom_labels], dtype=float)
 
 
-def clip_scan(gram, atom_labels, tol):
-    # check_consistent's scan as it stood with np.clip and a per-bit label
-    # generator: the reference its values must match to the bit
-    re_gram = gram.real
-    k = len(atom_labels)
-    ind = ((np.arange(1 << k)[:, None] >> np.arange(k)) & 1).astype(float)
-    row_sum = ind @ re_gram
-    diag = np.einsum("mk,mk->m", row_sum, ind)
-    outside = row_sum * (1.0 - ind)
-    max_re = float(max(np.clip(outside, 0.0, None).sum(axis=1).max(),
-                       np.clip(-outside, 0.0, None).sum(axis=1).max()))
-    unphysical = tuple("+".join(atom_labels[i] for i in range(k) if m >> i & 1)
-                       for m in np.flatnonzero(diag[1:] > 1.0 + tol) + 1)
-    return max_re, unphysical
+def fsum_scan(gram, tol):
+    # per closure element: the candidate max(positive part, negative part)
+    # of r_s outside s and whether its diagonal exceeds 1 + tol, every sum
+    # correctly rounded by math.fsum
+    re_gram = gram.real.tolist()
+    k = len(re_gram)
+    best, high = [], []
+    for m in range(1 << k):
+        inside = [i for i in range(k) if m >> i & 1]
+        r = [math.fsum([re_gram[i][j] for i in inside]) for j in range(k)]
+        out = [r[j] for j in range(k) if not m >> j & 1]
+        best.append(max(math.fsum([x for x in out if x > 0.0]),
+                        math.fsum([-x for x in out if x < 0.0])))
+        high.append(m and math.fsum([r[j] for j in inside]) > 1.0 + tol)
+    return best, high
+
+
+def re_d(gram, s, t):
+    return math.fsum([gram.real[i, j] for i in np.flatnonzero(s) for j in np.flatnonzero(t)])
 
 
 @pytest.mark.parametrize("k", range(1, 13))
-def test_scan_matches_the_clip_scan_to_the_bit(k):
+def test_scan_matches_an_fsum_scan(k):
     family = diagonal_family(k)
     gen = generator(5000 + k, "samples")
     grams = [0.3 * (gen.standard_normal((k, k)) + 1j * gen.standard_normal((k, k))),
              np.diag(gen.uniform(0.5, 2.0, k)) + 0j,
-             # signed zeros off a negative diagonal, so every row of the
-             # scan holds -0.0 entries; clip turns them into +0.0
+             # signed zeros off a negative diagonal, so every column of the
+             # scan holds -0.0 entries; the maximum is a positive zero
              np.where(np.eye(k, dtype=bool), -gen.uniform(0.5, 2.0, k), -0.0) + 0j]
     for gram in grams:
         report = cs.check_consistent(SimpleNamespace(gram=lambda ps, qs: gram),
                                      family, tol=1e-9)
-        max_re, unphysical = clip_scan(gram, family.atom_labels, 1e-9)
-        assert report.max_re_offdiag.hex() == max_re.hex()
-        assert report.unphysical == unphysical
-        assert (report.max_re_witness is None) == (max_re == 0.0)
+        best, high = fsum_scan(gram, 1e-9)
+        max_re = max(best)
+        assert abs(report.max_re_offdiag - max_re) <= 4 * math.ulp(max_re)
+        assert not np.signbit(report.max_re_offdiag)
+        assert unphysical_sets(family, report) == {
+            frozenset(family.atom_labels[i] for i in range(k) if m >> i & 1)
+            for m in range(1 << k) if high[m]}
+        if max_re == 0.0:
+            assert report.max_re_witness is None
+            continue
+        # s is the first mask within WITNESS_TOL of the maximum, and the
+        # pair attains the maximum within that margin
+        margin = cs.WITNESS_TOL * max_re
+        first = next(m for m in range(1 << k) if best[m] >= max_re - margin)
+        s, t = (witness_indicator(family, x) for x in report.max_re_witness)
+        assert s.tolist() == [first >> i & 1 for i in range(k)]
+        assert t.any() and not (s * t).any()
+        assert abs(abs(re_d(gram, s, t)) - max_re) <= margin
+
+
+# the real Gram of one benchmark family, 8 rank-one generators at (d, n) =
+# (3, 2) and their complement under a mixed state, read from the stream
+# evaluator: its largest |Re d| is attained by a disjoint pair (s, t) and by
+# its mirror (t, s), which tie in exact arithmetic
+MIRRORED_PAIR_GRAM = np.array([
+    [0.12915408912830126, 0.017656845948008607, 0.07331187608775228,
+     -0.013594379719976958, -0.009192183796960234, 0.03626698001487094,
+     -0.0274240299985307, -0.06246112214875077, 0.030179335231474164],
+    [0.017656845948008607, 0.09572886382200285, -0.017424594331909966,
+     0.004679098937904054, 0.00257574929650144, 0.008518917618225723,
+     -0.005949232788949682, 0.019958241484737755, -0.003961555797976034],
+    [0.07331187608775226, -0.017424594331909966, 0.22573787239199047,
+     -0.01894196974176756, 0.01924252317281518, 0.004387975725579507,
+     0.06088051629101536, -0.07207646974515802, 0.08256011659798401],
+    [-0.013594379719976955, 0.004679098937904051, -0.01894196974176755,
+     0.056573967080305564, -0.010534826594232355, 0.025340666121428462,
+     -0.015309739028053649, 0.019074384579304215, -0.03529902929793863],
+    [-0.009192183796960223, 0.0025757492965014393, 0.019242523172815187,
+     -0.010534826594232353, 0.06777789081659284, 0.01454457472692669,
+     0.011461977610330644, -0.02695895899322629, 0.02615072564173305],
+    [0.03626698001487094, 0.008518917618225723, 0.00438797572557951,
+     0.025340666121428466, 0.014544574726926697, 0.07355724378480087,
+     -0.03163273746641331, -0.031383193384198246, -0.01693798659474867],
+    [-0.02742402999853071, -0.005949232788949674, 0.06088051629101534,
+     -0.015309739028053652, 0.011461977610330645, -0.0316327374664133,
+     0.12090837525970036, 0.01203838808778553, 0.007358655080663973],
+    [-0.06246112214875078, 0.019958241484737745, -0.072076469745158,
+     0.019074384579304215, -0.026958958993226284, -0.031383193384198246,
+     0.01203838808778553, 0.06984292703909917, -0.03983325278045057],
+    [0.030179335231474157, -0.003961555797976029, 0.082560116597984,
+     -0.03529902929793864, 0.026150725641733052, -0.016937986594748676,
+     0.00735865508066397, -0.03983325278045058, 0.08617419858560656]])
+
+
+def test_mirrored_pair_tie_names_the_first_mask():
+    # s = g1+g3+g7 is mask 138 and t = g0+g2+g4+g6+g8 is mask 341; the
+    # candidate of mask 138 rounds below that of mask 341, so the
+    # first exact maximum would be the mirror (t, s)
+    report = cs.check_consistent(SimpleNamespace(gram=lambda ps, qs: MIRRORED_PAIR_GRAM),
+                                 diagonal_family(9))
+    assert report.max_re_witness == ("g1+g3+g7", "g0+g2+g4+g6+g8")
+    s, t = (witness_indicator(diagonal_family(9), x) for x in report.max_re_witness)
+    assert re_d(MIRRORED_PAIR_GRAM, s, t) == pytest.approx(re_d(MIRRORED_PAIR_GRAM, t, s),
+                                                           abs=1e-15)
+    assert abs(re_d(MIRRORED_PAIR_GRAM, s, t)) == pytest.approx(report.max_re_offdiag,
+                                                                rel=1e-15)
 
 
 def test_witness_is_the_first_mask_and_breaks_a_sign_tie_to_the_positive_part():
@@ -323,8 +392,12 @@ def test_closure_tables_are_cached_and_read_only():
     for k in (1, 5, 12):
         ind, comp, members = cs._closure_table(k)
         assert cs._closure_table(k)[0] is ind
-        assert ind.shape == comp.shape == (1 << k, k)
-        assert np.array_equal(ind + comp, np.ones((1 << k, k)))
+        # one indicator column per mask: ind[i, m] is bit i of m
+        assert ind.shape == comp.shape == (k, 1 << k)
+        assert ind.flags.c_contiguous and comp.flags.c_contiguous
+        masks = np.arange(1 << k)
+        assert all(np.array_equal(ind[i], masks >> i & 1) for i in range(k))
+        assert np.array_equal(ind + comp, np.ones((k, 1 << k)))
         assert members[0] == () and members[-1] == tuple(range(k))
         assert isinstance(members, tuple)
         for table in (ind, comp, *cs._upper_pairs(k)):
@@ -405,6 +478,24 @@ def test_counts_follow_the_integer_rule():
         got = cs.diag_excess_search(M, **counts)
         assert (got.value, got.restart_index) == (want.value, want.restart_index)
         assert got.projection.matrix.tobytes() == want.projection.matrix.tobytes()
+
+
+@pytest.mark.parametrize("seed", [2.5, True, -1, "1", None])
+def test_seeds_are_checked_before_any_work(seed):
+    # a fractional seed ran its floor and was reported as given, True ran
+    # seed 1, -1 raised a bare ValueError from the seed sequence or, in a
+    # one-restart search, was never read
+    M = build_M(pure_e1(2), 2, 2)
+    ev = make_evaluator("stream", pure_e1(2), 2, 2)
+    calls = [lambda: verify_axioms(ev, samples=1, seed=seed),
+             lambda: cs.diag_excess_search(M, budget=1, seed=seed),
+             lambda: uniqueness_check(pure_e1(2), lambda u, v: 0.0, 2, probe_count=1,
+                                      seed=seed)]
+    for call in calls:
+        with pytest.raises(ValidationError, match="seed must be"):
+            call()
+    report = verify_axioms(ev, samples=1, seed=np.int64(3))
+    assert type(report.seed) is int and report == verify_axioms(ev, samples=1, seed=3)
 
 
 def test_search_rank_one_peak_reports_xi():

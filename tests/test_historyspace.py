@@ -3,11 +3,12 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from histq import consistency as cs
 from histq import historyspace as hs
-from histq.decoherence import build_M
+from histq.decoherence import build_M, make_evaluator, verify_axioms
 from histq.errors import ShapeError, SizeCapError, ValidationError
 
-from conftest import (P0, P1, PPLUS, PMINUS, haar_unitary, identity_history_projection,
+from conftest import (P0, P1, PPLUS, PMINUS, embed, haar_unitary, identity_history_projection,
                       kron_chain, pure_e1, random_proj)
 
 
@@ -75,6 +76,29 @@ def test_checked_int_takes_integral_numbers(val, want):
 def test_checked_int_rejects_bools_and_non_integral_values(val):
     with pytest.raises(ValidationError, match="value must be an integer"):
         hs.checked_int(val, "value")
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 0.0, True, "1e-9", None])
+def test_every_tolerance_must_be_positive_and_finite(tol):
+    # nan passed every comparison, so a nan tolerance accepted any residual
+    # and failed a maximum of 0; a negative one printed "0.000e+00 > -1"
+    family = cs.build_family([embed([P0, P0]), embed([P0, P1])])
+    ev = make_evaluator("stream", pure_e1(2), 2, 2)
+    calls = [lambda: hs.validate_projection(np.ones((2, 2)), tol=tol),
+             lambda: hs.density_from_spectral([0.3, 0.3], np.eye(2), tol=tol),
+             lambda: hs.density_from_matrix(np.eye(2) / 2, tol=tol),
+             lambda: cs.build_family(family.members, tol=tol),
+             lambda: cs.check_consistent(ev, family, tol=tol),
+             lambda: verify_axioms(ev, samples=1, tol=tol)]
+    for call in calls:
+        with pytest.raises(ValidationError, match="tol must be positive and finite"):
+            call()
+
+
+@pytest.mark.parametrize("tol, want", [(1e-9, 1e-9), (1, 1.0), (np.float64(2.5e-8), 2.5e-8)])
+def test_checked_tol_takes_positive_finite_numbers(tol, want):
+    got = hs.checked_tol(tol)
+    assert got == want and type(got) is float
 
 
 def test_density_matrix_is_cached_read_only_and_exact(rng):
