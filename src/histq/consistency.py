@@ -73,7 +73,8 @@ def build_family(members, labels=None, tol: float = VALIDATION_TOL) -> HistoryFa
     alone, each by its max-entry norm against ``tol``, with the pairs taken
     from a table cached per generator count k; the first failing pair in
     row-major order is named.  Labels default to g0, g1, ...; given ones
-    must be unique strings, one per generator, and are never converted.
+    must be a list or a tuple of unique strings, one per generator, and are
+    never converted.
     ``tol`` must be positive and finite.
     """
     tol = checked_tol(tol)
@@ -82,6 +83,8 @@ def build_family(members, labels=None, tol: float = VALIDATION_TOL) -> HistoryFa
         raise ValidationError("family needs at least one generator")
     if labels is None:
         labels = tuple(f"g{i}" for i in range(len(members)))
+    elif not isinstance(labels, (list, tuple)):
+        raise ValidationError(f"labels must be a list or a tuple, got {type(labels).__name__}")
     labels = tuple(labels)
     if len(labels) != len(members):
         raise ValidationError(

@@ -140,8 +140,13 @@ def uniqueness_check(rho: DensityOperator, q_eval, order: int,
     Any bounded form that agrees with the functional on projection tensors
     must agree everywhere, so a nonzero deviation flags a defective
     candidate; the check is an agreement test on probes, not a proof.
-    ``seed`` passes `checked_seed` before any probe is drawn.
+    ``probe_count`` is a count of at least 1 by the integer rule of
+    `checked_int`, and ``seed`` passes `checked_seed`, before any probe is
+    drawn.
     """
+    probe_count = checked_int(probe_count, "probe_count")
+    if probe_count < 1:
+        raise ValidationError(f"probe_count must be >= 1, got {probe_count}")
     seed = checked_seed(seed)
     rng = generator(seed, "probe")
     worst = 0.0

@@ -46,10 +46,13 @@ def pure_e1(dim):
     return pure_state(v)
 
 
+# top weights this close once stalled a power-iteration norm gate
+NEAR_DEGENERATE = ((0.50001, 0.49999), (0.5000001, 0.4999999))
+
+
 def near_degenerate_states():
-    # top weights this close once stalled a power-iteration norm gate
     return [density_from_spectral(w, np.eye(2, dtype=np.complex128))
-            for w in ([0.50001, 0.49999], [0.5000001, 0.4999999])]
+            for w in NEAR_DEGENERATE]
 
 
 def kron_chain(mats):
@@ -69,19 +72,25 @@ def identity_history_projection(single_dim, order):
                               order, single_dim)
 
 
-# the spectrum kinds of `spectrum_state`
+# the spectrum kinds of `spectrum_state`: SPECTRA, and the two more that
+# the differential table of the four evaluators also runs
 SPECTRA = ("full", "rank-one", "rank-deficient", "near-degenerate")
+DIFFERENTIAL_SPECTRA = SPECTRA + ("fewer-vectors", "near-degenerate-tight")
 
 
 def spectrum_state(kind, d, rng):
     """A state on a Haar basis with weights of the given kind: full rank,
-    rank one, an exact zero weight, or the near-degenerate (0.50001, 0.49999);
+    rank one, an exact zero weight, the same weights held as d - 1 vectors
+    without the zero, or the near-degenerate pairs of `NEAR_DEGENERATE`;
     every kind draws the same numbers from rng."""
     basis = haar_unitary(d, rng)
-    weights = {"full": rng.dirichlet(np.ones(d)),
+    full, deficient = rng.dirichlet(np.ones(d)), [*rng.dirichlet(np.ones(d - 1)), 0.0]
+    weights = {"full": full,
                "rank-one": [1.0],
-               "rank-deficient": [*rng.dirichlet(np.ones(d - 1)), 0.0],
-               "near-degenerate": [0.50001, 0.49999]}[kind]
+               "rank-deficient": deficient,
+               "fewer-vectors": deficient[:-1],
+               "near-degenerate": NEAR_DEGENERATE[0],
+               "near-degenerate-tight": NEAR_DEGENERATE[1]}[kind]
     return density_from_spectral(weights, basis[:, :len(weights)])
 
 
@@ -89,6 +98,13 @@ def bits(z):
     """The float hex of the real and imaginary part of each entry of z, a
     number or an array: equal lists mean equal bits, signed zeros included."""
     return [(c.real.hex(), c.imag.hex()) for c in np.ravel(z).tolist()]
+
+
+def pairwise_gram(fn, ps, qs):
+    """G[i, j] = fn(ps[i], qs[j]) by one call per pair: the reference a Gram
+    is checked against."""
+    return np.array([[complex(fn(p, q)) for q in qs] for p in ps],
+                    dtype=np.complex128).reshape(len(ps), len(qs))
 
 
 def assemble(z):

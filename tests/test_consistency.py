@@ -5,18 +5,17 @@ import numpy as np
 import pytest
 
 from histq import consistency as cs
-from histq.decoherence import (ILSOperator, build_M, d_direct, d_series, d_via_M_streaming,
-                               make_evaluator, partial_trace_a, random_homogeneous,
-                               verify_axioms)
+from histq.decoherence import (build_M, d_series, d_via_M_streaming, make_evaluator,
+                               partial_trace_a, random_homogeneous, verify_axioms)
 from histq.errors import ShapeError, ValidationError
 from histq.historyspace import (HistoryProjection, Projection, density_from_spectral,
-                                density_matrix, history_projection, homogeneous_history)
-from histq.quadform import uniqueness_check
+                                history_projection, homogeneous_history)
+from histq.quadform import D_form, uniqueness_check
 from histq.seeding import generator
 
 from conftest import (P0, P1, PMINUS, PPLUS, SPECTRA, bits, embed, haar_unitary,
-                      identity_history_projection, pure_e1, pure_state,
-                      random_density, spectrum_state)
+                      identity_history_projection, pairwise_gram, pure_e1,
+                      pure_state, random_density, spectrum_state)
 
 
 def double_z_family():
@@ -147,6 +146,10 @@ def test_build_family_rejections():
         cs.build_family([p00], labels=("rest",))
     with pytest.raises(ValidationError, match="1 labels for 2 generators"):
         cs.build_family([p00, p01], labels=["a"])
+    # a string or a dict is refused, not read as its characters or keys
+    for labels in ("ab", {"a": 0, "b": 1}):
+        with pytest.raises(ValidationError, match="labels must be a list or a tuple"):
+            cs.build_family([p00, p01], labels=labels)
     with pytest.raises(ShapeError, match="different history spaces"):
         cs.build_family([p00, history_projection(np.zeros((2, 2)), 1, 2)])
     # the total stays the gate for the rest atom: half the identity is
@@ -190,13 +193,6 @@ def test_atom_cap():
     with pytest.raises(ValidationError, match="exceed cap"):
         cs.build_family(members)
     assert len(cs.build_family(members[:11]).atoms) == 12
-
-
-def pairwise_gram(fn, ps, qs):
-    """G[i, j] = fn(ps[i], qs[j]) by one call per pair: the reference a Gram
-    is checked against."""
-    return np.array([[complex(fn(p, q)) for q in qs] for p in ps],
-                    dtype=np.complex128).reshape(len(ps), len(qs))
 
 
 def test_crafted_gram_evaluator():
@@ -461,18 +457,32 @@ def test_search_rejects_bad_budget():
 
 
 def test_counts_follow_the_integer_rule():
-    # samples, budget and sweeps are counts: a bool or a non-integral number
-    # is refused before it is compared or run, an integral float is its int
+    # samples, budget, sweeps and probe_count are counts: a bool or a
+    # non-integral number is refused before it is compared or run, an
+    # integral float is its int
     M = build_M(pure_e1(2), 2, 2)
     ev = make_evaluator("stream", pure_e1(2), 2, 2)
+
+    def probe(count):
+        # off by 5 everywhere: any probe run reports the deviation
+        return uniqueness_check(pure_e1(2), lambda u, v: D_form(pure_e1(2), u, v) + 5.0, 2,
+                                probe_count=count, seed=1)
     for bad in (True, 2.5):
         with pytest.raises(ValidationError, match="samples must be an integer"):
             verify_axioms(ev, samples=bad)
         for key in ("budget", "sweeps"):
             with pytest.raises(ValidationError, match=f"{key} must be an integer"):
                 cs.diag_excess_search(M, **{key: bad})
+        with pytest.raises(ValidationError, match="probe_count must be an integer"):
+            probe(bad)
+    # zero probes would report no deviation for any form
+    with pytest.raises(ValidationError, match="probe_count must be >= 1, got 0"):
+        probe(0)
     report = verify_axioms(ev, samples=2.0, seed=1)
     assert type(report.samples) is int and report == verify_axioms(ev, samples=2, seed=1)
+    checked = probe(2.0)
+    assert type(checked.probe_count) is int and checked == probe(2)
+    assert checked.max_deviation == pytest.approx(5.0)
     want = cs.diag_excess_search(M, budget=2, sweeps=3)
     for counts in ({"budget": 2.0, "sweeps": 3}, {"budget": 2, "sweeps": 3.0}):
         got = cs.diag_excess_search(M, **counts)
@@ -534,11 +544,7 @@ def _reference_search(source, budget, seed, sweeps=50):
     # (value, p, restart) under the search's stop and tie rules
     d, n = source.single_dim, source.order
     dim, r = d ** n, d ** (n - 1)
-    if isinstance(source, ILSOperator):
-        rho_m = source.matrix.reshape(d, r, r, d, r, d, d, r)[:, 0, 0, 0, 0, 0, :, 0]
-    else:
-        rho_m = density_matrix(source.rho)
-    w, v = np.linalg.eigh(rho_m)
+    w, v = np.linalg.eigh(source.rho.matrix)
     s = v[:, w > 1e-12] * np.sqrt(w[w > 1e-12])
     best_val, best_p, best_restart = -np.inf, None, -1
     for restart in range(budget):
@@ -640,31 +646,19 @@ def gram_families(rho, d, n, rng):
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_gram_matches_the_pairwise_loop(n, d, state):
+    # on each family's atoms the Gram of series, stream and ils is its own
+    # value pair by pair (series to the bit); the three agree on the verdict
+    # and unphysical elements, and pass the families that must be consistent
     rng = np.random.default_rng([n, d, len(state)])
     rho = spectrum_state(state, d, rng)
     evs = {m: make_evaluator(m, rho, d, n) for m in ("series", "stream", "ils")}
     for family, must_be_consistent in gram_families(rho, d, n, rng):
         atoms = family.atoms
-        oracle = evs["series"].gram(atoms, atoms)
-        # the series Gram is d_series pair by pair to the bit, also rectangular
-        for xs, ys in ((atoms, atoms), (atoms[:1], atoms[::-1])):
-            want = pairwise_gram(lambda p, q: d_series(rho, p, q), xs, ys)
-            assert bits(evs["series"].gram(xs, ys)) == bits(want)
+        for m, ev in evs.items():
+            g, want = ev.gram(atoms, atoms), pairwise_gram(ev.value, atoms, atoms)
+            assert bits(g) == bits(want) if m == "series" else np.max(np.abs(g - want)) <= 1e-12
         reports = {m: cs.check_consistent(ev, family) for m, ev in evs.items()}
-        # gram(atoms, atoms) checks and stacks the atoms once; an equal but
-        # distinct list takes the two-list path, with the same bytes
-        for ev in evs.values():
-            one_list = ev.gram(atoms, atoms)
-            assert bits(one_list) == bits(ev.gram(atoms, list(atoms)))
         for m in ("stream", "ils"):
-            ev = evs[m]
-            g = ev.gram(atoms, atoms)
-            assert g.shape == (len(atoms), len(atoms))
-            assert np.max(np.abs(g - pairwise_gram(ev.value, atoms, atoms))) <= 1e-12
-            assert np.max(np.abs(g - oracle)) <= 1e-9
-            # rectangular, with different lists on the two sides
-            rect = ev.gram(atoms[:1], atoms[::-1])
-            assert np.max(np.abs(rect - pairwise_gram(ev.value, atoms[:1], atoms[::-1]))) <= 1e-12
             assert reports[m].consistent == reports["series"].consistent
             assert reports[m].unphysical == reports["series"].unphysical
         if must_be_consistent:
@@ -699,44 +693,6 @@ def test_gram_of_empty_lists_is_empty():
     ev = make_evaluator("stream", pure_e1(2), 2, 2)
     assert ev.gram([], double_z_family().atoms).shape == (0, 4)
     assert ev.gram(double_z_family().atoms, ()).shape == (4, 0)
-
-
-@pytest.mark.parametrize("method", ["series", "stream", "ils"])
-def test_gram_raises_what_the_loop_raises(method):
-    ev = make_evaluator(method, pure_e1(3), 3, 2)
-    family = double_z_family()  # single_dim 2 against the state's 3
-    with pytest.raises(ShapeError) as batched:
-        cs.check_consistent(ev, family)
-    with pytest.raises(ShapeError) as loop:
-        pairwise_gram(ev.value, family.atoms, family.atoms)
-    assert str(batched.value) == str(loop.value)
-
-
-@pytest.mark.parametrize("state", ["full", "rank-deficient"])
-@pytest.mark.parametrize("d", [2, 3])
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_direct_gram_matches_d_direct_pair_by_pair(n, d, state):
-    rng = np.random.default_rng([n, d, len(state), 7])
-    rho = spectrum_state(state, d, rng)
-    hs = [random_homogeneous(d, n, rng) for _ in range(3)]
-    ks = [random_homogeneous(d, n, rng) for _ in range(2)]
-    got = make_evaluator("direct", rho, d, n).gram(hs, ks)
-    assert got.shape == (3, 2)
-    want = pairwise_gram(lambda h, k: d_direct(rho, h, k), hs, ks)
-    assert bits(got) == bits(want)
-
-
-def test_gram_order_mismatch_raises_as_the_loop_does():
-    rho = pure_e1(2)
-    family = double_z_family()
-    other = embed([P0, P0, P0])
-    for method in ("series", "stream", "ils"):
-        ev = make_evaluator(method, rho, 2, 2)
-        with pytest.raises(ShapeError) as batched:
-            ev.gram(family.atoms, (other,))
-        with pytest.raises(ShapeError) as loop:
-            pairwise_gram(ev.value, family.atoms, (other,))
-        assert str(batched.value) == str(loop.value)
 
 
 def test_direct_evaluator_is_refused_by_check_consistent():
@@ -837,7 +793,7 @@ def test_kernel_slice_is_the_state(d, n, state):
     rho = spectrum_state(state, d, np.random.default_rng([d, n, 3]))
     r = d ** (n - 1)
     m = build_M(rho, d, n).matrix.reshape(d, r, r, d, r, d, d, r)
-    assert np.array_equal(m[:, 0, 0, 0, 0, 0, :, 0], density_matrix(rho))
+    assert np.array_equal(m[:, 0, 0, 0, 0, 0, :, 0], rho.matrix)
 
 
 @pytest.mark.parametrize("state", ["pure", "mixed"])

@@ -6,7 +6,6 @@ from functools import partial, reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from histq import decoherence as dec
 from histq.errors import ShapeError, SizeCapError, ValidationError
@@ -15,9 +14,10 @@ from histq.historyspace import (completed_basis, density_from_spectral,
                                 zero_history_projection)
 from histq.seeding import generator
 
-from conftest import (P0, P1, PMINUS, PPLUS, SPECTRA, bits, embed, haar_unitary,
-                      identity_history_projection, kron_chain, near_degenerate_states,
-                      pure_e1, pure_state, random_density, random_proj, spectrum_state)
+from conftest import (DIFFERENTIAL_SPECTRA, P0, P1, PMINUS, PPLUS, SPECTRA, bits, embed,
+                      haar_unitary, identity_history_projection, kron_chain,
+                      near_degenerate_states, pairwise_gram, pure_e1, pure_state,
+                      random_density, random_proj, spectrum_state)
 
 
 def all_methods_value(rho, mats_h, mats_k, d, n):
@@ -46,14 +46,6 @@ def test_hand_oracle_single_time():
     values = all_methods_value(rho, [PPLUS], [P0], 2, 1)
     for method, v in values.items():
         assert abs(v - 0.5) <= 1e-12, method
-
-
-def test_normalization_all_methods(rng):
-    for d, n in ((2, 2), (3, 2)):
-        rho = random_density(d, rng)
-        eye = [np.eye(d, dtype=complex)] * n
-        for method, v in all_methods_value(rho, eye, eye, d, n).items():
-            assert abs(v - 1.0) <= 1e-10, method
 
 
 def test_zero_history_gives_zero(rng):
@@ -90,17 +82,6 @@ def test_positivity_on_diagonal(rng):
         v = dec.d_series(rho, p, p)
         assert v.real >= -1e-10
         assert abs(v.imag) <= 1e-10
-
-
-def test_series_matches_direct_random(rng):
-    for d, n in ((2, 2), (3, 2), (2, 3)):
-        rho = random_density(d, rng)
-        for _ in range(5):
-            mats_h = [random_proj(d, rng) for _ in range(n)]
-            mats_k = [random_proj(d, rng) for _ in range(n)]
-            v1 = dec.d_direct(rho, homogeneous_history(mats_h), homogeneous_history(mats_k))
-            v2 = dec.d_series(rho, embed(mats_h), embed(mats_k))
-            assert abs(v1 - v2) <= 1e-10
 
 
 def test_resolution_of_identity_sums_to_one(rng):
@@ -193,17 +174,6 @@ def test_via_m_additive_in_each_slot(rng):
     assert abs(gap) <= 1e-10
 
 
-def test_streaming_matches_materialized(rng):
-    for (d, n), spectrum in itertools.product(((2, 1), (3, 1), (2, 2), (3, 2), (2, 3)),
-                                              SPECTRA):
-        rho = spectrum_state(spectrum, d, rng)
-        M = dec.build_M(rho, d, n)
-        for _ in range(4):
-            p = history_projection(random_proj(d ** n, rng, int(rng.integers(0, d ** n + 1))), n, d)
-            q = history_projection(random_proj(d ** n, rng, int(rng.integers(0, d ** n + 1))), n, d)
-            assert abs(dec.d_via_M(M, p, q) - dec.d_via_M_streaming(rho, p, q)) <= 1e-12
-
-
 def test_state_fingerprint_distinguishes_states(rng):
     a = dec.state_fingerprint(pure_e1(2))
     b = dec.state_fingerprint(random_density(2, rng))
@@ -286,19 +256,6 @@ def test_evaluator_refuses_histories_outside_its_geometry(method):
                 ev.gram([args[0]], [args[1]])
         with pytest.raises(ShapeError):
             ev.gram([fit, bad], [])
-
-
-def test_evaluators_agree_on_histories_at_the_validation_tolerance(rng):
-    # factors diag(1, 8e-9) pass validation at 1e-8 but their Kronecker
-    # product would not; every evaluator still gives the one value
-    near = np.diag([1.0, 8e-9])
-    rho = random_density(2, rng)
-    h = homogeneous_history([near] * 3)
-    k = homogeneous_history([near, PPLUS, near])
-    for x, y in ((h, h), (h, k), (k, h)):
-        values = [dec.make_evaluator(m, rho, 2, 3).value(x, y)
-                  for m in ("direct", "series", "ils", "stream")]
-        assert max(abs(v - values[0]) for v in values) <= 1e-9
 
 
 def test_verify_axioms_all_methods(rng):
@@ -419,28 +376,6 @@ def test_d_direct_rejects_dim_mismatch(rng):
     h3 = homogeneous_history([np.eye(3)])
     with pytest.raises(ShapeError):
         dec.d_direct(rho, h3, h3)
-
-
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)]),
-       st.sampled_from(["full", "rank-one", "rank-deficient", "near-degenerate"]),
-       st.integers(0, 2 ** 32 - 1))
-def test_kernel_evaluators_agree_differential(dn, spectrum, seed):
-    # stream, ils and series on arbitrary (non-factorized) projections
-    d, n = dn
-    rng = np.random.default_rng(seed)
-    basis = haar_unitary(d, rng)
-    weights = {"full": rng.dirichlet(np.ones(d)),
-               "rank-one": [1.0],
-               "rank-deficient": rng.dirichlet(np.ones(d - 1)),
-               "near-degenerate": [0.5000001, 0.4999999]}[spectrum]
-    rho = density_from_spectral(weights, basis[:, :len(weights)])
-    dim = d ** n
-    p = history_projection(random_proj(dim, rng, int(rng.integers(0, dim + 1))), n, d)
-    q = history_projection(random_proj(dim, rng, int(rng.integers(0, dim + 1))), n, d)
-    series = dec.d_series(rho, p, q)
-    assert abs(dec.d_via_M_streaming(rho, p, q) - series) <= 1e-9
-    assert abs(dec.d_via_M(dec.build_M(rho, d, n), p, q) - series) <= 1e-9
 
 
 def _series_loop(rho, h, k):
@@ -705,29 +640,6 @@ def test_ils_reaches_the_history_cap():
         dec.build_M(rho, d, n).matrix
 
 
-@pytest.mark.parametrize("spectrum", SPECTRA)
-@pytest.mark.parametrize("dn", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (3, 3)])
-def test_sparse_ils_matches_stream_and_series(dn, spectrum):
-    # value and Gram of the contraction over the kernel's nonzero entries,
-    # against the two evaluators that never form M
-    d, n = dn
-    dim = d ** n
-    rng = np.random.default_rng([d, n, len(spectrum), 16])
-    rho = spectrum_state(spectrum, d, rng)
-    xs = [history_projection(random_proj(dim, rng, int(rng.integers(0, dim + 1))), n, d)
-          for _ in range(3)]
-    xs.append(homogeneous_history([random_proj(d, rng) for _ in range(n)]))
-    M = dec.build_M(rho, d, n)
-    for x, y in itertools.product(xs, repeat=2):
-        ils = dec.d_via_M(M, x, y)
-        assert abs(ils - dec.d_via_M_streaming(rho, x, y)) <= 1e-12
-        assert abs(ils - dec.d_series(rho, x, y)) <= 1e-12
-    ils = dec.make_evaluator("ils", rho, d, n).gram(xs, xs[::-1])
-    for method in ("stream", "series"):
-        other = dec.make_evaluator(method, rho, d, n).gram(xs, xs[::-1])
-        assert np.max(np.abs(ils - other)) <= 1e-12, method
-
-
 def test_sparse_ils_on_a_dense_hand_made_kernel():
     # a kernel with no zero entry, so every term of the contraction counts
     d, n = 2, 2
@@ -767,47 +679,81 @@ def test_state_matrix_cache_leaves_direct_and_stream_bytes_unchanged():
         assert bits(dec.d_via_M_streaming(rho, embed(facs[0]), embed(facs[1]))) == bits(want)
 
 
-def _free_value(method, rho, M, x, y):
-    if method == "direct":
-        return dec.d_direct(rho, x, y)
-    if method == "series":
-        return dec.d_series(rho, x, y)
-    if method == "ils":
-        return dec.d_via_M(M, x, y)
-    return dec.d_via_M_streaming(rho, x, y)
+def free_functions(rho, M):
+    """The free function of each method, bound to the state or, for ils, to
+    its kernel M."""
+    return {"direct": partial(dec.d_direct, rho), "series": partial(dec.d_series, rho),
+            "ils": partial(dec.d_via_M, M), "stream": partial(dec.d_via_M_streaming, rho)}
 
 
-@pytest.mark.parametrize("spectrum", ["full", "rank-deficient"])
-@pytest.mark.parametrize("dn", [(2, 1), (2, 2), (3, 2), (2, 3)])
-def test_free_functions_take_what_the_evaluator_takes(dn, spectrum):
-    # each free function checks, pads and embeds its arguments as the bound
-    # evaluator does, so it returns the same bits on both argument kinds and
-    # raises the same ShapeError; d_series, d_via_M and d_via_M_streaming
-    # used to raise AttributeError on homogeneous histories, and d_direct on
-    # history projections.  value calls the one-pair function of its
-    # method's free function, and never the Gram function
+@pytest.mark.parametrize("kind", DIFFERENTIAL_SPECTRA)
+@pytest.mark.parametrize("dn", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (3, 3)])
+def test_the_four_evaluators_agree(dn, kind):
+    # the differential table: every method on every ordered pair of its
+    # arguments, the identity, two random homogeneous histories, at d = 2 a
+    # history whose factors diag(1, 8e-9) pass validation at 1e-8 while
+    # their Kronecker product would not, and three history projections of
+    # random rank 0 ... D, which direct does not take
     d, n = dn
-    rng = np.random.default_rng([d, n, SPECTRA.index(spectrum)])
-    rho = spectrum_state(spectrum, d, rng)
-    M = dec.build_M(rho, d, n)
-    h = homogeneous_history([random_proj(d, rng) for _ in range(n)])
-    k = homogeneous_history([random_proj(d, rng) for _ in range(n)])
-    args = {"homogeneous": (h, k),
-            "projection": tuple(history_projection(random_proj(d ** n, rng), n, d)
-                                for _ in range(2))}
+    dim = d ** n
+    rng = np.random.default_rng([d, n, DIFFERENTIAL_SPECTRA.index(kind)])
+    rho = spectrum_state(kind, d, rng)
+    hs = [homogeneous_history([np.eye(d)] * n),
+          *(dec.random_homogeneous(d, n, rng) for _ in range(2))]
+    if d == 2:
+        hs.append(homogeneous_history([np.diag([1.0, 8e-9])] * n))
+    xs = hs + [history_projection(random_proj(dim, rng, int(rng.integers(0, dim + 1))), n, d)
+               for _ in range(3)]
 
     def no_gram(xs, ys):
         raise AssertionError("value asked the Gram function")
-    for method in ("direct", "series", "ils", "stream"):
-        ev = replace(dec.make_evaluator(method, rho, d, n), _gram=no_gram)
-        for kind, (x, y) in args.items():
-            if method == "direct" and kind == "projection":
-                for call in (partial(_free_value, method, rho, M), ev.value):
-                    with pytest.raises(ShapeError):
-                        call(x, y)
-                continue
-            got = _free_value(method, rho, M, x, y)
-            assert bits(got) == bits(ev.value(x, y)), (method, kind)
+    table = {}
+    for method, fn in free_functions(rho, dec.build_M(rho, d, n)).items():
+        ev = dec.make_evaluator(method, rho, d, n)
+        value = replace(ev, _gram=no_gram).value
+        args = hs if method == "direct" else xs
+        # (d) the free function checks, pads and embeds as value does, and
+        # value calls its one-pair function: the same bits or ShapeError
+        table[method] = pairwise_gram(fn, args, args)
+        assert bits(table[method]) == bits(pairwise_gram(value, args, args)), method
+        if method == "direct":
+            for call in (fn, value):
+                with pytest.raises(ShapeError):
+                    call(xs[-2], xs[-1])
+        # (e) the Gram square, from one list and from two, and rectangular:
+        # the bits of the pairwise values for series and direct, within
+        # 1e-12 of them for the kernel contractions
+        for got, want in ((ev.gram(args, args), table[method]),
+                          (ev.gram(args, list(args)), table[method]),
+                          (ev.gram(args[:1], args[::-1]), table[method][:1, ::-1])):
+            if method in ("direct", "series"):
+                assert bits(got) == bits(want), method
+            else:
+                assert np.max(np.abs(got - want)) <= 1e-12, method
+    # (a) the three methods that take projections, (b) direct against
+    # series on the homogeneous pairs, (c) d(1, 1) = 1 for all four
+    for method in ("ils", "stream"):
+        assert np.max(np.abs(table[method] - table["series"])) <= 1e-12, method
+    assert np.max(np.abs(table["direct"] - table["series"][:len(hs), :len(hs)])) <= 1e-10
+    for method, values in table.items():
+        assert abs(values[0, 0] - 1.0) <= 1e-10, method
+
+
+@pytest.mark.parametrize("method", ["series", "stream", "ils"])
+@pytest.mark.parametrize("misfit", ["single-dim", "order"])
+def test_gram_raises_what_the_loop_raises(misfit, method):
+    # a Gram with an argument outside the evaluator's geometry raises the
+    # ShapeError, message included, of the first pair the value loop reaches
+    xs = [embed([a, b]) for a in (P0, P1) for b in (P0, P1)]
+    if misfit == "single-dim":  # single_dim 2 against the state's 3
+        ev, ys = dec.make_evaluator(method, pure_e1(3), 3, 2), xs
+    else:
+        ev, ys = dec.make_evaluator(method, pure_e1(2), 2, 2), [embed([P0, P0, P0])]
+    with pytest.raises(ShapeError) as batched:
+        ev.gram(xs, ys)
+    with pytest.raises(ShapeError) as loop:
+        pairwise_gram(ev.value, xs, ys)
+    assert str(batched.value) == str(loop.value)
 
 
 def test_free_functions_refuse_mixed_orders_and_other_dimensions():
@@ -815,10 +761,10 @@ def test_free_functions_refuse_mixed_orders_and_other_dimensions():
     p2, p3 = identity_history_projection(2, 2), identity_history_projection(2, 3)
     h3 = homogeneous_history([np.eye(3)] * 2)
     q3 = identity_history_projection(3, 2)
-    for method in ("direct", "series", "ils", "stream"):
+    for fn in free_functions(rho, M).values():
         for x, y in ((p2, p3), (p3, p2), (h3, h3), (q3, p2), (p2, q3)):
             with pytest.raises(ShapeError):
-                _free_value(method, rho, M, x, y)
+                fn(x, y)
     # the kernel fixes the order: a longer homogeneous history does not fit
     with pytest.raises(ShapeError, match="does not fit"):
         dec.d_via_M(M, homogeneous_history([P0] * 3), homogeneous_history([P0] * 3))
