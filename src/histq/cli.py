@@ -117,7 +117,7 @@ def _write_text(text: str, path: str | None) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(path, "w", encoding="utf-8") as fh:
+        with serialize.open_output(path) as fh:
             fh.write(text)
             if not text.endswith("\n"):
                 fh.write("\n")

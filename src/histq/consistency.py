@@ -14,7 +14,8 @@ pair that attains it.
 The search for diagonal values above one needs only rho = S S^dagger: for
 Hermitian p, B(p) = A(p)^dagger and d(p, p) = ||A(p) S||_F^2.
 `diag_excess_search` raises it by a monotone ascent in p and a unit matrix
-Phi, reading rho from a kernel or a bound evaluator, and forms no kernel.
+Phi, held as Y = S Phi^dagger, reading rho from a kernel or a bound
+evaluator, and forms no kernel.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .decoherence import partial_trace_from_columns
 from .errors import ShapeError, ValidationError
@@ -247,27 +247,31 @@ def diag_excess_search(source, budget: int = 200, seed: int = 0,
     """Seeded multistart ascent on d(p, p) = ||A(p) S||_F^2, rho = S S^dagger.
 
     ``source`` is anything with ``rho``, ``single_dim`` and ``order``, such
-    as an ILSOperator or a bound Evaluator; S = V sqrt(w) over the nonzero
-    weights of rho.  Each sweep maximizes f(p, Phi) = Re tr(Phi^dagger A(p) S)
-    = tr(p Herm X(Phi)), X[(t,u),(u',v)] = delta(u,u') (S Phi^dagger)[t,v], in
-    one variable at a time, so d(p, p) = (max over unit Phi of f)^2 never
-    decreases:
+    as an ILSOperator or a bound Evaluator; S = V sqrt(w) over the weights of
+    rho above 1e-12, and rho_S = S S^dagger.  Each sweep maximizes
+    f(p, Phi) = Re tr(Phi^dagger A(p) S) = tr(p Herm X), where
+    X[(t,u),(u',v)] = delta(u,u') Y[t,v] / 2 and Y = S Phi^dagger, in one
+    variable at a time, so d(p, p) = (max over unit Phi of f)^2 never
+    decreases.  Phi is never held, only Y:
 
-    * p <- the projector V V^dagger onto the positive eigenspace of
-      Herm X(Phi), kept as its eigenvectors V; X and X^dagger are written
-      through strided views of their d D entries, D = d^n, into two
-      buffers reused by every sweep, and Herm X is their sum;
-    * Phi <- A(p) S / ||A(p) S||_F, with A(p) taken from V by
-      `partial_trace_from_columns`, so p itself is never formed.
+    * p <- the projector onto the positive eigenspace of Herm X = X + X^dagger,
+      kept as its eigenvectors V (the top one when no eigenvalue clears
+      1e-12); Y / 2 is written into the u = u' entries of one zeroed
+      D x D buffer, D = d^n, reused by every sweep;
+    * Phi <- A(p) S / ||A(p) S||_F, so Y <- (A(p) rho_S)^dagger / ||A(p) S||_F
+      with ||A(p) S||_F^2 = Re tr(A(p)^dagger A(p) rho_S), A(p) taken from V
+      by `partial_trace_from_columns`, so p itself is never formed.
 
-    Restart 0 starts at Phi = S, restart i > 0 at a random d x rank(rho) Phi
-    from the ``search`` stream.  A restart ends after ``sweeps`` sweeps or at
-    the first sweep that raises d(p, p) by at most 1e-13 max(1, d(p, p)),
-    and reports that sweep's p and value; p = V V^dagger is multiplied out
-    once, for the best restart.  A restart replaces the best only
-    when its value is larger by more than 1e-12, so ties break to the lowest
-    restart.  ``budget`` and ``sweeps`` are counts of at least 1 by the
-    integer rule of `checked_int`, and ``seed`` passes `checked_seed`.
+    Restart 0 starts at Y = rho_S (Phi = S), restart i > 0 at Y = S Phi^dagger
+    for a random d x rank(rho) Phi from the ``search`` stream.  A restart
+    ends after ``sweeps`` sweeps or at the first sweep that raises d(p, p) by
+    at most 1e-13 max(1, d(p, p)), and reports that sweep's p and value;
+    p = V V^dagger is multiplied out once, for the best restart, and ``xi``
+    is V's one column, in the phase eigh gave it, when p has rank one.  A
+    restart replaces the best only when its value is larger by more than
+    1e-12, so ties break to the lowest restart.  ``budget`` and ``sweeps`` are
+    counts of at least 1 by the integer rule of `checked_int`, and ``seed``
+    passes `checked_seed`.
     """
     seed = checked_seed(seed)
     budget, sweeps = checked_int(budget, "budget"), checked_int(sweeps, "sweeps")
@@ -279,41 +283,34 @@ def diag_excess_search(source, budget: int = 200, seed: int = 0,
     dim, r = d ** n, d ** (n - 1)
     w, vecs = np.linalg.eigh(source.rho.matrix)
     s = vecs[:, w > 1e-12] * np.sqrt(w[w > 1e-12])
-    # X[(t,u),(u,v)] = Y[t,v] / 2 and X^dagger as (t, u, v) views of two
-    # buffers whose other entries are never written, so Herm X = X + X^dagger
-    # is one add.  Those entries are +0.0 in X and -0.0 - 0.0j in X^dagger,
-    # so every entry has the bits of X written over zeros with X^dagger
-    # added to it: an entry of X alone keeps its signed zeros
+    rho_s = s @ s.conj().T
+    # X's only nonzero entries X[(t,u),(u,v)] = Y[t,v] / 2, by flat index
     x = np.zeros((dim, dim), dtype=np.complex128)
-    x_adj = np.full((dim, dim), complex(-0.0, -0.0))
-    herm = np.empty((dim, dim), dtype=np.complex128)
-    item = herm.itemsize
-    x_view = as_strided(x, (d, r, d), (r * dim * item, (dim + d) * item, item))
-    adj_view = as_strided(x_adj, (d, r, d), (r * item, (d * dim + 1) * item, dim * item))
+    x_flat = x.reshape(-1)
+    diagonal = (np.arange(d)[:, None, None] * (r * dim)
+                + np.arange(r)[:, None] * (dim + d) + np.arange(d))
     best_val, best_cols, best_restart = -np.inf, None, -1
     for restart in range(budget):
-        phi = s
+        half_y = 0.5 * rho_s
         if restart:
             rng = generator(seed, "search", restart)
             phi = rng.standard_normal(s.shape) + 1j * rng.standard_normal(s.shape)
+            half_y = 0.5 * (s @ phi.conj().T)
         val = 0.0
         for _ in range(sweeps):
-            half_y = 0.5 * (s @ phi.conj().T)[:, None, :]
-            x_view[...] = half_y
-            np.conjugate(half_y, out=adj_view)
-            np.add(x, x_adj, out=herm)
-            cols = _positive_columns(herm)
-            a_s = partial_trace_from_columns(cols, d, n) @ s
-            sq = float(np.vdot(a_s, a_s).real)
+            x_flat[diagonal] = half_y[:, None, :]
+            cols = _positive_columns(x + x.conj().T)
+            a = partial_trace_from_columns(cols, d, n)
+            a_rho = a @ rho_s
+            sq = float(np.vdot(a, a_rho).real)
             gain, val = sq - val, sq
             if gain <= STOP_TOL * max(1.0, val):
                 break
-            phi = a_s / np.sqrt(sq)
+            half_y = a_rho.conj().T * (0.5 / np.sqrt(sq))
         if val > best_val + TIE_TOL:
             best_val, best_cols, best_restart = val, cols, restart
-    best_p = best_cols @ best_cols.conj().T
-    hist = history_projection(best_p, n, d)
+    hist = history_projection(best_cols @ best_cols.conj().T, n, d)
     rank = hist.projection.rank
-    xi = np.ascontiguousarray(np.linalg.eigh(best_p)[1][:, -1]) if rank == 1 else None
+    xi = np.ascontiguousarray(best_cols[:, -1]) if rank == 1 else None
     return SearchResult(projection=hist, value=best_val, rank=rank,
                         restart_index=best_restart, xi=xi)

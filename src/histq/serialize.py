@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -190,11 +191,27 @@ def family_from_json(obj, cap: int = DEFAULT_HISTORY_CAP, tol: float = VALIDATIO
 
 
 def load_json(path: str):
+    """The JSON value in the file at path; a file that cannot be opened or
+    decoded, or is not JSON that json can parse, raises ValidationError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError holds JSONDecodeError, UnicodeDecodeError for bytes that are
+    # not UTF-8 and the int digit limit; deep nesting exhausts the parser's
+    # recursion
+    except (OSError, ValueError, RecursionError) as exc:
         raise ValidationError(f"cannot read JSON from {path}: {exc}") from exc
+
+
+@contextmanager
+def open_output(path: str):
+    """path opened for writing UTF-8 text; an OSError from opening or
+    writing it, such as a missing directory, raises ValidationError."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
 def dump_json(obj, path: str) -> None:
@@ -204,14 +221,15 @@ def dump_json(obj, path: str) -> None:
     byte what dumping `matrix_to_json` of it writes, without forming the
     list of [re, im] pairs; a non-finite entry, which would be written as
     NaN or Infinity and refused when read back, raises ValidationError
-    before the file is opened.
+    before the file is opened.  A path that cannot be written raises
+    ValidationError through `open_output`.
     """
     if isinstance(obj, np.ndarray):
         _dump_matrix_json(obj, path)
         return
     # one json.dumps call without indent runs CPython's C encoder; indent or
     # the streaming json.dump fall back to the pure-Python one
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         fh.write(json.dumps(obj, sort_keys=True))
         fh.write("\n")
 
@@ -220,7 +238,7 @@ def _dump_matrix_json(m: np.ndarray, path: str) -> None:
     m = _complex_matrix(m)
     if not np.isfinite(m).all():
         raise ValidationError("matrix has non-finite entries, which JSON cannot hold")
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         # the keys in sorted order and json's separators; json writes a
         # finite float as its repr
         fh.write('{"cols": %d, "data": [' % m.shape[1])

@@ -78,12 +78,14 @@ SPECTRA = ("full", "rank-one", "rank-deficient", "near-degenerate")
 DIFFERENTIAL_SPECTRA = SPECTRA + ("fewer-vectors", "near-degenerate-tight")
 
 
-def spectrum_state(kind, d, rng):
-    """A state on a Haar basis with weights of the given kind: full rank,
-    rank one, an exact zero weight, the same weights held as d - 1 vectors
-    without the zero, or the near-degenerate pairs of `NEAR_DEGENERATE`;
-    every kind draws the same numbers from rng."""
-    basis = haar_unitary(d, rng)
+def spectrum_state(kind, d, rng, basis=None):
+    """A state on a Haar basis, or on the columns of ``basis`` when given,
+    with weights of the given kind: full rank, rank one, an exact zero
+    weight, the same weights held as d - 1 vectors without the zero, or the
+    near-degenerate pairs of `NEAR_DEGENERATE`; every kind draws the same
+    numbers from rng."""
+    if basis is None:
+        basis = haar_unitary(d, rng)
     full, deficient = rng.dirichlet(np.ones(d)), [*rng.dirichlet(np.ones(d - 1)), 0.0]
     weights = {"full": full,
                "rank-one": [1.0],

@@ -545,6 +545,31 @@ def test_invalid_settings_exit_2_without_traceback(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+def test_json_that_cannot_be_read_exits_2_without_traceback(tmp_path, capsys):
+    rho = tmp_path / "rho.json"
+    rho.write_bytes(b'{"dim": 2, "label": "caf\xe9"}')
+    assert main(["search-excess", "--rho", str(rho)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation error: cannot read JSON from {rho}: 'utf-8' codec")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["search-excess", "--out", "{out}.json"],
+    ["unbounded-probe", "--sizes", "1,2", "--out", "{out}.csv"],
+    ["build-m", "--rho", "{rho}", "-n", "2", "--out", "{out}.json"],
+], ids=lambda argv: argv[0])
+def test_output_in_a_missing_directory_exits_2_without_traceback(tmp_path, capsys, argv):
+    # a JSON, a CSV and a streamed kernel: each open raised a bare
+    # FileNotFoundError, exit 1
+    rho = rho_file(tmp_path, pure_e1(2))
+    out = tmp_path / "missing" / "out"
+    assert main([a.format(rho=rho, out=out) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation error: cannot write {out}.")
+    assert err.count("\n") == 1
+
+
 
 @pytest.mark.parametrize("argv", [
     ["verify", "-d", "9", "-n", "2", "--method", "stream"],

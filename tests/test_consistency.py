@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from histq import consistency as cs
-from histq.decoherence import (build_M, d_series, d_via_M_streaming, make_evaluator,
+from histq.decoherence import (build_M, d_via_M_streaming, make_evaluator,
                                partial_trace_a, random_homogeneous, verify_axioms)
 from histq.errors import ShapeError, ValidationError
 from histq.historyspace import (HistoryProjection, Projection, density_from_spectral,
@@ -412,42 +412,11 @@ def test_both_orientations_of_a_disjoint_pair_are_checked():
     assert report.probabilities == {"g0": 0.5, "g1": 0.5}
 
 
-def test_search_finds_excess_diagonal():
-    M = build_M(pure_e1(2), 2, 2)
-    res = cs.diag_excess_search(M, budget=20, seed=0)
-    assert res.value >= 1.05
-    assert res.value == pytest.approx(2.25, abs=1e-6)
-    assert res.value <= 8.0 + 1e-9
-    assert res.rank == 2
-    assert res.xi is None
-    assert 0 <= res.restart_index < 20
-    direct = d_series(pure_e1(2), res.projection, res.projection)
-    assert abs(direct.real - res.value) <= 1e-9
-
-
 def test_search_budget_monotone():
     M = build_M(pure_e1(2), 2, 2)
     small = cs.diag_excess_search(M, budget=5, seed=0)
     large = cs.diag_excess_search(M, budget=50, seed=0)
     assert large.value >= small.value - 1e-12
-
-
-def test_search_single_time_finds_no_excess(rng):
-    # at order 1 every diagonal is tr(p rho p) <= 1, so the probe must not
-    # report a value above one; p = 1 attains the supremum 1 for every state
-    M = build_M(random_density(2, rng), 2, 1)
-    res = cs.diag_excess_search(M, budget=10, seed=0)
-    assert 0.0 < res.value <= 1.0 + 1e-9
-    assert abs(res.value - 1.0) <= 1e-12
-
-
-def test_search_deterministic():
-    M = build_M(pure_e1(2), 2, 2)
-    r1 = cs.diag_excess_search(M, budget=10, seed=3)
-    r2 = cs.diag_excess_search(M, budget=10, seed=3)
-    assert r1.value == r2.value
-    assert r1.restart_index == r2.restart_index
-    assert r1.projection.matrix.tobytes() == r2.projection.matrix.tobytes()
 
 
 def test_search_rejects_bad_budget():
@@ -508,17 +477,6 @@ def test_seeds_are_checked_before_any_work(seed):
     assert type(report.seed) is int and report == verify_axioms(ev, samples=1, seed=3)
 
 
-def test_search_rank_one_peak_reports_xi():
-    M = build_M(pure_e1(2), 2, 1)
-    res = cs.diag_excess_search(M, budget=5, seed=0)
-    assert res.rank == 1
-    assert res.xi is not None
-    assert abs(np.linalg.norm(res.xi) - 1.0) <= 1e-12
-    assert np.allclose(np.outer(res.xi, np.conj(res.xi)),
-                       res.projection.matrix, atol=1e-12)
-    assert res.value == pytest.approx(1.0, abs=1e-12)
-
-
 def test_homogeneous_diagonals_never_exceed_one(rng):
     rho = random_density(2, rng)
     ev = make_evaluator("series", rho, 2, 2)
@@ -573,6 +531,12 @@ def assert_matches_reference(res, source, budget, seed):
     assert res.rank == int(round(np.trace(p).real))
     assert abs(res.value - value) <= 1e-12 * max(1.0, value)
     assert np.max(np.abs(res.projection.matrix - p)) <= 1e-10
+
+
+def search_bytes(res):
+    # everything a search reports, as bytes
+    xi = None if res.xi is None else res.xi.tobytes()
+    return (res.value.hex(), res.rank, res.restart_index, res.projection.matrix.tobytes(), xi)
 
 
 def _einsum_ascent(M, budget, seed, sweeps=50):
@@ -773,19 +737,6 @@ def test_search_value_never_decreases_with_sweeps():
 
 
 @pytest.mark.parametrize("state", ["full", "rank-one", "rank-deficient"])
-@pytest.mark.parametrize("dn", [(2, 1), (2, 2), (3, 2), (2, 3)])
-def test_search_kernel_and_evaluator_give_the_same_bytes(dn, state):
-    d, n = dn
-    rho = spectrum_state(state, d, np.random.default_rng([d, n, 9]))
-    a = cs.diag_excess_search(build_M(rho, d, n), budget=4, seed=2)
-    b = cs.diag_excess_search(make_evaluator("stream", rho, d, n), budget=4, seed=2)
-    assert (a.value, a.rank, a.restart_index) == (b.value, b.rank, b.restart_index)
-    assert a.projection.matrix.tobytes() == b.projection.matrix.tobytes()
-    assert (a.xi is None) == (b.xi is None)
-    assert a.xi is None or a.xi.tobytes() == b.xi.tobytes()
-
-
-@pytest.mark.parametrize("state", ["full", "rank-one", "rank-deficient"])
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("d", [2, 3])
 def test_kernel_slice_is_the_state(d, n, state):
@@ -812,15 +763,30 @@ def test_search_stops_once_the_value_settles(state):
 @pytest.mark.parametrize("state", SPECTRA)
 @pytest.mark.parametrize("dn", [(2, 1), (2, 2), (3, 2), (2, 3), (2, 4), (3, 3)])
 def test_search_matches_the_unfused_sweep(dn, state):
-    # the in-place Herm X and the factored A(V V^dagger) change only rounding:
-    # every search picks the reference's restart and rank, with its value
-    # and projection
+    # the sweep on Y = S Phi^dagger alone, its one buffer for X and the
+    # factored A(V V^dagger) change only rounding: every search picks the
+    # reference's restart and rank, with its value and projection.  The
+    # kernel and a rerun give the same bytes, xi spans p exactly when p has
+    # rank one, stream re-evaluates the value, and at one time step no
+    # diagonal exceeds tr(rho) = 1, which p = 1 attains
     d, n = dn
     rho = spectrum_state(state, d, np.random.default_rng([d, n, 21]))
     ev = make_evaluator("stream", rho, d, n)
+    M = build_M(rho, d, n)
     for seed in range(3):
         res = cs.diag_excess_search(ev, budget=6, seed=seed)
         assert_matches_reference(res, ev, 6, seed)
+        for again in (cs.diag_excess_search(M, budget=6, seed=seed),
+                      cs.diag_excess_search(ev, budget=6, seed=seed)):
+            assert search_bytes(again) == search_bytes(res), seed
+        assert (res.xi is None) == (res.rank != 1), seed
+        if res.xi is not None:
+            assert abs(np.linalg.norm(res.xi) - 1.0) <= 1e-12, seed
+            xi_p = np.outer(res.xi, res.xi.conj())
+            assert np.max(np.abs(xi_p - res.projection.matrix)) <= 1e-12, seed
+        assert abs(ev.value(res.projection, res.projection) - res.value) <= 1e-9, seed
+        if n == 1:
+            assert abs(res.value - 1.0) <= 1e-12, seed
 
 
 def test_search_matches_the_unfused_sweep_at_full_budget():

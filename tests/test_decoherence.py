@@ -450,8 +450,8 @@ def test_series_rank_deficient_call_leaves_the_cached_table_intact():
     d, n = 3, 2
     rng = np.random.default_rng(31)
     basis = haar_unitary(d, rng)
-    full = density_from_spectral(rng.dirichlet(np.ones(d)), basis)
-    deficient = density_from_spectral([*rng.dirichlet(np.ones(d - 1)), 0.0], basis)
+    full = spectrum_state("full", d, rng, basis)
+    deficient = spectrum_state("rank-deficient", d, rng, basis)
     p = history_projection(random_proj(d ** n, rng, 4), n, d)
     q = history_projection(random_proj(d ** n, rng, 5), n, d)
     before = dec.d_series(full, p, q)
@@ -509,8 +509,8 @@ def test_series_warm_memo_is_bit_identical_to_tuple_loop(full_first):
     d, n = 3, 2
     rng = np.random.default_rng([43, full_first])
     basis = haar_unitary(d, rng)
-    full = density_from_spectral(rng.dirichlet(np.ones(d)), basis)
-    deficient = density_from_spectral([*rng.dirichlet(np.ones(d - 1)), 0.0], basis)
+    full = spectrum_state("full", d, rng, basis)
+    deficient = spectrum_state("rank-deficient", d, rng, basis)
     xs = [history_projection(random_proj(d ** n, rng, r), n, d) for r in (1, 4, 8)]
     states = (full, deficient) if full_first else (deficient, full)
     for _ in range(2):  # the second round reads the warm memo

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -180,6 +181,15 @@ def test_load_json_missing_file(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ValidationError):
         sz.load_json(str(bad))
+    # bytes that are not UTF-8 and deep nesting escaped as a bare
+    # UnicodeDecodeError and RecursionError
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"label": "caf\u00e9"}'.encode("latin-1"))
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    for path in (latin1, deep):
+        with pytest.raises(ValidationError, match=re.escape(f"cannot read JSON from {path}:")):
+            sz.load_json(str(path))
 
 
 def test_dump_json_stable_layout(tmp_path):
