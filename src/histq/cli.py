@@ -31,7 +31,7 @@ from .errors import (HistqError, NumericalError, ShapeError, SizeCapError,
                      ValidationError)
 from .historyspace import (DEFAULT_HISTORY_CAP, DEFAULT_MATERIALIZE_CAP, METHODS,
                            VALIDATION_TOL, DensityOperator, HomogeneousHistory,
-                           checked_int, checked_tol, density_from_spectral,
+                           checked_count, checked_int, checked_tol, density_from_spectral,
                            embed_homogeneous, history_projection, projection_residuals)
 from .seeding import checked_seed, generator, stream_metadata
 
@@ -377,8 +377,7 @@ def _cmd_bench(args, cfg: RunConfig) -> int:
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ValidationError(f"unknown evaluation method {unknown[0]!r}")
-    if args.pairs < 1:
-        raise ValidationError(f"--pairs must be >= 1, got {args.pairs}")
+    checked_count(args.pairs, "--pairs")
     for method in methods:
         _check_history_cap(method, d if rho is None else rho.dim, d, n, cfg)
     if rho is None:

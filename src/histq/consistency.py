@@ -27,7 +27,7 @@ import numpy as np
 
 from .decoherence import partial_trace_from_columns
 from .errors import ShapeError, ValidationError
-from .historyspace import (VALIDATION_TOL, HistoryProjection, Projection, checked_int,
+from .historyspace import (VALIDATION_TOL, HistoryProjection, Projection, checked_count,
                            checked_tol, history_projection, validate_projection)
 from .seeding import checked_seed, generator
 
@@ -148,16 +148,29 @@ class ConsistencyReport:
 
 
 @lru_cache(maxsize=MAX_ATOMS)
-def _closure_table(k: int) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, ...], ...]]:
+def _closure_table(k: int) -> tuple[np.ndarray, np.ndarray]:
     """The closure of k atoms, one column per mask m in 0 ... 2^k - 1: the
-    (k, 2^k) indicator columns ind[i, m] = bit i of m, their complement
-    1 - ind, and the atom indices of each mask in increasing order.  The
-    arrays are read-only, since every check with k atoms shares them."""
+    (k, 2^k) indicator columns ind[i, m] = bit i of m and their complement
+    1 - ind.  The arrays are read-only, since every check with k atoms
+    shares them."""
     ind = ((np.arange(1 << k) >> np.arange(k)[:, None]) & 1).astype(float)
     comp = 1.0 - ind
     for table in (ind, comp):
         table.flags.writeable = False
-    return ind, comp, tuple(tuple(i for i in range(k) if m >> i & 1) for m in range(1 << k))
+    return ind, comp
+
+
+@lru_cache(maxsize=4)
+def _closure_labels(atom_labels: tuple[str, ...]) -> tuple[str, ...]:
+    """The name of every closure element in mask order: its atoms' labels in
+    atom order joined by "+", and "" for the empty element.  Atom i adds the
+    masks 2^i ... 2^(i+1) - 1, its own label and then each earlier non-empty
+    name followed by "+" and the label, so no name is joined twice.  Checks
+    that repeat a label set share one table."""
+    names = [""]
+    for label in atom_labels:
+        names += [label, *[f"{name}+{label}" for name in names[1:]]]
+    return tuple(names)
 
 
 def check_consistent(evaluator, family: HistoryFamily,
@@ -166,10 +179,11 @@ def check_consistent(evaluator, family: HistoryFamily,
 
     evaluator is anything with gram(ps, qs), the matrix of values on two
     lists of history projections, such as a bound `Evaluator`; it is asked
-    once, for the Gram of the atoms.  The closure's indicator columns, their
-    complement and each element's atom indices depend on the atom count k
-    alone and come from a table cached per k.  ``tol`` must be positive and
-    finite.
+    once, for the Gram of the atoms.  The closure's indicator columns and
+    their complement depend on the atom count k alone and come from a table
+    cached per k; the names of its elements come from a table per label set,
+    built once and kept for the last few label sets.  ``tol`` must be
+    positive and finite.
 
     For a closure element s with atom indicator e_s, Re d(s, t) equals the
     sum of r_s = e_s Re G over the atoms of t.  Over non-empty t disjoint
@@ -185,7 +199,7 @@ def check_consistent(evaluator, family: HistoryFamily,
     tol = checked_tol(tol)
     atoms = family.atoms
     re_gram = evaluator.gram(atoms, atoms).real
-    ind, comp, members = _closure_table(len(atoms))
+    ind, comp = _closure_table(len(atoms))
     # r[j, m] = Re d(s_m, a_j), one column per mask, so every sum over atoms
     # below adds k contiguous rows of 2^k entries; r's buffer is reused
     r = re_gram.T @ ind
@@ -198,11 +212,7 @@ def check_consistent(evaluator, family: HistoryFamily,
     neg = np.subtract(part, outside, out=part).sum(axis=0)
     best = np.maximum(pos, neg)
     max_re = float(best.max())
-    atom_labels = family.atom_labels
-
-    def label(mask: int) -> str:
-        return "+".join([atom_labels[i] for i in members[mask]])
-
+    names = _closure_labels(family.atom_labels)
     witness = None
     if max_re > 0.0:
         # mirrored pairs (s, t) and (t, s) tie in exact arithmetic, so the
@@ -211,12 +221,12 @@ def check_consistent(evaluator, family: HistoryFamily,
         s = int((best >= max_re - margin).argmax())
         sign = -1.0 if neg[s] > pos[s] + margin else 1.0
         t = sum(1 << i for i, x in enumerate(outside[:, s].tolist()) if sign * x > 0.0)
-        witness = (label(s), label(t))
+        witness = (names[s], names[t])
     probabilities = dict(zip(family.labels,
                              re_gram.diagonal()[:len(family.members)].tolist()))
     prob_sum = float(sum(probabilities.values()))
     # the empty element's diagonal is 0, below 1 + tol for every positive tol
-    unphysical = tuple([label(m) for m in np.flatnonzero(diag > 1.0 + tol).tolist()])
+    unphysical = tuple([names[m] for m in np.flatnonzero(diag > 1.0 + tol).tolist()])
     consistent = max_re <= tol and all(p >= -tol for p in probabilities.values())
     return ConsistencyReport(consistent=consistent, max_re_offdiag=max_re,
                              max_re_witness=witness, probabilities=probabilities,
@@ -242,6 +252,32 @@ def _positive_columns(h: np.ndarray) -> np.ndarray:
     return vecs[:, -max(keep, 1):]
 
 
+def _sweep_buffer(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The zeroed D x D buffer for X, D = d^n, and the flat index of its only
+    nonzero entries X[(t,u),(u,v)] = Y[t,v] / 2, shaped (d, d^(n-1), d) so
+    that Y / 2 broadcasts into it."""
+    dim, r = d ** n, d ** (n - 1)
+    diagonal = (np.arange(d)[:, None, None] * (r * dim)
+                + np.arange(r)[:, None] * (dim + d) + np.arange(d))
+    return np.zeros((dim, dim), dtype=np.complex128), diagonal
+
+
+def _sweep(x: np.ndarray, diagonal: np.ndarray, half_y: np.ndarray, rho_s: np.ndarray,
+           d: int, n: int) -> tuple[np.ndarray, float, np.ndarray]:
+    """One sweep of the excess search from Y = 2 half_y: the columns V of p,
+    the value d(p, p) = ||A(p) S||_F^2 and the next Y / 2.
+
+    Y / 2 is written through the flat index ``diagonal`` into the u = u'
+    entries of the buffer ``x`` from `_sweep_buffer`, whose other entries
+    stay 0, so every sweep of a search reuses one buffer."""
+    x.reshape(-1)[diagonal] = half_y[:, None, :]
+    cols = _positive_columns(x + x.conj().T)
+    a = partial_trace_from_columns(cols, d, n)
+    a_rho = a @ rho_s
+    sq = float(np.vdot(a, a_rho).real)
+    return cols, sq, a_rho.conj().T * (0.5 / np.sqrt(sq))
+
+
 def diag_excess_search(source, budget: int = 200, seed: int = 0,
                        sweeps: int = 50) -> SearchResult:
     """Seeded multistart ascent on d(p, p) = ||A(p) S||_F^2, rho = S S^dagger.
@@ -257,7 +293,7 @@ def diag_excess_search(source, budget: int = 200, seed: int = 0,
     * p <- the projector onto the positive eigenspace of Herm X = X + X^dagger,
       kept as its eigenvectors V (the top one when no eigenvalue clears
       1e-12); Y / 2 is written into the u = u' entries of one zeroed
-      D x D buffer, D = d^n, reused by every sweep;
+      D x D buffer, D = d^n, reused by every sweep (`_sweep`);
     * Phi <- A(p) S / ||A(p) S||_F, so Y <- (A(p) rho_S)^dagger / ||A(p) S||_F
       with ||A(p) S||_F^2 = Re tr(A(p)^dagger A(p) rho_S), A(p) taken from V
       by `partial_trace_from_columns`, so p itself is never formed.
@@ -269,26 +305,16 @@ def diag_excess_search(source, budget: int = 200, seed: int = 0,
     p = V V^dagger is multiplied out once, for the best restart, and ``xi``
     is V's one column, in the phase eigh gave it, when p has rank one.  A
     restart replaces the best only when its value is larger by more than
-    1e-12, so ties break to the lowest restart.  ``budget`` and ``sweeps`` are
-    counts of at least 1 by the integer rule of `checked_int`, and ``seed``
-    passes `checked_seed`.
+    1e-12, so ties break to the lowest restart.  ``budget`` and ``sweeps``
+    pass `checked_count`, and ``seed`` passes `checked_seed`.
     """
     seed = checked_seed(seed)
-    budget, sweeps = checked_int(budget, "budget"), checked_int(sweeps, "sweeps")
-    if budget < 1:
-        raise ValidationError(f"budget must be >= 1, got {budget}")
-    if sweeps < 1:
-        raise ValidationError(f"sweeps must be >= 1, got {sweeps}")
+    budget, sweeps = checked_count(budget, "budget"), checked_count(sweeps, "sweeps")
     d, n = source.single_dim, source.order
-    dim, r = d ** n, d ** (n - 1)
     w, vecs = np.linalg.eigh(source.rho.matrix)
     s = vecs[:, w > 1e-12] * np.sqrt(w[w > 1e-12])
     rho_s = s @ s.conj().T
-    # X's only nonzero entries X[(t,u),(u,v)] = Y[t,v] / 2, by flat index
-    x = np.zeros((dim, dim), dtype=np.complex128)
-    x_flat = x.reshape(-1)
-    diagonal = (np.arange(d)[:, None, None] * (r * dim)
-                + np.arange(r)[:, None] * (dim + d) + np.arange(d))
+    x, diagonal = _sweep_buffer(d, n)
     best_val, best_cols, best_restart = -np.inf, None, -1
     for restart in range(budget):
         half_y = 0.5 * rho_s
@@ -298,15 +324,10 @@ def diag_excess_search(source, budget: int = 200, seed: int = 0,
             half_y = 0.5 * (s @ phi.conj().T)
         val = 0.0
         for _ in range(sweeps):
-            x_flat[diagonal] = half_y[:, None, :]
-            cols = _positive_columns(x + x.conj().T)
-            a = partial_trace_from_columns(cols, d, n)
-            a_rho = a @ rho_s
-            sq = float(np.vdot(a, a_rho).real)
+            cols, sq, half_y = _sweep(x, diagonal, half_y, rho_s, d, n)
             gain, val = sq - val, sq
             if gain <= STOP_TOL * max(1.0, val):
                 break
-            half_y = a_rho.conj().T * (0.5 / np.sqrt(sq))
         if val > best_val + TIE_TOL:
             best_val, best_cols, best_restart = val, cols, restart
     hist = history_projection(best_cols @ best_cols.conj().T, n, d)

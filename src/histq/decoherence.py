@@ -74,7 +74,7 @@ from .historyspace import (
     DensityOperator,
     HistoryProjection,
     HomogeneousHistory,
-    checked_int,
+    checked_count,
     checked_tol,
     embed_homogeneous,
     history_projection,
@@ -629,14 +629,12 @@ def verify_axioms(evaluator: Evaluator, samples: int = 200, seed: int = 0,
     come from two Gram calls, the column of (x, whole, x1, x2) against y and
     the row of y against them, and one ``value`` call for d(x, x).
     Violations are data, not errors; the report is bit-identical for
-    identical inputs and seed.  ``samples`` is a count of at least 1 by the
-    integer rule of `checked_int`, ``seed`` passes `checked_seed` and ``tol``
-    must be positive and finite; all three are checked before any sample.
+    identical inputs and seed.  ``samples`` passes `checked_count`, ``seed``
+    passes `checked_seed` and ``tol`` must be positive and finite; all three
+    are checked before any sample.
     """
     seed, tol = checked_seed(seed), checked_tol(tol)
-    samples = checked_int(samples, "samples")
-    if samples < 1:
-        raise ValidationError(f"samples must be >= 1, got {samples}")
+    samples = checked_count(samples, "samples")
     rng = generator(seed, "verify")
     d, n = evaluator.single_dim, evaluator.order
     homogeneous = evaluator.method == "direct"

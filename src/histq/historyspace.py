@@ -36,6 +36,14 @@ def checked_int(val, what: str) -> int:
     return int(val)
 
 
+def checked_count(val, what: str) -> int:
+    """val as an int of at least 1 by the integer rule of `checked_int`."""
+    val = checked_int(val, what)
+    if val < 1:
+        raise ValidationError(f"{what} must be >= 1, got {val}")
+    return val
+
+
 def checked_tol(tol, what: str = "tol") -> float:
     """tol as a float; bools, strings and numbers that are not positive and
     finite are rejected."""

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import matrixcore
 from .errors import ShapeError, SizeCapError, ValidationError
-from .historyspace import DensityOperator, checked_int, density_from_spectral
+from .historyspace import DensityOperator, checked_count, checked_int, density_from_spectral
 from .seeding import checked_seed, generator
 
 # largest probe size N: a probe costs O(N * rank rho) work and memory, about
@@ -140,13 +140,10 @@ def uniqueness_check(rho: DensityOperator, q_eval, order: int,
     Any bounded form that agrees with the functional on projection tensors
     must agree everywhere, so a nonzero deviation flags a defective
     candidate; the check is an agreement test on probes, not a proof.
-    ``probe_count`` is a count of at least 1 by the integer rule of
-    `checked_int`, and ``seed`` passes `checked_seed`, before any probe is
-    drawn.
+    ``probe_count`` passes `checked_count` and ``seed`` passes
+    `checked_seed` before any probe is drawn.
     """
-    probe_count = checked_int(probe_count, "probe_count")
-    if probe_count < 1:
-        raise ValidationError(f"probe_count must be >= 1, got {probe_count}")
+    probe_count = checked_count(probe_count, "probe_count")
     seed = checked_seed(seed)
     rng = generator(seed, "probe")
     worst = 0.0

@@ -545,6 +545,11 @@ def test_invalid_settings_exit_2_without_traceback(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+def test_bench_pairs_follow_the_count_rule(capsys):
+    assert main(["bench", "--pairs", "0"]) == 2
+    assert capsys.readouterr().err == "validation error: --pairs must be >= 1, got 0\n"
+
+
 def test_json_that_cannot_be_read_exits_2_without_traceback(tmp_path, capsys):
     rho = tmp_path / "rho.json"
     rho.write_bytes(b'{"dim": 2, "label": "caf\xe9"}')

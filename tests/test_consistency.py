@@ -386,7 +386,7 @@ def test_exactly_consistent_family_reports_a_positive_zero():
 
 def test_closure_tables_are_cached_and_read_only():
     for k in (1, 5, 12):
-        ind, comp, members = cs._closure_table(k)
+        ind, comp = cs._closure_table(k)
         assert cs._closure_table(k)[0] is ind
         # one indicator column per mask: ind[i, m] is bit i of m
         assert ind.shape == comp.shape == (k, 1 << k)
@@ -394,12 +394,26 @@ def test_closure_tables_are_cached_and_read_only():
         masks = np.arange(1 << k)
         assert all(np.array_equal(ind[i], masks >> i & 1) for i in range(k))
         assert np.array_equal(ind + comp, np.ones((k, 1 << k)))
-        assert members[0] == () and members[-1] == tuple(range(k))
-        assert isinstance(members, tuple)
         for table in (ind, comp, *cs._upper_pairs(k)):
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[...] = 0
+
+
+def test_closure_names_join_the_atom_labels():
+    # labels holding "+" and "-", as the x/z family's do, and the complement
+    # "rest" last: every mask's name is its atoms' labels in atom order
+    # joined by "+", and "" for the empty element
+    pool = ("+0", "-1", *(f"a{j}" for j in range(2, 11)))
+    for k in range(1, 13):
+        labels = (*pool[:k - 1], "rest")
+        names = cs._closure_labels(labels)
+        assert isinstance(names, tuple) and len(names) == 1 << k
+        assert all(names[m] == "+".join(labels[i] for i in range(k) if m >> i & 1)
+                   for m in range(1 << k)), k
+        # an equal label tuple, not the same object, reads the cached table
+        assert cs._closure_labels(tuple(list(labels))) is names
+    assert cs._closure_labels.cache_info().maxsize == 4
 
 
 def test_both_orientations_of_a_disjoint_pair_are_checked():
@@ -444,9 +458,16 @@ def test_counts_follow_the_integer_rule():
                 cs.diag_excess_search(M, **{key: bad})
         with pytest.raises(ValidationError, match="probe_count must be an integer"):
             probe(bad)
-    # zero probes would report no deviation for any form
-    with pytest.raises(ValidationError, match="probe_count must be >= 1, got 0"):
-        probe(0)
+    # zero probes would report no deviation for any form, zero samples no
+    # violation, and zero sweeps or restarts no projection
+    for bad in (0, -1):
+        with pytest.raises(ValidationError, match=f"^samples must be >= 1, got {bad}$"):
+            verify_axioms(ev, samples=bad)
+        for key in ("budget", "sweeps"):
+            with pytest.raises(ValidationError, match=f"^{key} must be >= 1, got {bad}$"):
+                cs.diag_excess_search(M, **{key: bad})
+        with pytest.raises(ValidationError, match=f"^probe_count must be >= 1, got {bad}$"):
+            probe(bad)
     report = verify_axioms(ev, samples=2.0, seed=1)
     assert type(report.samples) is int and report == verify_axioms(ev, samples=2, seed=1)
     checked = probe(2.0)
@@ -724,16 +745,42 @@ def test_pure_state_witness_attains_the_closed_form(d, n, rank):
     assert res.rank == rank
 
 
-def test_search_value_never_decreases_with_sweeps():
-    # each half-step maximizes Re tr(Phi^dagger A(p) S) in one variable, so
-    # the diagonal of one restart climbs with every sweep; on these mixed
-    # states restart 0 (Phi = S) is not yet at its fixed point
-    for d, n in ((2, 3), (2, 4), (3, 3)):
-        M = build_M(random_density(d, np.random.default_rng([d, n, 5])), d, n)
-        values = [cs.diag_excess_search(M, budget=1, seed=4, sweeps=k).value
-                  for k in range(1, 7)]
-        assert all(b >= a - 1e-12 for a, b in zip(values, values[1:])), values
-        assert values[-1] > values[0] + 1e-3, values
+@pytest.mark.parametrize("d, n", [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3)])
+def test_every_restart_climbs_with_every_sweep(d, n):
+    # each sweep maximizes Re tr(Phi^dagger A(p) S) in p and then in Phi, so
+    # d(p, p) never decreases from one sweep to the next, on every restart:
+    # restart 0 starts at Y = rho_S, restart i > 0 at the non-Hermitian
+    # Y = S Phi_i^dagger of the search stream.  The search with the same
+    # seed reports the value at which the best of these restarts stops
+    for j in range(4):
+        rho = random_density(d, np.random.default_rng([d, n, 5 + j]))
+        w, vecs = np.linalg.eigh(rho.matrix)
+        s = vecs[:, w > 1e-12] * np.sqrt(w[w > 1e-12])
+        rho_s = s @ s.conj().T
+        x, diagonal = cs._sweep_buffer(d, n)
+        best = -np.inf
+        for restart in range(3):
+            half_y = 0.5 * rho_s
+            if restart:
+                rng = generator(j, "search", restart)
+                phi = rng.standard_normal(s.shape) + 1j * rng.standard_normal(s.shape)
+                half_y = 0.5 * (s @ phi.conj().T)
+            values = []
+            for _ in range(8):
+                _, value, half_y = cs._sweep(x, diagonal, half_y, rho_s, d, n)
+                values.append(value)
+            assert all(b >= a - 1e-12 * max(1.0, a) for a, b in zip(values, values[1:])), \
+                (j, restart, values)
+            if restart == 0 and j == 0 and n >= 3:
+                # on this state restart 0 is not yet at its fixed point
+                assert values[-1] > values[0] + 1e-3, values
+            gains = np.diff(values, prepend=0.0)
+            stops = np.flatnonzero(gains <= cs.STOP_TOL * np.maximum(1.0, values))
+            stop = values[stops[0]] if len(stops) else values[-1]
+            if stop > best + cs.TIE_TOL:
+                best = stop
+        assert cs.diag_excess_search(make_evaluator("stream", rho, d, n),
+                                     budget=3, seed=j, sweeps=8).value == best, j
 
 
 @pytest.mark.parametrize("state", ["full", "rank-one", "rank-deficient"])
