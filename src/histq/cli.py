@@ -31,9 +31,9 @@ from .errors import (HistqError, NumericalError, ShapeError, SizeCapError,
                      ValidationError)
 from .historyspace import (DEFAULT_HISTORY_CAP, DEFAULT_MATERIALIZE_CAP, METHODS,
                            VALIDATION_TOL, DensityOperator, HomogeneousHistory,
-                           checked_count, checked_int, checked_tol, density_from_spectral,
+                           checked_float, checked_int, density_from_spectral,
                            embed_homogeneous, history_projection, projection_residuals)
-from .seeding import checked_seed, generator, stream_metadata
+from .seeding import generator, stream_metadata
 
 
 class UsageError(Exception):
@@ -45,14 +45,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_NUMBER = {"int": checked_int, "float": serialize.json_float}
-# settings with a rule of their own beyond their number type
-_RULE = {"seed": checked_seed, "validation_tol": checked_tol, "consistency_tol": checked_tol}
+# the least value of each integer setting
+_LOW = {"single_dim": 2, "order": 1, "seed": 0, "materialize_cap": 1, "history_cap": 1}
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Every setting of a run, checked with the number rules of the file formats."""
+    """Every setting of a run, checked by `checked_int` and `checked_float`."""
 
     single_dim: int = 2
     order: int = 2
@@ -71,13 +70,13 @@ class RunConfig:
             if f.name == "cutoffs":
                 if not isinstance(val, (list, tuple)):
                     raise ValidationError(f"{what} must be a list of integers, got {val!r}")
+            elif f.name in _LOW:
+                object.__setattr__(self, f.name, checked_int(val, what, _LOW[f.name]))
             else:
-                check = _RULE.get(f.name) or _NUMBER[f.type]
-                object.__setattr__(self, f.name, check(val, what))
-        for name, low in (("single_dim", 2), ("order", 1),
-                          ("materialize_cap", 1), ("history_cap", 1)):
-            if getattr(self, name) < low:
-                raise ValidationError(f"{name} must be >= {low}")
+                # validation_tol and consistency_tol must be positive; the
+                # schedule orders the two thresholds
+                object.__setattr__(self, f.name,
+                                   checked_float(val, what, positive=f.name.endswith("_tol")))
         # the schedule checks each cutoff and both thresholds
         object.__setattr__(self, "cutoffs", self.schedule().cutoffs)
 
@@ -358,7 +357,7 @@ def _cmd_search_excess(args, cfg: RunConfig) -> int:
         "value": res.value,
         "rank": res.rank,
         "restart_index": res.restart_index,
-        "xi": None if res.xi is None else serialize.vector_to_json(res.xi.reshape(-1, 1)),
+        "xi": None if res.xi is None else serialize.matrix_to_json(res.xi.reshape(-1, 1)),
         "projection": serialize.matrix_to_json(res.projection.matrix),
         "meta": _meta(seed=seed, stream="search"),
     }
@@ -377,7 +376,7 @@ def _cmd_bench(args, cfg: RunConfig) -> int:
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise ValidationError(f"unknown evaluation method {unknown[0]!r}")
-    checked_count(args.pairs, "--pairs")
+    checked_int(args.pairs, "--pairs", low=1)
     for method in methods:
         _check_history_cap(method, d if rho is None else rho.dim, d, n, cfg)
     if rho is None:

@@ -27,9 +27,9 @@ import numpy as np
 
 from .decoherence import partial_trace_from_columns
 from .errors import ShapeError, ValidationError
-from .historyspace import (VALIDATION_TOL, HistoryProjection, Projection, checked_count,
-                           checked_tol, history_projection, validate_projection)
-from .seeding import checked_seed, generator
+from .historyspace import (VALIDATION_TOL, HistoryProjection, Projection, checked_float,
+                           checked_int, history_projection, validate_projection)
+from .seeding import generator
 
 MAX_ATOMS = 12
 # the consistency witness is the first closure element within this of the
@@ -77,7 +77,7 @@ def build_family(members, labels=None, tol: float = VALIDATION_TOL) -> HistoryFa
     never converted.
     ``tol`` must be positive and finite.
     """
-    tol = checked_tol(tol)
+    tol = checked_float(tol, "tol", positive=True)
     members = tuple(members)
     if not members:
         raise ValidationError("family needs at least one generator")
@@ -196,7 +196,7 @@ def check_consistent(evaluator, family: HistoryFamily,
     exceeds it by more than that margin, and t holds the atoms outside s
     where r_s has that sign.  There is none when max_re_offdiag is 0.
     """
-    tol = checked_tol(tol)
+    tol = checked_float(tol, "tol", positive=True)
     atoms = family.atoms
     re_gram = evaluator.gram(atoms, atoms).real
     ind, comp = _closure_table(len(atoms))
@@ -306,10 +306,10 @@ def diag_excess_search(source, budget: int = 200, seed: int = 0,
     is V's one column, in the phase eigh gave it, when p has rank one.  A
     restart replaces the best only when its value is larger by more than
     1e-12, so ties break to the lowest restart.  ``budget`` and ``sweeps``
-    pass `checked_count`, and ``seed`` passes `checked_seed`.
+    must be integers >= 1 and ``seed`` an integer >= 0.
     """
-    seed = checked_seed(seed)
-    budget, sweeps = checked_count(budget, "budget"), checked_count(sweeps, "sweeps")
+    seed = checked_int(seed, "seed", low=0)
+    budget, sweeps = checked_int(budget, "budget", low=1), checked_int(sweeps, "sweeps", low=1)
     d, n = source.single_dim, source.order
     w, vecs = np.linalg.eigh(source.rho.matrix)
     s = vecs[:, w > 1e-12] * np.sqrt(w[w > 1e-12])

@@ -74,8 +74,8 @@ from .historyspace import (
     DensityOperator,
     HistoryProjection,
     HomogeneousHistory,
-    checked_count,
-    checked_tol,
+    checked_float,
+    checked_int,
     embed_homogeneous,
     history_projection,
     homogeneous_history,
@@ -83,7 +83,7 @@ from .historyspace import (
     sum_projection,
     validate_projection,
 )
-from .seeding import checked_seed, generator
+from .seeding import generator
 
 
 @dataclass(frozen=True, eq=False)
@@ -388,8 +388,10 @@ def build_M(rho: DensityOperator, d: int, n: int,
     ShapeError
         If the state's dimension is not d.
     ValidationError
-        If the trace differs from 1 beyond 1e-9 or the norm exceeds 1 + 1e-8.
+        If d or n is not an integer >= 1, the trace differs from 1 beyond
+        1e-9 or the norm exceeds 1 + 1e-8.
     """
+    d, n = checked_int(d, "d", low=1), checked_int(n, "n", low=1)
     if rho.dim != d:
         raise ShapeError(f"state dimension {rho.dim} does not match d={d}")
     rows, cols, src, diag = _kernel_table(d, n)
@@ -523,8 +525,9 @@ def make_evaluator(method: str, rho: DensityOperator, d: int, n: int) -> Evaluat
     No method is capped here: ``ils`` holds the kernel's O(d D^2) entries,
     D = d^n, and never the dense M, so like ``series`` and ``stream`` it is
     bounded only by the D x D arguments it is given (the command line caps D
-    at its history cap).
+    at its history cap).  d and n must be integers >= 1.
     """
+    d, n = checked_int(d, "d", low=1), checked_int(n, "n", low=1)
     if rho.dim != d:
         raise ShapeError(f"state dimension {rho.dim} does not match d={d}")
     if method == "direct":
@@ -629,12 +632,12 @@ def verify_axioms(evaluator: Evaluator, samples: int = 200, seed: int = 0,
     come from two Gram calls, the column of (x, whole, x1, x2) against y and
     the row of y against them, and one ``value`` call for d(x, x).
     Violations are data, not errors; the report is bit-identical for
-    identical inputs and seed.  ``samples`` passes `checked_count`, ``seed``
-    passes `checked_seed` and ``tol`` must be positive and finite; all three
-    are checked before any sample.
+    identical inputs and seed.  ``samples`` must be an integer >= 1, ``seed``
+    an integer >= 0 and ``tol`` positive and finite; all three are checked
+    before any sample.
     """
-    seed, tol = checked_seed(seed), checked_tol(tol)
-    samples = checked_count(samples, "samples")
+    seed, tol = checked_int(seed, "seed", low=0), checked_float(tol, "tol", positive=True)
+    samples = checked_int(samples, "samples", low=1)
     rng = generator(seed, "verify")
     d, n = evaluator.single_dim, evaluator.order
     homogeneous = evaluator.method == "direct"

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, SizeCapError, ValidationError
-from .historyspace import (DensityOperator, HistoryProjection, Projection,
+from .historyspace import (DensityOperator, HistoryProjection, Projection, checked_float,
                            checked_int, validate_projection)
 
 DEFAULT_CONVERGENCE_THRESHOLD = 1e-9
@@ -35,12 +35,12 @@ class TruncationSchedule:
     divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD
 
     def __post_init__(self):
-        cuts = tuple(checked_int(c, "cutoff") for c in self.cutoffs)
+        cuts = tuple(checked_int(c, "cutoff", low=1) for c in self.cutoffs)
         object.__setattr__(self, "cutoffs", cuts)
+        for name in ("convergence_threshold", "divergence_threshold"):
+            object.__setattr__(self, name, checked_float(getattr(self, name), name))
         if len(cuts) < 3:
             raise ValidationError(f"need at least 3 cutoffs, got {len(cuts)}")
-        if cuts[0] < 1:
-            raise ValidationError("cutoffs must be positive")
         if cuts[-1] > MAX_CUTOFF:
             raise ValidationError(f"cutoffs must be at most 2**53, got {cuts[-1]}")
         if any(b <= a for a, b in zip(cuts, cuts[1:])):

@@ -28,29 +28,27 @@ DEFAULT_MATERIALIZE_CAP = 1024
 METHODS = ("direct", "series", "ils", "stream")
 
 
-def checked_int(val, what: str) -> int:
-    """val as an int; bools, strings and non-integral numbers are rejected."""
+def checked_int(val, what: str, low: int | None = None) -> int:
+    """val as an int of at least ``low``; bools, strings and non-integral
+    numbers are rejected."""
     if (isinstance(val, bool) or not isinstance(val, numbers.Real)
             or not (isinstance(val, numbers.Integral) or float(val).is_integer())):
         raise ValidationError(f"{what} must be an integer, got {val!r}")
-    return int(val)
-
-
-def checked_count(val, what: str) -> int:
-    """val as an int of at least 1 by the integer rule of `checked_int`."""
-    val = checked_int(val, what)
-    if val < 1:
-        raise ValidationError(f"{what} must be >= 1, got {val}")
+    val = int(val)
+    if low is not None and val < low:
+        raise ValidationError(f"{what} must be >= {low}, got {val}")
     return val
 
 
-def checked_tol(tol, what: str = "tol") -> float:
-    """tol as a float; bools, strings and numbers that are not positive and
-    finite are rejected."""
-    if ((type(tol) is not float and (isinstance(tol, bool) or not isinstance(tol, numbers.Real)))
-            or not 0.0 < tol < math.inf):
-        raise ValidationError(f"{what} must be positive and finite, got {tol!r}")
-    return float(tol)
+def checked_float(val, what: str, positive: bool = False) -> float:
+    """val as a float; bools, strings and other non-real values are rejected,
+    and with ``positive`` so are numbers that are not positive and finite."""
+    if ((type(val) not in (float, int)
+         and (isinstance(val, bool) or not isinstance(val, numbers.Real)))
+            or positive and not 0.0 < val < math.inf):
+        rule = "positive and finite" if positive else "a number"
+        raise ValidationError(f"{what} must be {rule}, got {val!r}")
+    return float(val)
 
 
 @dataclass(frozen=True)
@@ -167,7 +165,7 @@ def validate_projection(m, tol: float = VALIDATION_TOL) -> Projection:
         message reports the offending maximum residual.  Also if ``tol`` is
         not positive and finite.
     """
-    tol = checked_tol(tol)
+    tol = checked_float(tol, "tol", positive=True)
     # a copy, so that a Projection never aliases its input
     m = matrixcore.as_complex_matrix(np.array(m, dtype=np.complex128, order="C"))
     if m.shape[0] != m.shape[1]:
@@ -194,7 +192,7 @@ def density_from_spectral(weights, vectors, tol: float = VALIDATION_TOL) -> Dens
     distance from one is kept as ``trace_residual``.  Columns must
     be orthonormal within ``tol``, which must be positive and finite.
     """
-    tol = checked_tol(tol)
+    tol = checked_float(tol, "tol", positive=True)
     w = np.array(weights, dtype=float)
     v = np.array(vectors, dtype=np.complex128, order="C")
     if v.ndim != 2:
@@ -241,7 +239,7 @@ def density_from_matrix(m, tol: float = VALIDATION_TOL) -> DensityOperator:
         and renormalized to sum to one; ``trace_residual`` is the distance
         of the clamped eigenvalues' sum from one.
     """
-    tol = checked_tol(tol)
+    tol = checked_float(tol, "tol", positive=True)
     m = matrixcore.as_complex_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ShapeError(f"density matrix must be square, got {m.shape}")

@@ -23,8 +23,8 @@ import numpy as np
 
 from . import matrixcore
 from .errors import ShapeError, SizeCapError, ValidationError
-from .historyspace import DensityOperator, checked_count, checked_int, density_from_spectral
-from .seeding import checked_seed, generator
+from .historyspace import DensityOperator, checked_int, density_from_spectral
+from .seeding import generator
 
 # largest probe size N: a probe costs O(N * rank rho) work and memory, about
 # 0.2 s and 120 MB at N = 2**20 on one 2-vCPU Xeon core; the cap refuses
@@ -46,7 +46,12 @@ def simple_tensor_sum(terms, order: int | None = None,
     """Validate factor shapes and assemble a SimpleTensorSum.
 
     Factors that are already C-ordered complex128 arrays are kept, not copied.
+    A declared order or dim passes the integer rule of `checked_int` first.
     """
+    if order is not None:
+        order = checked_int(order, "tensor-sum order")
+    if single_dim is not None:
+        single_dim = checked_int(single_dim, "tensor-sum dim")
     parsed = []
     for term in terms:
         factors = tuple(matrixcore.as_complex_matrix(f) for f in term)
@@ -140,11 +145,11 @@ def uniqueness_check(rho: DensityOperator, q_eval, order: int,
     Any bounded form that agrees with the functional on projection tensors
     must agree everywhere, so a nonzero deviation flags a defective
     candidate; the check is an agreement test on probes, not a proof.
-    ``probe_count`` passes `checked_count` and ``seed`` passes
-    `checked_seed` before any probe is drawn.
+    ``probe_count`` must be an integer >= 1 and ``seed`` an integer >= 0;
+    both are checked before any probe is drawn.
     """
-    probe_count = checked_count(probe_count, "probe_count")
-    seed = checked_seed(seed)
+    probe_count = checked_int(probe_count, "probe_count", low=1)
+    seed = checked_int(seed, "seed", low=0)
     rng = generator(seed, "probe")
     worst = 0.0
     for _ in range(probe_count):

@@ -4,9 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError
-from .historyspace import checked_int
-
 PRNG_SCHEME = "pcg64-stream-v1"
 
 STREAM_INDEX = {
@@ -16,14 +13,6 @@ STREAM_INDEX = {
     "bench": 3,
     "probe": 4,
 }
-
-
-def checked_seed(seed, what: str = "seed") -> int:
-    """seed as an int by the integer rule of `checked_int`, and at least 0."""
-    seed = checked_int(seed, what)
-    if seed < 0:
-        raise ValidationError(f"{what} must be >= 0, got {seed}")
-    return seed
 
 
 def seed_sequence(seed: int, stream: str, *key: int) -> np.random.SeedSequence:

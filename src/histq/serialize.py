@@ -14,6 +14,7 @@ from .historyspace import (
     DensityOperator,
     HistoryProjection,
     HomogeneousHistory,
+    checked_float,
     checked_int,
     density_from_matrix,
     density_from_spectral,
@@ -42,13 +43,6 @@ def matrix_to_json(m: np.ndarray) -> dict:
     }
 
 
-def json_float(val, what: str) -> float:
-    """val as a float; bools and strings are rejected."""
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ValidationError(f"{what} must be a number, got {val!r}")
-    return float(val)
-
-
 def _json_int(obj, key: str, what: str) -> int:
     try:
         val = obj[key]
@@ -75,15 +69,11 @@ def matrix_from_json(obj) -> np.ndarray:
     for i, pair in enumerate(data):
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
             raise ValidationError(f"entry {i} is not an [re, im] pair")
-        out[i] = complex(json_float(pair[0], f"entry {i}"),
-                         json_float(pair[1], f"entry {i}"))
+        out[i] = complex(checked_float(pair[0], f"entry {i}"),
+                         checked_float(pair[1], f"entry {i}"))
     if not np.isfinite(out.view(np.float64)).all():
         raise ValidationError("matrix JSON contains non-finite entries")
     return out.reshape(rows, cols)
-
-
-def vector_to_json(v: np.ndarray) -> dict:
-    return matrix_to_json(np.asarray(v, dtype=np.complex128).reshape(-1, 1))
 
 
 def history_to_json(h: HomogeneousHistory) -> dict:
@@ -126,7 +116,7 @@ def density_from_json(obj, tol: float = VALIDATION_TOL) -> DensityOperator:
         if not isinstance(obj["weights"], list):
             raise ValidationError('density JSON "weights" must be a list')
         return density_from_spectral(
-            [json_float(w, "density weight") for w in obj["weights"]],
+            [checked_float(w, "density weight") for w in obj["weights"]],
             matrix_from_json(obj["vectors"]),
             tol=tol,
         )

@@ -8,8 +8,9 @@ from histq import cli, decoherence, quadform, serialize
 from histq.cli import RunConfig, main
 from histq.divergence import (DEFAULT_CONVERGENCE_THRESHOLD, DEFAULT_DIVERGENCE_THRESHOLD,
                               default_schedule, q_u)
+from histq.errors import ValidationError
 from histq.historyspace import (DEFAULT_HISTORY_CAP, DEFAULT_MATERIALIZE_CAP,
-                                VALIDATION_TOL, homogeneous_history)
+                                VALIDATION_TOL, density_from_spectral, homogeneous_history)
 
 from conftest import (P0, P1, PMINUS, PPLUS, kron_chain, near_degenerate_states,
                       pure_e1, pure_state)
@@ -185,17 +186,29 @@ def test_build_m_size_cap(tmp_path, capsys):
 def test_eval_ils_at_the_history_cap(tmp_path, capsys):
     # at order 6 the history dimension 64 is the history cap and the doubled
     # dimension 4096 is above the materialization cap: ils evaluates from the
-    # kernel's entries, while build-m still refuses the dense M
-    rho = rho_file(tmp_path, pure_state([1, 2j]))
-    h = history_file(tmp_path, [PPLUS, P0, PMINUS, P1, PPLUS, P0], "h.json")
-    k = history_file(tmp_path, [PPLUS, PPLUS, P0, PMINUS, P0, PPLUS], "k.json")
-    values = {}
-    for method in ("ils", "stream"):
-        code, out = run_json(capsys, ["eval", "--rho", rho, "--h", h, "--k", k,
-                                      "--method", method])
-        assert code == 0, method
-        values[method] = complex(*out["value"])
-    assert abs(values["ils"] - values["stream"]) <= 1e-9
+    # kernel's entries, while build-m still refuses the dense M; the second
+    # input is a mixed state (weights 0.8, 0.2) on a random unitary with
+    # random rank-one projections
+    rng = np.random.default_rng(6)
+    u = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+    mixed = density_from_spectral([0.8, 0.2], u)
+    projs = [np.outer(v, v.conj()) for v in (
+        np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0][:, 0]
+        for _ in range(12))]
+    inputs = [(pure_state([1, 2j]), [PPLUS, P0, PMINUS, P1, PPLUS, P0],
+               [PPLUS, PPLUS, P0, PMINUS, P0, PPLUS]),
+              (mixed, projs[:6], projs[6:])]
+    for i, (state, h_mats, k_mats) in enumerate(inputs):
+        rho = rho_file(tmp_path, state, f"rho{i}.json")
+        h = history_file(tmp_path, h_mats, f"h{i}.json")
+        k = history_file(tmp_path, k_mats, f"k{i}.json")
+        values = {}
+        for method in ("ils", "stream"):
+            code, out = run_json(capsys, ["eval", "--rho", rho, "--h", h, "--k", k,
+                                          "--method", method])
+            assert code == 0, (i, method)
+            values[method] = complex(*out["value"])
+        assert abs(values["ils"] - values["stream"]) <= 1e-9, i
     assert main(["build-m", "--rho", rho, "-d", "2", "-n", "6",
                  "--out", str(tmp_path / "m.json")]) == 3
     assert "exceeds materialization cap 1024" in capsys.readouterr().err
@@ -543,6 +556,19 @@ def test_invalid_settings_exit_2_without_traceback(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("validation error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, low", [("single_dim", 2), ("order", 1), ("seed", 0),
+                                       ("materialize_cap", 1), ("history_cap", 1)])
+def test_integer_settings_name_their_least_value(capsys, name, low):
+    assert getattr(RunConfig(**{name: float(low)}), name) == low
+    with pytest.raises(ValidationError, match=f"^setting '{name}' must be >= {low}, got {low - 1}$"):
+        RunConfig(**{name: low - 1})
+    flag = {"single_dim": "-d", "order": "-n", "seed": "--seed"}.get(name)
+    if flag is not None:
+        assert main(["verify", flag, str(low - 1)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"validation error: setting '{name}' must be >= {low}, got {low - 1}\n"
 
 
 def test_bench_pairs_follow_the_count_rule(capsys):

@@ -433,12 +433,6 @@ def test_search_budget_monotone():
     assert large.value >= small.value - 1e-12
 
 
-def test_search_rejects_bad_budget():
-    M = build_M(pure_e1(2), 2, 2)
-    with pytest.raises(ValidationError, match="budget"):
-        cs.diag_excess_search(M, budget=0)
-
-
 def test_counts_follow_the_integer_rule():
     # samples, budget, sweeps and probe_count are counts: a bool or a
     # non-integral number is refused before it is compared or run, an

@@ -161,6 +161,31 @@ def test_build_m_cap_points_to_streaming():
         M.matrix
 
 
+@pytest.mark.parametrize("d, n, message", [
+    (2, 0, "n must be >= 1, got 0"), (2, -1, "n must be >= 1, got -1"),
+    (2, 2.5, "n must be an integer, got 2.5"), (2, True, "n must be an integer, got True"),
+    (0, 2, "d must be >= 1, got 0"), (2.5, 2, "d must be an integer, got 2.5"),
+    (True, 2, "d must be an integer, got True")])
+def test_kernel_and_evaluators_check_d_and_n(d, n, message):
+    # n = 0 and 2.5 raised TypeError in the kernel table, n = True built a
+    # kernel of order True, and a stream evaluator bound at n = 0
+    binds = [partial(dec.build_M, pure_e1(2))]
+    binds += [partial(dec.make_evaluator, method, pure_e1(2)) for method in dec.METHODS]
+    for bind in binds:
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            bind(d, n)
+
+
+def test_kernel_and_evaluators_take_integral_floats(rng):
+    rho = random_density(2, rng)
+    M, want = dec.build_M(rho, 2.0, 2.0), dec.build_M(rho, 2, 2)
+    assert (M.single_dim, M.order) == (2, 2) and type(M.order) is int
+    assert all(np.array_equal(a, b) for a, b in zip(M.pair_entries, want.pair_entries))
+    for method in dec.METHODS:
+        ev = dec.make_evaluator(method, rho, 2.0, np.float64(2.0))
+        assert (ev.single_dim, ev.order) == (2, 2) and type(ev.order) is int
+
+
 def test_via_m_additive_in_each_slot(rng):
     rho = random_density(2, rng)
     M = dec.build_M(rho, 2, 2)

@@ -63,7 +63,7 @@ def test_schedule_validation():
         dv.TruncationSchedule(cutoffs=(4, 8))
     with pytest.raises(ValidationError, match="increasing"):
         dv.TruncationSchedule(cutoffs=(4, 8, 8))
-    with pytest.raises(ValidationError, match="positive"):
+    with pytest.raises(ValidationError, match="^cutoff must be >= 1, got 0$"):
         dv.TruncationSchedule(cutoffs=(0, 1, 2))
     with pytest.raises(ValidationError, match="threshold"):
         dv.TruncationSchedule(cutoffs=(4, 8, 16), convergence_threshold=2.0,
@@ -79,6 +79,14 @@ def test_schedule_validation():
 def test_schedule_checks_cutoffs_are_integers(cutoffs):
     with pytest.raises(ValidationError, match="cutoff must be an integer"):
         dv.TruncationSchedule(cutoffs=cutoffs)
+
+
+@pytest.mark.parametrize("key", ["convergence_threshold", "divergence_threshold"])
+@pytest.mark.parametrize("bad", [True, "x", None])
+def test_schedule_checks_thresholds_are_numbers(key, bad):
+    # True compared as 1 and was accepted; "x" raised TypeError
+    with pytest.raises(ValidationError, match=f"^{key} must be a number, got {bad!r}$"):
+        dv.TruncationSchedule(cutoffs=(4, 8, 16), **{key: bad})
 
 
 def test_schedule_takes_integral_floats_and_numpy_integers():

@@ -69,13 +69,18 @@ def test_density_from_spectral_rejects_empty_spectral_data():
 def test_checked_int_takes_integral_numbers(val, want):
     got = hs.checked_int(val, "value")
     assert got == want and type(got) is int
+    # low is inclusive and is compared with the int
+    assert hs.checked_int(val, "value", low=want) == want
+    with pytest.raises(ValidationError, match=f"^value must be >= {want + 1}, got {want}$"):
+        hs.checked_int(val, "value", low=want + 1)
 
 
 @pytest.mark.parametrize("val", [True, np.bool_(False), 2.5, float("inf"), float("nan"),
                                  "3", None, [3], 1 + 0j])
 def test_checked_int_rejects_bools_and_non_integral_values(val):
-    with pytest.raises(ValidationError, match="value must be an integer"):
-        hs.checked_int(val, "value")
+    for low in (None, 0):
+        with pytest.raises(ValidationError, match="^value must be an integer"):
+            hs.checked_int(val, "value", low)
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 0.0, True, "1e-9", None])
@@ -97,8 +102,24 @@ def test_every_tolerance_must_be_positive_and_finite(tol):
 
 @pytest.mark.parametrize("tol, want", [(1e-9, 1e-9), (1, 1.0), (np.float64(2.5e-8), 2.5e-8)])
 def test_checked_tol_takes_positive_finite_numbers(tol, want):
-    got = hs.checked_tol(tol)
+    got = hs.checked_float(tol, "tol", positive=True)
     assert got == want and type(got) is float
+
+
+@pytest.mark.parametrize("val", [0.0, -1, float("nan"), float("inf"), np.int64(-2)])
+def test_checked_float_without_positive_takes_any_real_number(val):
+    got = hs.checked_float(val, "value")
+    assert type(got) is float and (got == val or np.isnan(val))
+    with pytest.raises(ValidationError, match="^value must be positive and finite, got"):
+        hs.checked_float(val, "value", positive=True)
+
+
+@pytest.mark.parametrize("val", [True, np.bool_(False), "1.0", None, [1.0], 1 + 0j])
+def test_checked_float_rejects_bools_and_non_real_values(val):
+    with pytest.raises(ValidationError, match="^value must be a number, got"):
+        hs.checked_float(val, "value")
+    with pytest.raises(ValidationError, match="^value must be positive and finite, got"):
+        hs.checked_float(val, "value", positive=True)
 
 
 def test_density_matrix_is_cached_read_only_and_exact(rng):

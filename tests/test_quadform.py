@@ -66,10 +66,17 @@ def test_simple_tensor_sum_rejections():
         qf.simple_tensor_sum([()], order=0, single_dim=2)
 
 
-@pytest.mark.parametrize("order, dim", [(-1, 2), (0, 2), (2, 0), (1, -3)])
+@pytest.mark.parametrize("order, dim", [(-1, 2), (0, 2), (2, 0), (1, -3), (0.0, 2),
+                                        (2.5, 2), (True, 2), (2, 1.5), (2, False)])
 def test_empty_tensor_sum_needs_a_positive_order_and_dim(order, dim):
-    with pytest.raises(ShapeError, match="must be positive"):
-        qf.simple_tensor_sum([], order=order, single_dim=dim)
+    # the integer rule comes first: a bool or a non-integral number is
+    # refused before it is compared, an integral float is its int
+    if any(isinstance(x, bool) or x % 1 for x in (order, dim)):
+        with pytest.raises(ValidationError, match="^tensor-sum (order|dim) must be an integer"):
+            qf.simple_tensor_sum([], order=order, single_dim=dim)
+    else:
+        with pytest.raises(ShapeError, match="must be positive"):
+            qf.simple_tensor_sum([], order=order, single_dim=dim)
 
 
 def test_identity_element_normalization(rng):
