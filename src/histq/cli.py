@@ -288,26 +288,16 @@ def _cmd_unbounded_probe(args, cfg: RunConfig) -> int:
 
 
 def _load_pair_operator(spec_text: str, cfg: RunConfig):
-    """A PairOperator, or the embedded HistoryProjection of a history file,
-    whose order truncated_d checks."""
+    """A builtin name, the embedded HistoryProjection of a history file, or
+    the matrix of a matrix file; truncated_d checks each."""
     if spec_text.startswith("builtin:"):
-        name = spec_text.split(":", 1)[1]
-        klass = divergence.BUILTIN_PAIRS.get(name)
-        if klass is None:
-            raise ValidationError(
-                f"unknown builtin {name!r}; have {sorted(divergence.BUILTIN_PAIRS)}")
-        return klass()
+        return spec_text.split(":", 1)[1]
     obj = serialize.load_json(spec_text)
     if isinstance(obj, dict) and "projections" in obj:
         h = serialize.history_from_json(obj, tol=cfg.validation_tol)
         return embed_homogeneous(h, cap=cfg.history_cap)
     if isinstance(obj, dict) and "rows" in obj:
-        m = serialize.matrix_from_json(obj)
-        s = int(round(m.shape[0] ** 0.5))
-        if s * s != m.shape[0]:
-            raise ValidationError(
-                f"{spec_text}: matrix dimension {m.shape[0]} is not a doubled dimension")
-        return divergence.MatrixPairOperator(m, s)
+        return serialize.matrix_from_json(obj)
     raise ValidationError(f"{spec_text}: expected builtin:NAME, history, or matrix JSON")
 
 

@@ -591,6 +591,7 @@ def random_projection(dim: int, rng: np.random.Generator,
 
 def random_homogeneous(d: int, n: int, rng: np.random.Generator) -> HomogeneousHistory:
     """Random homogeneous history with independently drawn factors."""
+    n = checked_int(n, "n", low=1)
     mats = []
     for _ in range(n):
         rank = int(rng.integers(1, d + 1))

@@ -2,9 +2,13 @@
 
 For order-2 arguments the tuple series collapses to S = sum_j1 w_j1
 sum_j3 a[j3] b[j3], where the a and b tables absorb the inner sums over the
-remaining auxiliary indices.  Scale-free operator families (identity, slot
-swap, symmetric-subspace projector) have closed-form tables at every
-truncation cutoff.  A table stops where its data does, at the state's
+remaining auxiliary indices.  An argument is data of one of two kinds.  A
+scale-free builtin named in BUILTIN_PAIRS (identity, slot swap,
+symmetric-subspace projector) has the closed-form tables scale(cut) psi[:cut]
+and scale(cut) conj(psi)[:cut] at every truncation cutoff.  A finite
+operator on the doubled space, an order-2 HistoryProjection or an
+s^2 x s^2 matrix, is read as an (s, s, s, s) array and its tables are two
+einsums over it.  A table stops where its data does, at the state's
 dimension or the operator's block, so a partial sum costs O(dim) at any
 cutoff up to MAX_CUTOFF = 2**53, where float(cut) is still exact.  The
 classifier maps the partial-sum trace to a finite value or a divergence
@@ -14,6 +18,7 @@ infinite series, so the trace always ships with the verdict.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,114 +66,66 @@ def default_schedule(limit: int = 512) -> TruncationSchedule:
 
 def swap_unitary(dim: int, cap: int = SWAP_DIM_CAP) -> np.ndarray:
     """Permutation matrix on the doubled space sending e_a (x) e_b to e_b (x) e_a."""
+    dim = checked_int(dim, "dim")
     if dim < 1:
         raise ShapeError(f"dim must be >= 1, got {dim}")
     if dim * dim > cap:
         raise SizeCapError(f"doubled dimension {dim * dim} exceeds cap {cap}")
+    rows = np.arange(dim * dim)
     u = np.zeros((dim * dim, dim * dim), dtype=np.complex128)
-    for a in range(dim):
-        for b in range(dim):
-            u[a * dim + b, b * dim + a] = 1.0
+    u[rows, rows % dim * dim + rows // dim] = 1.0
     return u
 
 
 def q_u(dim: int) -> Projection:
     """Symmetric-subspace projector (U + I)/2; rank dim(dim+1)/2."""
     u = swap_unitary(dim)
-    return validate_projection((u + np.eye(dim * dim)) / 2.0)
+    return validate_projection((u + np.eye(u.shape[0])) / 2.0)
 
 
-class PairOperator:
-    """Operator on the doubled space given by its truncated series tables.
-
-    a_table(psi, cut)[j] collects the inner sums of the left argument at
-    auxiliary index j; b_table the right argument.  Tables must agree with
-    the dense doubled matrix whenever one exists.  A table may stop before
-    cut; its missing entries count as zero.
-    """
-
-    def a_table(self, psi: np.ndarray, cut: int) -> np.ndarray:
-        raise NotImplementedError
-
-    def b_table(self, psi: np.ndarray, cut: int) -> np.ndarray:
-        raise NotImplementedError
-
-
-class _ScaledPair(PairOperator):
-    """Scale-free family: both tables are the state times scale(cut)."""
-
-    def scale(self, cut: int) -> float:
-        raise NotImplementedError
-
-    def a_table(self, psi, cut):
-        return self.scale(cut) * psi[:cut]
-
-    def b_table(self, psi, cut):
-        return self.scale(cut) * np.conj(psi[:cut])
-
-
-class IdentityPair(_ScaledPair):
-    def scale(self, cut):
-        return 1.0
-
-
-class SwapPair(_ScaledPair):
-    """Slot-swap unitary; its diagonal-in-pairs structure gives a flat factor cut."""
-
-    def scale(self, cut):
-        return float(cut)
-
-
-class SymmetricSubspacePair(_ScaledPair):
-    """(swap + identity)/2 at every truncation dimension."""
-
-    def scale(self, cut):
-        return (cut + 1) / 2.0
-
-
-class MatrixPairOperator(PairOperator):
-    """Fixed matrix on a finite doubled space; tables stop at its block."""
-
-    def __init__(self, matrix: np.ndarray, single_dim: int):
-        matrix = np.ascontiguousarray(matrix, dtype=np.complex128)
-        s = int(single_dim)
-        if matrix.shape != (s * s, s * s):
-            raise ShapeError(
-                f"matrix shape {matrix.shape} does not match doubled dim {s * s}")
-        self.single_dim = s
-        self._m4 = matrix.reshape(s, s, s, s)
-
-    def _state_dim(self, psi) -> int:
-        t = psi.shape[0]
-        if t > self.single_dim:
-            raise ShapeError(f"state dimension {t} exceeds operator block {self.single_dim}")
-        return t
-
-    def a_table(self, psi, cut):
-        t = self._state_dim(psi)
-        return np.einsum("ajta,t->j", self._m4[:cut, :cut, :t, :cut], psi)
-
-    def b_table(self, psi, cut):
-        t = self._state_dim(psi)
-        return np.einsum("taaj,t->j", self._m4[:t, :cut, :cut, :cut], np.conj(psi))
-
-
+# scale-free operators by name: both tables are the state times scale(cut)
 BUILTIN_PAIRS = {
-    "identity": IdentityPair,
-    "swap": SwapPair,
-    "qu": SymmetricSubspacePair,
+    "identity": lambda cut: 1.0,
+    "swap": float,
+    "qu": lambda cut: (cut + 1) / 2.0,
 }
 
 
-def _as_pair(op) -> PairOperator:
-    if isinstance(op, PairOperator):
-        return op
+def _pair_data(op):
+    """A builtin's scale function, or an order-2 operator as an (s, s, s, s)
+    array: an order-2 HistoryProjection or an s^2 x s^2 matrix."""
+    if isinstance(op, str):
+        if op not in BUILTIN_PAIRS:
+            raise ValidationError(f"unknown builtin {op!r}; have {sorted(BUILTIN_PAIRS)}")
+        return BUILTIN_PAIRS[op]
     if isinstance(op, HistoryProjection):
         if op.order != 2:
             raise ShapeError(
                 f"truncation probe needs order-2 arguments, got order {op.order}")
-        return MatrixPairOperator(op.matrix, op.single_dim)
-    raise ShapeError(f"cannot interpret {type(op).__name__} as a pair operator")
+        op = op.matrix
+    if not isinstance(op, np.ndarray) or op.ndim != 2:
+        raise ShapeError(f"cannot interpret {type(op).__name__} as a pair operator")
+    n = op.shape[0]
+    s = math.isqrt(n)
+    if s * s != n:
+        raise ShapeError(f"matrix dimension {n} is not a doubled dimension")
+    if op.shape != (n, n):
+        raise ShapeError(f"matrix shape {op.shape} does not match doubled dim {n}")
+    return np.ascontiguousarray(op, dtype=np.complex128).reshape(s, s, s, s)
+
+
+def _table(op, psi: np.ndarray, cut: int, left: bool) -> np.ndarray:
+    """The a table of ``op`` (left) or its b table at one cutoff: a[j]
+    collects the inner sums of the left argument at auxiliary index j, b[j]
+    those of the right one.  A table shorter than cut counts as zero-padded."""
+    if callable(op):
+        return op(cut) * (psi[:cut] if left else np.conj(psi[:cut]))
+    t = psi.shape[0]
+    if t > op.shape[0]:
+        raise ShapeError(f"state dimension {t} exceeds operator block {op.shape[0]}")
+    if left:
+        return np.einsum("ajta,t->j", op[:cut, :cut, :t, :cut], psi)
+    return np.einsum("taaj,t->j", op[:t, :cut, :cut, :cut], np.conj(psi))
 
 
 @dataclass(frozen=True)
@@ -217,13 +174,15 @@ def truncated_d(rho: DensityOperator, P, Q,
                 schedule: TruncationSchedule | None = None) -> DecoherenceValue:
     """Partial sums of the order-2 series for (P, Q) at each cutoff, classified.
 
-    P and Q are order-2 HistoryProjections or PairOperators.  Partial sums
-    are accumulated in fixed index order so traces are exactly reproducible.
+    P and Q are each a name in BUILTIN_PAIRS, an order-2 HistoryProjection
+    or an s^2 x s^2 matrix on the doubled space; P is checked before Q.
+    Partial sums are accumulated in fixed index order so traces are exactly
+    reproducible.
     """
     if schedule is None:
         schedule = default_schedule()
-    p_op = _as_pair(P)
-    q_op = _as_pair(Q)
+    p_op = _pair_data(P)
+    q_op = _pair_data(Q)
     sums = []
     for cut in schedule.cutoffs:
         total = 0j
@@ -232,8 +191,8 @@ def truncated_d(rho: DensityOperator, P, Q,
             if wgt <= 0.0:
                 continue
             psi = rho.vectors[:, pos]
-            a = p_op.a_table(psi, cut)
-            b = q_op.b_table(psi, cut)
+            a = _table(p_op, psi, cut, left=True)
+            b = _table(q_op, psi, cut, left=False)
             acc = 0j
             for x, y in zip(a, b):
                 acc += x * y

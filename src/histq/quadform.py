@@ -128,6 +128,7 @@ class UniquenessReport:
 
 def random_tensor_sum(d: int, n: int, rng: np.random.Generator,
                       max_terms: int = 3) -> SimpleTensorSum:
+    n = checked_int(n, "n", low=1)
     terms = []
     for _ in range(int(rng.integers(1, max_terms + 1))):
         factors = []
@@ -145,9 +146,10 @@ def uniqueness_check(rho: DensityOperator, q_eval, order: int,
     Any bounded form that agrees with the functional on projection tensors
     must agree everywhere, so a nonzero deviation flags a defective
     candidate; the check is an agreement test on probes, not a proof.
-    ``probe_count`` must be an integer >= 1 and ``seed`` an integer >= 0;
-    both are checked before any probe is drawn.
+    ``order`` and ``probe_count`` must be integers >= 1 and ``seed`` an
+    integer >= 0; all three are checked before any probe is drawn.
     """
+    order = checked_int(order, "order", low=1)
     probe_count = checked_int(probe_count, "probe_count", low=1)
     seed = checked_int(seed, "seed", low=0)
     rng = generator(seed, "probe")

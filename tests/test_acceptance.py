@@ -79,20 +79,16 @@ def test_criterion_3_axiom_suite(capsys):
 
 def test_criterion_4_divergence_witness(capsys):
     schedule = divergence.default_schedule(512)
-    out = divergence.truncated_d(pure_e1(2), divergence.IdentityPair(),
-                                 divergence.SymmetricSubspacePair(), schedule)
+    out = divergence.truncated_d(pure_e1(2), "identity", "qu", schedule)
     assert out.kind == "Divergent"
     for cut, s in zip(out.cutoffs, out.partial_sums):
         assert abs(s - (cut + 1) / 2.0) <= 1e-9
-    swap = divergence.truncated_d(pure_e1(2), divergence.IdentityPair(),
-                                  divergence.SwapPair(), schedule)
+    swap = divergence.truncated_d(pure_e1(2), "identity", "swap", schedule)
     for cut, s in zip(swap.cutoffs, swap.partial_sums):
         assert s == complex(cut)
     rng = np.random.default_rng(4000)
     for _ in range(5):
-        other = divergence.truncated_d(random_density(2, rng),
-                                       divergence.IdentityPair(),
-                                       divergence.SymmetricSubspacePair(), schedule)
+        other = divergence.truncated_d(random_density(2, rng), "identity", "qu", schedule)
         assert other.kind == out.kind
         assert other.reason == out.reason
     _pass(capsys, 4, "(N+1)/2 sums, exact N swap sums, verdict state-independent x5")

@@ -303,6 +303,13 @@ def test_diverge_unknown_builtin(tmp_path, capsys):
     assert "unknown builtin" in capsys.readouterr().err
 
 
+def test_diverge_matrix_file_needs_a_doubled_dimension(tmp_path, capsys):
+    m3 = jwrite(tmp_path, "m3.json", serialize.matrix_to_json(np.eye(3)))
+    assert main(["diverge", "--p", m3, "--q", "builtin:qu", "--dim", "2"]) == 2
+    assert capsys.readouterr().err == (
+        "validation error: matrix dimension 3 is not a doubled dimension\n")
+
+
 def test_consistency_golden_inconsistent(tmp_path, capsys):
     rho = rho_file(tmp_path, pure_e1(2))
     members = [serialize.history_to_json(homogeneous_history([a, b]))

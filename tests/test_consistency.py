@@ -10,7 +10,7 @@ from histq.decoherence import (build_M, d_via_M_streaming, make_evaluator,
 from histq.errors import ShapeError, ValidationError
 from histq.historyspace import (HistoryProjection, Projection, density_from_spectral,
                                 history_projection, homogeneous_history)
-from histq.quadform import D_form, uniqueness_check
+from histq.quadform import D_form, random_tensor_sum, uniqueness_check
 from histq.seeding import generator
 
 from conftest import (P0, P1, PMINUS, PPLUS, SPECTRA, bits, embed, haar_unitary,
@@ -440,10 +440,10 @@ def test_counts_follow_the_integer_rule():
     M = build_M(pure_e1(2), 2, 2)
     ev = make_evaluator("stream", pure_e1(2), 2, 2)
 
-    def probe(count):
+    def probe(count, order=2):
         # off by 5 everywhere: any probe run reports the deviation
-        return uniqueness_check(pure_e1(2), lambda u, v: D_form(pure_e1(2), u, v) + 5.0, 2,
-                                probe_count=count, seed=1)
+        return uniqueness_check(pure_e1(2), lambda u, v: D_form(pure_e1(2), u, v) + 5.0,
+                                order, probe_count=count, seed=1)
     for bad in (True, 2.5):
         with pytest.raises(ValidationError, match="samples must be an integer"):
             verify_axioms(ev, samples=bad)
@@ -452,6 +452,12 @@ def test_counts_follow_the_integer_rule():
                 cs.diag_excess_search(M, **{key: bad})
         with pytest.raises(ValidationError, match="probe_count must be an integer"):
             probe(bad)
+        # the probe order and the order of a random tensor sum raised
+        # TypeError at 2.5
+        with pytest.raises(ValidationError, match=f"^order must be an integer, got {bad}$"):
+            probe(2, order=bad)
+        with pytest.raises(ValidationError, match=f"^n must be an integer, got {bad}$"):
+            random_tensor_sum(2, bad, np.random.default_rng(0))
     # zero probes would report no deviation for any form, zero samples no
     # violation, and zero sweeps or restarts no projection
     for bad in (0, -1):
@@ -462,10 +468,15 @@ def test_counts_follow_the_integer_rule():
                 cs.diag_excess_search(M, **{key: bad})
         with pytest.raises(ValidationError, match=f"^probe_count must be >= 1, got {bad}$"):
             probe(bad)
+        # order 0 raised ShapeError from the empty tensor sum
+        with pytest.raises(ValidationError, match=f"^order must be >= 1, got {bad}$"):
+            probe(2, order=bad)
+        with pytest.raises(ValidationError, match=f"^n must be >= 1, got {bad}$"):
+            random_tensor_sum(2, bad, np.random.default_rng(0))
     report = verify_axioms(ev, samples=2.0, seed=1)
     assert type(report.samples) is int and report == verify_axioms(ev, samples=2, seed=1)
     checked = probe(2.0)
-    assert type(checked.probe_count) is int and checked == probe(2)
+    assert type(checked.probe_count) is int and checked == probe(2) == probe(2, order=2.0)
     assert checked.max_deviation == pytest.approx(5.0)
     want = cs.diag_excess_search(M, budget=2, sweeps=3)
     for counts in ({"budget": 2.0, "sweeps": 3}, {"budget": 2, "sweeps": 3.0}):
@@ -847,3 +858,32 @@ def test_positive_columns_fall_back_to_the_top_eigenvector(h):
     top = np.linalg.eigh(h)[1][:, -1:]
     assert cols.shape == (len(h), 1)
     assert np.array_equal(cols @ cols.conj().T, top @ top.conj().T)
+
+
+def sweep_tau(y, d, n):
+    """tau(Y) = tr[Herm X]_+, with Y / 2 written into the search's own buffer
+    through its flat index, as a sweep writes it."""
+    x, diagonal = cs._sweep_buffer(d, n)
+    x.reshape(-1)[diagonal] = (y / 2)[:, None, :]
+    evals = np.linalg.eigvalsh(x + x.conj().T)
+    return float(evals[evals > 0].sum())
+
+
+@pytest.mark.parametrize("d, n", [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (4, 2)])
+def test_tau_is_covariant_and_sublinear(d, n):
+    # W^(x)n commutes with the cyclic shift, so tau(W Y W^dagger) = tau(Y);
+    # tr[.]_+ is convex and positively homogeneous and Herm X real-linear in
+    # Y, so tau(Y) <= sum_i sigma_i tau(u_i v_i^dagger) over the SVD of Y
+    rng = np.random.default_rng(8)
+    for rank in range(1, d + 1):
+        for _ in range(5):
+            a, b = (rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+                    for _ in range(2))
+            y = a @ b.conj().T
+            tau = sweep_tau(y, d, n)
+            w = haar_unitary(d, rng)
+            assert abs(sweep_tau(w @ y @ w.conj().T, d, n) - tau) <= 1e-12 * tau
+            u, sigma, vh = np.linalg.svd(y)
+            split = sum(s * sweep_tau(np.outer(u[:, i], vh[i]), d, n)
+                        for i, s in enumerate(sigma))
+            assert tau <= (1 + 1e-12) * split

@@ -171,6 +171,10 @@ def test_kernel_and_evaluators_check_d_and_n(d, n, message):
     # kernel of order True, and a stream evaluator bound at n = 0
     binds = [partial(dec.build_M, pure_e1(2))]
     binds += [partial(dec.make_evaluator, method, pure_e1(2)) for method in dec.METHODS]
+    if message.startswith("n "):
+        # random_homogeneous(2, 2.5) raised TypeError and (2, 0) a ShapeError
+        # from the empty history
+        binds.append(lambda d, n: dec.random_homogeneous(d, n, np.random.default_rng(0)))
     for bind in binds:
         with pytest.raises(ValidationError, match=f"^{message}$"):
             bind(d, n)

@@ -20,6 +20,9 @@ SWAP2 = np.array([
 def test_swap_unitary_hand_cases():
     assert np.array_equal(dv.swap_unitary(1), np.eye(1))
     assert np.array_equal(dv.swap_unitary(2), SWAP2)
+    # an integral float is its int: q_u(2.0) raised TypeError
+    assert np.array_equal(dv.swap_unitary(2.0), SWAP2)
+    assert np.array_equal(dv.q_u(np.float64(2.0)).matrix, dv.q_u(2).matrix)
 
 
 def test_swap_unitary_involution_and_symmetry():
@@ -33,6 +36,25 @@ def test_swap_unitary_involution_and_symmetry():
                 e[a * dim + b] = 1.0
                 assert u[:, a * dim + b][b * dim + a] == 1.0
                 assert np.count_nonzero(u @ e) == 1
+
+
+def test_swap_unitary_is_the_loop_permutation():
+    # the index arithmetic writes exactly the entries the d^2 loop wrote
+    for dim in range(1, 6):
+        want = np.zeros((dim * dim, dim * dim), dtype=np.complex128)
+        for a in range(dim):
+            for b in range(dim):
+                want[a * dim + b, b * dim + a] = 1.0
+        u = dv.swap_unitary(dim)
+        assert (u.dtype, u.shape, u.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+@pytest.mark.parametrize("dim", [2.5, True, "2", None])
+def test_swap_unitary_and_q_u_follow_the_integer_rule(dim):
+    # 2.5 raised TypeError and True gave a 1 x 1 matrix
+    for build in (dv.swap_unitary, dv.q_u):
+        with pytest.raises(ValidationError, match=f"^dim must be an integer, got {dim!r}$"):
+            build(dim)
 
 
 def test_swap_unitary_caps_and_rejections():
@@ -101,7 +123,7 @@ def test_default_schedule_powers_of_two():
 
 def test_identity_pair_is_finite_one(rng):
     rho = random_density(2, rng)
-    out = dv.truncated_d(rho, dv.IdentityPair(), dv.IdentityPair())
+    out = dv.truncated_d(rho, "identity", "identity")
     assert out.kind == "Finite"
     assert out.finite
     assert abs(out.value - 1.0) <= 1e-12
@@ -109,7 +131,7 @@ def test_identity_pair_is_finite_one(rng):
 
 
 def test_symmetric_subspace_growth_exact():
-    out = dv.truncated_d(pure_e1(2), dv.IdentityPair(), dv.SymmetricSubspacePair())
+    out = dv.truncated_d(pure_e1(2), "identity", "qu")
     assert out.kind == "Divergent"
     assert out.reason == "monotone-growth"
     assert out.value is None
@@ -119,7 +141,7 @@ def test_symmetric_subspace_growth_exact():
 
 
 def test_swap_pair_growth_exact():
-    out = dv.truncated_d(pure_e1(3), dv.IdentityPair(), dv.SwapPair())
+    out = dv.truncated_d(pure_e1(3), "identity", "swap")
     for cut, s in zip(out.cutoffs, out.partial_sums):
         assert s == complex(cut)
     assert out.reason == "monotone-growth"
@@ -130,7 +152,7 @@ def test_growth_is_state_independent(rng):
     for dim in (2, 3):
         for _ in range(5):
             rho = random_density(dim, rng)
-            out = dv.truncated_d(rho, dv.IdentityPair(), dv.SymmetricSubspacePair())
+            out = dv.truncated_d(rho, "identity", "qu")
             assert out.kind == "Divergent"
             assert out.reason == "monotone-growth"
             assert np.allclose([s.real for s in out.partial_sums], expected, atol=1e-9)
@@ -139,24 +161,18 @@ def test_growth_is_state_independent(rng):
 
 def test_threshold_reason():
     schedule = dv.TruncationSchedule(cutoffs=(4, 8, 16, 32), divergence_threshold=10.0)
-    out = dv.truncated_d(pure_e1(2), dv.IdentityPair(), dv.SymmetricSubspacePair(),
-                         schedule)
+    out = dv.truncated_d(pure_e1(2), "identity", "qu", schedule)
     assert out.kind == "Divergent"
     assert out.reason == "threshold"
 
 
 def test_non_convergent_reason():
-    class ParityPair(dv.PairOperator):
-        def a_table(self, psi, cut):
-            out = np.zeros(cut, dtype=np.complex128)
-            out[0] = 2.0 if cut % 2 == 0 else 1.0
-            return out
-
-        def b_table(self, psi, cut):
-            return self.a_table(psi, cut)
-
-    schedule = dv.TruncationSchedule(cutoffs=(4, 5, 6))
-    out = dv.truncated_d(pure_e1(2), ParityPair(), ParityPair(), schedule)
+    # block 3: a[0] = sum over a < cut of M[3a, a] for the state e_1, and the
+    # identity's b table is e_1, so the partial sums are 4, 4 - 3, 4 - 3 + 3
+    m = np.zeros((9, 9), dtype=np.complex128)
+    m[0, 0], m[3, 1], m[6, 2] = 4.0, -3.0, 3.0
+    schedule = dv.TruncationSchedule(cutoffs=(1, 2, 3))
+    out = dv.truncated_d(pure_e1(2), m, "identity", schedule)
     assert [s.real for s in out.partial_sums] == [4.0, 1.0, 4.0]
     assert out.kind == "Divergent"
     assert out.reason == "non-convergent"
@@ -165,8 +181,7 @@ def test_non_convergent_reason():
 def test_cutoff_far_beyond_any_table():
     # each table stops at the state's dimension, so 10**15 costs what 8 does
     schedule = dv.TruncationSchedule(cutoffs=(4, 8, 10**15))
-    out = dv.truncated_d(pure_e1(2), dv.IdentityPair(), dv.SymmetricSubspacePair(),
-                         schedule)
+    out = dv.truncated_d(pure_e1(2), "identity", "qu", schedule)
     assert out.kind == "Divergent"
     assert out.reason == "threshold"
     assert out.partial_sums[-1] == complex(5e14 + 0.5)
@@ -184,41 +199,39 @@ def test_diverge_cli_at_huge_cutoffs(tmp_path, capsys):
 
 
 def test_tables_stop_at_the_data(rng):
-    rho = random_density(3, rng)
-    psi = rho.vectors[:, 0]
-    qu5 = dv.MatrixPairOperator(dv.q_u(5).matrix, 5)
+    psi = random_density(3, rng).vectors[:, 0]
+    swap, qu5 = dv._pair_data("swap"), dv._pair_data(dv.q_u(5).matrix)
     for cut in (1, 2, 3, 4, 10**15):
-        for op, block in ((dv.SwapPair(), 3), (qu5, 5)):
-            assert op.a_table(psi, cut).shape == (min(cut, block),)
-            assert op.b_table(psi, cut).shape == (min(cut, block),)
-
-
-class HeadPair(dv.PairOperator):
-    """The state's first two entries at every cutoff, optionally zero-padded to cut."""
-
-    def __init__(self, padded):
-        self.padded = padded
-
-    def _table(self, v, cut):
-        out = np.zeros(cut if self.padded else min(cut, 2), dtype=np.complex128)
-        out[:min(cut, 2)] = v[:min(cut, 2)]
-        return out
-
-    def a_table(self, psi, cut):
-        return self._table(psi, cut)
-
-    def b_table(self, psi, cut):
-        return self._table(np.conj(psi), cut)
+        for op, block in ((swap, 3), (qu5, 5)):
+            for left in (True, False):
+                assert dv._table(op, psi, cut, left).shape == (min(cut, block),)
 
 
 def test_short_tables_sum_as_if_zero_padded(rng):
+    # the swap's tables stop at the state's dimension 3, the matrix's at its
+    # block 5: each partial sum is that of both tables zero-padded to cut
     rho = random_density(3, rng)
-    schedule = dv.TruncationSchedule(cutoffs=(1, 2, 3, 5))
-    short, padded, swap = HeadPair(False), HeadPair(True), dv.SwapPair()
-    for p, q, p0, q0 in ((short, short, padded, padded), (short, swap, padded, swap),
-                         (swap, short, swap, padded)):
-        assert (dv.truncated_d(rho, p, q, schedule).partial_sums
-                == dv.truncated_d(rho, p0, q0, schedule).partial_sums)
+    m = rng.standard_normal((25, 25)) + 1j * rng.standard_normal((25, 25))
+    cutoffs = (1, 2, 3, 4, 5, 8)
+
+    def padded(op, psi, cut, left):
+        out = np.zeros(cut, dtype=np.complex128)
+        table = dv._table(dv._pair_data(op), psi, cut, left)
+        out[:table.shape[0]] = table
+        return out
+
+    for p, q in (("swap", m), (m, "swap"), (m, m)):
+        want = []
+        for cut in cutoffs:
+            total = 0j
+            for wgt, psi in zip(rho.weights, rho.vectors.T):
+                acc = 0j
+                for x, y in zip(padded(p, psi, cut, True), padded(q, psi, cut, False)):
+                    acc += x * y
+                total += float(wgt) * acc
+            want.append(complex(total))
+        out = dv.truncated_d(rho, p, q, dv.TruncationSchedule(cutoffs=cutoffs))
+        assert out.partial_sums == tuple(want)
 
 
 def test_embedded_history_pair_matches_series(rng):
@@ -234,37 +247,51 @@ def test_embedded_history_pair_matches_series(rng):
 
 def test_matrix_pair_reproduces_finite_block(rng):
     rho = random_density(2, rng)
-    qu2 = dv.MatrixPairOperator(dv.q_u(2).matrix, 2)
-    out = dv.truncated_d(rho, dv.IdentityPair(), qu2)
+    out = dv.truncated_d(rho, "identity", dv.q_u(2).matrix)
     assert out.kind == "Finite"
     eye = history_projection(np.eye(4), 2, 2)
     qh = history_projection(dv.q_u(2).matrix, 2, 2)
     assert abs(out.value - d_series(rho, eye, qh)) <= 1e-10
-    via_history = dv.truncated_d(rho, dv.IdentityPair(), qh)
+    via_history = dv.truncated_d(rho, "identity", qh)
     assert out.partial_sums == via_history.partial_sums
 
 
 def test_matrix_pair_rejections(rng):
-    with pytest.raises(ShapeError, match="doubled dim"):
-        dv.MatrixPairOperator(np.eye(3), 2)
-    qu2 = dv.MatrixPairOperator(dv.q_u(2).matrix, 2)
+    with pytest.raises(ShapeError, match="^matrix dimension 3 is not a doubled dimension$"):
+        dv.truncated_d(pure_e1(2), np.eye(3), "identity")
+    with pytest.raises(ShapeError, match="does not match doubled dim 4"):
+        dv.truncated_d(pure_e1(2), "identity", np.ones((4, 5)))
+    qu2 = dv.q_u(2).matrix
     with pytest.raises(ShapeError, match="exceeds operator block"):
         dv.truncated_d(random_density(3, rng), qu2, qu2)
 
 
-def test_as_pair_rejections():
+def test_as_pair_rejections(rng):
     with pytest.raises(ShapeError, match="order-2"):
         dv.truncated_d(pure_e1(2), history_projection(P0, 1, 2),
                        history_projection(P0, 1, 2))
-    with pytest.raises(ShapeError, match="pair operator"):
-        dv.truncated_d(pure_e1(2), np.eye(4), np.eye(4))
+    for bad, message in ((3, "^cannot interpret int as a pair operator$"),
+                         (np.ones(4), "^cannot interpret ndarray as a pair operator$"),
+                         (np.eye(5), "^matrix dimension 5 is not a doubled dimension$")):
+        with pytest.raises(ShapeError, match=message):
+            dv.truncated_d(pure_e1(2), bad, "identity")
+    with pytest.raises(ValidationError,
+                       match=r"^unknown builtin 'nope'; have \['identity', 'qu', 'swap'\]$"):
+        dv.truncated_d(pure_e1(2), "nope", "qu")
+    # P is checked before Q
+    with pytest.raises(ValidationError, match="unknown builtin"):
+        dv.truncated_d(pure_e1(2), "nope", 3)
+    with pytest.raises(ShapeError, match="^cannot interpret int as a pair operator$"):
+        dv.truncated_d(pure_e1(2), 3, "nope")
+    # the doubled identity matrix is the identity operator at every cutoff
+    rho = random_density(2, rng)
+    assert (dv.truncated_d(rho, np.eye(4), np.eye(4)).partial_sums
+            == dv.truncated_d(rho, "identity", "identity").partial_sums)
 
 
 def test_verdict_stable_across_schedules():
-    short = dv.truncated_d(pure_e1(2), dv.IdentityPair(), dv.SymmetricSubspacePair(),
-                           dv.default_schedule(128))
-    long = dv.truncated_d(pure_e1(2), dv.IdentityPair(), dv.SymmetricSubspacePair(),
-                          dv.default_schedule(512))
+    short = dv.truncated_d(pure_e1(2), "identity", "qu", dv.default_schedule(128))
+    long = dv.truncated_d(pure_e1(2), "identity", "qu", dv.default_schedule(512))
     assert short.kind == long.kind == "Divergent"
     assert long.partial_sums[:len(short.partial_sums)] == short.partial_sums
 
@@ -272,19 +299,19 @@ def test_verdict_stable_across_schedules():
 def test_truncated_d_is_total(rng):
     # every pair gets a verdict: a finite value or the point at infinity
     rho = random_density(2, rng)
-    a = dv.truncated_d(rho, dv.IdentityPair(), dv.SymmetricSubspacePair())
+    a = dv.truncated_d(rho, "identity", "qu")
     assert a.kind == "Divergent" and a.value is None
-    c = dv.truncated_d(rho, dv.IdentityPair(), dv.IdentityPair())
+    c = dv.truncated_d(rho, "identity", "identity")
     assert c.finite and abs(c.value - 1.0) <= 1e-12
 
 
 def test_decoherence_value_as_dict():
-    out = dv.truncated_d(pure_e1(2), dv.IdentityPair(), dv.SymmetricSubspacePair())
+    out = dv.truncated_d(pure_e1(2), "identity", "qu")
     d = out.as_dict()
     assert d["kind"] == "Divergent"
     assert d["value"] is None
     assert d["reason"] == "monotone-growth"
     assert d["cutoffs"] == [4, 8, 16, 32, 64, 128, 256, 512]
     assert d["partial_sums"][0] == [2.5, 0.0]
-    finite = dv.truncated_d(pure_e1(2), dv.IdentityPair(), dv.IdentityPair())
+    finite = dv.truncated_d(pure_e1(2), "identity", "identity")
     assert finite.as_dict()["value"] == [1.0, 0.0]
