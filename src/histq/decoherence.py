@@ -38,16 +38,20 @@ those entries from rho through an index table cached per (d, n) and forms
 neither M nor K; the dense M is scattered from them only when it is read.
 A wrong table still gives a wrong value, so ``ils`` stays an oracle
 independent of ``stream``.  Both take one pair as a one-pair Gram.
-``series`` sums the tuples of a cached table, each split at the tensor cut
-into an h half and a k half; a Gram forms the k half of its whole stack once
-and the h half once per row, forming complex products on real and
-imaginary parts, as numpy's SIMD complex multiply may fuse multiply-adds
-(FMA), so it is bit-identical to the per-tuple scalar expansion.  What the
-sum takes from the state, its weights and psi at each tuple of nonzero
-weight, is built once per state and (d, n) and kept in a memo keyed weakly
-on the state, so it goes with the state; each call gathers the real and
-imaginary parts of h and k through their float64 views as contiguous
-arrays.
+``series`` splits each tuple at the tensor cut into an h half, which
+depends on j_1, u and v alone, and a k half, which depends on j_1, w and v
+alone.  It sums each half once per distinct index, reading the d D entries
+of its argument that a table cached per (d, n) lists, and broadcasts the
+two halves into the tuples, in their lexicographic order, for the final
+product and the left-to-right weighted sum; a Gram forms the h halves of
+its rows and the k halves of its columns once each and sums row by row.
+Complex products are formed on real and imaginary parts, as numpy's SIMD
+complex multiply may fuse multiply-adds (FMA), so every value is
+bit-identical to the per-tuple scalar expansion.  What the sum takes from
+the state, its rows of nonzero weight and psi at those rows, is built once
+per state and (d, n) and kept in a memo keyed weakly on the state, so it
+goes with the state; a value gathers the real and imaginary parts of h and
+k with one take from their float64 views laid end to end.
 ``direct`` traces left rho right for one pair of time-ordered products or,
 broadcast, for a stack of each.
 
@@ -207,43 +211,41 @@ def _place_value(digits, d: int):
     return out
 
 
-def _real_product(xr, xi, yr, yi):
-    # complex product on real and imaginary parts, rounded as numpy's scalar
-    # complex multiply rounds; array complex multiply may fuse into FMAs
-    return xr * yr - xi * yi, xr * yi + xi * yr
-
-
 @lru_cache(maxsize=16)
-def _tuple_table(rank: int, d: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The tuple table of `d_series` for a state of rank ``rank`` at (d, n).
+def _tuple_table(d: int, n: int) -> np.ndarray:
+    """The table of `d_series` at (d, n): the entries each half of a tuple
+    reads, once per distinct index of the half.
 
-    Returns the weight index j0 of each tuple, in lexicographic order, and
-    the positions, in the float64 view of a flat complex matrix, of the
-    entries each tuple reads for each t: pos_h[0, t, T] = 2 flat_h and
-    pos_h[1, t, T] = 2 flat_h + 1 hold the real and imaginary part of the
-    entry at flat_h = row_a * D + t * r + u, and pos_k those of flat_k =
-    (t * r + w) * D + col_b, with D = d^n, r = d^(n-1), row_a = (u, v) and
-    col_b = (w, v) in the slots below.  The arrays are read-only, since
-    every call shares them; the bound on cached keys keeps large tables
-    from piling up.
+    The h half of a tuple depends on j0, u and v alone and the k half on j0,
+    w and v alone, in the slots below, so it is summed once per distinct
+    (u, v) or (w, v) and row j0.  The entries are given by their positions
+    in the float64 view of the flat h and k laid end to end: pos[0, t, p, m]
+    holds 2 flat_h + p at m = v * r + ub for flat_h = row_a * D + t * r + u,
+    and 2 (D^2 + flat_k) + p at m = D + w * d + v for flat_k =
+    (t * r + w) * D + col_b, where p = 0, 1 picks the real or imaginary
+    part, D = d^n, r = d^(n-1), row_a = (u, v), col_b = (w, v) and ub is u
+    with its digits reversed; pos[1] holds the same entries with the parts
+    swapped.  The tuples run in lexicographic order of (j0, w, v, ub), so
+    per j0 an h half shaped (1, d, r) times a k half shaped (r, d, 1) is in
+    the tuples' own order.  The (2, d, 2, 2 D) array is read-only, since
+    every state at (d, n) shares it; the bound on cached keys keeps large
+    tables from piling up.
     """
-    J = np.indices((rank,) + (d,) * (2 * n - 1)).reshape(2 * n, -1)
-    # tuple slots: u = (j_2n, ..., j_{n+2}), v = j_{n+1}, w = (j_2, ..., j_n)
-    u = _place_value(J[2 * n - 1:n:-1], d)
-    w = _place_value(J[1:n], d)
     dim, r = d ** n, d ** (n - 1)
-    shift = (np.arange(d) * r)[:, None]
-    j0 = J[0].copy()
-    parts = np.arange(2)[:, None, None]
-    pos_h = 2 * ((u * d + J[n]) * dim + shift + u) + parts
-    pos_k = 2 * ((shift + w) * dim + w * d + J[n]) + parts
-    for table in (j0, pos_h, pos_k):
-        table.flags.writeable = False
-    return j0, pos_h, pos_k
+    # tuple slots: u = (j_2n, ..., j_{n+2}), v = j_{n+1}, w = (j_2, ..., j_n);
+    # u is ub = (j_{n+2}, ..., j_2n) read backwards
+    u = _place_value(np.indices((d,) * (n - 1)).reshape(n - 1, r)[::-1], d)
+    t, v, w = np.arange(d)[:, None, None], np.arange(d), np.arange(r)[:, None]
+    flat_h = (u * d + v[:, None]) * dim + t * r + u
+    flat_k = dim * dim + (t * r + w) * dim + w * d + v
+    flat = np.concatenate((flat_h.reshape(d, dim), flat_k.reshape(d, dim)), axis=1)
+    pos = 2 * flat[None, :, None] + np.array([[0, 1], [1, 0]])[:, None, :, None]
+    pos.flags.writeable = False
+    return pos
 
 
-# per state, the tuple data of `_series_terms` for each (d, n); an entry
-# dies with its state, which hashes by identity
+# per state, the data of `_series_terms` for each (d, n); an entry dies
+# with its state, which hashes by identity
 _series_memo: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -251,77 +253,100 @@ def _series_terms(rho: DensityOperator, d: int, n: int) -> tuple[np.ndarray, ...
     """The state's part of the series sum at (d, n), built on first use and
     kept in `_series_memo` while the state lives.
 
-    Returns the positions pos_h and pos_k of `_tuple_table`, the weight
-    w_{j0} of each tuple, and psi_{j0} gathered at each tuple as contiguous
-    real, imaginary and negated imaginary (d, T) arrays, all read-only.
-    Tuples of zero weight are dropped here, once per state, so the
-    positions are the shared table's own unless a weight is zero.  The
-    state's weights and vectors are read-only, so the entry cannot go stale.
+    Only the R rows j0 of nonzero weight are kept, so tuples of zero weight
+    are dropped here, once per state.  Returns the positions of
+    `_tuple_table` repeated for each kept row, as a (2, d, 2, 2 R D) array
+    whose last axis runs over (half, j0, entry); the factors that multiply
+    the entries read there, of the same shape: psi_{j0}[t] at the entries
+    and -Im, Im psi_{j0}[t] at their swapped parts in the h halves, the
+    conjugate's in the k halves; and the kept weights as an (R, 1) column.
+    All are read-only.  The state's weights and vectors are read-only, so
+    the entry cannot go stale.
     """
     per_state = _series_memo.setdefault(rho, {})
     terms = per_state.get((d, n))
     if terms is None:
-        j0, pos_h, pos_k = _tuple_table(len(rho.weights), d, n)
-        if not rho.weights.all():
-            keep = np.flatnonzero(rho.weights[j0] != 0.0)
-            # take() returns C-ordered arrays, where indexing along the
-            # last axis may lay the tuple axis out first: the sums over t
-            # then run along a strided axis, in sequence; numpy sums a
-            # contiguous axis of 8 or more terms pairwise
-            j0, pos_h, pos_k = j0[keep], pos_h.take(keep, axis=-1), pos_k.take(keep, axis=-1)
-        psi = rho.vectors.take(j0, axis=1)
-        terms = (pos_h, pos_k, rho.weights.take(j0), np.ascontiguousarray(psi.real),
-                 np.ascontiguousarray(psi.imag), -psi.imag)
+        keep = np.flatnonzero(rho.weights)
+        psi = rho.vectors.take(keep, axis=1)[:, None, None, :]
+        # (order, t, part, half, j0, entry)
+        shape = (2, d, 2, 2, len(keep), d ** n)
+        factors = np.empty(shape[:-1])
+        factors[0] = psi.real
+        # (part, half) signs: conj(psi) in the k half flips the imaginary part
+        factors[1] = np.array([[-1.0, 1.0], [1.0, -1.0]])[:, :, None] * psi.imag
+        terms = (np.broadcast_to(_tuple_table(d, n).reshape(shape[:4] + (1, -1)),
+                                 shape).reshape(2, d, 2, -1),
+                 np.broadcast_to(factors[..., None], shape).reshape(2, d, 2, -1),
+                 rho.weights.take(keep)[:, None])
         for x in terms:
             x.flags.writeable = False
         per_state[(d, n)] = terms
     return terms
 
 
-def _series_half(psi_r, psi_i, m: np.ndarray,
-                 pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One side of the series sum for one (D, D) matrix m or an (l, D, D)
-    stack: per tuple, the sum over t of psi times the entry of m at ``pos``,
-    as real and imaginary parts.  Both parts are gathered from m's float64
-    view in one step as contiguous arrays and summed over t along an outer
-    axis, which numpy reduces in sequence; products are formed on real and
-    imaginary parts, so every step rounds as the per-tuple expansion does.
+def _series_halves(factors: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The halves of the series sum from the entries ``v``, of shape
+    (..., 2, d, 2, m), gathered through positions of `_series_terms` with
+    their ``factors``: per entry, the sum over t of psi times the entry, as
+    a (..., 2, m) array of real and imaginary parts.  The product is formed
+    on real and imaginary parts, Re = psr vr + (-psi vi) and Im = psr vi +
+    psi vr, as the per-tuple expansion rounds it, and summed over t along
+    an outer axis, which numpy reduces in sequence.  ``v`` is overwritten.
     """
-    v = m.reshape(*m.shape[:-2], -1).view(np.float64).take(pos, axis=-1)
-    pr, pi = _real_product(psi_r, psi_i, v[..., 0, :, :], v[..., 1, :, :])
-    return np.add.reduce(pr, axis=-2), np.add.reduce(pi, axis=-2)
+    np.multiply(v, factors, out=v)
+    return np.add.reduce(v[..., 0, :, :, :] + v[..., 1, :, :, :], axis=-3)
 
 
-def _series_sum(w: np.ndarray, h_half, k_half) -> np.ndarray:
-    """The series sum of the h half of one history against the k half of
-    one k or a stack of them: a 0-d value or a Gram row.  The tuples, of
-    nonzero weight only, are accumulated left to right in lexicographic
-    order.  The weights are real and the terms finite, so multiplying them
-    as reals changes at most the sign of a zero term; a left-to-right sum
-    from +0.0 never holds -0.0, and the final + 0.0 clears the one case
-    where the sum without that start differs, so every value is
-    bit-identical to the per-tuple expansion.
+def _series_sum(w: np.ndarray, h_half: np.ndarray, k_half: np.ndarray,
+                d: int, n: int) -> np.ndarray:
+    """The series sum of the (2, R D) h half of one history against the
+    (..., 2, R D) k half of one k or a stack of them, each as real and
+    imaginary parts: a 0-d value or a Gram row.  Per row j0, the h half
+    shaped (1, d, r) times the k half shaped (r, d, 1) gives the tuples, of
+    nonzero weight only, in lexicographic order.  Their real and imaginary
+    parts are formed on reals, as numpy's SIMD complex multiply may fuse
+    multiply-adds (FMA), weighted, and accumulated left to right as complex
+    numbers, whose sum adds the two parts apart.  The weights are real and
+    the terms finite, so multiplying them as reals changes at most the sign
+    of a zero term; a left-to-right sum from +0.0 never holds -0.0, and the
+    final + 0j, which adds +0.0 to each part, clears the one case where the
+    sum without that start differs, so every value is bit-identical to the
+    per-tuple expansion.
     """
-    xr, xi = _real_product(*h_half, *k_half)
-    total = np.empty(xr.shape[:-1], dtype=np.complex128)
-    total.real = np.add.accumulate(w * xr, axis=-1)[..., -1] + 0.0
-    total.imag = np.add.accumulate(w * xi, axis=-1)[..., -1] + 0.0
-    return total
+    r, rank = d ** (n - 1), len(w)
+    lead = k_half.shape[:-2]
+    # (h part, k part) products in the order re re, re im, im re, im im
+    prod = (h_half.reshape(2, 1, rank, 1, d, r)
+            * k_half.reshape(*lead, 1, 2, rank, r, d, 1)).reshape(*lead, 4, -1)
+    terms = np.empty((*lead, prod.shape[-1]), dtype=np.complex128)
+    np.subtract(prod[..., 0, :], prod[..., 3, :], out=terms.real)
+    np.add(prod[..., 1, :], prod[..., 2, :], out=terms.imag)
+    parts = terms.view(np.float64).reshape(*lead, rank, -1)
+    np.multiply(parts, w, out=parts)
+    return np.add.accumulate(terms, axis=-1, out=terms)[..., -1] + 0j
 
 
 def _series_gram(rho: DensityOperator, d: int, n: int, ps, qs) -> np.ndarray:
-    # the k half of the stack of qs once, then one row per ps[i], so memory
-    # stays O(len(qs) * tuples); the arguments are checked by the caller
-    pos_h, pos_k, w, psr, psi, npsi = _series_terms(rho, d, n)
-    k_half = _series_half(psr, npsi, _stack(qs), pos_k)
-    return np.array([_series_sum(w, _series_half(psr, psi, p.matrix, pos_h), k_half)
-                     for p in ps])
+    # the h halves of ps and the k halves of qs each once, then one row per
+    # ps[i], so memory stays O(len(qs) * tuples); the arguments are checked
+    # by the caller
+    pos, factors, w = _series_terms(rho, d, n)
+    m = pos.shape[-1] // 2
+    h_half, k_half = (
+        _series_halves(factors[..., half], _stack(xs).reshape(len(xs), -1).view(np.float64)
+                       .take(pos[..., half] - offset, axis=-1))
+        for xs, half, offset in ((ps, slice(m), 0), (qs, slice(m, None), 2 * d ** (2 * n))))
+    return np.array([_series_sum(w, h, k_half, d, n) for h in h_half])
 
 
 def _series_value(rho: DensityOperator, d: int, n: int, h, k) -> complex:
-    pos_h, pos_k, w, psr, psi, npsi = _series_terms(rho, d, n)
-    return complex(_series_sum(w, _series_half(psr, psi, h.matrix, pos_h),
-                               _series_half(psr, npsi, k.matrix, pos_k)))
+    pos, factors, w = _series_terms(rho, d, n)
+    m = pos.shape[-1] // 2
+    # h and k end to end are dropped before the sum, whose buffers may then
+    # reuse their memory
+    halves = _series_halves(factors, np.concatenate(
+        (h.matrix.reshape(-1), k.matrix.reshape(-1))).view(np.float64).take(pos))
+    return complex(_series_sum(w, halves[:, :m], halves[:, m:], d, n))
 
 
 def d_series(rho: DensityOperator, h: HistoryProjection | HomogeneousHistory,
@@ -590,8 +615,9 @@ def random_projection(dim: int, rng: np.random.Generator,
 
 
 def random_homogeneous(d: int, n: int, rng: np.random.Generator) -> HomogeneousHistory:
-    """Random homogeneous history with independently drawn factors."""
-    n = checked_int(n, "n", low=1)
+    """Random homogeneous history with independently drawn factors; d and n
+    must be integers >= 1."""
+    d, n = checked_int(d, "d", low=1), checked_int(n, "n", low=1)
     mats = []
     for _ in range(n):
         rank = int(rng.integers(1, d + 1))

@@ -128,7 +128,7 @@ class UniquenessReport:
 
 def random_tensor_sum(d: int, n: int, rng: np.random.Generator,
                       max_terms: int = 3) -> SimpleTensorSum:
-    n = checked_int(n, "n", low=1)
+    d, n = checked_int(d, "d", low=1), checked_int(n, "n", low=1)
     terms = []
     for _ in range(int(rng.integers(1, max_terms + 1))):
         factors = []

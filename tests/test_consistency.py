@@ -458,6 +458,9 @@ def test_counts_follow_the_integer_rule():
             probe(2, order=bad)
         with pytest.raises(ValidationError, match=f"^n must be an integer, got {bad}$"):
             random_tensor_sum(2, bad, np.random.default_rng(0))
+        # and the single-time dimension at 2.5 and True
+        with pytest.raises(ValidationError, match=f"^d must be an integer, got {bad}$"):
+            random_tensor_sum(bad, 2, np.random.default_rng(0))
     # zero probes would report no deviation for any form, zero samples no
     # violation, and zero sweeps or restarts no projection
     for bad in (0, -1):
@@ -473,6 +476,9 @@ def test_counts_follow_the_integer_rule():
             probe(2, order=bad)
         with pytest.raises(ValidationError, match=f"^n must be >= 1, got {bad}$"):
             random_tensor_sum(2, bad, np.random.default_rng(0))
+        # d = 0 raised ShapeError from the empty factors
+        with pytest.raises(ValidationError, match=f"^d must be >= 1, got {bad}$"):
+            random_tensor_sum(bad, 2, np.random.default_rng(0))
     report = verify_axioms(ev, samples=2.0, seed=1)
     assert type(report.samples) is int and report == verify_axioms(ev, samples=2, seed=1)
     checked = probe(2.0)

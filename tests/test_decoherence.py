@@ -171,10 +171,9 @@ def test_kernel_and_evaluators_check_d_and_n(d, n, message):
     # kernel of order True, and a stream evaluator bound at n = 0
     binds = [partial(dec.build_M, pure_e1(2))]
     binds += [partial(dec.make_evaluator, method, pure_e1(2)) for method in dec.METHODS]
-    if message.startswith("n "):
-        # random_homogeneous(2, 2.5) raised TypeError and (2, 0) a ShapeError
-        # from the empty history
-        binds.append(lambda d, n: dec.random_homogeneous(d, n, np.random.default_rng(0)))
+    # random_homogeneous(2, 2.5), (2.5, 2) and (True, 2) raised TypeError
+    # and (2, 0) a ShapeError from the empty history
+    binds.append(lambda d, n: dec.random_homogeneous(d, n, np.random.default_rng(0)))
     for bind in binds:
         with pytest.raises(ValidationError, match=f"^{message}$"):
             bind(d, n)
@@ -439,9 +438,11 @@ def _series_loop(rho, h, k):
 
 @pytest.mark.parametrize("spectrum", SPECTRA)
 @pytest.mark.parametrize("dn", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (3, 3),
-                                (2, 5), (4, 2), (5, 2), (9, 1)])
+                                (2, 5), (4, 2), (5, 2), (9, 1), (2, 6)])
 def test_series_is_bit_identical_to_tuple_loop(dn, spectrum):
-    # at d >= 8 a sum over t taken pairwise, not in sequence, changes the bits
+    # at d >= 8 a sum over t taken pairwise, not in sequence, changes the
+    # bits; at the history cap (2, 6) the reversed digits of u run over five
+    # slots
     d, n = dn
     rng = np.random.default_rng([d, n, SPECTRA.index(spectrum)])
     rho = spectrum_state(spectrum, d, rng)
@@ -460,17 +461,25 @@ def test_series_is_bit_identical_to_tuple_loop(dn, spectrum):
 
 
 def test_series_tuple_table_is_cached_and_read_only():
-    tables = dec._tuple_table(2, 2, 3)
-    assert dec._tuple_table(2, 2, 3) is tables
-    j0, pos_h, pos_k = tables
-    # (real or imaginary part, t, tuple) positions in a float64 view
-    assert pos_h.shape == pos_k.shape == (2, 2, j0.size) == (2, 2, 2 * 2 ** 5)
-    assert np.array_equal(pos_h[1] - pos_h[0], np.ones_like(pos_h[0]))
-    assert not (pos_h[0] % 2).any() and not (pos_k[0] % 2).any()
-    for table in tables:
-        assert not table.flags.writeable
-        with pytest.raises(ValueError):
-            table[..., 0] = 0
+    d, n = 2, 3
+    dim = d ** n
+    pos = dec._tuple_table(d, n)
+    assert dec._tuple_table(d, n) is pos
+    # (order, t, part, entry) positions in the float64 view of h and k laid
+    # end to end: D entries of each half per t, the parts swapped in order 1
+    assert pos.shape == (2, d, 2, 2 * dim)
+    assert np.array_equal(pos[0, :, 1] - pos[0, :, 0], np.ones((d, 2 * dim)))
+    assert not (pos[0, :, 0] % 2).any()
+    assert np.array_equal(pos[1], pos[0, :, ::-1])
+    # h halves read the first 2 D^2 floats and k halves the next, each
+    # entry once per (t, part)
+    h, k = pos[..., :dim], pos[..., dim:]
+    assert h.min() >= 0 and h.max() < 2 * dim ** 2 <= k.min() and k.max() < 4 * dim ** 2
+    for half in (h, k):
+        assert np.unique(half[0]).size == half[0].size == 2 * d * dim
+    assert not pos.flags.writeable
+    with pytest.raises(ValueError):
+        pos[..., 0] = 0
 
 
 def test_series_rank_deficient_call_leaves_the_cached_table_intact():
@@ -505,6 +514,22 @@ def test_series_sums_over_t_in_sequence_past_eight_terms(d):
             assert bits(gram[i, j]) == want
 
 
+def test_series_sum_of_negative_zeros_is_positive_zero():
+    # signed zeros in h make every term -0.0 in one part for (h, 1) and
+    # (1, h); the loop sums from 0j and gives +0.0, as must the value and
+    # the Gram
+    rho = density_from_spectral([1.0], np.full((2, 1), -0.5 - 0.5j))
+    zero = np.zeros((2, 2), dtype=np.complex128)
+    zero.real[:, 1] = -0.0
+    zero.imag[1] = -0.0
+    h, eye = history_projection(zero, 1, 2), identity_history_projection(2, 1)
+    ev = dec.make_evaluator("series", rho, 2, 1)
+    for p, q in ((h, eye), (eye, h), (h, h)):
+        want = bits(_series_loop(rho, p, q))
+        assert want == [("0x0.0p+0", "0x0.0p+0")]
+        assert bits(dec.d_series(rho, p, q)) == bits(ev.gram([p], [q])) == want
+
+
 def test_series_memo_entry_dies_with_its_state():
     gc.collect()
     before = len(dec._series_memo)
@@ -525,6 +550,11 @@ def test_series_memo_arrays_are_read_only():
     dec.d_series(rho, p, p)
     terms = dec._series_memo[rho][(3, 2)]
     assert terms is dec._series_terms(rho, 3, 2)
+    # positions and factors per (order, t, part) and (half, j0, entry) for
+    # the two rows of nonzero weight, and those weights as a column
+    pos, factors, w = terms
+    assert pos.shape == factors.shape == (2, 3, 2, 2 * 2 * 9)
+    assert w.shape == (2, 1)
     for x in terms:
         assert not x.flags.writeable
         with pytest.raises(ValueError):
@@ -550,8 +580,31 @@ def test_series_warm_memo_is_bit_identical_to_tuple_loop(full_first):
                     want = bits(_series_loop(rho, x, y))
                     assert bits(dec.d_series(rho, x, y)) == want
                     assert bits(gram[i, j]) == want
-    assert dec._series_memo[full][(d, n)][0] is dec._tuple_table(d, d, n)[1]
-    assert dec._series_memo[deficient][(d, n)][0].shape[-1] < dec._tuple_table(d, d, n)[1].shape[-1]
+    # both memo entries repeat the one table of (d, n) per row of nonzero
+    # weight, and the rank-deficient state keeps fewer rows
+    table = dec._tuple_table(d, n).reshape(2, d, 2, 2, 1, d ** n)
+    for rho, rows in ((full, d), (deficient, d - 1)):
+        pos, _, w = dec._series_memo[rho][(d, n)]
+        assert w.shape == (rows, 1)
+        assert np.array_equal(pos.reshape(2, d, 2, 2, rows, d ** n),
+                              np.broadcast_to(table, (2, d, 2, 2, rows, d ** n)))
+
+
+@pytest.mark.parametrize("dn", [(2, 3), (3, 3)])
+def test_series_gram_is_bit_identical_to_tuple_loop(dn):
+    # the h halves of xs and the k halves of ys each formed once, broadcast
+    # row by row: every entry of a rectangular Gram has the loop's bits
+    d, n = dn
+    dim = d ** n
+    rng = np.random.default_rng([d, n, 45])
+    basis = haar_unitary(d, rng)
+    xs = [history_projection(random_proj(dim, rng, r), n, d) for r in (1, dim // 2, dim)]
+    ys = [history_projection(random_proj(dim, rng, r), n, d) for r in (2, dim - 1)]
+    for kind in ("full", "rank-deficient"):
+        rho = spectrum_state(kind, d, rng, basis)
+        gram = dec.make_evaluator("series", rho, d, n).gram(xs, ys)
+        assert gram.shape == (3, 2)
+        assert bits(gram) == [bit for x in xs for y in ys for bit in bits(_series_loop(rho, x, y))]
 
 
 def test_series_memo_keeps_equal_states_apart():
