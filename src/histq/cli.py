@@ -29,8 +29,7 @@ from .divergence import (DEFAULT_CONVERGENCE_THRESHOLD, DEFAULT_DIVERGENCE_THRES
                          default_schedule)
 from .errors import (HistqError, NumericalError, ShapeError, SizeCapError,
                      ValidationError)
-from .historyspace import (DEFAULT_HISTORY_CAP, DEFAULT_MATERIALIZE_CAP, METHODS,
-                           VALIDATION_TOL, DensityOperator, HomogeneousHistory,
+from .historyspace import (METHODS, VALIDATION_TOL, DensityOperator, HomogeneousHistory,
                            checked_float, checked_int, density_from_spectral,
                            embed_homogeneous, history_projection, projection_residuals)
 from .seeding import generator, stream_metadata
@@ -58,8 +57,8 @@ class RunConfig:
     seed: int = 0
     validation_tol: float = VALIDATION_TOL
     consistency_tol: float = 1e-9
-    materialize_cap: int = DEFAULT_MATERIALIZE_CAP
-    history_cap: int = DEFAULT_HISTORY_CAP
+    materialize_cap: int = 1024
+    history_cap: int = 64
     cutoffs: tuple[int, ...] = default_schedule().cutoffs
     convergence_threshold: float = DEFAULT_CONVERGENCE_THRESHOLD
     divergence_threshold: float = DEFAULT_DIVERGENCE_THRESHOLD
@@ -185,13 +184,13 @@ def _factor_residuals(obj) -> tuple[float, float]:
     return projection_residuals(obj.matrix)
 
 
-def _check_history_cap(method: str, state_dim: int, d: int, n: int,
-                       cfg: RunConfig) -> None:
-    """Refuse to embed histories of dimension d**n above the history cap;
-    ``direct`` holds only the d x d factors and is not capped.  A state of
-    another dimension than d passes, so that make_evaluator or build_M
+def _check_history_cap(d: int, n: int, cfg: RunConfig, state_dim: int | None = None,
+                       method: str | None = None) -> None:
+    """Refuse d**n above the history cap before a history is embedded at it,
+    by every method but ``direct``, which holds only the d x d factors.  A
+    ``state_dim`` other than d passes, so that make_evaluator or build_M
     rejects it first as a validation error."""
-    if method != "direct" and state_dim == d and d ** n > cfg.history_cap:
+    if method != "direct" and state_dim in (None, d) and d ** n > cfg.history_cap:
         raise SizeCapError(
             f"history dimension {d}**{n}={d ** n} exceeds cap {cfg.history_cap}")
 
@@ -208,7 +207,7 @@ def _cmd_eval(args, cfg: RunConfig) -> int:
     residuals["k_hermitian"], residuals["k_idempotent"] = _factor_residuals(k)
     n = max(h.order, k.order)
     if isinstance(h, HomogeneousHistory) or isinstance(k, HomogeneousHistory):
-        _check_history_cap(args.method, rho.dim, d, n, cfg)
+        _check_history_cap(d, n, cfg, method=args.method)
     evaluator = decoherence.make_evaluator(args.method, rho, d, n)
     value = evaluator.value(h, k)
     out = {
@@ -230,8 +229,12 @@ def _cmd_build_m(args, cfg: RunConfig) -> int:
     n = cfg.order
     # the kernel's entries are held at history dimension d**n, as by ils;
     # the materialization cap bounds the dense M read from them
-    _check_history_cap("ils", rho.dim, d, n, cfg)
-    m = decoherence.build_M(rho, d, n, cap=cfg.materialize_cap).matrix
+    _check_history_cap(d, n, cfg, rho.dim)
+    if rho.dim == d and d ** (2 * n) > cfg.materialize_cap:
+        raise SizeCapError(
+            f"doubled dimension {d}**{2 * n}={d ** (2 * n)} exceeds materialization cap "
+            f"{cfg.materialize_cap}; d_via_M and d_via_M_streaming evaluate without it")
+    m = decoherence.build_M(rho, d, n).matrix
     serialize.dump_json(m, args.out)
     summary = {
         "out": args.out,
@@ -252,7 +255,7 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
     d, n, seed = cfg.single_dim, cfg.order, cfg.seed
     # the default state is built only once the cap lets the run through
     rho = None if args.rho is None else _load_density(args.rho, cfg)
-    _check_history_cap(args.method, d if rho is None else rho.dim, d, n, cfg)
+    _check_history_cap(d, n, cfg, d if rho is None else rho.dim, args.method)
     if rho is None:
         rho = _mixed_state(d, cfg)
     evaluator = decoherence.make_evaluator(args.method, rho, d, n)
@@ -295,7 +298,8 @@ def _load_pair_operator(spec_text: str, cfg: RunConfig):
     obj = serialize.load_json(spec_text)
     if isinstance(obj, dict) and "projections" in obj:
         h = serialize.history_from_json(obj, tol=cfg.validation_tol)
-        return embed_homogeneous(h, cap=cfg.history_cap)
+        _check_history_cap(h.single_dim, h.order, cfg)
+        return embed_homogeneous(h)
     if isinstance(obj, dict) and "rows" in obj:
         return serialize.matrix_from_json(obj)
     raise ValidationError(f"{spec_text}: expected builtin:NAME, history, or matrix JSON")
@@ -318,8 +322,12 @@ def _cmd_consistency(args, cfg: RunConfig) -> int:
 
     rho = _load_density(args.rho, cfg)
     obj = serialize.load_json(args.family)
-    members, labels = serialize.family_from_json(obj, cap=cfg.history_cap,
-                                                 tol=cfg.validation_tol)
+    members, labels = serialize.family_from_json(obj, tol=cfg.validation_tol)
+    # parsed whole first, so that a malformed member wins over the cap
+    for i, m in enumerate(members):
+        if isinstance(m, HomogeneousHistory):
+            _check_history_cap(m.single_dim, m.order, cfg)
+            members[i] = embed_homogeneous(m)
     fam = consistency.build_family(members, labels, tol=cfg.validation_tol)
     evaluator = decoherence.make_evaluator(args.method, rho, fam.single_dim, fam.order)
     report = consistency.check_consistent(evaluator, fam, tol=cfg.consistency_tol)
@@ -340,7 +348,7 @@ def _cmd_search_excess(args, cfg: RunConfig) -> int:
         xi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         xi = (xi / np.linalg.norm(xi)).reshape(d, 1)
         rho = density_from_spectral([1.0], xi, tol=cfg.validation_tol)
-    _check_history_cap("stream", rho.dim, d, n, cfg)
+    _check_history_cap(d, n, cfg, rho.dim)
     ev = decoherence.make_evaluator("stream", rho, d, n)
     res = consistency.diag_excess_search(ev, budget=args.budget, seed=seed, sweeps=args.sweeps)
     out = {
@@ -368,7 +376,7 @@ def _cmd_bench(args, cfg: RunConfig) -> int:
         raise ValidationError(f"unknown evaluation method {unknown[0]!r}")
     checked_int(args.pairs, "--pairs", low=1)
     for method in methods:
-        _check_history_cap(method, d if rho is None else rho.dim, d, n, cfg)
+        _check_history_cap(d, n, cfg, d if rho is None else rho.dim, method)
     if rho is None:
         rho = _mixed_state(d, cfg)
     rng = generator(seed, "bench")

@@ -71,10 +71,8 @@ from functools import cached_property, lru_cache, partial, reduce
 
 import numpy as np
 
-from .errors import ShapeError, SizeCapError, ValidationError
+from .errors import ShapeError, ValidationError
 from .historyspace import (
-    DEFAULT_MATERIALIZE_CAP,
-    METHODS,
     DensityOperator,
     HistoryProjection,
     HomogeneousHistory,
@@ -100,32 +98,24 @@ class ILSOperator:
     vec(p) @ K @ vec(q) for row-major vec, as read-only (rows, cols, values)
     in the row-major order of M's entries; `d_via_M` contracts them.
     ``matrix`` is the dense (D^2, D^2) M, D = d^n, scattered from them on
-    first read, then cached and read-only; reading it raises SizeCapError
-    when D^2 exceeds ``cap``.  `build_M` checks trace(M) = 1 within 1e-9
-    and operator norm at most 1 + 1e-8.  ``rho`` is the state M was built
-    from.  Kernels compare and hash by identity.
+    first read, then cached and read-only, at any size (the command line
+    bounds D^2 by its ``materialize_cap`` setting).  `build_M` checks
+    trace(M) = 1 within 1e-9 and operator norm at most 1 + 1e-8.  ``rho`` is
+    the state M was built from.  Kernels compare and hash by identity.
     """
 
     pair_entries: tuple[np.ndarray, np.ndarray, np.ndarray]
     order: int
     single_dim: int
     rho: DensityOperator
-    cap: int = DEFAULT_MATERIALIZE_CAP
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        d, n = self.single_dim, self.order
-        dim = d ** n
-        dd = dim * dim
-        if dd > self.cap:
-            raise SizeCapError(
-                f"doubled dimension {d}**{2 * n}={dd} exceeds materialization cap "
-                f"{self.cap}; d_via_M and d_via_M_streaming evaluate without it"
-            )
+        dim = self.single_dim ** self.order
         rows, cols, values = self.pair_entries
         a, c = np.divmod(rows, dim)
         b, e = np.divmod(cols, dim)
-        m = np.zeros((dd, dd), dtype=np.complex128)
+        m = np.zeros((dim * dim,) * 2, dtype=np.complex128)
         m[c * dim + e, a * dim + b] = values
         m.flags.writeable = False
         return m
@@ -156,7 +146,7 @@ def _normalize(method: str, d: int, n: int, xs) -> tuple:
         if homogeneous:
             x = pad_history(x, n)
             if method != "direct":
-                x = embed_homogeneous(x, cap=d ** n)
+                x = embed_homogeneous(x)
         elif method == "direct":
             raise ShapeError("evaluator direct needs homogeneous histories")
         out.append(x)
@@ -394,8 +384,7 @@ def _kernel_table(d: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     return table
 
 
-def build_M(rho: DensityOperator, d: int, n: int,
-            cap: int = DEFAULT_MATERIALIZE_CAP) -> ILSOperator:
+def build_M(rho: DensityOperator, d: int, n: int) -> ILSOperator:
     """The kernel operator M = sum_J w_{j_1} |eps_J><eps_tilde_J| of the
     module docstring, held by its nonzero entries, each an entry of rho.
 
@@ -404,9 +393,8 @@ def build_M(rho: DensityOperator, d: int, n: int,
     row-major order; exact zeros are dropped and the rest become the
     kernel's ``pair_entries``, d D^2 of them at most, D = d^n.  The trace
     is summed over the diagonal entries and the norm gate reads rho, since
-    M is a permutation of rho (x) 1 and ||M|| = ||rho||.  ``cap`` bounds
-    the doubled dimension d**(2n) of the dense ``matrix`` alone, which is
-    scattered from the entries when it is read.
+    M is a permutation of rho (x) 1 and ||M|| = ||rho||.  The dense
+    ``matrix`` is scattered from the entries only when it is read.
 
     Raises
     ------
@@ -433,7 +421,7 @@ def build_M(rho: DensityOperator, d: int, n: int,
         rows.flags.writeable = cols.flags.writeable = False
     values.flags.writeable = False
     return ILSOperator(pair_entries=(rows, cols, values), order=n, single_dim=d,
-                       rho=rho, cap=cap)
+                       rho=rho)
 
 
 def _ils_gram(M: ILSOperator, ps, qs) -> np.ndarray:

@@ -55,22 +55,19 @@ class TruncationSchedule:
                 "need 0 < convergence_threshold < divergence_threshold")
 
 
-def default_schedule(limit: int = 512) -> TruncationSchedule:
-    cuts = []
-    c = 4
-    while c <= limit:
-        cuts.append(c)
-        c *= 2
-    return TruncationSchedule(cutoffs=tuple(cuts))
+def default_schedule() -> TruncationSchedule:
+    """The powers of two from 4 to 512."""
+    return TruncationSchedule(cutoffs=tuple(2 ** k for k in range(2, 10)))
 
 
-def swap_unitary(dim: int, cap: int = SWAP_DIM_CAP) -> np.ndarray:
-    """Permutation matrix on the doubled space sending e_a (x) e_b to e_b (x) e_a."""
+def swap_unitary(dim: int) -> np.ndarray:
+    """Permutation matrix on the doubled space sending e_a (x) e_b to e_b (x) e_a;
+    a doubled dimension above `SWAP_DIM_CAP` raises SizeCapError."""
     dim = checked_int(dim, "dim")
     if dim < 1:
         raise ShapeError(f"dim must be >= 1, got {dim}")
-    if dim * dim > cap:
-        raise SizeCapError(f"doubled dimension {dim * dim} exceeds cap {cap}")
+    if dim * dim > SWAP_DIM_CAP:
+        raise SizeCapError(f"doubled dimension {dim * dim} exceeds cap {SWAP_DIM_CAP}")
     rows = np.arange(dim * dim)
     u = np.zeros((dim * dim, dim * dim), dtype=np.complex128)
     u[rows, rows % dim * dim + rows // dim] = 1.0
@@ -137,19 +134,6 @@ class DecoherenceValue:
     cutoffs: tuple[int, ...]
     partial_sums: tuple[complex, ...]
     reason: str | None = None
-
-    @property
-    def finite(self) -> bool:
-        return self.kind == "Finite"
-
-    def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "value": None if self.value is None else [self.value.real, self.value.imag],
-            "cutoffs": list(self.cutoffs),
-            "partial_sums": [[s.real, s.imag] for s in self.partial_sums],
-            "reason": self.reason,
-        }
 
 
 def _classify(cutoffs, sums, schedule) -> DecoherenceValue:

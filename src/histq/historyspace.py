@@ -16,15 +16,12 @@ from functools import cached_property
 import numpy as np
 
 from . import matrixcore
-from .errors import ShapeError, SizeCapError, ValidationError
+from .errors import ShapeError, ValidationError
 
 VALIDATION_TOL = 1e-8
 
-DEFAULT_HISTORY_CAP = 64
-
-# decoherence's method names and kernel cap live here, beside the history
-# cap, so that the CLI builds its parser and settings without importing it
-DEFAULT_MATERIALIZE_CAP = 1024
+# decoherence's method names live here, so that the CLI builds its parser
+# without importing it
 METHODS = ("direct", "series", "ils", "stream")
 
 
@@ -313,12 +310,6 @@ def history_projection(m, order: int, single_dim: int,
     return HistoryProjection(projection=p, order=order, single_dim=single_dim)
 
 
-def zero_history_projection(single_dim: int, order: int) -> HistoryProjection:
-    dim = single_dim ** order
-    p = Projection(matrix=np.zeros((dim, dim), dtype=np.complex128), dim=dim, rank=0)
-    return HistoryProjection(projection=p, order=order, single_dim=single_dim)
-
-
 def pad_history(h: HomogeneousHistory, order: int) -> HomogeneousHistory:
     """Append identity projections at the trailing times up to ``order``."""
     if order < h.order:
@@ -330,25 +321,16 @@ def pad_history(h: HomogeneousHistory, order: int) -> HomogeneousHistory:
                               projections=h.projections + (eye,) * (order - h.order))
 
 
-def embed_homogeneous(h: HomogeneousHistory,
-                      cap: int = DEFAULT_HISTORY_CAP) -> HistoryProjection:
+def embed_homogeneous(h: HomogeneousHistory) -> HistoryProjection:
     """Kronecker embedding of a homogeneous history, earliest time leftmost.
 
     The factors were validated when the history was built, and a Kronecker
     product of projections is a projection whose rank is the product of
     theirs, so the product is not validated again: its residuals compound
-    those of the factors and could fail the tolerance the factors met.
-
-    Raises
-    ------
-    SizeCapError
-        If the product dimension ``d**n`` exceeds ``cap``.
+    those of the factors and could fail the tolerance the factors met.  Any
+    dimension d**n is embedded; the command line checks its history cap.
     """
     dim = h.single_dim ** h.order
-    if dim > cap:
-        raise SizeCapError(
-            f"history dimension {h.single_dim}**{h.order}={dim} exceeds cap {cap}"
-        )
     # np.kron's outer product and reshape, one factor at a time, started from
     # a copy so that a one-time embedding does not alias its factor
     mat = h.projections[0].matrix.copy()
@@ -369,18 +351,10 @@ def orthogonal(p: HistoryProjection, q: HistoryProjection,
     return float(np.max(np.abs(p.matrix @ q.matrix))) <= tol
 
 
-def sum_projection(parts, *, order: int | None = None, single_dim: int | None = None,
-                   tol: float = VALIDATION_TOL) -> HistoryProjection:
-    """Sum of pairwise-orthogonal history projections, revalidated.
-
-    The empty sum is the zero projection and requires explicit ``order``
-    and ``single_dim``.
-    """
+def sum_projection(parts, *, tol: float = VALIDATION_TOL) -> HistoryProjection:
+    """Sum of one or more pairwise-orthogonal history projections,
+    revalidated."""
     parts = list(parts)
-    if not parts:
-        if order is None or single_dim is None:
-            raise ShapeError("empty sum needs explicit order and single_dim")
-        return zero_history_projection(single_dim, order)
     orders = {p.order for p in parts}
     dims = {p.single_dim for p in parts}
     if len(orders) != 1 or len(dims) != 1:

@@ -18,7 +18,7 @@ over the terms t_j of z_N in O(N * rank rho) work, with no N x N array.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 import numpy as np
 
 from . import matrixcore
@@ -122,15 +122,13 @@ class UniquenessReport:
     seed: int
     max_deviation: float
 
-    def as_dict(self) -> dict:
-        return asdict(self)
 
-
-def random_tensor_sum(d: int, n: int, rng: np.random.Generator,
-                      max_terms: int = 3) -> SimpleTensorSum:
+def random_tensor_sum(d: int, n: int, rng: np.random.Generator) -> SimpleTensorSum:
+    """One to three random simple tensors, each of n complex Gaussian d x d
+    factors scaled by 1/sqrt(d)."""
     d, n = checked_int(d, "d", low=1), checked_int(n, "n", low=1)
     terms = []
-    for _ in range(int(rng.integers(1, max_terms + 1))):
+    for _ in range(int(rng.integers(1, 4))):
         factors = []
         for _ in range(n):
             g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))

@@ -9,7 +9,6 @@ import numpy as np
 
 from .errors import ShapeError, ValidationError
 from .historyspace import (
-    DEFAULT_HISTORY_CAP,
     VALIDATION_TOL,
     DensityOperator,
     HistoryProjection,
@@ -18,7 +17,6 @@ from .historyspace import (
     checked_int,
     density_from_matrix,
     density_from_spectral,
-    embed_homogeneous,
     history_projection,
     homogeneous_history,
 )
@@ -148,20 +146,21 @@ def tensor_sum_from_json(obj):
     return simple_tensor_sum(parsed, order=n, single_dim=d)
 
 
-def family_from_json(obj, cap: int = DEFAULT_HISTORY_CAP, tol: float = VALIDATION_TOL):
-    """Parse {"single_time_dim", "order", "members": [...]} into projections.
+def family_from_json(obj, tol: float = VALIDATION_TOL):
+    """Parse {"single_time_dim", "order", "members": [...]}.
 
-    Each member is either a homogeneous history object (embedded here) or
-    {"matrix": matrix-json} giving the tensor-space projection directly.
-    Returns (members, labels), labels being the "labels" list as given or
-    None when it is absent or null; `consistency.build_family` checks them.
+    Each member is either a homogeneous history object, parsed into a
+    `HomogeneousHistory` but not embedded, or {"matrix": matrix-json}, the
+    tensor-space projection as a `HistoryProjection`.  Returns (members,
+    labels), labels being the "labels" list as given or None when it is
+    absent or null; `consistency.build_family` checks them.
     """
     d = _json_int(obj, "single_time_dim", "family")
     n = _json_int(obj, "order", "family")
     raw = obj.get("members")
     if not isinstance(raw, list):
         raise ValidationError('family JSON needs a "members" list')
-    members: list[HistoryProjection] = []
+    members: list[HomogeneousHistory | HistoryProjection] = []
     for item in raw:
         if not isinstance(item, dict):
             raise ValidationError("family member must be an object")
@@ -169,7 +168,7 @@ def family_from_json(obj, cap: int = DEFAULT_HISTORY_CAP, tol: float = VALIDATIO
             inner = dict(item)
             inner.setdefault("single_time_dim", d)
             inner.setdefault("order", n)
-            members.append(embed_homogeneous(history_from_json(inner, tol=tol), cap=cap))
+            members.append(history_from_json(inner, tol=tol))
         elif "matrix" in item:
             members.append(history_projection(matrix_from_json(item["matrix"]), n, d, tol=tol))
         else:
@@ -204,27 +203,16 @@ def open_output(path: str):
         raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
-def dump_json(obj, path: str) -> None:
-    """Write obj to path as one line of JSON with sorted keys.
+def dump_json(m: np.ndarray, path: str) -> None:
+    """Write the matrix m to path as one line of its matrix JSON.
 
-    A numpy array is written as its matrix JSON, one row at a time, byte for
-    byte what dumping `matrix_to_json` of it writes, without forming the
-    list of [re, im] pairs; a non-finite entry, which would be written as
-    NaN or Infinity and refused when read back, raises ValidationError
-    before the file is opened.  A path that cannot be written raises
-    ValidationError through `open_output`.
+    The file is written one row at a time, byte for byte what dumping
+    `matrix_to_json` of m with sorted keys writes, without forming the list
+    of [re, im] pairs; a non-finite entry, which would be written as NaN or
+    Infinity and refused when read back, raises ValidationError before the
+    file is opened.  A path that cannot be written raises ValidationError
+    through `open_output`.
     """
-    if isinstance(obj, np.ndarray):
-        _dump_matrix_json(obj, path)
-        return
-    # one json.dumps call without indent runs CPython's C encoder; indent or
-    # the streaming json.dump fall back to the pure-Python one
-    with open_output(path) as fh:
-        fh.write(json.dumps(obj, sort_keys=True))
-        fh.write("\n")
-
-
-def _dump_matrix_json(m: np.ndarray, path: str) -> None:
     m = _complex_matrix(m)
     if not np.isfinite(m).all():
         raise ValidationError("matrix has non-finite entries, which JSON cannot hold")

@@ -78,7 +78,7 @@ def test_criterion_3_axiom_suite(capsys):
 
 
 def test_criterion_4_divergence_witness(capsys):
-    schedule = divergence.default_schedule(512)
+    schedule = divergence.default_schedule()
     out = divergence.truncated_d(pure_e1(2), "identity", "qu", schedule)
     assert out.kind == "Divergent"
     for cut, s in zip(out.cutoffs, out.partial_sums):

@@ -9,8 +9,7 @@ from histq.cli import RunConfig, main
 from histq.divergence import (DEFAULT_CONVERGENCE_THRESHOLD, DEFAULT_DIVERGENCE_THRESHOLD,
                               default_schedule, q_u)
 from histq.errors import ValidationError
-from histq.historyspace import (DEFAULT_HISTORY_CAP, DEFAULT_MATERIALIZE_CAP,
-                                VALIDATION_TOL, density_from_spectral, homogeneous_history)
+from histq.historyspace import VALIDATION_TOL, density_from_spectral, homogeneous_history
 
 from conftest import (P0, P1, PMINUS, PPLUS, kron_chain, near_degenerate_states,
                       pure_e1, pure_state)
@@ -176,11 +175,20 @@ def test_build_m_roundtrip(tmp_path, capsys):
 
 
 def test_build_m_size_cap(tmp_path, capsys):
+    # the command line refuses the dense M before the kernel is built: at
+    # the materialization cap for d**(2n) = 4096, at the history cap first
+    # for d**n = 128
     rho4 = rho_file(tmp_path, pure_e1(4))
-    code = main(["build-m", "--rho", rho4, "-d", "4", "-n", "3",
-                 "--out", str(tmp_path / "m.json")])
-    assert code == 3
-    assert "size cap" in capsys.readouterr().err
+    rho2 = rho_file(tmp_path, pure_e1(2), "rho2.json")
+    out = tmp_path / "m.json"
+    for rho, d, n, message in (
+            (rho4, 4, 3, "doubled dimension 4**6=4096 exceeds materialization cap 1024; "
+                         "d_via_M and d_via_M_streaming evaluate without it"),
+            (rho2, 2, 7, "history dimension 2**7=128 exceeds cap 64")):
+        code = main(["build-m", "--rho", rho, "-d", str(d), "-n", str(n), "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == f"size cap: {message}\n"
+        assert not out.exists()
 
 
 def test_eval_ils_at_the_history_cap(tmp_path, capsys):
@@ -343,6 +351,37 @@ def test_consistency_matrix_members_consistent(tmp_path, capsys):
     assert out["consistent"] is True
     assert out["probabilities"]["g0"] == pytest.approx(0.5, abs=1e-9)
     assert out["prob_sum"] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_consistency_and_diverge_refuse_history_files_above_the_cap(tmp_path, capsys):
+    # the command line checks the history members of a family and a history
+    # file given to diverge before embedding them; the whole family is parsed
+    # first, so a malformed member wins over a member above the cap
+    rho = rho_file(tmp_path, pure_e1(2))
+    h7 = serialize.history_to_json(homogeneous_history([PPLUS] + [P0] * 6))
+    out = tmp_path / "out.json"
+    family = jwrite(tmp_path, "family7.json", {
+        "single_time_dim": 2, "order": 7,
+        "members": [h7, serialize.history_to_json(homogeneous_history([PMINUS] + [P0] * 6))]})
+    h7_file = jwrite(tmp_path, "h7.json", h7)
+    for argv in (["consistency", "--rho", rho, "--family", family],
+                 ["diverge", "--p", h7_file, "--q", "builtin:qu", "--dim", "2"]):
+        assert main(argv + ["--out", str(out)]) == 3, argv
+        assert capsys.readouterr().err == "size cap: history dimension 2**7=128 exceeds cap 64\n"
+        assert not out.exists()
+    malformed = jwrite(tmp_path, "malformed.json", {
+        "single_time_dim": 2, "order": 7, "members": [h7, {"bogus": 1}]})
+    assert main(["consistency", "--rho", rho, "--family", malformed]) == 2
+    assert capsys.readouterr().err == (
+        'validation error: family member needs "projections" or "matrix"\n')
+    # under the cap a family may mix history and matrix members
+    mixed = jwrite(tmp_path, "mixed.json", {
+        "single_time_dim": 2, "order": 2,
+        "members": [serialize.history_to_json(homogeneous_history([P0, P0])),
+                    {"matrix": serialize.matrix_to_json(kron_chain([P1, P0]))}]})
+    code, report = run_json(capsys, ["consistency", "--rho", rho, "--family", mixed])
+    assert code == 0
+    assert report["probabilities"] == pytest.approx({"g0": 1.0, "g1": 0.0}, abs=1e-12)
 
 
 def test_consistency_dim_mismatch(tmp_path, capsys):
@@ -526,8 +565,8 @@ def test_flags_replace_config_values_before_validation(tmp_path, capsys):
 def test_run_config_defaults_are_the_library_constants():
     cfg = RunConfig()
     assert cfg.validation_tol == VALIDATION_TOL
-    assert cfg.materialize_cap == DEFAULT_MATERIALIZE_CAP
-    assert cfg.history_cap == DEFAULT_HISTORY_CAP
+    # the caps are settings of the command line alone
+    assert (cfg.history_cap, cfg.materialize_cap) == (64, 1024)
     assert cfg.cutoffs == default_schedule().cutoffs
     assert cfg.convergence_threshold == DEFAULT_CONVERGENCE_THRESHOLD
     assert cfg.divergence_threshold == DEFAULT_DIVERGENCE_THRESHOLD

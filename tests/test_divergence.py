@@ -58,11 +58,14 @@ def test_swap_unitary_and_q_u_follow_the_integer_rule(dim):
 
 
 def test_swap_unitary_caps_and_rejections():
+    # SWAP_DIM_CAP = 4096 is the doubled dimension of dim 64
+    assert dv.swap_unitary(64).shape == (4096, 4096)
+    with pytest.raises(SizeCapError, match="^doubled dimension 4225 exceeds cap 4096$"):
+        dv.swap_unitary(65)
     with pytest.raises(SizeCapError):
         dv.swap_unitary(70)
     with pytest.raises(ShapeError):
         dv.swap_unitary(0)
-    assert dv.swap_unitary(70, cap=4900).shape == (4900, 4900)
 
 
 def test_qu_projector_structure():
@@ -118,14 +121,13 @@ def test_schedule_takes_integral_floats_and_numpy_integers():
 
 def test_default_schedule_powers_of_two():
     assert dv.default_schedule().cutoffs == (4, 8, 16, 32, 64, 128, 256, 512)
-    assert dv.default_schedule(limit=16).cutoffs == (4, 8, 16)
+    assert dv.default_schedule() == dv.TruncationSchedule((4, 8, 16, 32, 64, 128, 256, 512))
 
 
 def test_identity_pair_is_finite_one(rng):
     rho = random_density(2, rng)
     out = dv.truncated_d(rho, "identity", "identity")
     assert out.kind == "Finite"
-    assert out.finite
     assert abs(out.value - 1.0) <= 1e-12
     assert out.reason is None
 
@@ -135,7 +137,6 @@ def test_symmetric_subspace_growth_exact():
     assert out.kind == "Divergent"
     assert out.reason == "monotone-growth"
     assert out.value is None
-    assert not out.finite
     for cut, s in zip(out.cutoffs, out.partial_sums):
         assert s == complex((cut + 1) / 2.0)
 
@@ -290,8 +291,9 @@ def test_as_pair_rejections(rng):
 
 
 def test_verdict_stable_across_schedules():
-    short = dv.truncated_d(pure_e1(2), "identity", "qu", dv.default_schedule(128))
-    long = dv.truncated_d(pure_e1(2), "identity", "qu", dv.default_schedule(512))
+    short = dv.truncated_d(pure_e1(2), "identity", "qu",
+                           dv.TruncationSchedule((4, 8, 16, 32, 64, 128)))
+    long = dv.truncated_d(pure_e1(2), "identity", "qu", dv.default_schedule())
     assert short.kind == long.kind == "Divergent"
     assert long.partial_sums[:len(short.partial_sums)] == short.partial_sums
 
@@ -302,16 +304,15 @@ def test_truncated_d_is_total(rng):
     a = dv.truncated_d(rho, "identity", "qu")
     assert a.kind == "Divergent" and a.value is None
     c = dv.truncated_d(rho, "identity", "identity")
-    assert c.finite and abs(c.value - 1.0) <= 1e-12
+    assert c.kind == "Finite" and abs(c.value - 1.0) <= 1e-12
 
 
-def test_decoherence_value_as_dict():
+def test_decoherence_value_fields():
     out = dv.truncated_d(pure_e1(2), "identity", "qu")
-    d = out.as_dict()
-    assert d["kind"] == "Divergent"
-    assert d["value"] is None
-    assert d["reason"] == "monotone-growth"
-    assert d["cutoffs"] == [4, 8, 16, 32, 64, 128, 256, 512]
-    assert d["partial_sums"][0] == [2.5, 0.0]
+    assert out.kind == "Divergent"
+    assert out.value is None
+    assert out.reason == "monotone-growth"
+    assert out.cutoffs == (4, 8, 16, 32, 64, 128, 256, 512)
+    assert out.partial_sums[0] == complex(2.5, 0.0)
     finite = dv.truncated_d(pure_e1(2), "identity", "identity")
-    assert finite.as_dict()["value"] == [1.0, 0.0]
+    assert finite.value == complex(1.0, 0.0)

@@ -6,7 +6,7 @@ import pytest
 from histq import consistency as cs
 from histq import historyspace as hs
 from histq.decoherence import build_M, make_evaluator, verify_axioms
-from histq.errors import ShapeError, SizeCapError, ValidationError
+from histq.errors import ShapeError, ValidationError
 
 from conftest import (P0, P1, PPLUS, PMINUS, embed, haar_unitary, identity_history_projection,
                       kron_chain, pure_e1, random_proj)
@@ -255,11 +255,13 @@ def test_embed_keeps_factors_that_pass_the_tolerance():
     assert np.array_equal(emb.matrix, kron_chain([near] * 3))
 
 
-def test_embed_respects_cap():
+def test_embed_has_no_size_cap():
+    # 81 is above the command line's history cap of 64, which the library
+    # does not check
     h = hs.homogeneous_history([np.eye(3)] * 4)
-    with pytest.raises(SizeCapError):
-        hs.embed_homogeneous(h)  # 81 > 64
-    assert hs.embed_homogeneous(h, cap=81).dim == 81
+    emb = hs.embed_homogeneous(h)
+    assert emb.dim == 81 and emb.projection.rank == 81
+    assert np.array_equal(emb.matrix, np.eye(81))
 
 
 def test_history_projection_dimension_check():
@@ -271,7 +273,7 @@ def test_history_projection_dimension_check():
 
 def test_identity_and_zero_history_projections():
     eye = identity_history_projection(2, 2)
-    zero = hs.zero_history_projection(2, 2)
+    zero = hs.history_projection(np.zeros((4, 4)), 2, 2)
     assert eye.projection.rank == 4
     assert zero.projection.rank == 0
     assert np.array_equal(zero.matrix, np.zeros((4, 4)))
@@ -294,7 +296,5 @@ def test_sum_projection():
     assert np.array_equal(total.matrix, np.diag([1.0, 1, 0, 0]).astype(complex))
     with pytest.raises(ValidationError):
         hs.sum_projection([p, p])
-    empty = hs.sum_projection([], order=2, single_dim=2)
-    assert empty.projection.rank == 0
     with pytest.raises(ShapeError):
         hs.sum_projection([])

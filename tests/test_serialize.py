@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from histq import serialize as sz
 from histq.consistency import build_family
 from histq.errors import ValidationError
-from histq.historyspace import density_from_spectral, homogeneous_history
+from histq.historyspace import (HistoryProjection, HomogeneousHistory, density_from_spectral,
+                                embed_homogeneous, homogeneous_history)
 from histq.quadform import identity_element
 
 from conftest import P0, PPLUS, random_density
@@ -160,6 +161,12 @@ def test_family_from_json_both_member_forms():
     members, labels = sz.family_from_json(obj)
     # absent labels are passed on as None; build_family fills in the defaults
     assert labels is None
+    # a history member is parsed, not embedded; a matrix member is a
+    # history projection
+    assert isinstance(members[0], HomogeneousHistory)
+    assert (members[0].order, members[0].single_dim) == (2, 2)
+    assert isinstance(members[1], HistoryProjection) and members[1].dim == 4
+    members[0] = embed_homogeneous(members[0])
     assert build_family(members, labels).atom_labels == ("g0", "g1", "rest")
     assert members[0].dim == 4 and members[1].dim == 4
     assert sz.family_from_json(dict(obj, labels=["a", 1]))[1] == ["a", 1]
@@ -194,11 +201,12 @@ def test_load_json_missing_file(tmp_path):
 
 def test_dump_json_stable_layout(tmp_path):
     path = tmp_path / "out.json"
-    sz.dump_json({"b": 1, "a": [1.5, -0.25]}, str(path))
+    sz.dump_json(np.array([[1.5, 0.5 - 0.25j]]), str(path))
     text = path.read_text()
-    assert text.endswith("\n")
-    assert text.index('"a"') < text.index('"b"')
-    assert sz.load_json(str(path)) == {"a": [1.5, -0.25], "b": 1}
+    assert text.endswith("\n") and text.count("\n") == 1
+    assert text.index('"cols"') < text.index('"data"') < text.index('"rows"')
+    assert sz.load_json(str(path)) == {"cols": 2, "data": [[1.5, 0.0], [0.5, -0.25]],
+                                       "rows": 1}
 
 
 def test_dump_json_writes_a_matrix_as_json_dumps_does(tmp_path):
