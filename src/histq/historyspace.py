@@ -184,13 +184,16 @@ def validate_projection(m, tol: float = VALIDATION_TOL) -> Projection:
 def density_from_spectral(weights, vectors, tol: float = VALIDATION_TOL) -> DensityOperator:
     """Build a density operator from explicit weights and column vectors.
 
-    Weights within ``-1e-12`` of zero are clamped to zero; the weight sum is
+    Each weight must be a real number, not a bool or a string.  Weights
+    within ``-1e-12`` of zero are clamped to zero; the weight sum is
     renormalized only when it is already within ``tol`` of one, and its
     distance from one is kept as ``trace_residual``.  Columns must
     be orthonormal within ``tol``, which must be positive and finite.
     """
     tol = checked_float(tol, "tol", positive=True)
-    w = np.array(weights, dtype=float)
+    raw = np.array(weights, dtype=object)
+    w = np.array([checked_float(x, "density weight") for x in raw.reshape(-1)],
+                 dtype=float).reshape(raw.shape)
     v = np.array(vectors, dtype=np.complex128, order="C")
     if v.ndim != 2:
         raise ShapeError("vectors must form a 2-d column matrix")
@@ -301,7 +304,10 @@ def homogeneous_history(projections, tol: float = VALIDATION_TOL) -> Homogeneous
 
 def history_projection(m, order: int, single_dim: int,
                        tol: float = VALIDATION_TOL) -> HistoryProjection:
-    """Validate a matrix as a projection on the order-fold tensor space."""
+    """Validate a matrix as a projection on the order-fold tensor space;
+    order and single_dim are integers of at least one."""
+    order = checked_int(order, "order", low=1)
+    single_dim = checked_int(single_dim, "single_dim", low=1)
     p = m if isinstance(m, Projection) else validate_projection(m, tol)
     if p.dim != single_dim ** order:
         raise ShapeError(

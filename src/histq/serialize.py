@@ -113,11 +113,7 @@ def density_from_json(obj, tol: float = VALIDATION_TOL) -> DensityOperator:
     if "weights" in obj and "vectors" in obj:
         if not isinstance(obj["weights"], list):
             raise ValidationError('density JSON "weights" must be a list')
-        return density_from_spectral(
-            [checked_float(w, "density weight") for w in obj["weights"]],
-            matrix_from_json(obj["vectors"]),
-            tol=tol,
-        )
+        return density_from_spectral(obj["weights"], matrix_from_json(obj["vectors"]), tol=tol)
     raise ValidationError('density JSON needs "matrix" or "weights"+"vectors"')
 
 

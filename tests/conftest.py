@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -8,6 +9,8 @@ import pytest
 
 import histq
 from histq import quadform as qf
+from histq import serialize
+from histq.divergence import swap_unitary
 from histq.historyspace import density_from_spectral, history_projection
 
 P0 = np.array([[1, 0], [0, 0]], dtype=np.complex128)
@@ -144,6 +147,34 @@ def ladder_element(n_dim):
     terms = [tuple(np.outer(eye[rows[j]], eye[cols[j]]) for rows, cols in units)
              for j in range(n_dim)]
     return qf.simple_tensor_sum(terms, order=2, single_dim=n_dim)
+
+
+def pure_state_excess(d, n):
+    """(s(d, n)^2, rank p*) of a pure state: Herm X is 1 at 0^n plus half the
+    adjacency matrix of paths, whose positive eigenvalues are summed here."""
+    paths = [(d - 1, n)] + [((d - 1) ** 2 * d ** (n - k - 2), k + 1) for k in range(n - 1)]
+    s = 1 + sum(count * np.cos(np.pi * j / (m + 1))
+                for count, m in paths for j in range(1, m // 2 + 1))
+    return s * s, 1 + sum(count * (m // 2) for count, m in paths)
+
+
+def rerun_commands(tmp_path):
+    """Argv lists, with their input files written, whose reruns must give the
+    same bytes: the search at the history cap, consistency on 11 rank-one
+    generators at (2, 4), 12 atoms with the rest, and diverge on a swap file."""
+    q = np.linalg.qr(np.random.default_rng(12).standard_normal((16, 16)))[0]
+    u = np.linalg.qr(np.random.default_rng(13).standard_normal((2, 2)))[0]
+    members = [{"matrix": serialize.matrix_to_json(np.outer(q[:, j], q[:, j]))} for j in range(11)]
+    for name, obj in (("rho", serialize.density_to_json(density_from_spectral([0.7, 0.3], u))),
+                      ("family", {"single_time_dim": 2, "order": 4, "members": members,
+                                  "labels": [f"a{j}" for j in range(11)]}),
+                      ("swap8", serialize.matrix_to_json(swap_unitary(8)))):
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj), encoding="utf-8")
+    return [["search-excess", "-d", "2", "-n", "6", "--budget", "2"],
+            ["consistency", "--rho", str(tmp_path / "rho.json"),
+             "--family", str(tmp_path / "family.json")],
+            ["diverge", "--p", "builtin:identity", "--q", str(tmp_path / "swap8.json"),
+             "--dim", "8", "--cutoffs", "2,4,8,16,1024"]]
 
 
 @pytest.fixture

@@ -1,20 +1,22 @@
 """The package's surface: the benchmark's tracer wraps histq functions by
 name, and each must exist; no top-level name lives in the package for the
-tests alone."""
+tests alone; CI keeps no inline check outside its benchmark smoke step."""
 
 import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import histq
 from conftest import run_child
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
 PACKAGE = Path(histq.__file__).resolve().parent
 
 # the write half of the file formats: nothing in the package writes these
-# objects, but they are the inverse of the readers, and CI makes its input
+# objects, but they are the inverse of the readers, and tests make their input
 # files with them
 WRITERS = {"serialize.history_to_json", "serialize.density_to_json",
            "serialize.tensor_sum_to_json"}
@@ -80,3 +82,12 @@ def test_every_top_level_name_has_a_caller_in_the_package():
               and not any(stmt.name in names for key, names in refs.items()
                           if key != (mod, i))]
     assert sorted(unused) == []
+
+
+def test_ci_runs_no_inline_python_outside_the_benchmark_smoke_step():
+    # tier-1 holds every check, where a local run sees it fail; read as text,
+    # the workflow splits at each "- " list item, and a step's chunk starts
+    # with its first key, the name
+    steps = re.split(r"\n\s*- ", WORKFLOW.read_text(encoding="utf-8"))
+    assert not [step for step in steps if re.search(r"\bpython3? -c\b", step)
+                and not step.startswith("name: Benchmark correctness smoke")]

@@ -1,3 +1,4 @@
+import gc
 import json
 from pathlib import Path
 
@@ -7,12 +8,12 @@ import pytest
 from histq import cli, decoherence, quadform, serialize
 from histq.cli import RunConfig, main
 from histq.divergence import (DEFAULT_CONVERGENCE_THRESHOLD, DEFAULT_DIVERGENCE_THRESHOLD,
-                              default_schedule, q_u)
+                              default_schedule, q_u, swap_unitary)
 from histq.errors import ValidationError
 from histq.historyspace import VALIDATION_TOL, density_from_spectral, homogeneous_history
 
 from conftest import (P0, P1, PMINUS, PPLUS, kron_chain, near_degenerate_states,
-                      pure_e1, pure_state)
+                      pure_e1, pure_state, pure_state_excess, rerun_commands)
 
 
 def jwrite(tmp_path, name, obj):
@@ -172,6 +173,18 @@ def test_build_m_roundtrip(tmp_path, capsys):
         m = serialize.matrix_from_json(json.loads(Path(out_path).read_text()))
         assert m.shape == (16, 16)
         assert abs(np.trace(m) - 1.0) <= 1e-9
+    # at the materialization cap the streamed file is the bytes of json.dumps
+    rng = np.random.default_rng(5)
+    u = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+    rho = rho_file(tmp_path, density_from_spectral([0.7, 0.3], u))
+    assert main(["build-m", "--rho", rho, "-d", "2", "-n", "5", "--out", out_path]) == 0
+    m = decoherence.build_M(serialize.density_from_json(serialize.load_json(rho)), 2, 5).matrix
+    gc.disable()  # collections while a million [re, im] lists pile up triple the time
+    try:
+        want = json.dumps(serialize.matrix_to_json(m), sort_keys=True, check_circular=False)
+    finally:
+        gc.enable()
+    assert Path(out_path).read_bytes() == (want + "\n").encode()
 
 
 def test_build_m_size_cap(tmp_path, capsys):
@@ -183,6 +196,8 @@ def test_build_m_size_cap(tmp_path, capsys):
     out = tmp_path / "m.json"
     for rho, d, n, message in (
             (rho4, 4, 3, "doubled dimension 4**6=4096 exceeds materialization cap 1024; "
+                         "d_via_M and d_via_M_streaming evaluate without it"),
+            (rho2, 2, 6, "doubled dimension 2**12=4096 exceeds materialization cap 1024; "
                          "d_via_M and d_via_M_streaming evaluate without it"),
             (rho2, 2, 7, "history dimension 2**7=128 exceeds cap 64")):
         code = main(["build-m", "--rho", rho, "-d", str(d), "-n", str(n), "--out", str(out)])
@@ -265,12 +280,12 @@ def test_unbounded_probe_refuses_sizes_above_the_cap(tmp_path, capsys):
 
 def test_unbounded_probe_csv(tmp_path):
     out_path = str(tmp_path / "probe.csv")
-    assert main(["unbounded-probe", "--sizes", "1,2,4,8", "--out", out_path]) == 0
+    assert main(["unbounded-probe", "--sizes", "1,2,4,8,1024,1048576", "--out", out_path]) == 0
     header, rows = read_csv(out_path)
     assert header == ["N", "norm", "value"]
-    assert [int(r[0]) for r in rows] == [1, 2, 4, 8]
+    assert [int(r[0]) for r in rows] == [1, 2, 4, 8, 1024, 1048576]
     for r in rows:
-        assert abs(float(r[1]) - 1.0) <= 1e-8
+        assert float(r[1]) == 1.0
         assert float(r[2]) == float(int(r[0]))
 
 
@@ -292,6 +307,12 @@ def test_diverge_swap_matches_cutoff(tmp_path):
                  "--dim", "3", "--cutoffs", "4,8,16,32", "--out", out_path]) == 0
     _, rows = read_csv(out_path)
     assert [float(r[1]) for r in rows] == [4.0, 8.0, 16.0, 32.0]
+    # a swap matrix file stops at its block 8, where the builtin keeps growing
+    swap8 = jwrite(tmp_path, "swap8.json", serialize.matrix_to_json(swap_unitary(8)))
+    for q, want in ((swap8, [2, 4, 8, 8, 8]), ("builtin:swap", [2, 4, 8, 16, 1024])):
+        assert main(["diverge", "--p", "builtin:identity", "--q", q, "--dim", "8",
+                     "--cutoffs", "2,4,8,16,1024", "--out", out_path]) == 0
+        assert [float(r[1]) for r in read_csv(out_path)[1]] == want, q
 
 
 def test_diverge_file_operator_finite(tmp_path):
@@ -337,6 +358,22 @@ def test_consistency_golden_inconsistent(tmp_path, capsys):
         assert out["probabilities"] == pytest.approx(
             {"+0": 0.25, "+1": 0.25, "-0": 0.25, "-1": 0.25}, abs=1e-12), method
         assert len(out["unphysical"]) == 2, method
+
+
+def test_consistency_on_twelve_atoms_by_every_method(tmp_path, capsys):
+    # the largest closure the checker accepts: stream and ils give the series
+    # report, and every name in it is distinct family labels in label order
+    consistency = rerun_commands(tmp_path)[1]
+    reports = [run_json(capsys, consistency + ["--method", m]) for m in ("series", "stream", "ils")]
+    assert [code for code, _ in reports] == [0, 0, 0]
+    keys, series = ("consistent", "unphysical", "max_re_witness"), reports[0][1]
+    for _, out in reports[1:]:
+        assert [out[k] for k in keys] == [series[k] for k in keys]
+        assert abs(out["max_re_offdiag"] - series["max_re_offdiag"]) <= 1e-9
+    labels = [f"a{j}" for j in range(11)] + ["rest"]
+    names = [x for _, out in reports for x in out["unphysical"] + (out["max_re_witness"] or [])]
+    assert names and all("+".join(sorted(set(x.split("+")), key=labels.index)) == x
+                         for x in names)
 
 
 def test_consistency_matrix_members_consistent(tmp_path, capsys):
@@ -391,6 +428,10 @@ def test_consistency_dim_mismatch(tmp_path, capsys):
                     {"single_time_dim": 2, "order": 2, "members": members})
     assert main(["consistency", "--rho", rho3, "--family", family]) == 2
     capsys.readouterr()
+    order0 = jwrite(tmp_path, "order0.json", {"single_time_dim": 2, "order": 0, "members": [
+        {"matrix": serialize.matrix_to_json(np.eye(1))}]})
+    assert main(["consistency", "--rho", rho_file(tmp_path, pure_e1(2)), "--family", order0]) == 2
+    assert capsys.readouterr().err == "validation error: order must be >= 1, got 0\n"
 
 
 @pytest.mark.parametrize("labels", [[1, "b"], ["a", {"a": 2}], ["a", None], ["a", True]])
@@ -444,6 +485,11 @@ def test_search_excess_at_the_history_cap(tmp_path, capsys):
                                     "--method", "stream"])
     assert code == 0
     assert abs(complex(*again["value"]) - out["value"]) <= 1e-9
+    # from the default pure state it reaches s(2, 6)^2 with a rank-22 witness
+    want, rank = pure_state_excess(2, 6)
+    code, out = run_json(capsys, ["search-excess", "-d", "2", "-n", "6", "--budget", "2",
+                                  "--out", out_path], out_path)
+    assert code == 0 and abs(out["value"] - want) <= 1e-12 * want and out["rank"] == rank == 22
     assert main(["search-excess", "--rho", rho, "-d", "2", "-n", "7",
                  "--budget", "2"]) == 3
     assert "exceeds cap 64" in capsys.readouterr().err
@@ -460,6 +506,12 @@ def test_bench_csv(tmp_path):
     assert [r[0] for r in rows] == ["direct", "series"]
     assert float(rows[0][3]) == 0.0
     assert float(rows[1][3]) <= 1e-9
+    # at the history cap stream and ils stay within 1e-12 of series
+    assert main(["bench", "-d", "2", "-n", "6", "--methods", "series,stream,ils",
+                 "--pairs", "3", "--seed", "0", "--out", out_path]) == 0
+    _, rows = read_csv(out_path)
+    assert [r[0] for r in rows] == ["series", "stream", "ils"]
+    assert all(float(r[3]) <= 1e-12 for r in rows)
 
 
 @pytest.mark.parametrize("method", ["series", "ils", "stream"])
@@ -508,6 +560,7 @@ def test_bench_rejects_unknown_method(tmp_path, capsys, monkeypatch):
 
 
 def test_reruns_are_byte_identical(tmp_path, capsys):
+    commands = rerun_commands(tmp_path)
     pairs = []
     for tag in ("a", "b"):
         v = str(tmp_path / f"verify_{tag}.json")
@@ -519,7 +572,10 @@ def test_reruns_are_byte_identical(tmp_path, capsys):
                      "--seed", "3", "--out", s]) == 0
         assert main(["diverge", "--p", "builtin:identity", "--q", "builtin:qu",
                      "--dim", "2", "--out", d]) == 0
-        pairs.append(tuple(Path(f).read_bytes() for f in (v, s, d)))
+        outs = [str(tmp_path / f"{tag}{i}.out") for i in range(3)]
+        for argv, out in zip(commands, outs):
+            assert main(argv) == main(argv + ["--out", out]) == 0, argv
+        pairs.append((capsys.readouterr().out, *(Path(f).read_bytes() for f in (v, s, d, *outs))))
     assert pairs[0] == pairs[1]
 
 

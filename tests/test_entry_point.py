@@ -16,9 +16,12 @@ from histq import serialize
 from histq.historyspace import homogeneous_history
 from histq.quadform import identity_element
 
-from conftest import P0, pure_state, run_child
+from conftest import P0, pure_state, rerun_commands, run_child
 
 ENTRY = "from histq.cli import main_entry; main_entry()"
+# runs the argv lists in the JSON of its one argument
+BATCH = ("import json, sys; from histq.cli import main; "
+         "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))")
 # prefixed to a child's script: its last stderr line names every loaded module
 REPORT_MODULES = ("import atexit, sys; atexit.register(lambda: "
                   "print(*sorted(sys.modules), file=sys.stderr)); ")
@@ -43,22 +46,20 @@ def test_help(tmp_path):
 
 
 def test_two_processes_write_the_same_bytes(tmp_path):
-    # README "Determinism": the same seed gives the same bytes in a new process
-    runs = {
-        "search": ["search-excess", "-d", "2", "-n", "2", "--budget", "5", "--seed", "7",
-                   "--out"],
-        "diverge": ["diverge", "--p", "builtin:identity", "--q", "builtin:swap", "--dim",
-                    "2", "--out"],
-    }
-    for name, argv in runs.items():
-        outputs = []
-        for tag in ("a", "b"):
-            path = tmp_path / f"{name}_{tag}.out"
-            done = run_histq(argv + [str(path)], tmp_path)
-            assert done.returncode == 0, (name, done.stderr)
-            outputs.append(path.read_bytes())
-        assert outputs[0] == outputs[1], name
-        assert outputs[0], name
+    # README "Determinism": the same seed gives the same bytes in a new
+    # process, on stdout and in each --out file; each process runs every
+    # command to stdout and then to a file, one after another
+    runs = [["search-excess", "-d", "2", "-n", "2", "--budget", "5", "--seed", "7"],
+            ["diverge", "--p", "builtin:identity", "--q", "builtin:swap", "--dim", "2"],
+            *rerun_commands(tmp_path)]
+    outputs = []
+    for tag in ("a", "b"):
+        files = [tmp_path / f"{tag}{i}.out" for i in range(len(runs))]
+        batch = runs + [argv + ["--out", str(f)] for argv, f in zip(runs, files)]
+        done = run_child(BATCH, [json.dumps(batch)], tmp_path)
+        assert done.returncode == 0, done.stderr
+        outputs.append([done.stdout, *(f.read_bytes() for f in files)])
+    assert outputs[0] == outputs[1] and all(outputs[0])
 
 
 @pytest.fixture(scope="module")

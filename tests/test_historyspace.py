@@ -162,6 +162,9 @@ def test_density_from_spectral_rejections():
                                  np.array([[1, 1], [0, 0]], dtype=complex))
     with pytest.raises(ShapeError):
         hs.density_from_spectral([1 / 3] * 3, np.eye(2, dtype=complex)[:, :2],)
+    for weights in ("ab", [True, False], ["0.5", 0.5]):
+        with pytest.raises(ValidationError, match="^density weight must be a number"):
+            hs.density_from_spectral(weights, np.eye(2, dtype=complex))
 
 
 def test_density_from_matrix_round_trip(rng):
@@ -269,6 +272,10 @@ def test_history_projection_dimension_check():
         hs.history_projection(np.eye(3), order=2, single_dim=2)
     hp = hs.history_projection(np.eye(4), order=2, single_dim=2)
     assert hp.dim == 4
+    for args, message in (((0, 2), "order must be >= 1"), (("a", 2), "order must be an integer"),
+                          ((1, 0), "single_dim must be >= 1")):  # each 1 x 1 at order 0
+        with pytest.raises(ValidationError, match=f"^{message}"):
+            hs.history_projection(np.eye(1), *args)
 
 
 def test_identity_and_zero_history_projections():
