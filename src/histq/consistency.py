@@ -6,10 +6,10 @@ total.  Consistency asks that Re d(h, k) vanish for every ordered disjoint
 pair in the closure; the diagonal then defines a probability assignment on
 the generators.  Bilinearity reduces all closure checks to the Gram matrix
 of the atoms, G[i, j] = d(a_i, a_j), which the evaluator forms in one
-``gram`` call: ``stream`` and ``ils`` in one contraction, ``series`` in one
-tuple sum per atom.  The largest |Re d| over disjoint pairs has a closed
-form per closure element, so no pair is enumerated, and the report names a
-pair that attains it.
+``gram`` call: ``stream`` and ``ils`` in one contraction, ``series`` as the
+table of its pair values.  The largest |Re d| over disjoint pairs has a
+closed form per closure element, so no pair is enumerated, and the report
+names a pair that attains it.
 
 The search for diagonal values above one needs only rho = S S^dagger: for
 Hermitian p, B(p) = A(p)^dagger and d(p, p) = ||A(p) S||_F^2.
@@ -308,6 +308,9 @@ def diag_excess_search(source, budget: int = 200, seed: int = 0,
     1e-12, so ties break to the lowest restart.  ``budget`` and ``sweeps``
     must be integers >= 1 and ``seed`` an integer >= 0.
     """
+    if not all(hasattr(source, a) for a in ("rho", "single_dim", "order")):
+        raise ValidationError("the search reads rho, single_dim and order from its source, "
+                              f"such as a kernel or a bound evaluator, not {type(source).__name__}")
     seed = checked_int(seed, "seed", low=0)
     budget, sweeps = checked_int(budget, "budget", low=1), checked_int(sweeps, "sweeps", low=1)
     d, n = source.single_dim, source.order

@@ -28,32 +28,33 @@ traces A(p)[v,t] = sum_u p[(u,v),(t,u)] and B(q)[t,v] = sum_w q[(t,w),(w,v)].
 projections at once, and `partial_trace_from_columns` takes A(V V^dagger)
 from the columns V alone, as the excess search keeps its projections.
 
-Each method has a Gram function, G[i, j] = d(p_i, q_j) for two lists, and a
-one-pair function that its free function and `Evaluator.value` share.
-``stream`` contracts the stacked partial traces without materializing M,
-G[i, j] = tr(A(p_i) rho B(q_j)).  ``ils`` contracts the kernel through its
-realignment K[(a,c),(b,e)] = M[(c,e),(a,b)], G = vec(P) @ K @ vec(Q)^T, at
-the nnz(rho) D^2 / d nonzero entries of M alone, D = d^n.  `build_M` gathers
-those entries from rho through an index table cached per (d, n) and forms
-neither M nor K; the dense M is scattered from them only when it is read.
-A wrong table still gives a wrong value, so ``ils`` stays an oracle
-independent of ``stream``.  Both take one pair as a one-pair Gram.
+Each method has one construction and takes its other shape from it by one
+generic rule.  ``direct``, ``ils`` and ``stream`` are Gram functions,
+G[i, j] = d(p_i, q_j) for two lists, and a value is the one entry of the
+one-pair Gram (`_one_pair`); ``series`` is a value, and its Gram is the
+table of its values (`_pairwise`).  ``stream`` contracts the stacked partial
+traces without materializing M, G[i, j] = tr(A(p_i) rho B(q_j)).  ``ils``
+contracts the kernel through its realignment K[(a,c),(b,e)] = M[(c,e),(a,b)],
+G = vec(P) @ K @ vec(Q)^T, at the nnz(rho) D^2 / d nonzero entries of M
+alone, D = d^n.  `build_M` gathers those entries from rho through an index
+table cached per (d, n) and forms neither M nor K; the dense M is scattered
+from them only when it is read.  A wrong table still gives a wrong value, so
+``ils`` stays an oracle independent of ``stream``.
 ``series`` splits each tuple at the tensor cut into an h half, which
 depends on j_1, u and v alone, and a k half, which depends on j_1, w and v
 alone.  It sums each half once per distinct index, reading the d D entries
 of its argument that a table cached per (d, n) lists, and broadcasts the
 two halves into the tuples, in their lexicographic order, for the final
-product and the left-to-right weighted sum; a Gram forms the h halves of
-its rows and the k halves of its columns once each and sums row by row.
-Complex products are formed on real and imaginary parts, as numpy's SIMD
-complex multiply may fuse multiply-adds (FMA), so every value is
-bit-identical to the per-tuple scalar expansion.  What the sum takes from
-the state, its rows of nonzero weight and psi at those rows, is built once
-per state and (d, n) and kept in a memo keyed weakly on the state, so it
-goes with the state; a value gathers the real and imaginary parts of h and
-k with one take from their float64 views laid end to end.
-``direct`` traces left rho right for one pair of time-ordered products or,
-broadcast, for a stack of each.
+product and the left-to-right weighted sum.  Complex products are formed on
+real and imaginary parts, as numpy's SIMD complex multiply may fuse
+multiply-adds (FMA), so every value is bit-identical to the per-tuple scalar
+expansion.  What the sum takes from the state, its rows of nonzero weight
+and psi at those rows, is built once per state and (d, n) and kept in a memo
+keyed weakly on the state, so it goes with the state; a value gathers the
+real and imaginary parts of h and k with one take from their float64 views
+laid end to end.
+``direct`` traces left rho right for a stack of time-ordered left products
+against a stack of right ones, broadcast.
 
 All four free functions and the ``value`` and ``gram`` of the `Evaluator`
 that `make_evaluator` binds to (rho, d, n) take history projections and
@@ -159,38 +160,30 @@ def _stack(xs) -> np.ndarray:
     return xs[0].matrix[None] if len(xs) == 1 else np.array([x.matrix for x in xs])
 
 
-def _left_product(h: HomogeneousHistory) -> np.ndarray:
-    # h_n ... h_1
-    return reduce(np.matmul, [p.matrix for p in reversed(h.projections)])
+def _one_pair(gram, p, q, *bound) -> complex:
+    """d(p, q) as the one entry of the one-pair Gram ``gram(*bound, ps, qs)``;
+    with ``q is p`` both sides get the one tuple, so p is stacked once."""
+    ps = (p,)
+    return complex(gram(*bound, ps, ps if q is p else (q,))[0, 0])
 
 
-def _right_product(k: HomogeneousHistory) -> np.ndarray:
-    # k_1 ... k_n
-    return reduce(np.matmul, [p.matrix for p in k.projections])
-
-
-def _direct_values(rho_m: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """tr(left rho right) over the last two axes, broadcast over the rest:
-    one value for two d x d products, a Gram for a (k, 1, d, d) stack of
-    left products against an (l, d, d) stack of right ones."""
-    return np.trace(left @ rho_m @ right, axis1=-2, axis2=-1)
+def _pairwise(value, ps, qs) -> np.ndarray:
+    """G[i, j] = value(ps[i], qs[j]), the Gram as the table of its values."""
+    return np.array([[value(p, q) for q in qs] for p in ps], dtype=np.complex128)
 
 
 def _direct_gram(rho_m: np.ndarray, ps, qs) -> np.ndarray:
-    # the arguments are checked by the caller
-    left = np.array([_left_product(h) for h in ps])
-    right = np.array([_right_product(k) for k in qs])
-    return _direct_values(rho_m, left[:, None], right)
-
-
-def _direct_value(rho_m: np.ndarray, h, k) -> complex:
-    return complex(_direct_values(rho_m, _left_product(h), _right_product(k)))
+    # tr(left rho right) of each left product h_n ... h_1 against each right
+    # one k_1 ... k_n, broadcast; the arguments are checked by the caller
+    left = np.array([reduce(np.matmul, [p.matrix for p in h.projections[::-1]]) for h in ps])
+    right = np.array([reduce(np.matmul, [p.matrix for p in k.projections]) for k in qs])
+    return (left[:, None] @ rho_m @ right).trace(axis1=-2, axis2=-1)
 
 
 def d_direct(rho: DensityOperator, h: HomogeneousHistory, k: HomogeneousHistory) -> complex:
     """Time-ordered product evaluation tr(h_n ... h_1 rho k_1 ... k_n)."""
     h, k = _normalize("direct", rho.dim, max(h.order, k.order), (h, k))
-    return _direct_value(rho.matrix, h, k)
+    return _one_pair(_direct_gram, h, k, rho.matrix)
 
 
 def _place_value(digits, d: int):
@@ -276,57 +269,42 @@ def _series_terms(rho: DensityOperator, d: int, n: int) -> tuple[np.ndarray, ...
 
 def _series_halves(factors: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The halves of the series sum from the entries ``v``, of shape
-    (..., 2, d, 2, m), gathered through positions of `_series_terms` with
+    (2, d, 2, m), gathered through the positions of `_series_terms` with
     their ``factors``: per entry, the sum over t of psi times the entry, as
-    a (..., 2, m) array of real and imaginary parts.  The product is formed
-    on real and imaginary parts, Re = psr vr + (-psi vi) and Im = psr vi +
+    a (2, m) array of real and imaginary parts.  The product is formed on
+    real and imaginary parts, Re = psr vr + (-psi vi) and Im = psr vi +
     psi vr, as the per-tuple expansion rounds it, and summed over t along
     an outer axis, which numpy reduces in sequence.  ``v`` is overwritten.
     """
     np.multiply(v, factors, out=v)
-    return np.add.reduce(v[..., 0, :, :, :] + v[..., 1, :, :, :], axis=-3)
+    return np.add.reduce(v[0] + v[1], axis=0)
 
 
 def _series_sum(w: np.ndarray, h_half: np.ndarray, k_half: np.ndarray,
-                d: int, n: int) -> np.ndarray:
+                d: int, n: int) -> np.complex128:
     """The series sum of the (2, R D) h half of one history against the
-    (..., 2, R D) k half of one k or a stack of them, each as real and
-    imaginary parts: a 0-d value or a Gram row.  Per row j0, the h half
-    shaped (1, d, r) times the k half shaped (r, d, 1) gives the tuples, of
-    nonzero weight only, in lexicographic order.  Their real and imaginary
-    parts are formed on reals, as numpy's SIMD complex multiply may fuse
-    multiply-adds (FMA), weighted, and accumulated left to right as complex
-    numbers, whose sum adds the two parts apart.  The weights are real and
-    the terms finite, so multiplying them as reals changes at most the sign
-    of a zero term; a left-to-right sum from +0.0 never holds -0.0, and the
-    final + 0j, which adds +0.0 to each part, clears the one case where the
-    sum without that start differs, so every value is bit-identical to the
-    per-tuple expansion.
+    (2, R D) k half of another, each as real and imaginary parts.  Per row
+    j0, the h half shaped (1, d, r) times the k half shaped (r, d, 1) gives
+    the tuples, of nonzero weight only, in lexicographic order.  Their real
+    and imaginary parts are formed on reals, as numpy's SIMD complex
+    multiply may fuse multiply-adds (FMA), weighted, and accumulated left to
+    right as complex numbers, whose sum adds the two parts apart.  The
+    weights are real and the terms finite, so multiplying them as reals
+    changes at most the sign of a zero term; a left-to-right sum from +0.0
+    never holds -0.0, and the final + 0j, which adds +0.0 to each part,
+    clears the one case where the sum without that start differs, so every
+    value is bit-identical to the per-tuple expansion.
     """
     r, rank = d ** (n - 1), len(w)
-    lead = k_half.shape[:-2]
     # (h part, k part) products in the order re re, re im, im re, im im
     prod = (h_half.reshape(2, 1, rank, 1, d, r)
-            * k_half.reshape(*lead, 1, 2, rank, r, d, 1)).reshape(*lead, 4, -1)
-    terms = np.empty((*lead, prod.shape[-1]), dtype=np.complex128)
-    np.subtract(prod[..., 0, :], prod[..., 3, :], out=terms.real)
-    np.add(prod[..., 1, :], prod[..., 2, :], out=terms.imag)
-    parts = terms.view(np.float64).reshape(*lead, rank, -1)
+            * k_half.reshape(1, 2, rank, r, d, 1)).reshape(4, -1)
+    terms = np.empty(prod.shape[-1], dtype=np.complex128)
+    np.subtract(prod[0], prod[3], out=terms.real)
+    np.add(prod[1], prod[2], out=terms.imag)
+    parts = terms.view(np.float64).reshape(rank, -1)
     np.multiply(parts, w, out=parts)
-    return np.add.accumulate(terms, axis=-1, out=terms)[..., -1] + 0j
-
-
-def _series_gram(rho: DensityOperator, d: int, n: int, ps, qs) -> np.ndarray:
-    # the h halves of ps and the k halves of qs each once, then one row per
-    # ps[i], so memory stays O(len(qs) * tuples); the arguments are checked
-    # by the caller
-    pos, factors, w = _series_terms(rho, d, n)
-    m = pos.shape[-1] // 2
-    h_half, k_half = (
-        _series_halves(factors[..., half], _stack(xs).reshape(len(xs), -1).view(np.float64)
-                       .take(pos[..., half] - offset, axis=-1))
-        for xs, half, offset in ((ps, slice(m), 0), (qs, slice(m, None), 2 * d ** (2 * n))))
-    return np.array([_series_sum(w, h, k_half, d, n) for h in h_half])
+    return np.add.accumulate(terms, out=terms)[-1] + 0j
 
 
 def _series_value(rho: DensityOperator, d: int, n: int, h, k) -> complex:
@@ -433,17 +411,12 @@ def _ils_gram(M: ILSOperator, ps, qs) -> np.ndarray:
     return (vp.take(rows, axis=1) * values) @ vq.take(cols, axis=1).T
 
 
-def _ils_value(M: ILSOperator, p, q) -> complex:
-    ps = (p,)
-    return complex(_ils_gram(M, ps, ps if q is p else (q,))[0, 0])
-
-
 def d_via_M(M: ILSOperator, p: HistoryProjection | HomogeneousHistory,
             q: HistoryProjection | HomogeneousHistory) -> complex:
     """Kernel evaluation tr((p (x) q) M) = vec(p) @ K @ vec(q), summed over
     the nonzero entries ``M.pair_entries`` of the realigned kernel K alone."""
     p, q = _normalize("ils", M.single_dim, M.order, (p, q))
-    return _ils_value(M, p, q)
+    return _one_pair(_ils_gram, p, q, M)
 
 
 def partial_trace_a(stack: np.ndarray, d: int, n: int) -> np.ndarray:
@@ -481,18 +454,13 @@ def _stream_gram(rho_m: np.ndarray, d: int, n: int, ps, qs) -> np.ndarray:
     return np.einsum("ivt,ts,jsv->ij", a, rho_m, b)
 
 
-def _stream_value(rho_m: np.ndarray, d: int, n: int, p, q) -> complex:
-    ps = (p,)
-    return complex(_stream_gram(rho_m, d, n, ps, ps if q is p else (q,))[0, 0])
-
-
 def d_via_M_streaming(rho: DensityOperator, p: HistoryProjection | HomogeneousHistory,
                       q: HistoryProjection | HomogeneousHistory) -> complex:
     """Kernel evaluation without materializing M: tr(A(p) rho B(q)) with the
     partial traces A and B of the module docstring."""
     d, n = rho.dim, max(p.order, q.order)
     p, q = _normalize("stream", d, n, (p, q))
-    return _stream_value(rho.matrix, d, n, p, q)
+    return _one_pair(_stream_gram, p, q, rho.matrix, d, n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -503,10 +471,12 @@ class Evaluator:
     and homogeneous histories of order at most n, the latter padded with
     identities to order n; an argument of another single-time dimension or
     order raises ShapeError.  ``gram`` is the matrix G[i, j] = d(xs[i], ys[j])
-    from the method's Gram function; with ``ys is xs`` the one list is
-    checked and stacked once.  ``value`` calls the one-pair function that
-    the method's free function calls; with ``y is x`` the one argument is
-    checked and embedded once.  ``series``, ``ils`` and ``stream`` embed
+    and ``value(x, y)`` one entry of it, with the bits of the method's free
+    function: ``series`` computes values, and its Gram is their table; the
+    other three methods compute Grams, and a value is the one-pair Gram.
+    With ``ys is xs`` the one list is checked and stacked once; with
+    ``y is x`` the one argument is checked and embedded once, and the kernel
+    methods stack it once.  ``series``, ``ils`` and ``stream`` embed
     homogeneous histories; ``direct`` needs them and raises ShapeError on
     history projections.  Evaluators compare and hash by identity.
     """
@@ -543,17 +513,18 @@ def make_evaluator(method: str, rho: DensityOperator, d: int, n: int) -> Evaluat
     d, n = checked_int(d, "d", low=1), checked_int(n, "n", low=1)
     if rho.dim != d:
         raise ShapeError(f"state dimension {rho.dim} does not match d={d}")
+    if method == "series":
+        value = partial(_series_value, rho, d, n)
+        return Evaluator(method, rho, d, n, value, partial(_pairwise, value))
     if method == "direct":
-        fns, bound = (_direct_value, _direct_gram), (rho.matrix,)
-    elif method == "series":
-        fns, bound = (_series_value, _series_gram), (rho, d, n)
+        gram = partial(_direct_gram, rho.matrix)
     elif method == "ils":
-        fns, bound = (_ils_value, _ils_gram), (build_M(rho, d, n),)
+        gram = partial(_ils_gram, build_M(rho, d, n))
     elif method == "stream":
-        fns, bound = (_stream_value, _stream_gram), (rho.matrix, d, n)
+        gram = partial(_stream_gram, rho.matrix, d, n)
     else:
         raise ValidationError(f"unknown evaluation method {method!r}")
-    return Evaluator(method, rho, d, n, *(partial(f, *bound) for f in fns))
+    return Evaluator(method, rho, d, n, partial(_one_pair, gram), gram)
 
 
 @dataclass(frozen=True)

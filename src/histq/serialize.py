@@ -67,8 +67,11 @@ def matrix_from_json(obj) -> np.ndarray:
     for i, pair in enumerate(data):
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
             raise ValidationError(f"entry {i} is not an [re, im] pair")
-        out[i] = complex(checked_float(pair[0], f"entry {i}"),
-                         checked_float(pair[1], f"entry {i}"))
+        re, im = pair
+        # the message is formatted only for an entry that is not a plain number
+        if type(re) not in (float, int) or type(im) not in (float, int):
+            re, im = (checked_float(x, f"entry {i}") for x in pair)
+        out[i] = complex(re, im)
     if not np.isfinite(out.view(np.float64)).all():
         raise ValidationError("matrix JSON contains non-finite entries")
     return out.reshape(rows, cols)

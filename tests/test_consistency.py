@@ -433,6 +433,20 @@ def test_search_budget_monotone():
     assert large.value >= small.value - 1e-12
 
 
+def test_search_refuses_a_source_without_rho_and_geometry():
+    # a state or nothing raised AttributeError; the source is checked before
+    # the counts, and a bound evaluator or a kernel is a source
+    for source, name in ((None, "NoneType"), (pure_e1(2), "DensityOperator")):
+        for counts in ({}, {"budget": 0}):
+            with pytest.raises(ValidationError) as err:
+                cs.diag_excess_search(source, **counts)
+            assert str(err.value) == ("the search reads rho, single_dim and order from its "
+                                      "source, such as a kernel or a bound evaluator, "
+                                      f"not {name}")
+    for source in (build_M(pure_e1(2), 2, 1), make_evaluator("direct", pure_e1(2), 2, 1)):
+        assert cs.diag_excess_search(source, budget=1).rank >= 1
+
+
 def test_counts_follow_the_integer_rule():
     # samples, budget, sweeps and probe_count are counts: a bool or a
     # non-integral number is refused before it is compared or run, an

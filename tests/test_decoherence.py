@@ -372,21 +372,22 @@ def test_verify_axioms_asks_two_grams_and_one_value_per_sample(method, rng):
 @pytest.mark.parametrize("method", ["series", "ils", "stream"])
 def test_value_of_one_argument_embeds_it_once(method, rng, monkeypatch):
     # value(h, h) checks and embeds h once, and the kernel methods stack it
-    # once (their Gram function gets one tuple for both sides), with the bits
-    # of value(h, h') for an equal copy h'
+    # once (their Gram function, bound when the evaluator is made, gets one
+    # tuple for both sides), with the bits of value(h, h') for an equal copy h'
     rho = random_density(2, rng)
     h = homogeneous_history([random_proj(2, rng) for _ in range(3)])
-    ev = dec.make_evaluator(method, rho, 2, 3)
-    want = ev.value(h, replace(h))
     calls, one_stack = [], []
-    embed = dec.embed_homogeneous
-    monkeypatch.setattr(dec, "embed_homogeneous",
-                        lambda *a, **kw: calls.append(a) or embed(*a, **kw))
     gram_name = {"ils": "_ils_gram", "stream": "_stream_gram"}.get(method)
     if gram_name is not None:
         gram = getattr(dec, gram_name)
         monkeypatch.setattr(dec, gram_name,
                             lambda *a: one_stack.append(a[-1] is a[-2]) or gram(*a))
+    ev = dec.make_evaluator(method, rho, 2, 3)
+    want = ev.value(h, replace(h))
+    del one_stack[:]
+    embed = dec.embed_homogeneous
+    monkeypatch.setattr(dec, "embed_homogeneous",
+                        lambda *a, **kw: calls.append(a) or embed(*a, **kw))
     got = ev.value(h, h)
     assert len(calls) == 1
     assert one_stack == ([] if gram_name is None else [True])
@@ -593,8 +594,8 @@ def test_series_warm_memo_is_bit_identical_to_tuple_loop(full_first):
 
 @pytest.mark.parametrize("dn", [(2, 3), (3, 3)])
 def test_series_gram_is_bit_identical_to_tuple_loop(dn):
-    # the h halves of xs and the k halves of ys each formed once, broadcast
-    # row by row: every entry of a rectangular Gram has the loop's bits
+    # the Gram is the table of series values: every entry of a rectangular
+    # Gram has the loop's bits
     d, n = dn
     dim = d ** n
     rng = np.random.default_rng([d, n, 45])
@@ -786,19 +787,24 @@ def test_the_four_evaluators_agree(dn, kind):
     xs = hs + [history_projection(random_proj(dim, rng, int(rng.integers(0, dim + 1))), n, d)
                for _ in range(3)]
 
-    def no_gram(xs, ys):
-        raise AssertionError("value asked the Gram function")
     table = {}
     for method, fn in free_functions(rho, dec.build_M(rho, d, n)).items():
         ev = dec.make_evaluator(method, rho, d, n)
-        value = replace(ev, _gram=no_gram).value
         args = hs if method == "direct" else xs
-        # (d) the free function checks, pads and embeds as value does, and
-        # value calls its one-pair function: the same bits or ShapeError
+        # (d) the free function checks, pads and embeds as value does and
+        # computes as it does: the same bits or ShapeError.  The series gram
+        # is the table of its values and every other value is its one-pair
+        # gram, bit for bit
         table[method] = pairwise_gram(fn, args, args)
-        assert bits(table[method]) == bits(pairwise_gram(value, args, args)), method
+        values = pairwise_gram(ev.value, args, args)
+        assert bits(table[method]) == bits(values), method
+        if method == "series":
+            assert bits(ev.gram(args, args)) == bits(values)
+        else:
+            one_pair = [[ev.gram([x], [y])[0, 0] for y in args] for x in args]
+            assert bits(values) == bits(np.array(one_pair)), method
         if method == "direct":
-            for call in (fn, value):
+            for call in (fn, ev.value):
                 with pytest.raises(ShapeError):
                     call(xs[-2], xs[-1])
         # (e) the Gram square, from one list and from two, and rectangular:

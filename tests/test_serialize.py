@@ -63,6 +63,26 @@ def test_matrix_from_json_rejects_non_numeric_entries():
             sz.matrix_from_json({"rows": 1, "cols": 1, "data": [entry]})
 
 
+def test_matrix_from_json_names_the_first_bad_entry():
+    # the messages name the entry's index, also past valid ints, floats and
+    # numpy reals, which are read as their float values
+    good = [[1, 0], [0.5, -0.0], [np.float64(0.25), np.int64(2)]]
+    for bad, message in (([1.0, True], "entry 3 must be a number, got True"),
+                         ([None, 0.0], "entry 3 must be a number, got None"),
+                         ([0.0, "1"], "entry 3 must be a number, got '1'"),
+                         ([1.0], "entry 3 is not an [re, im] pair"),
+                         (1.0, "entry 3 is not an [re, im] pair")):
+        with pytest.raises(ValidationError) as err:
+            sz.matrix_from_json({"rows": 2, "cols": 2, "data": good + [bad]})
+        assert str(err.value) == message
+    m = sz.matrix_from_json({"rows": 2, "cols": 2, "data": good + [[-0.0, 3]]})
+    want = np.array([[1, complex(0.5, -0.0)], [0.25 + 2j, complex(-0.0, 3.0)]])
+    assert m.tobytes() == want.tobytes()
+    with pytest.raises(ValidationError) as err:
+        sz.matrix_from_json({"rows": 1, "cols": 3, "data": [[1, 0], [0, 1], 7]})
+    assert str(err.value) == "entry 2 is not an [re, im] pair"
+
+
 def test_history_from_json_rejects_coerced_dim():
     h = sz.history_to_json(homogeneous_history([P0]))
     for dim in (2.5, True, "2"):
