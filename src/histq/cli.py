@@ -112,17 +112,13 @@ def _meta(seed: int | None = None, stream: str | None = None) -> dict:
 def _write_text(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with serialize.open_output(path) as fh:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
 
 
 def _write_json(obj, path: str | None) -> None:
-    _write_text(serialize.dumps(obj), path)
+    _write_text(serialize.dumps(obj) + "\n", path)
 
 
 def _fmt(x: float) -> str:

@@ -26,6 +26,7 @@ import numpy as np
 from .errors import ShapeError, SizeCapError, ValidationError
 from .historyspace import (DensityOperator, HistoryProjection, Projection, checked_float,
                            checked_int, validate_projection)
+from .matrixcore import as_square_matrix
 
 DEFAULT_CONVERGENCE_THRESHOLD = 1e-9
 DEFAULT_DIVERGENCE_THRESHOLD = 1e6
@@ -90,7 +91,8 @@ BUILTIN_PAIRS = {
 
 def _pair_data(op):
     """A builtin's scale function, or an order-2 operator as an (s, s, s, s)
-    array: an order-2 HistoryProjection or an s^2 x s^2 matrix."""
+    array: an order-2 HistoryProjection or an s^2 x s^2 array, which must
+    pass `matrixcore.as_square_matrix` and is read without a copy."""
     if isinstance(op, str):
         if op not in BUILTIN_PAIRS:
             raise ValidationError(f"unknown builtin {op!r}; have {sorted(BUILTIN_PAIRS)}")
@@ -100,15 +102,14 @@ def _pair_data(op):
             raise ShapeError(
                 f"truncation probe needs order-2 arguments, got order {op.order}")
         op = op.matrix
-    if not isinstance(op, np.ndarray) or op.ndim != 2:
+    if not isinstance(op, np.ndarray):
         raise ShapeError(f"cannot interpret {type(op).__name__} as a pair operator")
+    op = as_square_matrix(op, "pair operator")
     n = op.shape[0]
     s = math.isqrt(n)
     if s * s != n:
         raise ShapeError(f"matrix dimension {n} is not a doubled dimension")
-    if op.shape != (n, n):
-        raise ShapeError(f"matrix shape {op.shape} does not match doubled dim {n}")
-    return np.ascontiguousarray(op, dtype=np.complex128).reshape(s, s, s, s)
+    return op.reshape(s, s, s, s)
 
 
 def _table(op, psi: np.ndarray, cut: int, left: bool) -> np.ndarray:

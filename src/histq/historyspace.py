@@ -164,9 +164,7 @@ def validate_projection(m, tol: float = VALIDATION_TOL) -> Projection:
     """
     tol = checked_float(tol, "tol", positive=True)
     # a copy, so that a Projection never aliases its input
-    m = matrixcore.as_complex_matrix(np.array(m, dtype=np.complex128, order="C"))
-    if m.shape[0] != m.shape[1]:
-        raise ShapeError(f"projection must be square, got {m.shape}")
+    m = matrixcore.as_square_matrix(np.array(m, dtype=np.complex128, order="C"), "projection")
     herm, idem = projection_residuals(m)
     if herm > tol:
         raise ValidationError(f"not self-adjoint: max residual {herm:.3e} > {tol:g}")
@@ -187,23 +185,23 @@ def density_from_spectral(weights, vectors, tol: float = VALIDATION_TOL) -> Dens
     Each weight must be a real number, not a bool or a string.  Weights
     within ``-1e-12`` of zero are clamped to zero; the weight sum is
     renormalized only when it is already within ``tol`` of one, and its
-    distance from one is kept as ``trace_residual``.  Columns must
-    be orthonormal within ``tol``, which must be positive and finite.
+    distance from one is kept as ``trace_residual``.  The vectors are
+    copied, must pass `matrixcore.as_complex_matrix` and must be orthonormal
+    columns within ``tol``, which must be positive and finite.
     """
     tol = checked_float(tol, "tol", positive=True)
     raw = np.array(weights, dtype=object)
     w = np.array([checked_float(x, "density weight") for x in raw.reshape(-1)],
                  dtype=float).reshape(raw.shape)
-    v = np.array(vectors, dtype=np.complex128, order="C")
-    if v.ndim != 2:
-        raise ShapeError("vectors must form a 2-d column matrix")
+    if not w.size:
+        raise ValidationError("spectral data needs at least one weight")
+    # a copy, so that a DensityOperator never aliases its input
+    v = matrixcore.as_complex_matrix(np.array(vectors, dtype=np.complex128, order="C"))
     if w.ndim != 1 or w.size != v.shape[1]:
         raise ShapeError("need exactly one weight per column vector")
     if v.shape[1] > v.shape[0]:
         raise ShapeError("more vectors than the space dimension allows")
-    if not w.size:
-        raise ValidationError("spectral data needs at least one weight")
-    if not (np.isfinite(w).all() and np.isfinite(v.view(np.float64)).all()):
+    if not np.isfinite(w).all():
         raise ValidationError("non-finite spectral data")
     if np.min(w) < -1e-12:
         raise ValidationError(f"negative weight {np.min(w):.3e}")
@@ -240,9 +238,7 @@ def density_from_matrix(m, tol: float = VALIDATION_TOL) -> DensityOperator:
         of the clamped eigenvalues' sum from one.
     """
     tol = checked_float(tol, "tol", positive=True)
-    m = matrixcore.as_complex_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise ShapeError(f"density matrix must be square, got {m.shape}")
+    m = matrixcore.as_square_matrix(m, "density matrix")
     tr = np.trace(m)
     if abs(tr - 1.0) > tol:
         raise ValidationError(f"trace {tr:.9g} differs from 1 beyond {tol:g}")

@@ -13,21 +13,36 @@ from .errors import NumericalError, ShapeError, ValidationError
 ARITH_TOL = 1e-10
 
 
+def check_matrix_shape(shape: tuple) -> None:
+    """The shape half of the matrix rule: 2-d and at least 1 x 1."""
+    if len(shape) != 2:
+        raise ShapeError(f"expected a 2-d array, got ndim={len(shape)}")
+    if shape[0] < 1 or shape[1] < 1:
+        raise ShapeError(f"matrix dimensions must be positive, got {shape}")
+
+
 def as_complex_matrix(obj) -> np.ndarray:
     """Coerce to a C-ordered 2-d complex128 array with finite entries.
 
-    An array that is already C-ordered complex128 is checked and returned
-    as is, not copied.
+    This is the package's one matrix rule: every matrix it reads, writes or
+    evaluates passes here.  An array that is already C-ordered complex128
+    is checked and returned as is, not copied.
     """
     m = np.asarray(obj, dtype=np.complex128, order="C")
-    if m.ndim != 2:
-        raise ShapeError(f"expected a 2-d array, got ndim={m.ndim}")
-    if m.shape[0] < 1 or m.shape[1] < 1:
-        raise ShapeError(f"matrix dimensions must be positive, got {m.shape}")
+    check_matrix_shape(m.shape)
     # m is C-ordered complex128, so its float64 view holds every real and
     # imaginary part; testing that is cheaper than complex isfinite
     if not np.isfinite(m.view(np.float64)).all():
         raise ValidationError("matrix contains non-finite entries")
+    return m
+
+
+def as_square_matrix(obj, what: str) -> np.ndarray:
+    """`as_complex_matrix` of obj, which must also be square; ``what`` names
+    it in the error."""
+    m = as_complex_matrix(obj)
+    if m.shape[0] != m.shape[1]:
+        raise ShapeError(f"{what} must be square, got {m.shape}")
     return m
 
 
@@ -44,9 +59,7 @@ def hermitian_eig(a: np.ndarray, tol: float = ARITH_TOL) -> tuple[np.ndarray, np
     its first component of modulus above 1e-12 is positive real, which makes
     the output deterministic for a given input.
     """
-    a = as_complex_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"eigendecomposition requires a square matrix, got {a.shape}")
+    a = as_square_matrix(a, "eigendecomposition input")
     residual = float(np.max(np.abs(a - a.conj().T)))
     if residual > tol:
         raise ValidationError(

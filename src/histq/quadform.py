@@ -23,7 +23,7 @@ import numpy as np
 
 from . import matrixcore
 from .errors import ShapeError, SizeCapError, ValidationError
-from .historyspace import DensityOperator, checked_int, density_from_spectral
+from .historyspace import DensityOperator, checked_int
 from .seeding import generator
 
 # largest probe size N: a probe costs O(N * rank rho) work and memory, about
@@ -54,12 +54,9 @@ def simple_tensor_sum(terms, order: int | None = None,
         single_dim = checked_int(single_dim, "tensor-sum dim")
     parsed = []
     for term in terms:
-        factors = tuple(matrixcore.as_complex_matrix(f) for f in term)
+        factors = tuple(matrixcore.as_square_matrix(f, "tensor factor") for f in term)
         if not factors:
             raise ShapeError("a tensor-sum term needs at least one factor")
-        for f in factors:
-            if f.shape[0] != f.shape[1]:
-                raise ShapeError(f"tensor factor must be square, got {f.shape}")
         parsed.append(factors)
     if parsed:
         orders = {len(t) for t in parsed}
@@ -201,8 +198,8 @@ def unboundedness_probe(sizes) -> list[ProbeRow]:
     rows = []
     for n_dim in sizes:
         (x_rows, x_cols), (y_rows, y_cols) = _ladder_units(n_dim)
-        rho = density_from_spectral([1.0], np.eye(n_dim, 1, dtype=np.complex128))
-        s = rho.vectors * np.sqrt(rho.weights)
+        # the pure state e_1 has S = e_1
+        s = np.eye(n_dim, 1, dtype=np.complex128)
         # x = |e_r><e_c| puts row c of S in row r and y = |e_r'><e_c'| moves
         # row c' to row r', so Pi(t_j) S is row c of S at row r' if c' = r,
         # else 0; its vdot with Pi(1) S = S is D(t_j, 1), summed in term order

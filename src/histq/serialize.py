@@ -1,4 +1,9 @@
-"""JSON schemas and bit-exact round-tripping for the package's file formats."""
+"""JSON schemas and bit-exact round-tripping for the package's file formats.
+
+Every matrix that is read or written passes `matrixcore.as_complex_matrix`:
+2-d, at least 1 x 1, complex128 and finite.  So a writer refuses what a
+reader would refuse, and what is written reads back to the same bits.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +12,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError
+from .errors import ValidationError
 from .historyspace import (
     VALIDATION_TOL,
     DensityOperator,
@@ -20,19 +25,14 @@ from .historyspace import (
     history_projection,
     homogeneous_history,
 )
+from .matrixcore import as_complex_matrix, check_matrix_shape
 from .quadform import simple_tensor_sum
 
 
-def _complex_matrix(m) -> np.ndarray:
-    m = np.asarray(m, dtype=np.complex128)
-    if m.ndim != 2:
-        raise ShapeError("only 2-d matrices are serialized")
-    return m
-
-
 def matrix_to_json(m: np.ndarray) -> dict:
-    """{"rows": n, "cols": m, "data": [[re, im], ...]} row-major."""
-    m = _complex_matrix(m)
+    """{"rows": n, "cols": m, "data": [[re, im], ...]} row-major; m must
+    pass `as_complex_matrix`, as `matrix_from_json` requires of what it reads."""
+    m = as_complex_matrix(m)
     flat = m.reshape(-1)
     return {
         "rows": int(m.shape[0]),
@@ -57,8 +57,8 @@ def matrix_from_json(obj) -> np.ndarray:
     data = obj.get("data")
     if not isinstance(data, list):
         raise ValidationError('matrix JSON needs a "data" list')
-    if rows < 1 or cols < 1:
-        raise ShapeError(f"matrix dimensions must be positive, got {rows}x{cols}")
+    # the declared shape is checked before anything of that size is allocated
+    check_matrix_shape((rows, cols))
     if len(data) != rows * cols:
         raise ValidationError(
             f"matrix JSON has {len(data)} entries, expected {rows * cols}"
@@ -72,9 +72,7 @@ def matrix_from_json(obj) -> np.ndarray:
         if type(re) not in (float, int) or type(im) not in (float, int):
             re, im = (checked_float(x, f"entry {i}") for x in pair)
         out[i] = complex(re, im)
-    if not np.isfinite(out.view(np.float64)).all():
-        raise ValidationError("matrix JSON contains non-finite entries")
-    return out.reshape(rows, cols)
+    return as_complex_matrix(out.reshape(rows, cols))
 
 
 def history_to_json(h: HomogeneousHistory) -> dict:
@@ -207,20 +205,17 @@ def dump_json(m: np.ndarray, path: str) -> None:
 
     The file is written one row at a time, byte for byte what dumping
     `matrix_to_json` of m with sorted keys writes, without forming the list
-    of [re, im] pairs; a non-finite entry, which would be written as NaN or
-    Infinity and refused when read back, raises ValidationError before the
-    file is opened.  A path that cannot be written raises ValidationError
-    through `open_output`.
+    of [re, im] pairs.  m must pass `as_complex_matrix` before the file is
+    opened, so no file is written that `matrix_from_json` would refuse.  A
+    path that cannot be written raises ValidationError through `open_output`.
     """
-    m = _complex_matrix(m)
-    if not np.isfinite(m).all():
-        raise ValidationError("matrix has non-finite entries, which JSON cannot hold")
+    m = as_complex_matrix(m)
     with open_output(path) as fh:
         # the keys in sorted order and json's separators; json writes a
         # finite float as its repr
         fh.write('{"cols": %d, "data": [' % m.shape[1])
         sep = ""
-        for row in m if m.shape[1] else ():
+        for row in m:
             fh.write(sep)
             fh.write(", ".join(["[%r, %r]" % pair
                                 for pair in zip(row.real.tolist(), row.imag.tolist())]))

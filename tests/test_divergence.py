@@ -260,7 +260,7 @@ def test_matrix_pair_reproduces_finite_block(rng):
 def test_matrix_pair_rejections(rng):
     with pytest.raises(ShapeError, match="^matrix dimension 3 is not a doubled dimension$"):
         dv.truncated_d(pure_e1(2), np.eye(3), "identity")
-    with pytest.raises(ShapeError, match="does not match doubled dim 4"):
+    with pytest.raises(ShapeError, match=r"^pair operator must be square, got \(4, 5\)$"):
         dv.truncated_d(pure_e1(2), "identity", np.ones((4, 5)))
     qu2 = dv.q_u(2).matrix
     with pytest.raises(ShapeError, match="exceeds operator block"):
@@ -272,7 +272,7 @@ def test_as_pair_rejections(rng):
         dv.truncated_d(pure_e1(2), history_projection(P0, 1, 2),
                        history_projection(P0, 1, 2))
     for bad, message in ((3, "^cannot interpret int as a pair operator$"),
-                         (np.ones(4), "^cannot interpret ndarray as a pair operator$"),
+                         (np.ones(4), "^expected a 2-d array, got ndim=1$"),
                          (np.eye(5), "^matrix dimension 5 is not a doubled dimension$")):
         with pytest.raises(ShapeError, match=message):
             dv.truncated_d(pure_e1(2), bad, "identity")

@@ -1,13 +1,17 @@
+import re
+
 import numpy as np
 import pytest
 
 from histq import matrixcore as mc
 from histq.decoherence import build_M
+from histq.divergence import truncated_d
 from histq.errors import ShapeError, ValidationError
-from histq.historyspace import density_from_spectral
-from histq.serialize import matrix_from_json
+from histq.historyspace import density_from_matrix, density_from_spectral, validate_projection
+from histq.quadform import simple_tensor_sum
+from histq.serialize import dump_json, matrix_from_json, matrix_to_json
 
-from conftest import random_proj
+from conftest import pure_e1, random_proj
 
 
 def test_as_complex_matrix_coerces():
@@ -31,17 +35,45 @@ def test_as_complex_matrix_rejects_non_finite():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_non_finite_imaginary_parts_are_rejected(bad):
-    # the real parts are finite; only the imaginary part of one entry is not
-    m = np.eye(2, dtype=np.complex128)
-    m[1, 0] = complex(0.0, bad)
-    with pytest.raises(ValidationError, match="non-finite"):
-        mc.as_complex_matrix(m)
-    with pytest.raises(ValidationError, match="non-finite"):
-        density_from_spectral([0.5, 0.5], m)
-    data = [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
-    with pytest.raises(ValidationError, match="non-finite"):
-        matrix_from_json({"rows": 2, "cols": 2, "data": data})
+def test_non_finite_imaginary_parts_are_rejected(bad, tmp_path):
+    # the one matrix rule: every reader and writer of a matrix raises the same
+    # error for the same malformed input; bad sits in a real or an imaginary part
+    real_bad = np.eye(2, dtype=np.complex128)
+    real_bad[1, 0] = complex(bad, 0.0)
+    imag_bad = np.eye(2, dtype=np.complex128)
+    imag_bad[1, 0] = complex(0.0, bad)
+    non_finite = (ValidationError, "matrix contains non-finite entries")
+    cases = [(real_bad, non_finite), (imag_bad, non_finite),
+             (np.ones(4), (ShapeError, "expected a 2-d array, got ndim=1")),
+             (np.zeros((0, 2)), (ShapeError, "matrix dimensions must be positive, got (0, 2)")),
+             (np.ones((2, 3)), None)]
+    path = tmp_path / "m.json"
+
+    def from_json(m):
+        data = [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
+        return matrix_from_json({"rows": m.shape[0], "cols": m.shape[1], "data": data})
+
+    # each call with the noun of its square check, or None where any shape is read
+    calls = [(mc.as_complex_matrix, None), (from_json, None), (matrix_to_json, None),
+             (lambda m: dump_json(m, str(path)), None),
+             (validate_projection, "projection"), (density_from_matrix, "density matrix"),
+             (lambda m: simple_tensor_sum([(m,)]), "tensor factor"),
+             (lambda m: truncated_d(pure_e1(2), m, "identity"), "pair operator")]
+    for m, want in cases:
+        for call, noun in calls:
+            if call is from_json and m.ndim != 2:
+                continue  # a matrix JSON object always declares rows and cols
+            if want is None and noun is None:
+                call(m)
+                path.unlink(missing_ok=True)
+                continue
+            err, message = want or (ShapeError, f"{noun} must be square, got (2, 3)")
+            with pytest.raises(err, match=f"^{re.escape(message)}$"):
+                call(m)
+            assert not path.exists()
+    for m in (real_bad, imag_bad):
+        with pytest.raises(ValidationError, match="^matrix contains non-finite entries$"):
+            density_from_spectral([0.5, 0.5], m)
 
 
 def test_kron_block_structure():
