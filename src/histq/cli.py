@@ -27,10 +27,9 @@ import numpy as np
 from . import __version__, divergence, quadform, serialize
 from .divergence import (DEFAULT_CONVERGENCE_THRESHOLD, DEFAULT_DIVERGENCE_THRESHOLD,
                          default_schedule)
-from .errors import (HistqError, NumericalError, ShapeError, SizeCapError,
-                     ValidationError)
-from .historyspace import (METHODS, VALIDATION_TOL, DensityOperator, HomogeneousHistory,
-                           checked_float, checked_int, density_from_spectral,
+from .errors import HistqError, NumericalError, SizeCapError, ValidationError
+from .historyspace import (CONSISTENCY_TOL, METHODS, VALIDATION_TOL, DensityOperator,
+                           HomogeneousHistory, checked_float, checked_int, density_from_spectral,
                            embed_homogeneous, history_projection, projection_residuals)
 from .seeding import generator, stream_metadata
 
@@ -56,7 +55,7 @@ class RunConfig:
     order: int = 2
     seed: int = 0
     validation_tol: float = VALIDATION_TOL
-    consistency_tol: float = 1e-9
+    consistency_tol: float = CONSISTENCY_TOL
     materialize_cap: int = 1024
     history_cap: int = 64
     cutoffs: tuple[int, ...] = default_schedule().cutoffs
@@ -138,15 +137,23 @@ def _load_density(path: str, cfg: RunConfig) -> DensityOperator:
                                        tol=cfg.validation_tol)
 
 
-def _mixed_state(d: int, cfg: RunConfig) -> DensityOperator:
+def _mixed_state(cfg: RunConfig) -> DensityOperator:
+    d = cfg.single_dim
     return density_from_spectral([1.0 / d] * d, np.eye(d, dtype=np.complex128),
                                  tol=cfg.validation_tol)
 
 
-def _pure_e1(d: int, cfg: RunConfig) -> DensityOperator:
-    v = np.zeros((d, 1), dtype=np.complex128)
-    v[0, 0] = 1.0
-    return density_from_spectral([1.0], v, tol=cfg.validation_tol)
+def _random_pure(cfg: RunConfig) -> DensityOperator:
+    """A pure state drawn from the ``samples`` stream of the run's seed."""
+    d = cfg.single_dim
+    rng = generator(cfg.seed, "samples")
+    xi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    xi = (xi / np.linalg.norm(xi)).reshape(d, 1)
+    return density_from_spectral([1.0], xi, tol=cfg.validation_tol)
+
+
+def _pure_e1(cfg: RunConfig) -> DensityOperator:
+    return density_from_spectral([1.0], np.eye(cfg.single_dim, 1), tol=cfg.validation_tol)
 
 
 def _infer_order(dim: int, d: int) -> int:
@@ -189,6 +196,17 @@ def _check_history_cap(d: int, n: int, cfg: RunConfig, state_dim: int | None = N
     if method != "direct" and state_dim in (None, d) and d ** n > cfg.history_cap:
         raise SizeCapError(
             f"history dimension {d}**{n}={d ** n} exceeds cap {cfg.history_cap}")
+
+
+def _state(args, cfg: RunConfig, methods, default) -> DensityOperator:
+    """The ``--rho`` state, or ``default(cfg)`` once every method has passed
+    the history cap at (single_dim, order): a d x d default state costs
+    O(d^2) memory and an O(d^3) check, so a refused run never builds it."""
+    rho = None if args.rho is None else _load_density(args.rho, cfg)
+    d = cfg.single_dim
+    for method in methods:
+        _check_history_cap(d, cfg.order, cfg, d if rho is None else rho.dim, method)
+    return default(cfg) if rho is None else rho
 
 
 def _cmd_eval(args, cfg: RunConfig) -> int:
@@ -249,11 +267,7 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
     from . import decoherence
 
     d, n, seed = cfg.single_dim, cfg.order, cfg.seed
-    # the default state is built only once the cap lets the run through
-    rho = None if args.rho is None else _load_density(args.rho, cfg)
-    _check_history_cap(d, n, cfg, d if rho is None else rho.dim, args.method)
-    if rho is None:
-        rho = _mixed_state(d, cfg)
+    rho = _state(args, cfg, [args.method], _mixed_state)
     evaluator = decoherence.make_evaluator(args.method, rho, d, n)
     report = decoherence.verify_axioms(evaluator, samples=args.samples,
                                        seed=seed, tol=cfg.consistency_tol)
@@ -302,7 +316,7 @@ def _load_pair_operator(spec_text: str, cfg: RunConfig):
 
 
 def _cmd_diverge(args, cfg: RunConfig) -> int:
-    rho = (_pure_e1(cfg.single_dim, cfg) if args.rho is None
+    rho = (_pure_e1(cfg) if args.rho is None
            else _load_density(args.rho, cfg))
     p = _load_pair_operator(args.p, cfg)
     q = _load_pair_operator(args.q, cfg)
@@ -337,14 +351,7 @@ def _cmd_search_excess(args, cfg: RunConfig) -> int:
     from . import consistency, decoherence
 
     d, n, seed = cfg.single_dim, cfg.order, cfg.seed
-    if args.rho is not None:
-        rho = _load_density(args.rho, cfg)
-    else:
-        rng = generator(seed, "samples")
-        xi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        xi = (xi / np.linalg.norm(xi)).reshape(d, 1)
-        rho = density_from_spectral([1.0], xi, tol=cfg.validation_tol)
-    _check_history_cap(d, n, cfg, rho.dim)
+    rho = _state(args, cfg, ["stream"], _random_pure)
     ev = decoherence.make_evaluator("stream", rho, d, n)
     res = consistency.diag_excess_search(ev, budget=args.budget, seed=seed, sweeps=args.sweeps)
     out = {
@@ -363,7 +370,6 @@ def _cmd_bench(args, cfg: RunConfig) -> int:
     from . import decoherence
 
     d, n, seed = cfg.single_dim, cfg.order, cfg.seed
-    rho = None if args.rho is None else _load_density(args.rho, cfg)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise UsageError("--methods needs at least one method")
@@ -371,10 +377,7 @@ def _cmd_bench(args, cfg: RunConfig) -> int:
     if unknown:
         raise ValidationError(f"unknown evaluation method {unknown[0]!r}")
     checked_int(args.pairs, "--pairs", low=1)
-    for method in methods:
-        _check_history_cap(d, n, cfg, d if rho is None else rho.dim, method)
-    if rho is None:
-        rho = _mixed_state(d, cfg)
+    rho = _state(args, cfg, methods, _mixed_state)
     rng = generator(seed, "bench")
     pairs = [(decoherence.random_homogeneous(d, n, rng),
               decoherence.random_homogeneous(d, n, rng))
@@ -482,9 +485,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ValidationError, ShapeError) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 2
     except SizeCapError as exc:
         print(f"size cap: {exc}", file=sys.stderr)
         return 3
@@ -492,7 +492,7 @@ def main(argv=None) -> int:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 4
     except HistqError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"validation error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:
         code = exc.code

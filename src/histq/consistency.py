@@ -27,7 +27,7 @@ import numpy as np
 
 from .decoherence import partial_trace_from_columns
 from .errors import ShapeError, ValidationError
-from .historyspace import (VALIDATION_TOL, HistoryProjection, Projection, checked_float,
+from .historyspace import (CONSISTENCY_TOL, VALIDATION_TOL, HistoryProjection, checked_float,
                            checked_int, history_projection, validate_projection)
 from .seeding import generator
 
@@ -42,7 +42,7 @@ TIE_TOL = 1e-12
 STOP_TOL = 1e-13
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HistoryFamily:
     members: tuple[HistoryProjection, ...]
     labels: tuple[str, ...]
@@ -119,8 +119,8 @@ def build_family(members, labels=None, tol: float = VALIDATION_TOL) -> HistoryFa
     total = validate_projection(stack.sum(axis=0), tol)
     atoms, atom_labels = list(members), list(labels)
     if total.rank < dim:
-        rest = Projection(np.eye(dim) - total.matrix, dim, dim - total.rank)
-        atoms.append(history_projection(rest, order, single_dim))
+        atoms.append(HistoryProjection(np.eye(dim) - total.matrix, dim, dim - total.rank,
+                                       order, single_dim))
         atom_labels.append("rest")
     if len(atoms) > MAX_ATOMS:
         raise ValidationError(
@@ -174,7 +174,7 @@ def _closure_labels(atom_labels: tuple[str, ...]) -> tuple[str, ...]:
 
 
 def check_consistent(evaluator, family: HistoryFamily,
-                     tol: float = 1e-9) -> ConsistencyReport:
+                     tol: float = CONSISTENCY_TOL) -> ConsistencyReport:
     """Re d over all ordered disjoint closure pairs, probabilities on generators.
 
     evaluator is anything with gram(ps, qs), the matrix of values on two
@@ -233,7 +233,7 @@ def check_consistent(evaluator, family: HistoryFamily,
                              prob_sum=prob_sum, unphysical=unphysical, tol=tol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SearchResult:
     projection: HistoryProjection
     value: float
@@ -334,7 +334,7 @@ def diag_excess_search(source, budget: int = 200, seed: int = 0,
         if val > best_val + TIE_TOL:
             best_val, best_cols, best_restart = val, cols, restart
     hist = history_projection(best_cols @ best_cols.conj().T, n, d)
-    rank = hist.projection.rank
+    rank = hist.rank
     xi = np.ascontiguousarray(best_cols[:, -1]) if rank == 1 else None
     return SearchResult(projection=hist, value=best_val, rank=rank,
                         restart_index=best_restart, xi=xi)

@@ -74,6 +74,7 @@ import numpy as np
 
 from .errors import ShapeError, ValidationError
 from .historyspace import (
+    CONSISTENCY_TOL,
     DensityOperator,
     HistoryProjection,
     HomogeneousHistory,
@@ -607,7 +608,7 @@ def _axiom_draw(homogeneous: bool, d: int, n: int, rng: np.random.Generator):
 
 
 def verify_axioms(evaluator: Evaluator, samples: int = 200, seed: int = 0,
-                  tol: float = 1e-9) -> AxiomReport:
+                  tol: float = CONSISTENCY_TOL) -> AxiomReport:
     """Measure violations of hermitianness, positivity, normalization, and
     additivity over orthogonal splits in either slot, across seeded random
     draws.

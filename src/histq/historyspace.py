@@ -19,6 +19,7 @@ from . import matrixcore
 from .errors import ShapeError, ValidationError
 
 VALIDATION_TOL = 1e-8
+CONSISTENCY_TOL = 1e-9  # the default of check_consistent and verify_axioms
 
 # decoherence's method names live here, so that the CLI builds its parser
 # without importing it
@@ -48,9 +49,10 @@ def checked_float(val, what: str, positive: bool = False) -> float:
     return float(val)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Projection:
-    """A validated orthogonal projection matrix.
+    """A validated orthogonal projection matrix; like every record of the
+    package that holds arrays, it compares and hashes by identity.
 
     Attributes
     ----------
@@ -105,7 +107,7 @@ class DensityOperator:
         return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HomogeneousHistory:
     """A time-ordered sequence of single-time projections on one space."""
 
@@ -114,21 +116,13 @@ class HomogeneousHistory:
     projections: tuple[Projection, ...]
 
 
-@dataclass(frozen=True)
-class HistoryProjection:
-    """A projection on the n-fold tensor power of the single-time space."""
+@dataclass(frozen=True, eq=False)
+class HistoryProjection(Projection):
+    """A history proposition: a projection on the order-fold tensor power of
+    the single-time space, so ``dim`` is ``single_dim ** order``."""
 
-    projection: Projection
     order: int
     single_dim: int
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.projection.matrix
-
-    @property
-    def dim(self) -> int:
-        return self.projection.dim
 
 
 def projection_residuals(m: np.ndarray) -> tuple[float, float]:
@@ -164,7 +158,7 @@ def validate_projection(m, tol: float = VALIDATION_TOL) -> Projection:
     """
     tol = checked_float(tol, "tol", positive=True)
     # a copy, so that a Projection never aliases its input
-    m = matrixcore.as_square_matrix(np.array(m, dtype=np.complex128, order="C"), "projection")
+    m = matrixcore.as_square_matrix(m, "projection").copy()
     herm, idem = projection_residuals(m)
     if herm > tol:
         raise ValidationError(f"not self-adjoint: max residual {herm:.3e} > {tol:g}")
@@ -196,7 +190,7 @@ def density_from_spectral(weights, vectors, tol: float = VALIDATION_TOL) -> Dens
     if not w.size:
         raise ValidationError("spectral data needs at least one weight")
     # a copy, so that a DensityOperator never aliases its input
-    v = matrixcore.as_complex_matrix(np.array(vectors, dtype=np.complex128, order="C"))
+    v = matrixcore.as_complex_matrix(vectors).copy()
     if w.ndim != 1 or w.size != v.shape[1]:
         raise ShapeError("need exactly one weight per column vector")
     if v.shape[1] > v.shape[0]:
@@ -288,9 +282,8 @@ def homogeneous_history(projections, tol: float = VALIDATION_TOL) -> Homogeneous
     """Validate a sequence of same-dimension projections as a history."""
     if len(projections) < 1:
         raise ShapeError("a history needs at least one time step")
-    validated = []
-    for p in projections:
-        validated.append(p if isinstance(p, Projection) else validate_projection(p, tol))
+    validated = [p if isinstance(p, Projection) else validate_projection(p, tol)
+                 for p in projections]
     dims = {p.dim for p in validated}
     if len(dims) != 1:
         raise ShapeError(f"all single-time projections must share one dimension, got {sorted(dims)}")
@@ -300,16 +293,14 @@ def homogeneous_history(projections, tol: float = VALIDATION_TOL) -> Homogeneous
 
 def history_projection(m, order: int, single_dim: int,
                        tol: float = VALIDATION_TOL) -> HistoryProjection:
-    """Validate a matrix as a projection on the order-fold tensor space;
-    order and single_dim are integers of at least one."""
+    """Validate a matrix, or take a `Projection` as validated, as a projection on
+    the order-fold tensor space; order and single_dim are integers >= 1."""
     order = checked_int(order, "order", low=1)
     single_dim = checked_int(single_dim, "single_dim", low=1)
     p = m if isinstance(m, Projection) else validate_projection(m, tol)
     if p.dim != single_dim ** order:
-        raise ShapeError(
-            f"matrix dimension {p.dim} is not {single_dim}**{order}"
-        )
-    return HistoryProjection(projection=p, order=order, single_dim=single_dim)
+        raise ShapeError(f"matrix dimension {p.dim} is not {single_dim}**{order}")
+    return HistoryProjection(p.matrix, p.dim, p.rank, order, single_dim)
 
 
 def pad_history(h: HomogeneousHistory, order: int) -> HomogeneousHistory:
@@ -332,7 +323,6 @@ def embed_homogeneous(h: HomogeneousHistory) -> HistoryProjection:
     those of the factors and could fail the tolerance the factors met.  Any
     dimension d**n is embedded; the command line checks its history cap.
     """
-    dim = h.single_dim ** h.order
     # np.kron's outer product and reshape, one factor at a time, started from
     # a copy so that a one-time embedding does not alias its factor
     mat = h.projections[0].matrix.copy()
@@ -341,8 +331,7 @@ def embed_homogeneous(h: HomogeneousHistory) -> HistoryProjection:
         mat = (mat[:, None, :, None] * f[None, :, None, :]).reshape(
             mat.shape[0] * f.shape[0], mat.shape[1] * f.shape[1])
     rank = math.prod(p.rank for p in h.projections)
-    return HistoryProjection(projection=Projection(matrix=mat, dim=dim, rank=rank),
-                             order=h.order, single_dim=h.single_dim)
+    return HistoryProjection(mat, mat.shape[0], rank, h.order, h.single_dim)
 
 
 def orthogonal(p: HistoryProjection, q: HistoryProjection,

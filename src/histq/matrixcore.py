@@ -25,10 +25,18 @@ def as_complex_matrix(obj) -> np.ndarray:
     """Coerce to a C-ordered 2-d complex128 array with finite entries.
 
     This is the package's one matrix rule: every matrix it reads, writes or
-    evaluates passes here.  An array that is already C-ordered complex128
-    is checked and returned as is, not copied.
+    evaluates passes here.  Its entries must be numbers numpy holds as integer,
+    unsigned, float or complex: strings, bools, None, other objects, integers
+    beyond 64 bits and ragged nestings are refused, not coerced.  An array
+    that is already C-ordered complex128 is checked and returned as is.
     """
-    m = np.asarray(obj, dtype=np.complex128, order="C")
+    try:
+        m = np.asarray(obj)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"cannot read a matrix from {type(obj).__name__}") from exc
+    if m.dtype.kind not in "iufc":
+        raise ValidationError(f"matrix entries must be numbers, got dtype {m.dtype}")
+    m = np.asarray(m, dtype=np.complex128, order="C")
     check_matrix_shape(m.shape)
     # m is C-ordered complex128, so its float64 view holds every real and
     # imaginary part; testing that is cheaper than complex isfinite

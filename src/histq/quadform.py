@@ -32,7 +32,7 @@ from .seeding import generator
 PROBE_SIZE_CAP = 2 ** 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimpleTensorSum:
     """A finite sum of simple tensors; the empty sum is the zero element."""
 

@@ -18,7 +18,7 @@ from histq.historyspace import (density_from_spectral, history_projection,
 from histq.seeding import generator
 
 from conftest import (P0, P1, PMINUS, PPLUS, embed, pure_e1, pure_state, random_density,
-                      random_proj)
+                      random_proj, rerun_commands)
 
 
 def _pass(capsys, criterion, detail):
@@ -208,26 +208,31 @@ def test_criterion_9_streaming_performance(capsys):
 
 def test_criterion_10_determinism(tmp_path, capsys):
     rng = np.random.default_rng(10000)
-    rho_path = str(tmp_path / "rho.json")
+    # rerun_commands writes its own rho.json
+    rho_path = str(tmp_path / "state.json")
     with open(rho_path, "w", encoding="utf-8") as fh:
         json.dump(serialize.density_to_json(random_density(2, rng)), fh)
-    commands = {
-        "verify": ["verify", "-d", "2", "-n", "2", "--samples", "25", "--seed",
-                   "7", "--method", "series"],
-        "build_m": ["build-m", "--rho", rho_path, "-d", "2", "-n", "2"],
-        "diverge": ["diverge", "--p", "builtin:identity", "--q", "builtin:qu",
-                    "--dim", "2"],
-        "search": ["search-excess", "-d", "2", "-n", "2", "--budget", "10",
-                   "--seed", "7"],
-        "probe": ["unbounded-probe", "--sizes", "1,2,4,8"],
-    }
-    for name, argv in commands.items():
-        outputs = []
-        for run in ("x", "y"):
-            out_path = str(tmp_path / f"{name}_{run}.out")
-            assert main(argv + ["--out", out_path]) == 0
-            capsys.readouterr()
-            with open(out_path, "rb") as fh:
-                outputs.append(fh.read())
-        assert outputs[0] == outputs[1], f"{name} rerun differs"
-    _pass(capsys, 10, f"{len(commands)} command reruns byte-identical")
+    m_path = tmp_path / "m.json"
+    commands = [
+        ["verify", "-d", "2", "-n", "2", "--samples", "25", "--seed", "7", "--method", "series"],
+        # build-m always writes its matrix to a file; a second --out overrides the first
+        ["build-m", "--rho", rho_path, "-d", "2", "-n", "2", "--out", str(m_path)],
+        ["diverge", "--p", "builtin:identity", "--q", "builtin:qu", "--dim", "2"],
+        ["search-excess", "-d", "2", "-n", "2", "--budget", "10", "--seed", "7"],
+        ["unbounded-probe", "--sizes", "1,2,4,8"],
+        *rerun_commands(tmp_path),
+    ]
+    runs = []
+    for _ in range(2):
+        files = []
+        for i, argv in enumerate(commands):
+            out = tmp_path / f"{i}.out"
+            # each command once to stdout and once to --out
+            assert main(argv) == main(argv + ["--out", str(out)]) == 0, argv
+            files.append(out.read_bytes())
+            out.unlink()
+        files.append(m_path.read_bytes())
+        m_path.unlink()
+        runs.append((capsys.readouterr().out, files))
+    assert runs[0] == runs[1]
+    _pass(capsys, 10, f"{len(commands)} commands rerun byte-identical, to stdout and to --out")

@@ -9,8 +9,10 @@ from histq import cli, decoherence, quadform, serialize
 from histq.cli import RunConfig, main
 from histq.divergence import (DEFAULT_CONVERGENCE_THRESHOLD, DEFAULT_DIVERGENCE_THRESHOLD,
                               default_schedule, q_u, swap_unitary)
-from histq.errors import ValidationError
-from histq.historyspace import VALIDATION_TOL, density_from_spectral, homogeneous_history
+from histq.errors import (HistqError, NumericalError, ShapeError, SizeCapError,
+                          ValidationError)
+from histq.historyspace import (CONSISTENCY_TOL, VALIDATION_TOL, density_from_spectral,
+                                homogeneous_history)
 
 from conftest import (P0, P1, PMINUS, PPLUS, kron_chain, near_degenerate_states,
                       pure_e1, pure_state, pure_state_excess, rerun_commands)
@@ -529,19 +531,38 @@ def test_verify_and_bench_refuse_histories_above_the_cap(tmp_path, capsys, metho
                  "--pairs", "1", "--out", out]) == 0
 
 
-def test_verify_and_bench_check_before_building_the_default_state(capsys, monkeypatch):
+def test_verify_and_bench_check_before_building_the_default_state(tmp_path, capsys,
+                                                                    monkeypatch):
     # a d x d default state costs O(d^2) memory and an O(d^3) check, so it
     # is built only after the method names and the cap let the run through
     def refuse(*args, **kwargs):
         raise AssertionError("default state built before the checks")
 
-    monkeypatch.setattr(cli, "_mixed_state", refuse)
+    monkeypatch.setattr(cli, "density_from_spectral", refuse)
     for argv in (["verify", "--method", "stream", "-d", "2000", "-n", "1"],
-                 ["bench", "-d", "2000", "-n", "1", "--methods", "stream"]):
+                 ["bench", "-d", "2000", "-n", "1", "--methods", "stream"],
+                 ["search-excess", "-d", "100", "-n", "2"]):
         assert main(argv) == 3, argv
         assert "exceeds cap 64" in capsys.readouterr().err
-    assert main(["bench", "-d", "2000", "-n", "1", "--methods", "foo"]) == 2
-    assert "unknown evaluation method 'foo'" in capsys.readouterr().err
+    # the method names are checked before --rho is read
+    missing = str(tmp_path / "missing.json")
+    for rho in ([], ["--rho", missing]):
+        assert main(["bench", "-d", "2000", "-n", "1", "--methods", "foo", *rho]) == 2
+        assert "unknown evaluation method 'foo'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (cli.UsageError, 1, "usage error"), (ValidationError, 2, "validation error"),
+    (ShapeError, 2, "validation error"), (HistqError, 2, "validation error"),
+    (SizeCapError, 3, "size cap"), (NumericalError, 4, "numerical error")])
+def test_each_error_has_one_exit_code_and_prefix(error, code, prefix, capsys, monkeypatch):
+    def fail(args, cfg):
+        raise error("boom")
+
+    # the parser binds each subcommand when main builds it
+    monkeypatch.setattr(cli, "_cmd_unbounded_probe", fail)
+    assert main(["unbounded-probe"]) == code
+    assert capsys.readouterr().err == f"{prefix}: boom\n"
 
 
 def test_bench_rejects_unknown_method(tmp_path, capsys, monkeypatch):
@@ -557,26 +578,6 @@ def test_bench_rejects_unknown_method(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(decoherence, "make_evaluator", refuse)
     assert main(["bench", "--methods", "stream,foo", "-d", "2", "-n", "2"]) == 2
     assert "unknown evaluation method 'foo'" in capsys.readouterr().err
-
-
-def test_reruns_are_byte_identical(tmp_path, capsys):
-    commands = rerun_commands(tmp_path)
-    pairs = []
-    for tag in ("a", "b"):
-        v = str(tmp_path / f"verify_{tag}.json")
-        s = str(tmp_path / f"search_{tag}.json")
-        d = str(tmp_path / f"div_{tag}.csv")
-        assert main(["verify", "-d", "2", "-n", "2", "--samples", "10",
-                     "--seed", "3", "--method", "series", "--out", v]) == 0
-        assert main(["search-excess", "-d", "2", "-n", "2", "--budget", "5",
-                     "--seed", "3", "--out", s]) == 0
-        assert main(["diverge", "--p", "builtin:identity", "--q", "builtin:qu",
-                     "--dim", "2", "--out", d]) == 0
-        outs = [str(tmp_path / f"{tag}{i}.out") for i in range(3)]
-        for argv, out in zip(commands, outs):
-            assert main(argv) == main(argv + ["--out", out]) == 0, argv
-        pairs.append((capsys.readouterr().out, *(Path(f).read_bytes() for f in (v, s, d, *outs))))
-    assert pairs[0] == pairs[1]
 
 
 def test_config_file_cutoffs_and_rejection(tmp_path, capsys):
@@ -626,7 +627,8 @@ def test_run_config_defaults_are_the_library_constants():
     assert cfg.cutoffs == default_schedule().cutoffs
     assert cfg.convergence_threshold == DEFAULT_CONVERGENCE_THRESHOLD
     assert cfg.divergence_threshold == DEFAULT_DIVERGENCE_THRESHOLD
-    assert (cfg.single_dim, cfg.order, cfg.seed, cfg.consistency_tol) == (2, 2, 0, 1e-9)
+    assert cfg.consistency_tol == CONSISTENCY_TOL
+    assert (cfg.single_dim, cfg.order, cfg.seed) == (2, 2, 0)
 
 
 DIVERGE = ["diverge", "--p", "builtin:identity", "--q", "builtin:qu"]

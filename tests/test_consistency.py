@@ -8,7 +8,7 @@ from histq import consistency as cs
 from histq.decoherence import (build_M, d_via_M_streaming, make_evaluator,
                                partial_trace_a, random_homogeneous, verify_axioms)
 from histq.errors import ShapeError, ValidationError
-from histq.historyspace import (HistoryProjection, Projection, density_from_spectral,
+from histq.historyspace import (HistoryProjection, density_from_spectral,
                                 history_projection, homogeneous_history)
 from histq.quadform import D_form, random_tensor_sum, uniqueness_check
 from histq.seeding import generator
@@ -125,8 +125,8 @@ def test_rest_atom_is_the_unvalidated_complement_of_the_total(dn):
     assert family.atom_labels[-1] == "rest"
     rest, total = family.atoms[-1], np.array([m.matrix for m in family.members]).sum(axis=0)
     assert rest.matrix.tobytes() == (np.eye(dim) - total).tobytes()
-    ranks = [m.projection.rank for m in family.members]
-    assert rest.projection.rank == dim - sum(ranks) == dim - cuts[-1]
+    ranks = [m.rank for m in family.members]
+    assert rest.rank == dim - sum(ranks) == dim - cuts[-1]
 
     def herm(m):
         return float(np.max(np.abs(m - m.conj().T)))
@@ -154,7 +154,7 @@ def test_build_family_rejections():
         cs.build_family([p00, history_projection(np.zeros((2, 2)), 1, 2)])
     # the total stays the gate for the rest atom: half the identity is
     # self-adjoint with integer trace at dim 4, but not idempotent
-    half = HistoryProjection(Projection(0.5 * np.eye(4, dtype=np.complex128), 4, 2), 2, 2)
+    half = HistoryProjection(0.5 * np.eye(4, dtype=np.complex128), 4, 2, 2, 2)
     with pytest.raises(ValidationError, match="not idempotent: max residual 2.500e-01"):
         cs.build_family([half])
 
@@ -759,7 +759,7 @@ def test_pure_state_witness_attains_the_closed_form(d, n):
     rho = pure_state(psi)
     p = pure_state_witness(psi, n)
     want, rank = pure_state_excess(d, n)
-    assert p.projection.rank == rank
+    assert p.rank == rank
     for method in ("series", "stream", "ils"):
         got = make_evaluator(method, rho, d, n).value(p, p)
         assert abs(got - want) <= 1e-9, method

@@ -8,9 +8,12 @@ import numpy as np
 import pytest
 
 from histq import decoherence as dec
+from histq.consistency import build_family, diag_excess_search
 from histq.errors import ShapeError, ValidationError
 from histq.historyspace import (METHODS, completed_basis, density_from_spectral,
-                                homogeneous_history, history_projection, pad_history)
+                                homogeneous_history, history_projection, pad_history,
+                                validate_projection)
+from histq.quadform import simple_tensor_sum
 from histq.seeding import generator
 
 from conftest import (DIFFERENTIAL_SPECTRA, P0, P1, PMINUS, PPLUS, SPECTRA, bits, embed,
@@ -228,6 +231,22 @@ def test_states_kernels_and_evaluators_compare_by_identity(rng):
     assert (ev == dec.make_evaluator("stream", rho, 2, 1)) is False
     assert (rho == density_from_spectral(rho.weights, rho.vectors)) is False
     assert len({m, ev, rho}) == 3
+    # the history-space records too: two equal values are two values, and
+    # membership and hashing never ask an array for its truth value
+    twins = {
+        "Projection": lambda: validate_projection(P0),
+        "HomogeneousHistory": lambda: homogeneous_history([P0, PPLUS]),
+        "HistoryProjection": lambda: embed([P0, PPLUS]),
+        "SimpleTensorSum": lambda: simple_tensor_sum([(P0, PPLUS)]),
+        "HistoryFamily": lambda: build_family([embed([P0, P0]), embed([P1, P0])]),
+        "SearchResult": lambda: diag_excess_search(m, budget=1, sweeps=1),
+    }
+    for name, make in twins.items():
+        x, y = make(), make()
+        assert type(x).__name__ == name
+        assert (x == y) is False and x != y, name
+        assert x in [x] and x not in [y] and hash(x) == hash(x), name
+        assert len({x, y}) == 2, name
 
 
 def test_make_evaluator_unknown_method(rng):

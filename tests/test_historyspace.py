@@ -243,7 +243,7 @@ def test_embed_rank_multiplies(rng):
     a = random_proj(3, rng, rank=2)
     b = random_proj(3, rng, rank=1)
     emb = hs.embed_homogeneous(hs.homogeneous_history([a, b]))
-    assert emb.projection.rank == 2
+    assert emb.rank == 2
     assert np.allclose(emb.matrix, kron_chain([a, b]), atol=1e-12)
 
 
@@ -254,7 +254,7 @@ def test_embed_keeps_factors_that_pass_the_tolerance():
     with pytest.raises(ValidationError, match="trace"):
         hs.validate_projection(kron_chain([near] * 3))
     emb = hs.embed_homogeneous(hs.homogeneous_history([near] * 3))
-    assert emb.projection.rank == 1 and emb.dim == 8
+    assert emb.rank == 1 and emb.dim == 8
     assert np.array_equal(emb.matrix, kron_chain([near] * 3))
 
 
@@ -263,7 +263,7 @@ def test_embed_has_no_size_cap():
     # does not check
     h = hs.homogeneous_history([np.eye(3)] * 4)
     emb = hs.embed_homogeneous(h)
-    assert emb.dim == 81 and emb.projection.rank == 81
+    assert emb.dim == 81 and emb.rank == 81
     assert np.array_equal(emb.matrix, np.eye(81))
 
 
@@ -278,11 +278,24 @@ def test_history_projection_dimension_check():
             hs.history_projection(np.eye(1), *args)
 
 
+def test_a_history_projection_is_a_projection():
+    # a validated history projection is taken as the projection it is, as a
+    # single-time factor or read at another order, and is never revalidated
+    hp = hs.embed_homogeneous(hs.homogeneous_history([P0, PPLUS]))
+    assert isinstance(hp, hs.Projection) and (hp.dim, hp.rank) == (4, 1)
+    flat = hs.history_projection(hp, 1, 4)
+    assert (flat.order, flat.single_dim, flat.rank) == (1, 4, 1) and flat.matrix is hp.matrix
+    h = hs.homogeneous_history([hp, hp])
+    assert (h.order, h.single_dim) == (2, 4) and h.projections == (hp, hp)
+    with pytest.raises(ShapeError, match="^matrix dimension 4 is not 2\\*\\*3$"):
+        hs.history_projection(hp, 3, 2)
+
+
 def test_identity_and_zero_history_projections():
     eye = identity_history_projection(2, 2)
     zero = hs.history_projection(np.zeros((4, 4)), 2, 2)
-    assert eye.projection.rank == 4
-    assert zero.projection.rank == 0
+    assert eye.rank == 4
+    assert zero.rank == 0
     assert np.array_equal(zero.matrix, np.zeros((4, 4)))
 
 

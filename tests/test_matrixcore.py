@@ -20,49 +20,50 @@ def test_as_complex_matrix_coerces():
     assert m.flags["C_CONTIGUOUS"]
 
 
-def test_as_complex_matrix_rejects_bad_shapes():
-    with pytest.raises(ShapeError):
-        mc.as_complex_matrix([1, 2, 3])
-    with pytest.raises(ShapeError):
-        mc.as_complex_matrix(np.zeros((0, 2)))
-
-
-def test_as_complex_matrix_rejects_non_finite():
-    with pytest.raises(ValidationError):
-        mc.as_complex_matrix([[np.nan, 0], [0, 1]])
-    with pytest.raises(ValidationError):
-        mc.as_complex_matrix([[np.inf, 0], [0, 1]])
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_imaginary_parts_are_rejected(bad, tmp_path):
     # the one matrix rule: every reader and writer of a matrix raises the same
-    # error for the same malformed input; bad sits in a real or an imaginary part
+    # error for the same malformed input; bad sits in a real or an imaginary part,
+    # and entries that are not numbers are refused, not coerced
     real_bad = np.eye(2, dtype=np.complex128)
     real_bad[1, 0] = complex(bad, 0.0)
     imag_bad = np.eye(2, dtype=np.complex128)
     imag_bad[1, 0] = complex(0.0, bad)
     non_finite = (ValidationError, "matrix contains non-finite entries")
+
+    def not_numbers(dtype):
+        return (ValidationError, f"matrix entries must be numbers, got dtype {dtype}")
+
     cases = [(real_bad, non_finite), (imag_bad, non_finite),
              (np.ones(4), (ShapeError, "expected a 2-d array, got ndim=1")),
+             ([1, 2, 3], (ShapeError, "expected a 2-d array, got ndim=1")),
              (np.zeros((0, 2)), (ShapeError, "matrix dimensions must be positive, got (0, 2)")),
-             (np.ones((2, 3)), None)]
+             (np.ones((2, 3)), None),
+             ([["1", "0"], ["0", "1"]], not_numbers("<U1")),
+             (np.eye(2, dtype=bool), not_numbers("bool")), ([[None]], not_numbers("object")),
+             (object(), not_numbers("object")), ({"rows": 1}, not_numbers("object")),
+             ([[1, 0], [0]], (ValidationError, "cannot read a matrix from list"))]
     path = tmp_path / "m.json"
 
     def from_json(m):
         data = [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
         return matrix_from_json({"rows": m.shape[0], "cols": m.shape[1], "data": data})
 
+    def pair(m):
+        return truncated_d(pure_e1(2), m, "identity")
+
     # each call with the noun of its square check, or None where any shape is read
     calls = [(mc.as_complex_matrix, None), (from_json, None), (matrix_to_json, None),
              (lambda m: dump_json(m, str(path)), None),
              (validate_projection, "projection"), (density_from_matrix, "density matrix"),
-             (lambda m: simple_tensor_sum([(m,)]), "tensor factor"),
-             (lambda m: truncated_d(pure_e1(2), m, "identity"), "pair operator")]
+             (lambda m: simple_tensor_sum([(m,)]), "tensor factor"), (pair, "pair operator")]
     for m, want in cases:
         for call, noun in calls:
-            if call is from_json and m.ndim != 2:
-                continue  # a matrix JSON object always declares rows and cols
+            if call is from_json and not (isinstance(m, np.ndarray) and m.ndim == 2
+                                          and m.dtype.kind in "fc"):
+                continue  # a matrix JSON object declares rows and cols and holds numbers
+            if call is pair and not isinstance(m, np.ndarray):
+                continue  # a pair operator is a builtin name, a history projection or an array
             if want is None and noun is None:
                 call(m)
                 path.unlink(missing_ok=True)
@@ -71,9 +72,10 @@ def test_non_finite_imaginary_parts_are_rejected(bad, tmp_path):
             with pytest.raises(err, match=f"^{re.escape(message)}$"):
                 call(m)
             assert not path.exists()
-    for m in (real_bad, imag_bad):
-        with pytest.raises(ValidationError, match="^matrix contains non-finite entries$"):
-            density_from_spectral([0.5, 0.5], m)
+    for m, want in cases:
+        if want is not None and want[0] is ValidationError:
+            with pytest.raises(ValidationError, match=f"^{re.escape(want[1])}$"):
+                density_from_spectral([0.5, 0.5], m)
 
 
 def test_kron_block_structure():
